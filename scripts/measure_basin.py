@@ -9,7 +9,6 @@ script is how the shipped `basin` entries of the benchmarks were measured.
 import argparse
 import pathlib
 import sys
-import warnings
 
 import numpy as np
 
@@ -54,7 +53,6 @@ def main():
     ap.add_argument("--radii", type=float, nargs="+",
                     default=[0.1, 0.2, 0.4, 0.6, 0.8, 1.2, 1.6])
     args = ap.parse_args()
-    warnings.simplefilter("ignore")
     bench = BENCHMARKS[args.benchmark]()
     rng = np.random.default_rng(args.seed)
     print(f"{args.benchmark}: fraction converged / fraction with a quadratic verdict")

@@ -8,7 +8,6 @@ nonzero if any certified benchmark fails its expected verdict.
 
 import pathlib
 import sys
-import warnings
 
 import numpy as np
 
@@ -55,7 +54,6 @@ def run_one(name, bench):
 
 
 def main():
-    warnings.simplefilter("ignore")
     np.set_printoptions(precision=3)
     all_ok = True
     for name, build in sorted(BENCHMARKS.items()):

@@ -42,7 +42,7 @@ from .composite import (
     multiplier_set,
     nonascent_contains,
 )
-from .exprmap import SmoothMap, evaluate_map, parse_expr
+from .exprmap import Linearization, SmoothMap, evaluate_map, parse_expr
 from .manifold import (
     ManifoldData,
     MuVector,

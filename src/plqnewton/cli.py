@@ -132,10 +132,8 @@ def _run_solver(pf: ProblemFile, opts):
                 raise PreconditionError(f"{method} method needs a start y at a kink start")
             k0 = prof.active_pieces[0]
             y0 = p.h.pieces[k0].Q @ cx + p.h.pieces[k0].b
-        if method == "enum":
-            def schedule(k, x, y, trace):
-                return p.c.weighted_hessian(x, y)
-        else:
+        schedule = None  # enum: the exact Hessian of each iterate's linearization
+        if method == "quasi":
             B0 = p.c.weighted_hessian(x0, y0)
 
             def schedule(k, x, y, trace):

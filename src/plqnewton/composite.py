@@ -24,7 +24,7 @@ import numpy as np
 
 from .calculus import PolyhedronH, subdiff_hrep, dir_deriv_first
 from .errors import DomainError, PreconditionError
-from .exprmap import SmoothMap
+from .exprmap import Linearization, SmoothMap
 from .numerics import as_vector, matrix_rank_rel, nullspace_basis
 from .plq import PLQFunction, eval_with_active
 from .simplex import feasible_point, max_slack_point
@@ -52,9 +52,6 @@ class CompositeProblem:
 
     def objective(self, x):
         return eval_with_active(self.h, self.c.value(x)).value
-
-    def hessian_of_lagrangian(self, x, y) -> np.ndarray:
-        return self.c.weighted_hessian(x, y)
 
 
 @dataclass(frozen=True)
@@ -236,13 +233,16 @@ def nonascent_contains(p: CompositeProblem, x, d) -> bool:
     return bool(val.is_finite and val.value <= 1e-10)
 
 
-def kkt_residual(p: CompositeProblem, x, y) -> KKTResidual:
-    """Stationarity norm and subdifferential violation of the primal-dual pair."""
+def kkt_residual(p: CompositeProblem, x, y, lin: Linearization | None = None) -> KKTResidual:
+    """Stationarity norm and subdifferential violation of the primal-dual pair.
+
+    `lin` is a linearization of c at x (from p.c.evaluate); without it one
+    first-order sweep makes c(x) and its Jacobian.
+    """
     x = as_vector(x, p.n, "x")
     y = as_vector(y, p.m, "y")
-    jac = p.c.jacobian(x)
+    cx, jac, _ = p.c.evaluate(x) if lin is None else lin
     stat = float(np.linalg.norm(jac.T @ y))
-    cx = p.c.value(x)
     prof = eval_with_active(p.h, cx)
     if not prof.is_finite:
         return KKTResidual(stat, math.inf)

@@ -9,15 +9,21 @@ Grammar:
     func   := sin | cos | exp | log | sqrt
 
 Note that '^' binds the parsed base, so "-x1^2" is (-x1)^2 under this grammar.
-Derivatives are propagated forward as second-order jets (value, gradient,
-Hessian), which is forward-over-forward differentiation flattened into dense
-blocks; exact for the grammar, and cheap at small n.
+Derivatives are exact for the grammar. One forward sweep over a component's
+tree carries them only to the order the caller asks for: `SmoothMap.value` is
+a float-only sweep, `jacobian` and `evaluate(x)` carry value and gradient,
+and `evaluate(x, y)` adds the dense Hessian, which it sums with the weights y
+into the linearization (c, J, H_y). The sweeps share one tree walker and
+perform the same floating-point operations for the parts they share, so a
+value or gradient does not depend on the order of the sweep that made it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -254,123 +260,130 @@ def substitute_linear(node, M):
     return walk(node)
 
 
-# -- second-order jets ----------------------------------------------------------
+# -- order-aware forward sweeps ---------------------------------------------------
+#
+# A jet is the tuple (value,), (value, gradient) or (value, gradient, Hessian):
+# its length is the sweep's order plus one. Each part of a node's jet is made
+# from the same parts of its children only, so a sweep of lower order performs
+# exactly the floating-point operations of the parts it keeps from a higher
+# one, and its results agree with them bit for bit.
 
 
-class Jet2:
-    """Value, gradient and Hessian propagated together."""
-
-    __slots__ = ("v", "g", "H")
-
-    def __init__(self, v, g, H):
-        self.v = float(v)
-        self.g = g
-        self.H = H
-
-    @staticmethod
-    def const(v, n):
-        return Jet2(v, np.zeros(n), np.zeros((n, n)))
-
-    @staticmethod
-    def var(i, x, n):
-        g = np.zeros(n)
+def _leaf(v, i, n, order):
+    """Jet of the constant v (i is None) or of the variable x_{i+1} = v."""
+    if order == 0:
+        return (v,)
+    g = np.zeros(n)
+    if i is not None:
         g[i] = 1.0
-        return Jet2(x[i], g, np.zeros((n, n)))
-
-    def _chain(self, f0, f1, f2):
-        outer = np.outer(self.g, self.g)
-        return Jet2(f0, f1 * self.g, f1 * self.H + f2 * outer)
-
-    def __add__(self, o):
-        return Jet2(self.v + o.v, self.g + o.g, self.H + o.H)
-
-    def __sub__(self, o):
-        return Jet2(self.v - o.v, self.g - o.g, self.H - o.H)
-
-    def __neg__(self):
-        return Jet2(-self.v, -self.g, -self.H)
-
-    def __mul__(self, o):
-        cross = np.outer(self.g, o.g)
-        return Jet2(self.v * o.v,
-                    self.v * o.g + o.v * self.g,
-                    self.v * o.H + o.v * self.H + cross + cross.T)
-
-    def reciprocal(self):
-        if self.v == 0.0:
-            raise EvalDomainError("division by zero")
-        iv = 1.0 / self.v
-        return self._chain(iv, -iv * iv, 2.0 * iv ** 3)
-
-    def __truediv__(self, o):
-        return self * o.reciprocal()
-
-    def intpow(self, p):
-        if p == 0:
-            return Jet2.const(1.0, self.g.shape[0])
-        if p < 0:
-            return self.intpow(-p).reciprocal()
-        f1 = p * self.v ** (p - 1)
-        f2 = p * (p - 1) * self.v ** (p - 2) if p >= 2 else 0.0
-        return self._chain(self.v ** p, f1, f2)
-
-    def apply(self, name):
-        v = self.v
-        if name == "sin":
-            return self._chain(math.sin(v), math.cos(v), -math.sin(v))
-        if name == "cos":
-            return self._chain(math.cos(v), -math.sin(v), -math.cos(v))
-        if name == "exp":
-            ev = math.exp(v)
-            return self._chain(ev, ev, ev)
-        if name == "log":
-            if v <= 0.0:
-                raise EvalDomainError("log of a nonpositive value")
-            return self._chain(math.log(v), 1.0 / v, -1.0 / (v * v))
-        if name == "sqrt":
-            if v < 0.0:
-                raise EvalDomainError("sqrt of a negative value")
-            if v == 0.0:
-                raise EvalDomainError("sqrt not differentiable at zero")
-            s = math.sqrt(v)
-            return self._chain(s, 0.5 / s, -0.25 / (s * v))
-        raise ValueError(f"unknown function {name}")
+    return (v, g) if order == 1 else (v, g, np.zeros((n, n)))
 
 
-def eval_jet(node, x) -> Jet2:
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
+def _chain(a, f0, d1, d2):
+    """Jet of f(a) from f0 = f(a.v); d1() and d2() give f'(a.v) and f''(a.v)
+    and are called only when the order needs them."""
+    if len(a) == 1:
+        return (f0,)
+    f1 = d1()
+    if len(a) == 2:
+        return (f0, f1 * a[1])
+    return (f0, f1 * a[1], f1 * a[2] + d2() * np.outer(a[1], a[1]))
+
+
+def _mul(a, b):
+    v = a[0] * b[0]
+    if len(a) == 1:
+        return (v,)
+    g = a[0] * b[1] + b[0] * a[1]
+    if len(a) == 2:
+        return (v, g)
+    cross = np.outer(a[1], b[1])
+    return (v, g, a[0] * b[2] + b[0] * a[2] + cross + cross.T)
+
+
+def _reciprocal(a):
+    if a[0] == 0.0:
+        raise EvalDomainError("division by zero")
+    iv = 1.0 / a[0]
+    return _chain(a, iv, lambda: -iv * iv, lambda: 2.0 * iv ** 3)
+
+
+def _intpow(a, p):
+    """a^p for an integer p >= 1."""
+    v = a[0]
+    return _chain(a, v ** p, lambda: p * v ** (p - 1),
+                  lambda: p * (p - 1) * v ** (p - 2) if p >= 2 else 0.0)
+
+
+def _apply(name, a):
+    v = a[0]
+    if name == "sin":
+        return _chain(a, math.sin(v), lambda: math.cos(v), lambda: -math.sin(v))
+    if name == "cos":
+        return _chain(a, math.cos(v), lambda: -math.sin(v), lambda: -math.cos(v))
+    if name == "exp":
+        ev = math.exp(v)
+        return _chain(a, ev, lambda: ev, lambda: ev)
+    if name == "log":
+        if v <= 0.0:
+            raise EvalDomainError("log of a nonpositive value")
+        return _chain(a, math.log(v), lambda: 1.0 / v, lambda: -1.0 / (v * v))
+    if name == "sqrt":
+        if v < 0.0:
+            raise EvalDomainError("sqrt of a negative value")
+        if v == 0.0:
+            raise EvalDomainError("sqrt not differentiable at zero")
+        s = math.sqrt(v)
+        return _chain(a, s, lambda: 0.5 / s, lambda: -0.25 / (s * v))
+    raise ValueError(f"unknown function {name}")
+
+
+def _sweep(node, x, order):
+    """Jet of one expression at x (a list of floats) to the given order:
+    0 for the value, 1 adds the gradient, 2 adds the Hessian."""
     if isinstance(node, Const):
-        return Jet2.const(node.value, n)
+        return _leaf(node.value, None, len(x), order)
     if isinstance(node, Var):
-        return Jet2.var(node.index - 1, x, n)
+        return _leaf(x[node.index - 1], node.index - 1, len(x), order)
     if isinstance(node, Neg):
-        return -eval_jet(node.child, x)
+        return tuple(map(operator.neg, _sweep(node.child, x, order)))
     if isinstance(node, BinOp):
-        a = eval_jet(node.left, x)
-        b = eval_jet(node.right, x)
+        a = _sweep(node.left, x, order)
+        b = _sweep(node.right, x, order)
         if node.op == "+":
-            return a + b
+            return tuple(map(operator.add, a, b))
         if node.op == "-":
-            return a - b
+            return tuple(map(operator.sub, a, b))
         if node.op == "*":
-            return a * b
-        return a / b
+            return _mul(a, b)
+        return _mul(a, _reciprocal(b))
     if isinstance(node, IntPow):
-        base = eval_jet(node.child, x)
-        if node.power < 0 and base.v == 0.0:
+        a = _sweep(node.child, x, order)
+        p = node.power
+        if p < 0 and a[0] == 0.0:
             raise EvalDomainError("zero raised to a negative power")
-        return base.intpow(node.power)
+        if p == 0:
+            return _leaf(1.0, None, len(x), order)
+        return _reciprocal(_intpow(a, -p)) if p < 0 else _intpow(a, p)
     if isinstance(node, Func):
-        return eval_jet(node.child, x).apply(node.name)
+        return _apply(node.name, _sweep(node.child, x, order))
     raise TypeError(f"not an expression node: {node!r}")
 
 
 def eval_value(node, x) -> float:
-    return eval_jet(node, x).v
+    return _sweep(node, np.asarray(x, dtype=float).tolist(), 0)[0]
 
 
 # -- smooth maps ------------------------------------------------------------------
+
+
+class Linearization(NamedTuple):
+    """c(x), its Jacobian, and the weighted Hessian sum_i y_i Hess c_i(x)
+    (None when no y was given)."""
+
+    c: np.ndarray
+    J: np.ndarray
+    H: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -391,26 +404,38 @@ class SmoothMap:
         comps = tuple(parse_expr(s, n) for s in exprs)
         return SmoothMap(n, len(comps), comps, tuple(exprs))
 
-    def value(self, x) -> np.ndarray:
-        x = as_vector(x, self.n, "x")
-        out = np.empty(self.m)
+    def _jets(self, x, order):
+        """Each component's jet at x; a domain fault, or an overflow or zero
+        division in the arithmetic, raises EvalDomainError naming the component."""
+        xs = x.tolist()
         for i, comp in enumerate(self.components):
             try:
-                out[i] = eval_value(comp, x)
+                jet = _sweep(comp, xs, order)
             except EvalDomainError as err:
                 raise EvalDomainError(str(err), component=i) from None
+            except (OverflowError, ZeroDivisionError) as err:
+                raise EvalDomainError(f"floating-point fault: {err}", component=i) from None
+            yield jet
+
+    def value(self, x) -> np.ndarray:
+        """c(x), by a float-only sweep."""
+        x = as_vector(x, self.n, "x")
+        out = np.empty(self.m)
+        for i, jet in enumerate(self._jets(x, 0)):
+            out[i] = jet[0]
         return out
 
     def jacobian(self, x) -> np.ndarray:
-        return self.evaluate(x)[1]
+        return self.evaluate(x).J
 
     def weighted_hessian(self, x, y) -> np.ndarray:
-        return self.evaluate(x, y)[2]
+        return self.evaluate(x, y).H
 
-    def evaluate(self, x, y=None):
+    def evaluate(self, x, y=None) -> Linearization:
         """(value, jacobian, weighted hessian sum_i y_i Hess c_i) at x.
 
-        The weighted Hessian entry is None when y is absent.
+        Without y the sweep stops at first order and the weighted Hessian
+        entry is None.
         """
         x = as_vector(x, self.n, "x")
         val = np.empty(self.m)
@@ -418,18 +443,14 @@ class SmoothMap:
         if y is not None:
             y = as_vector(y, self.m, "y")
         wh = np.zeros((self.n, self.n)) if y is not None else None
-        for i, comp in enumerate(self.components):
-            try:
-                jet = eval_jet(comp, x)
-            except EvalDomainError as err:
-                raise EvalDomainError(str(err), component=i) from None
-            val[i] = jet.v
-            jac[i] = jet.g
+        for i, jet in enumerate(self._jets(x, 1 if y is None else 2)):
+            val[i] = jet[0]
+            jac[i] = jet[1]
             if wh is not None:
-                wh += y[i] * jet.H
+                wh += y[i] * jet[2]
         if wh is not None:
             wh = 0.5 * (wh + wh.T)
-        return val, jac, wh
+        return Linearization(val, jac, wh)
 
     def rotated(self, M) -> "SmoothMap":
         """The map x -> c(Mx), by substituting linear forms into each component."""

@@ -63,9 +63,6 @@ class ManifoldData:
     def m(self) -> int:
         return self.A.shape[0]
 
-    def P_matrix(self, j) -> np.ndarray:
-        return np.diag(self.P[j])
-
     def AP(self, j) -> np.ndarray:
         return self.A * self.P[j][None, :]
 

@@ -190,10 +190,6 @@ def eval_with_active(h: PLQFunction, c) -> ActiveProfile:
                          ells.pop() if len(ells) == 1 else None)
 
 
-def in_domain(h: PLQFunction, c) -> bool:
-    return eval_with_active(h, c).is_finite
-
-
 def value(h: PLQFunction, c) -> ExtReal:
     return eval_with_active(h, c).value
 

@@ -17,6 +17,12 @@ Four entry points:
 All methods are local: no globalization, and iterates wandering off trigger
 regime or divergence errors rather than recovery heuristics.
 
+Each iterate (x_k, y_k) is linearized once: a single `SmoothMap.evaluate`
+gives (c(x_k), Jac c(x_k), sum_i y_i Hess c_i(x_k)), and every consumer at
+that point shares it: the restricted steps of all pieces, the monitors, the
+enumeration subproblem and the KKT residual. The linearization made for the
+residual of (x_{k+1}, y_{k+1}) is the one step k+1 uses.
+
 A solve is single-threaded and owns its mutable trace; distinct solves over
 the immutable problem objects may run concurrently. The per-piece restricted
 steps within one iteration share only immutable inputs and are joined by the
@@ -34,11 +40,11 @@ import numpy as np
 from .calculus import subdiff_hrep
 from .composite import CompositeProblem, kkt_residual
 from .errors import DivergenceError, RegimeError, StepError
-from .manifold import SC_TOL, ManifoldData, build_manifold, manifold_contains
+from .exprmap import Linearization
+from .manifold import ManifoldData, build_manifold, manifold_contains
 from .numerics import as_vector, nullspace_basis
 from .plq import eval_with_active
 
-GLUE_TOL = 1e-10
 GLUE_FAIL = 1e-8
 
 
@@ -129,10 +135,9 @@ class IterationTrace:
                               "" if r.on_manifold is None else int(r.on_manifold)])
 
 
-def _initial_mu(p: CompositeProblem, md: ManifoldData, x, y) -> np.ndarray:
+def _initial_mu(p: CompositeProblem, md: ManifoldData, cx, y) -> np.ndarray:
     """Default block multipliers from the projection of c(x) onto the manifold's
     affine hull, clipped at zero."""
-    cx = p.c.value(x)
     A_all, alpha = p.h.hyperplane_matrix()
     act = list(md.active_hyperplanes)
     Ar = A_all[act]
@@ -147,19 +152,19 @@ def _initial_mu(p: CompositeProblem, md: ManifoldData, x, y) -> np.ndarray:
 
 
 def restricted_newton_step(p: CompositeProblem, md: ManifoldData,
-                           state: RestrictedState, j: int) -> RestrictedState:
+                           state: RestrictedState, j: int,
+                           lin: Linearization | None = None) -> RestrictedState:
     """Solve the j-th restricted linear system at the state's (x, y).
 
     The unknowns are the full (x, y, mu_j); rows are the linearized
     stationarity equation, the piece-j subgradient equation at the linearized
     point, and the manifold equation pinning the linearized point to the
-    manifold's affine hull.
+    manifold's affine hull. `lin` is the linearization p.c.evaluate(x, y) at
+    the state's pair, made here when not given.
     """
     x_hat = as_vector(state.x, p.n, "x")
     y_hat = as_vector(state.y, p.m, "y")
-    jac = p.c.jacobian(x_hat)
-    H = p.c.weighted_hessian(x_hat, y_hat)
-    cx = p.c.value(x_hat)
+    cx, jac, H = p.c.evaluate(x_hat, y_hat) if lin is None else lin
     n, m, ell = p.n, p.m, md.ell
     Q = md.piece(j).Q
     b = md.piece(j).b
@@ -184,11 +189,6 @@ def restricted_newton_step(p: CompositeProblem, md: ManifoldData,
     new.y = sol[n:n + m]
     new.mu_blocks = state.mu_blocks.copy()
     new.mu_blocks[j] = sol[n + m:]
-    if new.mu_blocks[j].size and np.min(new.mu_blocks[j]) <= SC_TOL:
-        import warnings
-
-        warnings.warn(f"block multiplier {j} lost strict positivity "
-                      f"(min {np.min(new.mu_blocks[j]):g})", RuntimeWarning, stacklevel=2)
     return new
 
 
@@ -201,17 +201,18 @@ def newton_solve(p: CompositeProblem, md: ManifoldData | None, start, opts: Solv
     """
     x = as_vector(start[0], p.n, "x0")
     y = as_vector(start[1], p.m, "y0")
+    lin = p.c.evaluate(x, y)
     if md is None:
-        md = _bootstrap_manifold(p, x, y)
+        md = _bootstrap_manifold(p, x, y, lin)
     if not md.nondegenerate:
         raise RegimeError("degenerate manifold matrix A")
     if len(start) > 2 and start[2] is not None:
         mu0 = np.asarray(start[2], dtype=float).reshape(md.kbar, md.ell)
     else:
-        mu0 = _initial_mu(p, md, x, y)
+        mu0 = _initial_mu(p, md, lin.c, y)
     state = RestrictedState(x, y, mu0)
     trace = IterationTrace(method="newton")
-    res = kkt_residual(p, x, y)
+    res = kkt_residual(p, x, y, lin)
     trace.append(TraceRow(0, x.copy(), y.copy(), mu0.copy(), res.stationarity,
                           res.subdiff_violation, _err(reference, x, y), None, None,
                           mu_min=float(np.min(mu0))))
@@ -221,10 +222,7 @@ def newton_solve(p: CompositeProblem, md: ManifoldData | None, start, opts: Solv
     x0_norm = 1.0 + float(np.linalg.norm(x))
 
     for k in range(1, opts.max_iter + 1):
-        jac = p.c.jacobian(state.x)
-        H = p.c.weighted_hessian(state.x, state.y)
-        cx = p.c.value(state.x)
-        results = [restricted_newton_step(p, md, state, j) for j in range(md.kbar)]
+        results = [restricted_newton_step(p, md, state, j, lin) for j in range(md.kbar)]
         gap = 0.0
         for i in range(md.kbar):
             for j in range(i + 1, md.kbar):
@@ -238,11 +236,12 @@ def newton_solve(p: CompositeProblem, md: ManifoldData | None, start, opts: Solv
         new_y = results[-1].y
         new_mu = np.vstack([results[j].mu_blocks[j] for j in range(md.kbar)])
 
-        c_lin = cx + jac @ (new_x - state.x)
+        c_lin = lin.c + lin.J @ (new_x - state.x)
         on_mf = manifold_contains(md, c_lin)
         lin_active = eval_with_active(p.h, c_lin).active_pieces
-        model_ok = _model_sosc_ok(p, md, jac, H)
-        res = kkt_residual(p, new_x, new_y)
+        model_ok = _model_sosc_ok(p, md, lin.J, lin.H)
+        lin = p.c.evaluate(new_x, new_y)
+        res = kkt_residual(p, new_x, new_y, lin)
         state = RestrictedState(new_x, new_y, new_mu)
         trace.append(TraceRow(k, new_x.copy(), new_y.copy(), new_mu.copy(),
                               res.stationarity, res.subdiff_violation,
@@ -277,16 +276,12 @@ def _model_sosc_ok(p, md, jac, H) -> bool:
     return True
 
 
-def _bootstrap_manifold(p, x, y) -> ManifoldData:
+def _bootstrap_manifold(p, x, y, lin) -> ManifoldData:
     """Manifold from the first linearized point of an enumeration step."""
-    H = p.c.weighted_hessian(x, y)
-    sols = solve_subproblem_enum(p, x, y, H)
+    sols = solve_subproblem_enum(p, x, y, lin.H, lin)
     if not sols:
         raise StepError("bootstrap subproblem has no consistent critical pair")
-    best = sols[0]
-    cx = p.c.value(x)
-    c_lin = cx + p.c.jacobian(x) @ best.d
-    return build_manifold(p.h, c_lin)
+    return build_manifold(p.h, lin.c + lin.J @ sols[0].d)
 
 
 # -- structure enumeration ------------------------------------------------------
@@ -309,9 +304,14 @@ class SubproblemSolution:
         return (round(self.model_value, 12), self.piece)
 
 
-def solve_subproblem_enum(p: CompositeProblem, x_hat, y_hat, H):
+def solve_subproblem_enum(p: CompositeProblem, x_hat, y_hat, H,
+                          lin: Linearization | None = None):
     """All consistent critical pairs of the linearized model over candidate
     active structures (piece, subset of hyperplanes held at equality).
+
+    H is the model Hessian. The model linearizes c at x_hat: its value and
+    Jacobian come from `lin` when given (a linearization at x_hat), and from
+    one first-order sweep otherwise.
 
     Each structure's equality KKT system is solved; multiplier signs and
     piece feasibility of the linearized point are checked afterwards, as is
@@ -321,8 +321,7 @@ def solve_subproblem_enum(p: CompositeProblem, x_hat, y_hat, H):
     """
     x_hat = as_vector(x_hat, p.n, "x")
     H = np.atleast_2d(np.asarray(H, dtype=float))
-    jac = p.c.jacobian(x_hat)
-    cx = p.c.value(x_hat)
+    cx, jac, _ = p.c.evaluate(x_hat) if lin is None else lin
     h = p.h
     A_all, alpha = h.hyperplane_matrix()
     s = h.n_hyperplanes
@@ -448,13 +447,15 @@ def quasi_newton_solve(p: CompositeProblem, start, B_schedule, opts: SolveOption
                        reference=None) -> IterationTrace:
     """Structure-enumerating iteration with Hessian models B_k.
 
-    B_schedule(k, x, y, trace) must return a symmetric n x n matrix. Records
-    the Dennis-More ratio ||(B_k - H(x_k, y_k)) dx|| / ||(dx, dy)||.
+    B_schedule(k, x, y, trace) must return a symmetric n x n matrix; None
+    takes the exact Hessian H(x_k, y_k) from the iterate's linearization.
+    Records the Dennis-More ratio ||(B_k - H(x_k, y_k)) dx|| / ||(dx, dy)||.
     """
     x = as_vector(start[0], p.n, "x0")
     y = as_vector(start[1], p.m, "y0")
     trace = IterationTrace(method="quasi-newton")
-    res = kkt_residual(p, x, y)
+    lin = p.c.evaluate(x, y)
+    res = kkt_residual(p, x, y, lin)
     trace.append(TraceRow(0, x.copy(), y.copy(), None, res.stationarity,
                           res.subdiff_violation, _err(reference, x, y), None, None))
     if opts.converged(res):
@@ -462,24 +463,25 @@ def quasi_newton_solve(p: CompositeProblem, start, B_schedule, opts: SolveOption
         return trace
     x0_norm = 1.0 + float(np.linalg.norm(x))
     for k in range(1, opts.max_iter + 1):
-        B = np.atleast_2d(np.asarray(B_schedule(k - 1, x, y, trace), dtype=float))
+        B = lin.H if B_schedule is None else B_schedule(k - 1, x, y, trace)
+        B = np.atleast_2d(np.asarray(B, dtype=float))
         if B.shape != (p.n, p.n) or np.max(np.abs(B - B.T)) > 1e-10:
             raise StepError("B schedule must produce symmetric n x n matrices")
-        sols = solve_subproblem_enum(p, x, y, B)
+        sols = solve_subproblem_enum(p, x, y, B, lin)
         if not sols:
             raise StepError(f"no consistent critical pair at iteration {k}")
         best = sols[0]
-        H_exact = p.c.weighted_hessian(x, y)
         step = np.concatenate([best.d, best.y - y])
         step_norm = float(np.linalg.norm(step))
         dm = None
         if step_norm > 1e-300:
-            dm = float(np.linalg.norm((B - H_exact) @ best.d) / step_norm)
-        c_lin = p.c.value(x) + p.c.jacobian(x) @ best.d
+            dm = float(np.linalg.norm((B - lin.H) @ best.d) / step_norm)
+        c_lin = lin.c + lin.J @ best.d
         lin_active = eval_with_active(p.h, c_lin).active_pieces
         x = x + best.d
         y = best.y
-        res = kkt_residual(p, x, y)
+        lin = p.c.evaluate(x, y)
+        res = kkt_residual(p, x, y, lin)
         trace.append(TraceRow(k, x.copy(), y.copy(), None, res.stationarity,
                               res.subdiff_violation, _err(reference, x, y), dm, None,
                               model_sosc_ok=best.model_sosc_ok, lin_active=lin_active))
@@ -514,7 +516,8 @@ def smooth_newton_solve(p: CompositeProblem, start, opts: SolveOptions,
     if y is None:
         y = Q @ cx + b
     trace = IterationTrace(method="smooth-newton")
-    res = kkt_residual(p, x, y)
+    lin = p.c.evaluate(x, y)
+    res = kkt_residual(p, x, y, lin)
     trace.append(TraceRow(0, x.copy(), y.copy(), None, res.stationarity,
                           res.subdiff_violation, _err(reference, x, y), None, True))
     if opts.converged(res):
@@ -523,9 +526,7 @@ def smooth_newton_solve(p: CompositeProblem, start, opts: SolveOptions,
     x0_norm = 1.0 + float(np.linalg.norm(x))
     n, m = p.n, p.m
     for k in range(1, opts.max_iter + 1):
-        jac = p.c.jacobian(x)
-        H = p.c.weighted_hessian(x, y)
-        cx = p.c.value(x)
+        cx, jac, H = lin
         g = np.concatenate([jac.T @ y, y - Q @ cx - b])
         M = np.zeros((n + m, n + m))
         M[:n, :n] = H
@@ -544,7 +545,8 @@ def smooth_newton_solve(p: CompositeProblem, start, opts: SolveOptions,
                 f"linearized point left the interior of piece {k0} at iteration {k}")
         x = x + dx
         y = y + dy
-        res = kkt_residual(p, x, y)
+        lin = p.c.evaluate(x, y)
+        res = kkt_residual(p, x, y, lin)
         trace.append(TraceRow(k, x.copy(), y.copy(), None, res.stationarity,
                               res.subdiff_violation, _err(reference, x, y), None, True,
                               lin_active=prof_lin.active_pieces))

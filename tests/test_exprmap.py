@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from plqnewton.errors import EvalDomainError, ExprSyntaxError
 from plqnewton.exprmap import (
@@ -85,6 +85,28 @@ class TestRoundTrip:
         assert parse_expr(format_expr(ast), 2) == ast
 
 
+class TestSweepOrders:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_ast_strategy(), min_size=1, max_size=3),
+           st.lists(st.floats(-2, 2), min_size=2, max_size=2),
+           st.lists(st.floats(-2, 2), min_size=3, max_size=3))
+    def test_lower_orders_are_the_parts_of_the_full_jet(self, comps, x, y):
+        # Bit-identical, not approximate: the value and first-order sweeps do
+        # the floating-point operations of the parts they share with the full one.
+        c = SmoothMap(2, len(comps), tuple(comps))
+        y = y[:len(comps)]
+        try:
+            lin = c.evaluate(x, y)
+        except EvalDomainError:
+            assume(False)
+        assume(np.all(np.isfinite(lin.H)))
+        assert np.array_equal(c.value(x), lin.c)
+        assert np.array_equal(c.jacobian(x), lin.J)
+        first = c.evaluate(x)
+        assert np.array_equal(first.c, lin.c) and np.array_equal(first.J, lin.J)
+        assert first.H is None
+
+
 class TestEvaluateMap:
     def test_polynomial_map(self):
         c = SmoothMap.from_strings(["x1^2", "x2"], 2)
@@ -116,6 +138,27 @@ class TestEvaluateMap:
         c = SmoothMap.from_strings(["1/x1"], 1)
         with pytest.raises(EvalDomainError):
             c.value([0.0])
+
+    @pytest.mark.parametrize("exprs,x,component", [
+        (["exp(exp(exp(x1)))", "x2"], [10.0, 0.0], 0),
+        (["x2", "x1^400"], [1e10, 0.0], 1),
+    ])
+    @pytest.mark.parametrize("sweep", ["value", "jacobian", "weighted_hessian"])
+    def test_overflow_is_a_domain_error(self, exprs, x, component, sweep):
+        c = SmoothMap.from_strings(exprs, 2)
+        args = (x, [1.0, 1.0]) if sweep == "weighted_hessian" else (x,)
+        with pytest.raises(EvalDomainError) as err:
+            getattr(c, sweep)(*args)
+        assert err.value.component == component
+
+    def test_fault_only_in_the_hessian_spares_lower_orders(self):
+        # d2 log(v) = -1/v^2 divides by an underflowed v*v at v = 1e-200.
+        c = SmoothMap.from_strings(["log(x1)"], 1)
+        assert c.value([1e-200])[0] == pytest.approx(-460.517, rel=1e-5)
+        assert c.jacobian([1e-200])[0, 0] == 1.0 / 1e-200
+        with pytest.raises(EvalDomainError) as err:
+            c.evaluate([1e-200], [1.0])
+        assert err.value.component == 0
 
     def test_hessian_symmetric(self):
         rng = np.random.default_rng(2)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from plqnewton.benchmarks import (
+    BENCHMARKS,
     b1_cubic,
     b1_flat,
     b1_minimax,
@@ -12,10 +13,12 @@ from plqnewton.benchmarks import (
     rosenbrock_ls,
     sumsq_plq,
 )
+from plqnewton.cli import run_report
 from plqnewton.composite import CompositeProblem
 from plqnewton.errors import DivergenceError, RegimeError
 from plqnewton.exprmap import SmoothMap
 from plqnewton.manifold import build_manifold, mu_of
+from plqnewton.problems import parse_problem_dict
 from plqnewton.solver import (
     RestrictedState,
     SolveOptions,
@@ -63,7 +66,6 @@ class TestRestrictedStep:
         C = max(ratios)
         assert C < 10.0  # fitted constant stays moderate across the sample
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_toy_system_against_direct_inverse(self):
         # n = m = ell = 1, H = 1, Jac = 1, Q = 0, A = 1, P = 1, b = 0 at
         # cbar = 0: the system matrix is [[1,1,0],[0,1,-1],[1,0,0]].
@@ -338,3 +340,33 @@ class TestTraceCSV:
         assert len(rows) == len(tr.rows) + 1
         final = rows[-1]
         assert float(final[1]) == pytest.approx(tr.final.x[0])
+
+
+class TestMapPasses:
+    """One linearization of c per iterate: at most iterations + 2 evaluate
+    passes per solve (the start's, one per step, and quasi's frozen Hessian),
+    and no value pass once the iteration has begun."""
+
+    # Newton needs a kink at the reference and smooth a start inside one
+    # piece; b1_flat's restricted system is singular.
+    SOLVES = ([("newton", name) for name in ("b1_cubic", "b1_minimax", "b1_negated",
+                                             "b1_scaled", "cross_l1", "l1_kink")]
+              + [("smooth", name) for name in ("expsin_ls", "rosenbrock_ls")]
+              + [(method, name) for method in ("quasi", "enum") for name in sorted(BENCHMARKS)])
+
+    @pytest.mark.parametrize("method,name", SOLVES)
+    def test_solve_linearizes_once_per_iterate(self, monkeypatch, method, name):
+        passes = []
+
+        def counted(kind, fn):
+            def wrapper(*args, **kwargs):
+                passes.append(kind)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(SmoothMap, "evaluate", counted("evaluate", SmoothMap.evaluate))
+        monkeypatch.setattr(SmoothMap, "value", counted("value", SmoothMap.value))
+        pf = parse_problem_dict(BENCHMARKS[name]().as_problem_dict())
+        report, _ = run_report(pf, "solve", {"method": method})
+        assert passes.count("evaluate") <= report["iterations"] + 2
+        assert "value" not in passes[passes.index("evaluate"):]
