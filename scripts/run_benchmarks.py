@@ -15,10 +15,9 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from plqnewton.benchmarks import BENCHMARKS  # noqa: E402
 from plqnewton.certify import certify_subregularity  # noqa: E402
-from plqnewton.manifold import build_manifold  # noqa: E402
 from plqnewton.plq import eval_with_active  # noqa: E402
 from plqnewton.rates import classify_rate  # noqa: E402
-from plqnewton.solver import SolveOptions, newton_solve, smooth_newton_solve  # noqa: E402
+from plqnewton.solver import SolveOptions, solve  # noqa: E402
 
 EXPECT_CERTIFIED = {"b1_minimax", "b1_cubic", "b1_scaled", "l1_kink", "cross_l1",
                     "rosenbrock_ls", "expsin_ls"}
@@ -28,16 +27,10 @@ def run_one(name, bench):
     p = bench.problem
     cert = certify_subregularity(p, bench.xbar) if bench.xbar is not None else None
     prof = eval_with_active(p.h, p.c.value(bench.xbar))
+    method = "newton" if prof.kbar >= 2 else "smooth"
     try:
-        if prof.kbar >= 2:
-            md = build_manifold(p.h, p.c.value(bench.xbar))
-            tr = newton_solve(p, md, (bench.start_x, bench.start_y),
-                              SolveOptions(tol=1e-12),
-                              reference=(bench.xbar, bench.ybar))
-        else:
-            tr = smooth_newton_solve(p, (bench.start_x, bench.start_y),
-                                     SolveOptions(tol=1e-12),
-                                     reference=(bench.xbar, bench.ybar))
+        tr = solve(p, method, bench.start_x, bench.start_y, SolveOptions(tol=1e-12),
+                   reference=(bench.xbar, bench.ybar))
         verdict = classify_rate(tr.errors((bench.xbar, bench.ybar)))
         solve_desc = (f"{'converged' if tr.converged else 'stalled':9s} "
                       f"iters={tr.final.k:2d} rate={verdict.classification}")

@@ -1,15 +1,20 @@
 """Second-order sufficiency and strong-metric-subregularity certificates.
 
-The reduced curvature check runs in one of three modes:
+The reduced curvature check runs in one of two modes:
 
   certified-subspace: nondegeneracy and strict criticality pin the non-ascent
       cone down to the subspace Null(A^T Jac), so positive definiteness of
       each active piece's reduced matrix Z^T (Jac^T Q_j Jac + H) Z certifies
-      sufficiency. The smooth single-piece interior case uses Z = I_n.
+      sufficiency. The smooth single-piece interior case uses Z = I_n. The
+      minimum eigenvalues come from the solver's `reduced_min_eigs`, the
+      check its model monitors use, here against PD_TOL.
   heuristic-sampled: without those qualifications the non-ascent set is a
       union of cones; curvature is sampled on its extreme rays (enumerated for
       small dimension) and random conic combinations. This mode never
       certifies, it only reports evidence.
+
+`restricted_kkt_matrix` exposes the matrix of a restricted Newton step, as
+assembled by the solver's `kkt_matrix`.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .errors import PreconditionError
 from .manifold import ManifoldData, build_manifold
 from .numerics import as_vector, nullspace_basis
 from .plq import eval_with_active
+from .solver import kkt_matrix, reduced_min_eigs
 
 # Positive-definiteness threshold on reduced eigenvalues.
 PD_TOL = 1e-8
@@ -64,14 +70,6 @@ class SubregularityCertificate:
                 "reasons": list(self.reasons)}
 
 
-def _reduced_min_eig(Z, G):
-    if Z.shape[1] == 0:
-        return None
-    M = Z.T @ G @ Z
-    M = 0.5 * (M + M.T)
-    return float(np.min(np.linalg.eigvalsh(M)))
-
-
 def certify_sosc(p: CompositeProblem, xbar, ybar, md: ManifoldData | None = None) -> SOSCReport:
     """Reduced second-order sufficiency at a stationary pair (xbar, ybar)."""
     xbar = as_vector(xbar, p.n, "xbar")
@@ -90,10 +88,8 @@ def certify_sosc(p: CompositeProblem, xbar, ybar, md: ManifoldData | None = None
     if prof.kbar == 1 and prof.ell == 0:
         # Interior single piece: the non-ascent set is all of R^n.
         k = prof.active_pieces[0]
-        G = jac.T @ p.h.pieces[k].Q @ jac + H
-        eig = _reduced_min_eig(np.eye(p.n), G)
-        return SOSCReport("certified-subspace", p.n, ((k, eig),), None,
-                          bool(eig is not None and eig > PD_TOL))
+        eig = reduced_min_eigs(np.eye(p.n), jac, H, [p.h.pieces[k].Q])[0]
+        return SOSCReport("certified-subspace", p.n, ((k, eig),), None, bool(eig > PD_TOL))
 
     if md is None and prof.kbar >= 2:
         md = build_manifold(p.h, cx)
@@ -103,13 +99,11 @@ def certify_sosc(p: CompositeProblem, xbar, ybar, md: ManifoldData | None = None
         subspace_ok = check_cqs(p, xbar).sc
     if md is not None and subspace_ok:
         Z = nullspace_basis(md.A.T @ jac)
-        eigs = []
-        for j in range(md.kbar):
-            G = jac.T @ md.piece(j).Q @ jac + H
-            eigs.append((md.active_pieces[j], _reduced_min_eig(Z, G)))
-        finite = [v for _, v in eigs if v is not None]
-        passed = all(v > PD_TOL for v in finite) if finite else True
-        return SOSCReport("certified-subspace", Z.shape[1], tuple(eigs), None, bool(passed))
+        eigs = reduced_min_eigs(Z, jac, H, [md.piece(j).Q for j in range(md.kbar)])
+        eigs = [None] * md.kbar if eigs is None else eigs
+        passed = all(v > PD_TOL for v in eigs if v is not None)
+        return SOSCReport("certified-subspace", Z.shape[1],
+                          tuple(zip(md.active_pieces, eigs)), None, bool(passed))
 
     # Heuristic: sample the union-of-cones non-ascent set.
     directions = _nonascent_directions(p, xbar, cx, prof, jac)
@@ -209,15 +203,7 @@ def restricted_kkt_matrix(p: CompositeProblem, md: ManifoldData, x, y, j):
     y = as_vector(y, p.m, "y")
     jac = p.c.jacobian(x)
     H = p.c.weighted_hessian(x, y)
-    n, m, ell = p.n, p.m, md.ell
-    Q = md.piece(j).Q
-    M = np.zeros((n + m + ell, n + m + ell))
-    M[:n, :n] = H
-    M[:n, n:n + m] = jac.T
-    M[n:n + m, :n] = -Q @ jac
-    M[n:n + m, n:n + m] = np.eye(m)
-    M[n:n + m, n + m:] = -md.AP(j)
-    M[n + m:, :n] = md.A.T @ jac
+    M = kkt_matrix(H, jac, md.piece(j).Q, md.AP(j), md.A.T @ jac)
     return M, _nonsingular_by_lu(M)
 
 

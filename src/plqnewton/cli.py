@@ -1,9 +1,12 @@
 """Command-line surface: validate | certify | solve | rate | check-derivs.
 
 Exit codes: 0 pass, 1 certified-failure (the tool ran, the verdict is
-negative), 2 input error (schema or representation validation), 3 solver
-regime error (left the local method's regime). Randomized probes are driven
-by --seed (default 42) so reports are byte-stable for identical inputs.
+negative), 2 input error (the input is malformed or does not meet the
+command's preconditions), 3 regime error (the evaluation or the iteration
+left the regime where it is defined); errors.INPUT_ERRORS and
+errors.REGIME_ERRORS map every package error to 2 or 3. Randomized probes
+are driven by --seed (default 42) so reports are byte-stable for identical
+inputs.
 """
 
 from __future__ import annotations
@@ -17,21 +20,13 @@ import numpy as np
 from .benchmarks import BENCHMARKS
 from .certify import certify_subregularity
 from .composite import check_cqs, kkt_residual, multiplier_set
-from .errors import (
-    DivergenceError,
-    PLQError,
-    PreconditionError,
-    RegimeError,
-    SchemaError,
-    StepError,
-    ValidationFailure,
-)
+from .errors import INPUT_ERRORS, REGIME_ERRORS, PLQError, PreconditionError
 from .exprmap import fd_jacobian, fd_weighted_hessian
 from .manifold import build_manifold, certify_partial_smoothness, strictness_check
 from .plq import eval_with_active, validate_representation
 from .problems import ProblemFile, load_problem
 from .rates import classify_rate
-from .solver import SolveOptions, newton_solve, quasi_newton_solve, smooth_newton_solve
+from .solver import SolveOptions, solve
 
 EXIT_PASS = 0
 EXIT_CERTIFIED_FAILURE = 1
@@ -54,6 +49,9 @@ def _resolve_point(pf: ProblemFile, spec: str | None, rng):
         doc = json.load(fh)
     x = np.asarray(doc["x"], dtype=float)
     y = np.asarray(doc["y"], dtype=float) if "y" in doc else None
+    for name, v, dim in (("x", x, pf.problem.n), ("y", y, pf.problem.m)):
+        if v is not None and v.size != dim:
+            raise PreconditionError(f"--point {name} has length {v.size}, expected {dim}")
     return x, y
 
 
@@ -105,47 +103,13 @@ def report_certify(pf: ProblemFile, opts) -> tuple[dict, int]:
     return out, EXIT_PASS if ok else EXIT_CERTIFIED_FAILURE
 
 
-def _run_solver(pf: ProblemFile, opts):
-    p = pf.problem
+def report_solve(pf: ProblemFile, opts) -> tuple[dict, int]:
     method = opts.get("method") or pf.solver.method
     sopts = SolveOptions(tol=opts.get("tol") or pf.solver.tol,
                          max_iter=opts.get("max_iter") or pf.solver.max_iter)
     if pf.start_x is None:
         raise PreconditionError("problem file has no start point")
-    x0 = pf.start_x
-    y0 = pf.start_y
-    reference = pf.reference
-    if method == "newton":
-        md = None
-        if reference is not None:
-            md = build_manifold(p.h, p.c.value(reference[0]))
-        if y0 is None:
-            raise PreconditionError("newton method needs a start y")
-        trace = newton_solve(p, md, (x0, y0), sopts, reference=reference)
-    elif method == "smooth":
-        trace = smooth_newton_solve(p, (x0, y0), sopts, reference=reference)
-    elif method in ("quasi", "enum"):
-        if y0 is None:
-            cx = p.c.value(x0)
-            prof = eval_with_active(p.h, cx)
-            if prof.kbar != 1:
-                raise PreconditionError(f"{method} method needs a start y at a kink start")
-            k0 = prof.active_pieces[0]
-            y0 = p.h.pieces[k0].Q @ cx + p.h.pieces[k0].b
-        schedule = None  # enum: the exact Hessian of each iterate's linearization
-        if method == "quasi":
-            B0 = p.c.weighted_hessian(x0, y0)
-
-            def schedule(k, x, y, trace):
-                return B0
-        trace = quasi_newton_solve(p, (x0, y0), schedule, sopts, reference=reference)
-    else:
-        raise SchemaError("/solver/method", f"unknown method {method!r}")
-    return trace, method, sopts
-
-
-def report_solve(pf: ProblemFile, opts) -> tuple[dict, int]:
-    trace, method, sopts = _run_solver(pf, opts)
+    trace = solve(pf.problem, method, pf.start_x, pf.start_y, sopts, reference=pf.reference)
     errors = trace.errors(pf.reference)
     verdict = classify_rate(errors)
     out = {
@@ -292,11 +256,11 @@ def main(argv=None) -> int:
                               strict=args.strict,
                               rng=np.random.default_rng(args.seed))
         report, code = run_report(pf, args.command, opts)
-    except (SchemaError, ValidationFailure, FileNotFoundError, PreconditionError) as err:
+    except INPUT_ERRORS as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (RegimeError, StepError, DivergenceError) as err:
-        print(f"solver regime error: {err}", file=sys.stderr)
+    except REGIME_ERRORS as err:
+        print(f"regime error: {err}", file=sys.stderr)
         return EXIT_REGIME_ERROR
     print(_render(report))
     if args.json_out:

@@ -186,6 +186,20 @@ def _tc_from_bases(N: np.ndarray, V: np.ndarray) -> bool:
     return matrix_rank_rel(stacked) == N.shape[1] + V.shape[1]
 
 
+def _ri_slack_point(poly: PolyhedronH, rows, rhs):
+    """(point, found): a point of poly with rows @ y = rhs and slack at least
+    RI_SLACK on every inequality of poly that is not an implicit equality."""
+    mask = poly.implicit_equality_mask()
+    E = np.vstack([poly.E, poly.F[mask], rows])
+    e = np.concatenate([poly.e, poly.f[mask], rhs])
+    Fr, fr = poly.F[~mask], poly.f[~mask]
+    if Fr.shape[0] == 0:
+        pt = feasible_point(E=E, e=e, dim=poly.dim)
+        return pt, pt is not None
+    pt, depth = max_slack_point(Fr, fr, E=E, e=e, cap=1.0)
+    return pt, pt is not None and depth is not None and depth >= RI_SLACK
+
+
 def check_cqs(p: CompositeProblem, x) -> CQReport:
     """Basic, transversality and strict-criticality qualifications at x."""
     x = as_vector(x, p.n, "x")
@@ -196,16 +210,7 @@ def check_cqs(p: CompositeProblem, x) -> CQReport:
     bcq = bcq_holds(p, x)
     tc = _tc_from_bases(N, sub.parallel_basis())
 
-    mask = sub.implicit_equality_mask()
-    E = np.vstack([sub.E, sub.F[mask], jac.T])
-    e = np.concatenate([sub.e, sub.f[mask], np.zeros(p.n)])
-    Fr, fr = sub.F[~mask], sub.f[~mask]
-    if Fr.shape[0] == 0:
-        ybar = feasible_point(E=E, e=e, dim=p.m)
-        sc_exists = ybar is not None
-    else:
-        ybar, depth = max_slack_point(Fr, fr, E=E, e=e, cap=1.0)
-        sc_exists = ybar is not None and depth is not None and depth >= RI_SLACK
+    ybar, sc_exists = _ri_slack_point(sub, jac.T, np.zeros(p.n))
     sc = bool(sc_exists and tc)
 
     mult = multiplier_set(p, x)
@@ -264,7 +269,6 @@ def subspace_polyhedron_predicates(N: np.ndarray, poly: PolyhedronH) -> dict:
     dim = poly.dim
     b = _tc_from_bases(N, poly.parallel_basis())
 
-    mask = poly.implicit_equality_mask()
     if N.shape[1] == 0:
         span_rows = np.eye(dim)  # span(N) = {0}
         span_rhs = np.zeros(dim)
@@ -272,15 +276,7 @@ def subspace_polyhedron_predicates(N: np.ndarray, poly: PolyhedronH) -> dict:
         # y in span(N)  <=>  (I - N N^T) y = 0 for orthonormal N.
         span_rows = np.eye(dim) - N @ N.T
         span_rhs = np.zeros(dim)
-    E = np.vstack([poly.E, poly.F[mask], span_rows])
-    e = np.concatenate([poly.e, poly.f[mask], span_rhs])
-    Fr, fr = poly.F[~mask], poly.f[~mask]
-    if Fr.shape[0] == 0:
-        pt = feasible_point(E=E, e=e, dim=dim)
-        ri_nonempty = pt is not None
-    else:
-        pt, depth = max_slack_point(Fr, fr, E=E, e=e, cap=1.0)
-        ri_nonempty = pt is not None and depth is not None and depth >= RI_SLACK
+    _, ri_nonempty = _ri_slack_point(poly, span_rows, span_rhs)
 
     inter = PolyhedronH(np.vstack([poly.E, span_rows]),
                         np.concatenate([poly.e, span_rhs]),

@@ -1,8 +1,11 @@
 """Exception taxonomy shared across the package.
 
-Exit-code mapping for the CLI: SchemaError and ValidationFailure are input
-errors (2); RegimeError, StepError and DivergenceError are solver regime
-errors (3).
+Exit-code mapping for the CLI, covering every PLQError: errors that
+describe the input exit with 2 (INPUT_ERRORS: SchemaError, ValidationFailure,
+a missing file, PreconditionError, RepresentationError, MembershipError,
+ExprSyntaxError); errors that describe where the evaluation or the iteration
+went exit with 3 (REGIME_ERRORS: RegimeError, StepError, DivergenceError,
+DomainError, EvalDomainError).
 """
 
 
@@ -69,3 +72,8 @@ class EvalDomainError(PLQError):
     def __init__(self, message, component=None):
         self.component = component
         super().__init__(message if component is None else f"component {component}: {message}")
+
+
+INPUT_ERRORS = (SchemaError, ValidationFailure, FileNotFoundError, PreconditionError,
+                RepresentationError, MembershipError, ExprSyntaxError)
+REGIME_ERRORS = (RegimeError, StepError, DivergenceError, DomainError, EvalDomainError)

@@ -114,6 +114,15 @@ class ManifoldData:
             rows.append(k * (self.piece(j).Q @ c + self.piece(j).b - avg))
         return np.concatenate(rows)
 
+    def mu_projection(self, c, y):
+        """(blocks, residuals): per active piece j the residual
+        r_j = y - Q_j c - b_j and its block P_j (A^T A)^{-1} A^T r_j."""
+        AtA = self.A.T @ self.A
+        resids = [y - self.piece(j).Q @ c - self.piece(j).b for j in range(self.kbar)]
+        blocks = np.array([self.P[j] * np.linalg.solve(AtA, self.A.T @ r)
+                           for j, r in enumerate(resids)])
+        return blocks, resids
+
     def zeta_basis(self) -> np.ndarray:
         """Columns zeta_p spanning the nullspace of the block system matrix."""
         k, ell = self.kbar, self.ell
@@ -208,19 +217,14 @@ def mu_of(md: ManifoldData, c, y) -> MuVector:
     y = as_vector(y, md.m, "y")
     if not manifold_contains(md, c):
         raise PreconditionError("c is not on the manifold")
-    AtA = md.A.T @ md.A
-    blocks = np.empty((md.kbar, md.ell))
+    blocks, resids = md.mu_projection(c, y)
     scale = 1.0 + float(np.linalg.norm(y))
     for j in range(md.kbar):
-        pc = md.piece(j)
-        resid = y - pc.Q @ c - pc.b
-        mu_j = md.P[j] * np.linalg.solve(AtA, md.A.T @ resid)
-        recon = resid - md.AP(j) @ mu_j
+        recon = resids[j] - md.AP(j) @ blocks[j]
         if np.linalg.norm(recon) > RECON_TOL * scale:
             raise MembershipError(
                 f"y is not a subgradient at c: block {j} reconstruction residual "
                 f"{np.linalg.norm(recon):g}")
-        blocks[j] = mu_j
     if np.min(blocks) < -1e-9:
         raise MembershipError(f"y is not a subgradient at c: negative multiplier {np.min(blocks):g}")
     mu = MuVector(blocks)

@@ -1,18 +1,24 @@
 """Newton and quasi-Newton local solvers for PLQ convex-composite problems.
 
-Four entry points:
+Every method is a Newton step on one generalized equation: it solves the
+linearized KKT system [[H, Jac^T, 0], [-Q Jac, I, -C], [R, 0, 0]] assembled
+by `kkt_matrix`, and only the coupling blocks C and R of the hyperplanes
+held at equality differ. Entry points:
 
-  restricted_newton_step: one linear solve of the manifold-restricted system
-      for one active piece;
-  newton_solve: full manifold-restricted Newton iteration, taking the step of
-      every active piece each iteration and checking that their (x, y) parts
-      agree (the gluing identity); records the manifold-identification and
-      strict-positivity monitors;
+  restricted_newton_step: one active piece's manifold-restricted system;
+  newton_solve: the manifold-restricted iteration, taking the step of every
+      active piece and checking that their (x, y) parts agree (the gluing
+      identity), with identification and strict-positivity monitors;
   solve_subproblem_enum: direction finding by enumeration of candidate active
       structures (piece, active hyperplane subset) of the linearized model;
   quasi_newton_solve / smooth_newton_solve: the structure-enumerating
-      iteration with user-supplied Hessian models, and classical Newton on
-      the stationarity equations of a single smooth piece.
+      iteration with Hessian models B_k, and classical Newton on the
+      stationarity equations of one smooth piece (no coupling blocks);
+  solve: the dispatch on a method name (newton | enum | quasi | smooth).
+
+The iterations share one loop, `_iterate` (trace rows, convergence,
+divergence guard, max_iter), and one reduced-curvature check,
+`reduced_min_eigs`, which the certificates use too.
 
 All methods are local: no globalization, and iterates wandering off trigger
 regime or divergence errors rather than recovery heuristics.
@@ -39,7 +45,7 @@ import numpy as np
 
 from .calculus import subdiff_hrep
 from .composite import CompositeProblem, kkt_residual
-from .errors import DivergenceError, RegimeError, StepError
+from .errors import DivergenceError, PreconditionError, RegimeError, SchemaError, StepError
 from .exprmap import Linearization
 from .manifold import ManifoldData, build_manifold, manifold_contains
 from .numerics import as_vector, nullspace_basis
@@ -135,6 +141,70 @@ class IterationTrace:
                               "" if r.on_manifold is None else int(r.on_manifold)])
 
 
+def kkt_matrix(H, jac, Q, cols=None, rows=None) -> np.ndarray:
+    """The linearized KKT matrix [[H, Jac^T, 0], [-Q Jac, I, -cols], [rows, 0, 0]].
+
+    `cols` (m x ell) are the gradients of the hyperplanes held at equality,
+    signed for the piece, and `rows` (ell x n) their linearization; without
+    them the matrix is the (n + m) square system of a smooth piece.
+    """
+    m, n = jac.shape
+    ell = 0 if cols is None else cols.shape[1]
+    M = np.zeros((n + m + ell, n + m + ell))
+    M[:n, :n] = H
+    M[:n, n:n + m] = jac.T
+    M[n:n + m, :n] = -Q @ jac
+    M[n:n + m, n:n + m] = np.eye(m)
+    if ell:
+        M[n:n + m, n + m:] = -cols
+        M[n + m:, :n] = rows
+    return M
+
+
+def reduced_min_eigs(Z, jac, H, Qs):
+    """Minimum eigenvalue of the reduced matrix Z^T (Jac^T Q Jac + H) Z for
+    each Q in Qs, or None when Z has no columns."""
+    if Z.shape[1] == 0:
+        return None
+    eigs = []
+    for Q in Qs:
+        G = Z.T @ (jac.T @ Q @ jac + H) @ Z
+        G = 0.5 * (G + G.T)
+        eigs.append(float(np.min(np.linalg.eigvalsh(G))))
+    return eigs
+
+
+def _iterate(p: CompositeProblem, trace: IterationTrace, x, y, step, opts: SolveOptions,
+             reference=None, lin: Linearization | None = None, **row0) -> IterationTrace:
+    """Record row 0 at (x, y) with the monitors `row0`; then for k = 1, 2, ...
+    take (x, y, monitors) = step(k, x, y, lin), linearize c once at the new
+    pair (`lin` is the start pair's, made when not given) and record row k.
+    """
+    def record(k, x, y, lin, monitors):
+        res = kkt_residual(p, x, y, lin)
+        err = None if reference is None else float(
+            np.linalg.norm(x - reference[0]) + np.linalg.norm(y - reference[1]))
+        monitors = {"mu": None, "dm_ratio": None, "on_manifold": None, **monitors}
+        trace.append(TraceRow(k=k, x=x.copy(), y=y.copy(), stat_res=res.stationarity,
+                              sub_viol=res.subdiff_violation, err=err, **monitors))
+        trace.converged = opts.converged(res)
+        return trace.converged
+
+    lin = p.c.evaluate(x, y) if lin is None else lin
+    if record(0, x, y, lin, row0):
+        return trace
+    x0_norm = 1.0 + float(np.linalg.norm(x))
+    for k in range(1, opts.max_iter + 1):
+        x, y, monitors = step(k, x, y, lin)
+        lin = p.c.evaluate(x, y)
+        if record(k, x, y, lin, monitors):
+            return trace
+        if np.linalg.norm(x) > opts.divergence_factor * x0_norm:
+            raise DivergenceError("iterates diverged beyond the guard radius")
+    trace.message = "max_iter reached"
+    return trace
+
+
 def _initial_mu(p: CompositeProblem, md: ManifoldData, cx, y) -> np.ndarray:
     """Default block multipliers from the projection of c(x) onto the manifold's
     affine hull, clipped at zero."""
@@ -143,11 +213,7 @@ def _initial_mu(p: CompositeProblem, md: ManifoldData, cx, y) -> np.ndarray:
     Ar = A_all[act]
     resid = Ar @ cx - alpha[act]
     proj = cx - Ar.T @ np.linalg.solve(Ar @ Ar.T, resid)
-    AtA = md.A.T @ md.A
-    blocks = np.empty((md.kbar, md.ell))
-    for j in range(md.kbar):
-        pc = md.piece(j)
-        blocks[j] = md.P[j] * np.linalg.solve(AtA, md.A.T @ (y - pc.Q @ proj - pc.b))
+    blocks, _ = md.mu_projection(proj, y)
     return np.maximum(blocks, 0.0)
 
 
@@ -165,16 +231,10 @@ def restricted_newton_step(p: CompositeProblem, md: ManifoldData,
     x_hat = as_vector(state.x, p.n, "x")
     y_hat = as_vector(state.y, p.m, "y")
     cx, jac, H = p.c.evaluate(x_hat, y_hat) if lin is None else lin
-    n, m, ell = p.n, p.m, md.ell
+    n, m = p.n, p.m
     Q = md.piece(j).Q
     b = md.piece(j).b
-    M = np.zeros((n + m + ell, n + m + ell))
-    M[:n, :n] = H
-    M[:n, n:n + m] = jac.T
-    M[n:n + m, :n] = -Q @ jac
-    M[n:n + m, n:n + m] = np.eye(m)
-    M[n:n + m, n + m:] = -md.AP(j)
-    M[n + m:, :n] = md.A.T @ jac
+    M = kkt_matrix(H, jac, Q, md.AP(j), md.A.T @ jac)
     rhs = np.concatenate([
         H @ x_hat,
         Q @ (cx - jac @ x_hat) + b,
@@ -184,12 +244,9 @@ def restricted_newton_step(p: CompositeProblem, md: ManifoldData,
         sol = np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError:
         raise StepError(f"restricted system for piece block {j} is singular") from None
-    new = state.copy()
-    new.x = sol[:n]
-    new.y = sol[n:n + m]
-    new.mu_blocks = state.mu_blocks.copy()
-    new.mu_blocks[j] = sol[n + m:]
-    return new
+    mu = state.mu_blocks.copy()
+    mu[j] = sol[n + m:]
+    return RestrictedState(sol[:n], sol[n:n + m], mu)
 
 
 def newton_solve(p: CompositeProblem, md: ManifoldData | None, start, opts: SolveOptions,
@@ -207,73 +264,40 @@ def newton_solve(p: CompositeProblem, md: ManifoldData | None, start, opts: Solv
     if not md.nondegenerate:
         raise RegimeError("degenerate manifold matrix A")
     if len(start) > 2 and start[2] is not None:
-        mu0 = np.asarray(start[2], dtype=float).reshape(md.kbar, md.ell)
+        mu = np.asarray(start[2], dtype=float).reshape(md.kbar, md.ell)
     else:
-        mu0 = _initial_mu(p, md, lin.c, y)
-    state = RestrictedState(x, y, mu0)
-    trace = IterationTrace(method="newton")
-    res = kkt_residual(p, x, y, lin)
-    trace.append(TraceRow(0, x.copy(), y.copy(), mu0.copy(), res.stationarity,
-                          res.subdiff_violation, _err(reference, x, y), None, None,
-                          mu_min=float(np.min(mu0))))
-    if opts.converged(res):
-        trace.converged = True
-        return trace
-    x0_norm = 1.0 + float(np.linalg.norm(x))
+        mu = _initial_mu(p, md, lin.c, y)
 
-    for k in range(1, opts.max_iter + 1):
+    def step(k, x, y, lin):
+        nonlocal mu
+        state = RestrictedState(x, y, mu)
         results = [restricted_newton_step(p, md, state, j, lin) for j in range(md.kbar)]
         gap = 0.0
         for i in range(md.kbar):
             for j in range(i + 1, md.kbar):
                 gap = max(gap, float(np.linalg.norm(results[i].x - results[j].x)
                                      + np.linalg.norm(results[i].y - results[j].y)))
-        scale = 1.0 + float(np.linalg.norm(state.x)) + float(np.linalg.norm(state.y))
+        scale = 1.0 + float(np.linalg.norm(x)) + float(np.linalg.norm(y))
         if gap > GLUE_FAIL * scale:
             raise DivergenceError(
                 f"gluing identity failed at iteration {k}: cross-piece gap {gap:g}")
-        new_x = results[-1].x
-        new_y = results[-1].y
-        new_mu = np.vstack([results[j].mu_blocks[j] for j in range(md.kbar)])
+        new = results[-1]
+        mu = np.vstack([results[j].mu_blocks[j] for j in range(md.kbar)])
+        c_lin = lin.c + lin.J @ (new.x - x)
+        return new.x, new.y, dict(
+            mu=mu.copy(), on_manifold=manifold_contains(md, c_lin),
+            lin_active=eval_with_active(p.h, c_lin).active_pieces,
+            model_sosc_ok=_model_sosc_ok(p, md, lin.J, lin.H),
+            mu_min=float(np.min(mu)), gluing_gap=gap)
 
-        c_lin = lin.c + lin.J @ (new_x - state.x)
-        on_mf = manifold_contains(md, c_lin)
-        lin_active = eval_with_active(p.h, c_lin).active_pieces
-        model_ok = _model_sosc_ok(p, md, lin.J, lin.H)
-        lin = p.c.evaluate(new_x, new_y)
-        res = kkt_residual(p, new_x, new_y, lin)
-        state = RestrictedState(new_x, new_y, new_mu)
-        trace.append(TraceRow(k, new_x.copy(), new_y.copy(), new_mu.copy(),
-                              res.stationarity, res.subdiff_violation,
-                              _err(reference, new_x, new_y), None, on_mf,
-                              mu_min=float(np.min(new_mu)), gluing_gap=gap,
-                              model_sosc_ok=model_ok, lin_active=lin_active))
-        if opts.converged(res):
-            trace.converged = True
-            return trace
-        if np.linalg.norm(new_x) > opts.divergence_factor * x0_norm:
-            raise DivergenceError("iterates diverged beyond the guard radius")
-    trace.message = "max_iter reached"
-    return trace
-
-
-def _err(reference, x, y):
-    if reference is None:
-        return None
-    xbar, ybar = reference
-    return float(np.linalg.norm(x - xbar) + np.linalg.norm(y - ybar))
+    return _iterate(p, IterationTrace(method="newton"), x, y, step, opts, reference, lin,
+                    mu=mu.copy(), mu_min=float(np.min(mu)))
 
 
 def _model_sosc_ok(p, md, jac, H) -> bool:
-    Z = nullspace_basis(md.A.T @ jac)
-    if Z.shape[1] == 0:
-        return True
-    for j in range(md.kbar):
-        G = Z.T @ (jac.T @ md.piece(j).Q @ jac + H) @ Z
-        G = 0.5 * (G + G.T)
-        if np.min(np.linalg.eigvalsh(G)) <= 0:
-            return False
-    return True
+    eigs = reduced_min_eigs(nullspace_basis(md.A.T @ jac), jac, H,
+                            [md.piece(j).Q for j in range(md.kbar)])
+    return eigs is None or min(eigs) > 0
 
 
 def _bootstrap_manifold(p, x, y, lin) -> ManifoldData:
@@ -334,22 +358,19 @@ def solve_subproblem_enum(p: CompositeProblem, x_hat, y_hat, H,
         for subset in _subsets(s):
             na = len(subset)
             dim = n + m + na
-            M = np.zeros((dim, dim))
+            cols = np.empty((m, na))
+            rows = np.empty((na, n))
             rhs = np.zeros(dim)
-            M[:n, :n] = H
-            M[:n, n:n + m] = jac.T
-            M[n:n + m, :n] = -Q @ jac
-            M[n:n + m, n:n + m] = np.eye(m)
-            for t, jdx in enumerate(subset):
-                M[n:n + m, n + m + t] = -signs[jdx] * A_all[jdx]
             rhs[n:n + m] = Q @ cx + b
             for t, jdx in enumerate(subset):
-                M[n + m + t, :n] = A_all[jdx] @ jac
+                cols[:, t] = signs[jdx] * A_all[jdx]
+                rows[t] = A_all[jdx] @ jac
                 rhs[n + m + t] = alpha[jdx] - A_all[jdx] @ cx
+            M = kkt_matrix(H, jac, Q, cols, rows)
             sol, extra, resid = _solve_possibly_singular(M, rhs)
             if sol is None:
                 continue
-            entry = _consistent_entry(p, h, k, subset, sol, extra, resid, cx, jac, H, x_hat)
+            entry = _consistent_entry(p, h, k, subset, sol, extra, resid, cx, jac, H)
             if entry is None:
                 continue
             if any(np.linalg.norm(entry.d - q.d) + np.linalg.norm(entry.y - q.y) <= 1e-9
@@ -377,53 +398,46 @@ def _solve_possibly_singular(M, rhs, tol=1e-9):
     nullspace to witness non-uniqueness.
     """
     scale = 1.0 + float(np.linalg.norm(M))
-    if M.shape[0] == M.shape[1]:
-        u, sv, vt = np.linalg.svd(M)
-        rank = int(np.sum(sv > 1e-11 * scale))
-        if rank == M.shape[0]:
-            sol = vt.T @ ((u.T @ rhs) / sv)
-            return sol, None, float(np.linalg.norm(M @ sol - rhs))
-        sv_inv = np.where(sv > 1e-11 * scale, 1.0 / np.where(sv > 0, sv, 1.0), 0.0)
-        sol = vt.T @ (sv_inv * (u.T @ rhs))
-        resid = float(np.linalg.norm(M @ sol - rhs))
-        if resid > tol * scale:
-            return None, None, resid  # inconsistent
-        null_dir = vt[rank] if rank < M.shape[0] else None
-        alt = sol + 0.05 * null_dir if null_dir is not None else None
-        return sol, alt, resid
-    raise ValueError("system must be square")
+    u, sv, vt = np.linalg.svd(M)
+    rank = int(np.sum(sv > 1e-11 * scale))
+    if rank == M.shape[0]:
+        sol = vt.T @ ((u.T @ rhs) / sv)
+        return sol, None, float(np.linalg.norm(M @ sol - rhs))
+    sv_inv = np.where(sv > 1e-11 * scale, 1.0 / np.where(sv > 0, sv, 1.0), 0.0)
+    sol = vt.T @ (sv_inv * (u.T @ rhs))
+    resid = float(np.linalg.norm(M @ sol - rhs))
+    if resid > tol * scale:
+        return None, None, resid  # inconsistent
+    return sol, sol + 0.05 * vt[rank], resid
 
 
-def _consistent_entry(p, h, k, subset, sol, alt, resid, cx, jac, H, x_hat):
-    n, m = p.n, p.m
-    d = sol[:n]
-    y = sol[n:n + m]
-    lam = sol[n + m:]
+def _on_piece(p, h, k, sol, cx, jac):
+    """(d, y, lam, c_lin, profile) when sol = (d, y, lam) is consistent for
+    piece k: lam >= 0, k active at c_lin = c + Jac d and y a subgradient
+    there; None otherwise."""
+    d, y, lam = sol[:p.n], sol[p.n:p.n + p.m], sol[p.n + p.m:]
     if lam.size and np.min(lam) < -1e-8:
         return None
     c_lin = cx + jac @ d
     prof = eval_with_active(h, c_lin)
-    if not prof.is_finite or k not in prof.active_pieces:
+    if not prof.is_finite or k not in prof.active_pieces \
+            or not subdiff_hrep(h, c_lin).contains(y, slack=1e-7):
         return None
-    sub = subdiff_hrep(h, c_lin)
-    if not sub.contains(y, slack=1e-7):
+    return d, y, lam, c_lin, prof
+
+
+def _consistent_entry(p, h, k, subset, sol, alt, resid, cx, jac, H):
+    consistent = _on_piece(p, h, k, sol, cx, jac)
+    if consistent is None:
         return None
-    model_value = prof.value.value + 0.5 * float(d @ H @ d)
-    model_ok = _structure_model_sosc(p, h, prof, c_lin, jac, H)
+    d, y, lam, c_lin, prof = consistent
     alternate = None
-    unique = alt is None
-    if alt is not None:
-        d2, y2 = alt[:n], alt[n:n + m]
-        lam2 = alt[n + m:]
-        c_lin2 = cx + jac @ d2
-        prof2 = eval_with_active(h, c_lin2)
-        if (not lam2.size or np.min(lam2) >= -1e-8) and prof2.is_finite \
-                and k in prof2.active_pieces and subdiff_hrep(h, c_lin2).contains(y2, slack=1e-7):
-            alternate = (d2, y2)
-        unique = alternate is None
+    if alt is not None and _on_piece(p, h, k, alt, cx, jac) is not None:
+        alternate = (alt[:p.n], alt[p.n:p.n + p.m])
     return SubproblemSolution(d=d, y=y, lam=lam, piece=k, active_set=tuple(subset),
-                              model_value=model_value, model_sosc_ok=model_ok,
-                              unique=unique, alternate=alternate, residual=resid)
+                              model_value=prof.value.value + 0.5 * float(d @ H @ d),
+                              model_sosc_ok=_structure_model_sosc(p, h, prof, c_lin, jac, H),
+                              unique=alternate is None, alternate=alternate, residual=resid)
 
 
 def _structure_model_sosc(p, h, prof, c_lin, jac, H) -> bool:
@@ -432,15 +446,9 @@ def _structure_model_sosc(p, h, prof, c_lin, jac, H) -> bool:
     act = h.active_hyperplane_set(c_lin)
     A_all, _ = h.hyperplane_matrix()
     rows = A_all[list(act)] @ jac if act else np.zeros((0, p.n))
-    Z = nullspace_basis(rows)
-    if Z.shape[1] == 0:
-        return True
-    for k2 in prof.active_pieces:
-        G = Z.T @ (jac.T @ h.pieces[k2].Q @ jac + H) @ Z
-        G = 0.5 * (G + G.T)
-        if np.min(np.linalg.eigvalsh(G)) <= 0:
-            return False
-    return True
+    eigs = reduced_min_eigs(nullspace_basis(rows), jac, H,
+                            [h.pieces[k2].Q for k2 in prof.active_pieces])
+    return eigs is None or min(eigs) > 0
 
 
 def quasi_newton_solve(p: CompositeProblem, start, B_schedule, opts: SolveOptions,
@@ -454,15 +462,8 @@ def quasi_newton_solve(p: CompositeProblem, start, B_schedule, opts: SolveOption
     x = as_vector(start[0], p.n, "x0")
     y = as_vector(start[1], p.m, "y0")
     trace = IterationTrace(method="quasi-newton")
-    lin = p.c.evaluate(x, y)
-    res = kkt_residual(p, x, y, lin)
-    trace.append(TraceRow(0, x.copy(), y.copy(), None, res.stationarity,
-                          res.subdiff_violation, _err(reference, x, y), None, None))
-    if opts.converged(res):
-        trace.converged = True
-        return trace
-    x0_norm = 1.0 + float(np.linalg.norm(x))
-    for k in range(1, opts.max_iter + 1):
+
+    def step(k, x, y, lin):
         B = lin.H if B_schedule is None else B_schedule(k - 1, x, y, trace)
         B = np.atleast_2d(np.asarray(B, dtype=float))
         if B.shape != (p.n, p.n) or np.max(np.abs(B - B.T)) > 1e-10:
@@ -471,27 +472,15 @@ def quasi_newton_solve(p: CompositeProblem, start, B_schedule, opts: SolveOption
         if not sols:
             raise StepError(f"no consistent critical pair at iteration {k}")
         best = sols[0]
-        step = np.concatenate([best.d, best.y - y])
-        step_norm = float(np.linalg.norm(step))
+        step_norm = float(np.linalg.norm(np.concatenate([best.d, best.y - y])))
         dm = None
         if step_norm > 1e-300:
             dm = float(np.linalg.norm((B - lin.H) @ best.d) / step_norm)
-        c_lin = lin.c + lin.J @ best.d
-        lin_active = eval_with_active(p.h, c_lin).active_pieces
-        x = x + best.d
-        y = best.y
-        lin = p.c.evaluate(x, y)
-        res = kkt_residual(p, x, y, lin)
-        trace.append(TraceRow(k, x.copy(), y.copy(), None, res.stationarity,
-                              res.subdiff_violation, _err(reference, x, y), dm, None,
-                              model_sosc_ok=best.model_sosc_ok, lin_active=lin_active))
-        if opts.converged(res):
-            trace.converged = True
-            return trace
-        if np.linalg.norm(x) > opts.divergence_factor * x0_norm:
-            raise DivergenceError("iterates diverged beyond the guard radius")
-    trace.message = "max_iter reached"
-    return trace
+        lin_active = eval_with_active(p.h, lin.c + lin.J @ best.d).active_pieces
+        return x + best.d, best.y, dict(dm_ratio=dm, model_sosc_ok=best.model_sosc_ok,
+                                        lin_active=lin_active)
+
+    return _iterate(p, trace, x, y, step, opts, reference)
 
 
 def smooth_newton_solve(p: CompositeProblem, start, opts: SolveOptions,
@@ -515,45 +504,54 @@ def smooth_newton_solve(p: CompositeProblem, start, opts: SolveOptions,
     Q, b = p.h.pieces[k0].Q, p.h.pieces[k0].b
     if y is None:
         y = Q @ cx + b
-    trace = IterationTrace(method="smooth-newton")
-    lin = p.c.evaluate(x, y)
-    res = kkt_residual(p, x, y, lin)
-    trace.append(TraceRow(0, x.copy(), y.copy(), None, res.stationarity,
-                          res.subdiff_violation, _err(reference, x, y), None, True))
-    if opts.converged(res):
-        trace.converged = True
-        return trace
-    x0_norm = 1.0 + float(np.linalg.norm(x))
-    n, m = p.n, p.m
-    for k in range(1, opts.max_iter + 1):
+
+    def step(k, x, y, lin):
         cx, jac, H = lin
         g = np.concatenate([jac.T @ y, y - Q @ cx - b])
-        M = np.zeros((n + m, n + m))
-        M[:n, :n] = H
-        M[:n, n:] = jac.T
-        M[n:, :n] = -Q @ jac
-        M[n:, n:] = np.eye(m)
         try:
-            delta = np.linalg.solve(M, -g)
+            delta = np.linalg.solve(kkt_matrix(H, jac, Q), -g)
         except np.linalg.LinAlgError:
             raise StepError(f"smooth system singular at iteration {k}") from None
-        dx, dy = delta[:n], delta[n:]
-        c_lin = cx + jac @ dx
-        prof_lin = eval_with_active(p.h, c_lin)
+        dx, dy = delta[:p.n], delta[p.n:]
+        prof_lin = eval_with_active(p.h, cx + jac @ dx)
         if prof_lin.active_pieces != (k0,) or prof_lin.ell != 0:
             raise RegimeError(
                 f"linearized point left the interior of piece {k0} at iteration {k}")
-        x = x + dx
-        y = y + dy
-        lin = p.c.evaluate(x, y)
-        res = kkt_residual(p, x, y, lin)
-        trace.append(TraceRow(k, x.copy(), y.copy(), None, res.stationarity,
-                              res.subdiff_violation, _err(reference, x, y), None, True,
-                              lin_active=prof_lin.active_pieces))
-        if opts.converged(res):
-            trace.converged = True
-            return trace
-        if np.linalg.norm(x) > opts.divergence_factor * x0_norm:
-            raise DivergenceError("iterates diverged beyond the guard radius")
-    trace.message = "max_iter reached"
-    return trace
+        return x + dx, y + dy, dict(on_manifold=True, lin_active=prof_lin.active_pieces)
+
+    return _iterate(p, IterationTrace(method="smooth-newton"), x, y, step, opts, reference,
+                    on_manifold=True)
+
+
+def solve(p: CompositeProblem, method: str, x0, y0, opts: SolveOptions,
+          reference=None) -> IterationTrace:
+    """Run method newton | enum | quasi | smooth from (x0, y0).
+
+    newton takes its manifold at c(xbar) of the reference (xbar, ybar) when
+    given; enum uses each iterate's exact Hessian, quasi the start pair's.
+    Without y0, enum and quasi start from the gradient of the one active piece.
+    """
+    if method == "newton":
+        md = None
+        if reference is not None:
+            md = build_manifold(p.h, p.c.value(reference[0]))
+        if y0 is None:
+            raise PreconditionError("newton method needs a start y")
+        return newton_solve(p, md, (x0, y0), opts, reference=reference)
+    if method == "smooth":
+        return smooth_newton_solve(p, (x0, y0), opts, reference=reference)
+    if method not in ("quasi", "enum"):
+        raise SchemaError("/solver/method", f"unknown method {method!r}")
+    if y0 is None:
+        cx = p.c.value(x0)
+        prof = eval_with_active(p.h, cx)
+        if prof.kbar != 1:
+            raise PreconditionError(f"{method} method needs a start y at a kink start")
+        y0 = p.h.piece_gradient(prof.active_pieces[0], cx)
+    schedule = None
+    if method == "quasi":
+        B0 = p.c.weighted_hessian(x0, y0)
+
+        def schedule(k, x, y, trace):
+            return B0
+    return quasi_newton_solve(p, (x0, y0), schedule, opts, reference=reference)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from plqnewton.benchmarks import b1_minimax
+from plqnewton import cli
 from plqnewton.cli import main, run_report
-from plqnewton.errors import SchemaError, ValidationFailure
+from plqnewton.errors import PLQError, SchemaError, ValidationFailure
 from plqnewton.problems import load_problem, parse_problem_dict
 
 BENCH_DIR = "benchmarks"
@@ -171,3 +172,58 @@ class TestMainEntry:
                              capture_output=True, text=True)
         assert res.returncode == 0
         assert "converged: True" in res.stdout
+
+
+def _sumsq_file(tmp_path, c, x):
+    """A one-piece problem h(c) = |c|^2 / 2 over R^2 started at x."""
+    doc = {"name": "sumsq", "n": 2, "m": 2,
+           "h": {"m": 2, "hyperplanes": [],
+                 "pieces": [{"signs": [], "Q": [[1.0, 0.0], [0.0, 1.0]], "b": [0.0, 0.0]}]},
+           "c": c, "start": {"x": x}}
+    path = tmp_path / "sumsq.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+class TestExitCodeContract:
+    """Every package error ends the CLI with its documented exit code, not a
+    traceback."""
+
+    def test_overflow_in_smooth_solve_is_regime_error(self, tmp_path, capsys):
+        path = _sumsq_file(tmp_path, ["exp(exp(exp(x1)))", "x2"], [10.0, 0.0])
+        assert main(["solve", path, "--method", "smooth"]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_log_of_negative_in_smooth_solve_is_regime_error(self, tmp_path, capsys):
+        path = _sumsq_file(tmp_path, ["log(x1)", "x2"], [-1.0, 0.0])
+        assert main(["solve", path, "--method", "smooth"]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_wrong_length_point_is_input_error(self, tmp_path, capsys):
+        point = tmp_path / "point.json"
+        point.write_text(json.dumps({"x": [0.0, 0.0, 0.0]}))
+        assert main(["certify", "b1_minimax", "--point", str(point)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "length 3" in err
+
+    def test_every_package_error_maps_to_2_or_3(self, monkeypatch):
+        documented = {"SchemaError": 2, "ValidationFailure": 2, "PreconditionError": 2,
+                      "RepresentationError": 2, "MembershipError": 2, "ExprSyntaxError": 2,
+                      "RegimeError": 3, "StepError": 3, "DivergenceError": 3,
+                      "DomainError": 3, "EvalDomainError": 3}
+        for cls in _subclasses(PLQError):
+            err = cls.__new__(cls, "probe")
+
+            def raise_it(*args, err=err):
+                raise err
+
+            monkeypatch.setattr(cli, "run_report", raise_it)
+            code = main(["solve", "b1_minimax"])
+            assert code in (2, 3), cls.__name__
+            assert code == documented.get(cls.__name__, code), cls.__name__
