@@ -12,13 +12,14 @@ All operations are pure functions over immutable inputs and are thread-safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, MembershipError
 from .numerics import ExtReal, PLUS_INF, as_vector, freeze_array, nullspace_basis
 from .plq import PLQFunction, eval_with_active
-from .simplex import feasible_point, max_slack_point, solve_lp
+from .simplex import feasible_point, max_slack_point, support_value
 
 # Uniform membership slack for polyhedral tests.
 MEMB_TOL = 1e-9
@@ -183,31 +184,24 @@ class PolyhedronH:
             v = max(v, float(np.max(self.F @ y - self.f)))
         return v
 
+    def _lp_blocks(self):
+        """The constraint blocks as the LP routines take them (None when empty)."""
+        return dict(F=self.F if self.F.shape[0] else None, f=self.f if self.F.shape[0] else None,
+                    E=self.E if self.E.shape[0] else None, e=self.e if self.E.shape[0] else None)
+
     def feasible_point(self):
-        return feasible_point(F=self.F if self.F.shape[0] else None,
-                              f=self.f if self.F.shape[0] else None,
-                              E=self.E if self.E.shape[0] else None,
-                              e=self.e if self.E.shape[0] else None,
-                              dim=self.dim)
+        return feasible_point(**self._lp_blocks(), dim=self.dim)
 
     def is_empty(self) -> bool:
         return self.feasible_point() is None
 
     def support(self, w):
         """(max <w,y>, argmax); (inf, None) when unbounded, (None, None) when empty."""
-        res = solve_lp(-np.asarray(w, dtype=float),
-                       F=self.F if self.F.shape[0] else None,
-                       f=self.f if self.F.shape[0] else None,
-                       E=self.E if self.E.shape[0] else None,
-                       e=self.e if self.E.shape[0] else None)
-        if res.status == "infeasible":
-            return None, None
-        if res.status == "unbounded":
-            return np.inf, None
-        return -res.objective, res.x
+        return support_value(w, **self._lp_blocks())
 
-    def implicit_equality_mask(self, tol=MEMB_TOL):
-        """Inequality rows that hold with equality on the whole set."""
+    def implicit_equality_mask(self):
+        """Inequality rows that hold with equality (within MEMB_TOL) on the whole
+        set, by one support LP per row; `_hull_split` computes it once."""
         mask = np.zeros(self.F.shape[0], dtype=bool)
         for i in range(self.F.shape[0]):
             val, _ = self.support(-self.F[i])  # max of -F_i y  ==  -(min F_i y)
@@ -216,50 +210,59 @@ class PolyhedronH:
             if np.isinf(val):
                 continue
             min_row = -val
-            if self.f[i] - min_row <= tol:
+            if self.f[i] - min_row <= MEMB_TOL:
                 mask[i] = True
         return mask
 
+    @cached_property
+    def _hull_split(self):
+        """(A, b, Fr, fr): the equalities plus the implicit-equality rows, which
+        describe aff(P), and the remaining inequality rows. Cached: the
+        polyhedron is immutable, so recomputing would give the same rows."""
+        if not self.F.shape[0]:
+            return self.E, self.e, self.F, self.f
+        mask = self.implicit_equality_mask()
+        return (np.vstack([self.E, self.F[mask]]), np.concatenate([self.e, self.f[mask]]),
+                self.F[~mask], self.f[~mask])
+
     def affine_hull(self):
         """Stacked equality system (A, b) describing aff(P), implicit rows included."""
-        mask = self.implicit_equality_mask()
-        A = np.vstack([self.E, self.F[mask]]) if self.F.shape[0] else self.E
-        b = np.concatenate([self.e, self.f[mask]]) if self.F.shape[0] else self.e
-        return A, b
+        return self._hull_split[:2]
 
     def parallel_basis(self):
         """Orthonormal basis (columns) of the subspace parallel to aff(P)."""
         A, _ = self.affine_hull()
         return nullspace_basis(A) if A.shape[0] else np.eye(self.dim)
 
-    def is_singleton(self, tol=MEMB_TOL):
+    def is_singleton(self):
         """(True, point) for a zero-dimensional nonempty set, else (False, any point or None)."""
         x = self.feasible_point()
         if x is None:
             return False, None
-        par = self.parallel_basis()
-        if par.shape[1] == 0:
+        if self.parallel_basis().shape[1] == 0:
             A, b = self.affine_hull()
             pt, *_ = np.linalg.lstsq(A, b, rcond=None)
             return True, pt
         return False, x
 
-    def ri_point(self, delta=1e-7):
-        """(point, depth) with uniform slack `depth` on non-implicit rows.
-
-        The point lies in the relative interior when depth >= delta.
-        Returns (None, None) for an empty set.
-        """
-        mask = self.implicit_equality_mask()
-        E = np.vstack([self.E, self.F[mask]]) if self.F.shape[0] else self.E
-        e = np.concatenate([self.e, self.f[mask]]) if self.F.shape[0] else self.e
-        Fr, fr = self.F[~mask], self.f[~mask]
+    def ri_slack(self, rows, rhs):
+        """(point, depth): the point of P with rows @ y = rhs and the largest
+        uniform slack `depth` <= 1 on the inequalities that are not implicit
+        equalities; depth is inf without such rows, negative when they cannot
+        all hold, and (None, None) means the equalities cannot hold."""
+        A, b, Fr, fr = self._hull_split
+        E, e = np.vstack([A, rows]), np.concatenate([b, rhs])
         if Fr.shape[0] == 0:
-            x = feasible_point(E=E if E.shape[0] else None, e=e if E.shape[0] else None, dim=self.dim) \
-                if E.shape[0] else np.zeros(self.dim)
+            x = feasible_point(E=E, e=e, dim=self.dim) if E.shape[0] else np.zeros(self.dim)
             return (x, np.inf) if x is not None else (None, None)
-        x, t = max_slack_point(Fr, fr, E=E if E.shape[0] else None,
+        return max_slack_point(Fr, fr, E=E if E.shape[0] else None,
                                e=e if E.shape[0] else None, cap=1.0)
+
+    def ri_point(self):
+        """(point, depth) with uniform slack `depth` on the rows that are not
+        implicit equalities; depth > 0 puts the point in the relative interior.
+        Returns (None, None) for an empty set."""
+        x, t = self.ri_slack(np.zeros((0, self.dim)), np.zeros(0))
         if x is None or t < -MEMB_TOL:
             return None, None
         return x, t

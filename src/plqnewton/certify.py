@@ -13,6 +13,9 @@ The reduced curvature check runs in one of two modes:
       small dimension) and random conic combinations. This mode never
       certifies, it only reports evidence.
 
+All checks at xbar read one `PointAnalysis` (see composite): `certify_point`
+hands it, with the manifold data at c(xbar), from the multiplier test to the
+sufficiency check, and the CLI's certify report reads the same two.
 `restricted_kkt_matrix` exposes the matrix of a restricted Newton step, as
 assembled by the solver's `kkt_matrix`.
 """
@@ -25,11 +28,10 @@ import numpy as np
 import scipy.linalg
 
 from .calculus import cone_generators, dir_deriv_second
-from .composite import CompositeProblem, check_cqs, kkt_residual, multiplier_set
+from .composite import CompositeProblem, PointAnalysis, analyze_point
 from .errors import PreconditionError
 from .manifold import ManifoldData, build_manifold
 from .numerics import as_vector, nullspace_basis
-from .plq import eval_with_active
 from .solver import kkt_matrix, reduced_min_eigs
 
 # Positive-definiteness threshold on reduced eigenvalues.
@@ -72,18 +74,20 @@ class SubregularityCertificate:
 
 def certify_sosc(p: CompositeProblem, xbar, ybar, md: ManifoldData | None = None) -> SOSCReport:
     """Reduced second-order sufficiency at a stationary pair (xbar, ybar)."""
-    xbar = as_vector(xbar, p.n, "xbar")
+    return _sosc(analyze_point(p, xbar), ybar, md)
+
+
+def _sosc(pa: PointAnalysis, ybar, md: ManifoldData | None) -> SOSCReport:
+    """`certify_sosc` at an analyzed point; md, when None, is built here if
+    two or more pieces are active."""
+    p, prof, jac = pa.p, pa.prof, pa.jac
     ybar = as_vector(ybar, p.m, "ybar")
-    res = kkt_residual(p, xbar, ybar)
+    res = pa.kkt_residual(ybar)
     scale = 1.0 + float(np.linalg.norm(ybar))
     if not (res.stationarity <= STATIONARY_TOL * scale and res.subdiff_violation <= STATIONARY_TOL * scale):
         raise PreconditionError(
             f"(xbar, ybar) is not stationary: residual ({res.stationarity:g}, {res.subdiff_violation:g})")
-
-    cx = p.c.value(xbar)
-    prof = eval_with_active(p.h, cx)
-    jac = p.c.jacobian(xbar)
-    H = p.c.weighted_hessian(xbar, ybar)
+    H = p.c.weighted_hessian(pa.x, ybar)
 
     if prof.kbar == 1 and prof.ell == 0:
         # Interior single piece: the non-ascent set is all of R^n.
@@ -92,12 +96,8 @@ def certify_sosc(p: CompositeProblem, xbar, ybar, md: ManifoldData | None = None
         return SOSCReport("certified-subspace", p.n, ((k, eig),), None, bool(eig > PD_TOL))
 
     if md is None and prof.kbar >= 2:
-        md = build_manifold(p.h, cx)
-
-    subspace_ok = False
-    if md is not None and md.nondegenerate:
-        subspace_ok = check_cqs(p, xbar).sc
-    if md is not None and subspace_ok:
+        md = build_manifold(p.h, pa.cx)
+    if md is not None and md.nondegenerate and pa.cqs.sc:
         Z = nullspace_basis(md.A.T @ jac)
         eigs = reduced_min_eigs(Z, jac, H, [md.piece(j).Q for j in range(md.kbar)])
         eigs = [None] * md.kbar if eigs is None else eigs
@@ -106,11 +106,9 @@ def certify_sosc(p: CompositeProblem, xbar, ybar, md: ManifoldData | None = None
                           tuple(zip(md.active_pieces, eigs)), None, bool(passed))
 
     # Heuristic: sample the union-of-cones non-ascent set.
-    directions = _nonascent_directions(p, xbar, cx, prof, jac)
     worst = None
-    for d in directions:
-        w = jac @ d
-        h2 = dir_deriv_second(p.h, cx, w)
+    for d in _nonascent_directions(pa):
+        h2 = dir_deriv_second(p.h, pa.cx, jac @ d)
         if h2.is_inf:
             continue
         val = h2.value + d @ H @ d
@@ -119,16 +117,17 @@ def certify_sosc(p: CompositeProblem, xbar, ybar, md: ManifoldData | None = None
     return SOSCReport("heuristic-sampled", None, (), worst, bool(passed))
 
 
-def _nonascent_directions(p, xbar, cx, prof, jac, samples=1000, rng=None):
+def _nonascent_directions(pa: PointAnalysis, samples=1000):
     """Unit directions in the non-ascent set: per-piece extreme rays when the
     dimension is small, plus random conic combinations."""
-    rng = np.random.default_rng(0) if rng is None else rng
+    p, jac = pa.p, pa.jac
+    rng = np.random.default_rng(0)
     out = []
     per_piece = []
-    for k in prof.active_pieces:
+    for k in pa.prof.active_pieces:
         rows = [p.h.pieces[k].signs[j] * p.h.hyperplane_matrix()[0][j] @ jac
-                for j in prof.active_hyperplanes[k]]
-        rows.append((p.h.piece_gradient(k, cx)) @ jac)
+                for j in pa.prof.active_hyperplanes[k]]
+        rows.append((p.h.piece_gradient(k, pa.cx)) @ jac)
         B = np.array(rows).reshape(len(rows), p.n)
         if p.n <= ENUM_DIM_LIMIT:
             rays, lin = cone_generators(B)
@@ -161,33 +160,34 @@ def _nonascent_directions(p, xbar, cx, prof, jac, samples=1000, rng=None):
 
 def certify_subregularity(p: CompositeProblem, xbar) -> SubregularityCertificate:
     """Combine multiplier uniqueness with reduced sufficiency."""
-    xbar = as_vector(xbar, p.n, "xbar")
-    cqs = check_cqs(p, xbar)
-    if not cqs.bcq:
+    return certify_point(analyze_point(p, xbar), None)
+
+
+def certify_point(pa: PointAnalysis, md: ManifoldData | None) -> SubregularityCertificate:
+    """`certify_subregularity` at an analyzed point, with the manifold data
+    at c(xbar) when the caller has built it (None: built when needed)."""
+    mult = pa.multipliers
+    if not pa.cqs.bcq:
         return SubregularityCertificate(False, None, "not-certified",
                                         ("bcq fails at xbar",))
-    mult = multiplier_set(p, xbar)
     if mult.status == "empty":
         return SubregularityCertificate(False, None, "not-certified",
                                         ("no multipliers: xbar is not stationary",))
-    reasons = []
-    if mult.status != "singleton":
-        reasons.append("multiplier set is not a singleton")
-    y = mult.y if mult.status == "singleton" else mult.polyhedron.ri_point()[0]
+    single = mult.status == "singleton"
+    reasons = [] if single else ["multiplier set is not a singleton"]
+    y = mult.y if single else mult.polyhedron.ri_point()[0]
     sosc = None
     try:
-        sosc = certify_sosc(p, xbar, y)
+        sosc = _sosc(pa, y, md)
         if not sosc.passed:
             reasons.append("reduced second-order sufficiency fails")
-        elif sosc.mode == "heuristic-sampled" and mult.status == "singleton":
+        elif sosc.mode == "heuristic-sampled" and single:
             reasons.append("sufficiency evidence is heuristic only")
     except PreconditionError as err:
         reasons.append(str(err))
-    certified = mult.status == "singleton" and sosc is not None \
-        and sosc.passed and sosc.mode == "certified-subspace"
+    certified = single and sosc is not None and sosc.passed and sosc.mode == "certified-subspace"
     return SubregularityCertificate(
-        mult.status == "singleton", sosc,
-        "strongly-metrically-subregular" if certified else "not-certified",
+        single, sosc, "strongly-metrically-subregular" if certified else "not-certified",
         tuple(reasons))
 
 
@@ -201,8 +201,7 @@ def restricted_kkt_matrix(p: CompositeProblem, md: ManifoldData, x, y, j):
         raise PreconditionError("degenerate A")
     x = as_vector(x, p.n, "x")
     y = as_vector(y, p.m, "y")
-    jac = p.c.jacobian(x)
-    H = p.c.weighted_hessian(x, y)
+    _, jac, H = p.c.evaluate(x, y)
     M = kkt_matrix(H, jac, md.piece(j).Q, md.AP(j), md.A.T @ jac)
     return M, _nonsingular_by_lu(M)
 

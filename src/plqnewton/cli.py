@@ -18,12 +18,12 @@ import sys
 import numpy as np
 
 from .benchmarks import BENCHMARKS
-from .certify import certify_subregularity
-from .composite import check_cqs, kkt_residual, multiplier_set
-from .errors import INPUT_ERRORS, REGIME_ERRORS, PLQError, PreconditionError
+from .certify import certify_point
+from .composite import analyze_point
+from .errors import INPUT_ERRORS, REGIME_ERRORS, PreconditionError
 from .exprmap import fd_jacobian, fd_weighted_hessian
-from .manifold import build_manifold, certify_partial_smoothness, strictness_check
-from .plq import eval_with_active, validate_representation
+from .manifold import build_manifold, certify_partial_smoothness
+from .plq import validate_representation
 from .problems import ProblemFile, load_problem
 from .rates import classify_rate
 from .solver import SolveOptions, solve
@@ -45,10 +45,14 @@ def _resolve_point(pf: ProblemFile, spec: str | None, rng):
         base = pf.reference[0] if pf.reference is not None else \
             (pf.start_x if pf.start_x is not None else np.zeros(pf.problem.n))
         return base + rng.uniform(-0.5, 0.5, size=pf.problem.n), None
-    with open(spec) as fh:
-        doc = json.load(fh)
-    x = np.asarray(doc["x"], dtype=float)
-    y = np.asarray(doc["y"], dtype=float) if "y" in doc else None
+    try:
+        with open(spec) as fh:
+            doc = json.load(fh)
+        x = np.asarray(doc["x"], dtype=float)
+        y = np.asarray(doc["y"], dtype=float) if "y" in doc else None
+    except (ValueError, KeyError, TypeError) as err:
+        raise PreconditionError(f"--point {spec} is not a JSON object with a numeric x "
+                                f"(and optional y): {type(err).__name__}: {err}") from None
     for name, v, dim in (("x", x, pf.problem.n), ("y", y, pf.problem.m)):
         if v is not None and v.size != dim:
             raise PreconditionError(f"--point {name} has length {v.size}, expected {dim}")
@@ -70,9 +74,9 @@ def report_certify(pf: ProblemFile, opts) -> tuple[dict, int]:
     p = pf.problem
     out: dict = {"command": "certify", "problem": pf.name,
                  "x": [float(v) for v in x]}
-    cqs = check_cqs(p, x)
+    pa = analyze_point(p, x)
+    cqs, mult = pa.cqs, pa.multipliers
     out["cqs"] = cqs.to_dict()
-    mult = multiplier_set(p, x)
     out["multiplier_status"] = mult.status
     if mult.note:
         out["multiplier_note"] = mult.note
@@ -80,24 +84,22 @@ def report_certify(pf: ProblemFile, opts) -> tuple[dict, int]:
         y = mult.y if mult.y is not None else cqs.ybar
     if y is not None:
         out["y"] = [float(v) for v in y]
-        res = kkt_residual(p, x, y)
+        res = pa.kkt_residual(y)
         out["kkt_residual"] = {"stationarity": res.stationarity,
                                "subdiff_violation": res.subdiff_violation}
-    cx = p.c.value(x)
-    prof = eval_with_active(p.h, cx)
-    out["active_pieces"] = list(map(int, prof.active_pieces))
-    if prof.kbar >= 2:
-        md = build_manifold(p.h, cx)
+    out["active_pieces"] = list(map(int, pa.prof.active_pieces))
+    md = None
+    if pa.prof.kbar >= 2:
+        md = build_manifold(p.h, pa.cx)
         out["manifold"] = md.to_dict()
         if y is not None and md.nondegenerate:
-            try:
-                strict = strictness_check(md, cx, y)
-                out["strictness"] = strict.to_dict()
-            except PLQError as err:
-                out["strictness_error"] = str(err)
-            cert = certify_partial_smoothness(md, cx, y)
+            cert = certify_partial_smoothness(md, pa.cx, y)
+            if cert.strictness is not None:
+                out["strictness"] = cert.strictness.to_dict()
+            else:  # the strictness check raised; its message is the one reason
+                out["strictness_error"] = cert.reasons[0]
             out["partial_smoothness"] = cert.to_dict()
-    sub = certify_subregularity(p, x)
+    sub = certify_point(pa, md)
     out["subregularity"] = sub.to_dict()
     ok = sub.conclusion == "strongly-metrically-subregular"
     return out, EXIT_PASS if ok else EXIT_CERTIFIED_FAILURE

@@ -11,8 +11,12 @@ of h at c(x). The three nested qualifications are checked as follows:
   sc:  Null(Jac^T) meets the relative interior of the subdifferential in a
        single point, decided by an interior-slack LP plus the tc rank test.
 
-Pure functions throughout; the LP solver is instantiated per call with no
-shared state, so concurrent checks on one problem are safe.
+The chain is computed once per point: `analyze_point` derives bcq, the
+multiplier set and the CQReport from one first-order sweep of c, one
+nullspace and one subdifferential; `bcq_holds`, `multiplier_set`, `check_cqs`
+and `nonascent_contains` are thin entry points over it. The only state is the
+implicit-equality mask a polyhedron caches on first use; computing it is
+idempotent, so concurrent checks on one problem are safe.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ from .calculus import PolyhedronH, subdiff_hrep, dir_deriv_first
 from .errors import DomainError, PreconditionError
 from .exprmap import Linearization, SmoothMap
 from .numerics import as_vector, matrix_rank_rel, nullspace_basis
-from .plq import PLQFunction, eval_with_active
-from .simplex import feasible_point, max_slack_point
+from .plq import ActiveProfile, PLQFunction, eval_with_active
+from .simplex import feasible_point
 
 RI_SLACK = 1e-7
 
@@ -95,57 +99,97 @@ class KKTResidual:
         return max(self.stationarity, self.subdiff_violation)
 
 
-def _jacobian_nullspace(p: CompositeProblem, x):
-    jac = p.c.jacobian(x)
-    return nullspace_basis(jac.T), jac
+@dataclass(frozen=True)
+class PointAnalysis:
+    """One point x, analyzed once: c(x) and jac = Jac c(x) from one
+    first-order sweep, an orthonormal basis N of Null(jac^T), the
+    subdifferential `sub` of h at c(x), and what `analyze_point` derives."""
+
+    p: CompositeProblem
+    x: np.ndarray
+    cx: np.ndarray
+    prof: ActiveProfile
+    jac: np.ndarray
+    N: np.ndarray
+    sub: PolyhedronH
+    multipliers: MultiplierSet
+    cqs: CQReport
+
+    def kkt_residual(self, y) -> KKTResidual:
+        """The residual of the pair (x, y), as `kkt_residual` computes it."""
+        y = as_vector(y, self.p.m, "y")
+        return KKTResidual(float(np.linalg.norm(self.jac.T @ y)), self.sub.violation(y))
 
 
-def _finite_profile(p: CompositeProblem, x):
-    cx = p.c.value(x)
+def analyze_point(p: CompositeProblem, x) -> PointAnalysis:
+    """The analysis of x, each link of the chain once; DomainError when c(x)
+    lies outside dom h."""
+    x = as_vector(x, p.n, "x")
+    cx, jac, _ = p.c.evaluate(x)
     prof = eval_with_active(p.h, cx)
     if not prof.is_finite:
         raise DomainError("c(x) is outside dom h")
-    return cx, prof
-
-
-def multiplier_set(p: CompositeProblem, x, v=None) -> MultiplierSet:
-    """Multipliers {y : Jac(x)^T y = v} intersected with the subdifferential
-    at c(x). The default v = 0 is the stationarity multiplier set; other v
-    are exposed through the same polyhedral routine."""
-    x = as_vector(x, p.n, "x")
-    v = np.zeros(p.n) if v is None else as_vector(v, p.n, "v")
-    cx, prof = _finite_profile(p, x)
+    N = nullspace_basis(jac.T)
     sub = subdiff_hrep(p.h, cx)
-    jac = p.c.jacobian(x)
-    E = np.vstack([sub.E, jac.T]) if sub.E.shape[0] else jac.T
-    e = np.concatenate([sub.e, v]) if sub.E.shape[0] else v
-    poly = PolyhedronH(E, e, sub.F, sub.f)
-    bcq = bcq_holds(p, x)
-    note = "" if bcq else "unsupported-by-theory: bcq fails at x"
-    if poly.is_empty():
-        return MultiplierSet(poly, "empty", None, bcq, note)
-    single, pt = poly.is_singleton()
-    if single:
-        return MultiplierSet(poly, "singleton", pt, bcq, note)
-    return MultiplierSet(poly, "nonsingleton", None, bcq, note)
+    bcq = _bcq(p.h, cx, prof, N)
+
+    poly = PolyhedronH(np.vstack([sub.E, jac.T]), np.concatenate([sub.e, np.zeros(p.n)]),
+                       sub.F, sub.f)
+    single, y = poly.is_singleton()
+    status = "singleton" if single else "empty" if y is None else "nonsingleton"
+    mult = MultiplierSet(poly, status, y if single else None, bcq,
+                         "" if bcq else "unsupported-by-theory: bcq fails at x")
+
+    tc = _tc_from_bases(N, sub.parallel_basis())
+    # sc: a point of the subdifferential in Null(jac^T), RI_SLACK inside ri.
+    ybar, depth = sub.ri_slack(jac.T, np.zeros(p.n))
+    sc = bool(ybar is not None and depth >= RI_SLACK and tc)
+    # A strict-criticality point is the unique multiplier; prefer its exact value.
+    cqs = CQReport(bcq=bcq, tc=tc, sc=sc, ybar=(mult.y if single else ybar) if sc else None,
+                   m_singleton=single)
+    return PointAnalysis(p, x, cx, prof, jac, N, sub, mult, cqs)
+
+
+def multiplier_set(p: CompositeProblem, x) -> MultiplierSet:
+    """Multipliers {y : Jac(x)^T y = 0} intersected with the subdifferential
+    at c(x): the stationarity multiplier set."""
+    return analyze_point(p, x).multipliers
 
 
 def bcq_holds(p: CompositeProblem, x) -> bool:
-    """Null(Jac^T) meets N(c(x) | dom h) only at zero.
+    """Null(Jac^T) meets N(c(x) | dom h) only at zero."""
+    return analyze_point(p, x).cqs.bcq
 
-    The normal cone to the domain is the intersection of the active pieces'
-    normal cones; a nonzero meeting point is sought with one feasibility LP
-    per coordinate normalization v_i = +/-1.
+
+def check_cqs(p: CompositeProblem, x) -> CQReport:
+    """Basic, transversality and strict-criticality qualifications at x."""
+    return analyze_point(p, x).cqs
+
+
+def nonascent_contains(p: CompositeProblem, x, d) -> bool:
+    """Whether d is a direction of non-ascent for h(c(.)) at x.
+
+    Requires bcq at x; equivalent to h'(c(x); Jac(x) d) <= 0.
     """
-    x = as_vector(x, p.n, "x")
-    cx, prof = _finite_profile(p, x)
-    N, _ = _jacobian_nullspace(p, x)
+    d = as_vector(d, p.n, "d")
+    pa = analyze_point(p, x)
+    if not pa.cqs.bcq:
+        raise PreconditionError("bcq fails at x; the non-ascent representation needs it")
+    val = dir_deriv_first(p.h, pa.cx, pa.jac @ d)
+    return bool(val.is_finite and val.value <= 1e-10)
+
+
+def _bcq(h: PLQFunction, cx, prof, N) -> bool:
+    """The bcq LP sweep: span(N) meets N(cx | dom h), the intersection of the
+    active pieces' normal cones, only at zero. A nonzero meeting point is
+    sought with one feasibility LP per coordinate normalization v_i = +/-1.
+    """
     if N.shape[1] == 0:
         return True
-    gens = [p.h.normal_generators(k, cx) for k in prof.active_pieces]
+    gens = [h.normal_generators(k, cx) for k in prof.active_pieces]
     if any(G.shape[1] == 0 for G in gens):
         return True  # some active normal cone is {0}
-    m = p.m
+    m = h.m
     r = N.shape[1]
     sizes = [G.shape[1] for G in gens]
     nvar = r + sum(sizes)
@@ -186,58 +230,6 @@ def _tc_from_bases(N: np.ndarray, V: np.ndarray) -> bool:
     return matrix_rank_rel(stacked) == N.shape[1] + V.shape[1]
 
 
-def _ri_slack_point(poly: PolyhedronH, rows, rhs):
-    """(point, found): a point of poly with rows @ y = rhs and slack at least
-    RI_SLACK on every inequality of poly that is not an implicit equality."""
-    mask = poly.implicit_equality_mask()
-    E = np.vstack([poly.E, poly.F[mask], rows])
-    e = np.concatenate([poly.e, poly.f[mask], rhs])
-    Fr, fr = poly.F[~mask], poly.f[~mask]
-    if Fr.shape[0] == 0:
-        pt = feasible_point(E=E, e=e, dim=poly.dim)
-        return pt, pt is not None
-    pt, depth = max_slack_point(Fr, fr, E=E, e=e, cap=1.0)
-    return pt, pt is not None and depth is not None and depth >= RI_SLACK
-
-
-def check_cqs(p: CompositeProblem, x) -> CQReport:
-    """Basic, transversality and strict-criticality qualifications at x."""
-    x = as_vector(x, p.n, "x")
-    cx, _ = _finite_profile(p, x)
-    sub = subdiff_hrep(p.h, cx)
-    N, jac = _jacobian_nullspace(p, x)
-
-    bcq = bcq_holds(p, x)
-    tc = _tc_from_bases(N, sub.parallel_basis())
-
-    ybar, sc_exists = _ri_slack_point(sub, jac.T, np.zeros(p.n))
-    sc = bool(sc_exists and tc)
-
-    mult = multiplier_set(p, x)
-    m_singleton = mult.status == "singleton"
-
-    # A strict-criticality point is the unique multiplier; prefer its exact value.
-    ybar_out = None
-    if sc:
-        ybar_out = mult.y if m_singleton else ybar
-    return CQReport(bcq=bcq, tc=tc, sc=sc, ybar=ybar_out, m_singleton=m_singleton)
-
-
-def nonascent_contains(p: CompositeProblem, x, d) -> bool:
-    """Whether d is a direction of non-ascent for h(c(.)) at x.
-
-    Requires bcq at x; equivalent to h'(c(x); Jac(x) d) <= 0.
-    """
-    x = as_vector(x, p.n, "x")
-    d = as_vector(d, p.n, "d")
-    if not bcq_holds(p, x):
-        raise PreconditionError("bcq fails at x; the non-ascent representation needs it")
-    cx = p.c.value(x)
-    w = p.c.jacobian(x) @ d
-    val = dir_deriv_first(p.h, cx, w)
-    return bool(val.is_finite and val.value <= 1e-10)
-
-
 def kkt_residual(p: CompositeProblem, x, y, lin: Linearization | None = None) -> KKTResidual:
     """Stationarity norm and subdifferential violation of the primal-dual pair.
 
@@ -276,7 +268,8 @@ def subspace_polyhedron_predicates(N: np.ndarray, poly: PolyhedronH) -> dict:
         # y in span(N)  <=>  (I - N N^T) y = 0 for orthonormal N.
         span_rows = np.eye(dim) - N @ N.T
         span_rhs = np.zeros(dim)
-    _, ri_nonempty = _ri_slack_point(poly, span_rows, span_rhs)
+    pt, depth = poly.ri_slack(span_rows, span_rhs)
+    ri_nonempty = pt is not None and depth >= RI_SLACK
 
     inter = PolyhedronH(np.vstack([poly.E, span_rows]),
                         np.concatenate([poly.e, span_rhs]),

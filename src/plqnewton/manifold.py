@@ -273,6 +273,7 @@ class PartialSmoothnessCertificate:
     parallel_identity: bool | None
     mu_margins: tuple | None
     reasons: tuple
+    strictness: StrictnessReport | None = None  # the report the certificate rests on
 
     def to_dict(self):
         return {
@@ -322,26 +323,22 @@ def certify_partial_smoothness(md: ManifoldData, c, y) -> PartialSmoothnessCerti
     """Certificate that the function is partly smooth relative to the manifold,
     checked at (c, y): nondegeneracy plus k-strict complementarity. When
     certified, the parallel-subspace identity is verified through the
-    realizability of each nullspace basis vector."""
-    reasons = []
+    realizability of each nullspace basis vector. `strictness` keeps the
+    report it rests on (None when the check raised: the reason says why)."""
     if not md.nondegenerate:
-        reasons.append("degenerate A")
         return PartialSmoothnessCertificate(False, False, None, None, None, None, None,
-                                            tuple(reasons))
+                                            ("degenerate A",))
     try:
         report = strictness_check(md, c, y)
     except (PreconditionError, MembershipError) as err:
-        reasons.append(str(err))
         return PartialSmoothnessCertificate(False, True, None, None, None, None, None,
-                                            tuple(reasons))
+                                            (str(err),))
     margins = tuple(float(v) for v in report.mu.flat)
     if not report.k_strict:
-        reasons.append("k-strict complementarity fails")
-        return PartialSmoothnessCertificate(False, True, False, report.ri_member,
-                                            None, None, margins, tuple(reasons))
+        return PartialSmoothnessCertificate(False, True, False, report.ri_member, None, None,
+                                            margins, ("k-strict complementarity fails",), report)
     realizable = tuple(_zeta_realizable(md, c, p) for p in range(md.ell))
     parallel = all(realizable)
-    if not parallel:
-        reasons.append("parallel-subspace identity failed the realizability check")
+    reasons = () if parallel else ("parallel-subspace identity failed the realizability check",)
     return PartialSmoothnessCertificate(bool(parallel), True, True, report.ri_member,
-                                        realizable, parallel, margins, tuple(reasons))
+                                        realizable, parallel, margins, reasons, report)

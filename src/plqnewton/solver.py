@@ -451,6 +451,11 @@ def _structure_model_sosc(p, h, prof, c_lin, jac, H) -> bool:
     return eigs is None or min(eigs) > 0
 
 
+# The B_schedule of method quasi: B_k frozen at H(x_0, y_0), read from the
+# start pair's linearization, which the first step is given.
+_START_HESSIAN = object()
+
+
 def quasi_newton_solve(p: CompositeProblem, start, B_schedule, opts: SolveOptions,
                        reference=None) -> IterationTrace:
     """Structure-enumerating iteration with Hessian models B_k.
@@ -462,9 +467,13 @@ def quasi_newton_solve(p: CompositeProblem, start, B_schedule, opts: SolveOption
     x = as_vector(start[0], p.n, "x0")
     y = as_vector(start[1], p.m, "y0")
     trace = IterationTrace(method="quasi-newton")
+    frozen = {}
 
     def step(k, x, y, lin):
-        B = lin.H if B_schedule is None else B_schedule(k - 1, x, y, trace)
+        if B_schedule is _START_HESSIAN:
+            B = frozen.setdefault("B0", lin.H)
+        else:
+            B = lin.H if B_schedule is None else B_schedule(k - 1, x, y, trace)
         B = np.atleast_2d(np.asarray(B, dtype=float))
         if B.shape != (p.n, p.n) or np.max(np.abs(B - B.T)) > 1e-10:
             raise StepError("B schedule must produce symmetric n x n matrices")
@@ -548,10 +557,5 @@ def solve(p: CompositeProblem, method: str, x0, y0, opts: SolveOptions,
         if prof.kbar != 1:
             raise PreconditionError(f"{method} method needs a start y at a kink start")
         y0 = p.h.piece_gradient(prof.active_pieces[0], cx)
-    schedule = None
-    if method == "quasi":
-        B0 = p.c.weighted_hessian(x0, y0)
-
-        def schedule(k, x, y, trace):
-            return B0
+    schedule = _START_HESSIAN if method == "quasi" else None
     return quasi_newton_solve(p, (x0, y0), schedule, opts, reference=reference)

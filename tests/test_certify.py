@@ -1,3 +1,6 @@
+import itertools
+import sys
+
 import numpy as np
 import pytest
 
@@ -10,11 +13,14 @@ from plqnewton.benchmarks import (
     l1_plq,
     rosenbrock_ls,
 )
+from plqnewton import calculus, composite, manifold, simplex
 from plqnewton.certify import certify_sosc, certify_subregularity, restricted_kkt_matrix
+from plqnewton.cli import run_report
 from plqnewton.composite import CompositeProblem
 from plqnewton.errors import PreconditionError
 from plqnewton.exprmap import SmoothMap
 from plqnewton.manifold import build_manifold
+from plqnewton.problems import parse_problem_dict
 
 
 class TestSOSC:
@@ -208,3 +214,62 @@ class TestRestrictedKKTMatrix:
         from plqnewton.certify import _nonsingular_by_lu
 
         assert _nonsingular_by_lu(M)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Calls of module.name through every plqnewton module that binds it; each
+    call records its positional arguments."""
+    fn = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "plqnewton" and getattr(mod, name, None) is fn:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def _weighted_l1_crossing():
+    """sum_i w_i |c_i| with c_i = x_i + a_i x_{i+1}^2 (cyclic), s = 3 hyperplanes
+    and all 8 sign pieces; x = 0 sits on the crossing with y = 0."""
+    w, a = (0.7, 1.3, 1.9), (0.3, -0.5, 0.4)
+    doc = {"name": "crossing3", "n": 3, "m": 3,
+           "h": {"m": 3,
+                 "hyperplanes": [{"a": list(np.eye(3)[i]), "alpha": 0.0} for i in range(3)],
+                 "pieces": [{"signs": list(s), "b": [-si * wi for si, wi in zip(s, w)]}
+                            for s in itertools.product((-1, 1), repeat=3)]},
+           "c": [f"x{i + 1} + {a[i]}*x{(i + 1) % 3 + 1}^2" for i in range(3)],
+           "reference": {"x": [0.0] * 3, "y": [0.0] * 3}}
+    return parse_problem_dict(doc)
+
+
+class TestOneAnalysisPerPoint:
+    """A certify run analyzes its point once: one subdifferential at c(xbar),
+    one bcq LP sweep, one manifold and one strictness check, and few LPs."""
+
+    def _certify(self, monkeypatch, pf, counted):
+        calls = {name: _count_calls(monkeypatch, module, name) for module, name in counted}
+        report, code = run_report(pf, "certify", {"seed": 42})
+        assert code == 0
+        assert report["subregularity"]["conclusion"] == "strongly-metrically-subregular"
+        return calls
+
+    def test_cross_l1_reference(self, monkeypatch):
+        pf = parse_problem_dict(cross_l1().as_problem_dict())
+        calls = self._certify(monkeypatch, pf, (
+            (calculus, "subdiff_hrep"), (composite, "_bcq"), (manifold, "build_manifold"),
+            (manifold, "strictness_check"), (simplex, "solve_lp")))
+        cbar = pf.problem.c.value(pf.reference[0])
+        assert len(calls["subdiff_hrep"]) == 1
+        assert np.array_equal(calls["subdiff_hrep"][0][1], cbar)
+        assert len(calls["_bcq"]) == 1
+        assert len(calls["build_manifold"]) == 1
+        assert len(calls["strictness_check"]) == 1
+        assert len(calls["solve_lp"]) <= 30
+
+    def test_three_hyperplane_crossing_reference(self, monkeypatch):
+        calls = self._certify(monkeypatch, _weighted_l1_crossing(), ((simplex, "solve_lp"),))
+        assert len(calls["solve_lp"]) <= 60

@@ -212,6 +212,17 @@ class TestExitCodeContract:
         err = capsys.readouterr().err
         assert "Traceback" not in err and "length 3" in err
 
+    @pytest.mark.parametrize("content", ['{"y": [0, 0]}', "not json", "[1, 2]",
+                                         '{"x": ["a", 1]}'])
+    def test_malformed_point_file_is_input_error(self, tmp_path, capsys, content):
+        # No x, no JSON, not an object, a non-numeric x.
+        point = tmp_path / "point.json"
+        point.write_text(content)
+        for command in ("certify", "check-derivs"):
+            assert main([command, "cross_l1", "--point", str(point)]) == 2
+            err = capsys.readouterr().err
+            assert "Traceback" not in err and "--point" in err
+
     def test_every_package_error_maps_to_2_or_3(self, monkeypatch):
         documented = {"SchemaError": 2, "ValidationFailure": 2, "PreconditionError": 2,
                       "RepresentationError": 2, "MembershipError": 2, "ExprSyntaxError": 2,

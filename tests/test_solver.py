@@ -343,9 +343,9 @@ class TestTraceCSV:
 
 
 class TestMapPasses:
-    """One linearization of c per iterate: at most iterations + 2 evaluate
-    passes per solve (the start's, one per step, and quasi's frozen Hessian),
-    and no value pass once the iteration has begun."""
+    """One linearization of c per iterate: at most iterations + 1 evaluate
+    passes per solve (the start's and one per step; quasi's frozen Hessian is
+    the start's), and no value pass once the iteration has begun."""
 
     # Newton needs a kink at the reference and smooth a start inside one
     # piece; b1_flat's restricted system is singular.
@@ -368,5 +368,5 @@ class TestMapPasses:
         monkeypatch.setattr(SmoothMap, "value", counted("value", SmoothMap.value))
         pf = parse_problem_dict(BENCHMARKS[name]().as_problem_dict())
         report, _ = run_report(pf, "solve", {"method": method})
-        assert passes.count("evaluate") <= report["iterations"] + 2
+        assert passes.count("evaluate") <= report["iterations"] + 1
         assert "value" not in passes[passes.index("evaluate"):]
