@@ -15,7 +15,7 @@ safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -273,7 +273,7 @@ class PartialSmoothnessCertificate:
     parallel_identity: bool | None
     mu_margins: tuple | None
     reasons: tuple
-    strictness: StrictnessReport | None = None  # the report the certificate rests on
+    strictness: StrictnessReport | None = field(default=None, compare=False)  # not reported
 
     def to_dict(self):
         return {
