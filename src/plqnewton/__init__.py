@@ -27,6 +27,7 @@ from .calculus import (
 from .certify import (
     SOSCReport,
     SubregularityCertificate,
+    certify_point,
     certify_sosc,
     certify_subregularity,
     restricted_kkt_matrix,
@@ -36,6 +37,8 @@ from .composite import (
     CQReport,
     KKTResidual,
     MultiplierSet,
+    PointAnalysis,
+    analyze_point,
     bcq_holds,
     check_cqs,
     kkt_residual,

@@ -5,14 +5,21 @@ are assembled as H-form polyhedra by converting each active piece's normal
 cone through a double-description pass over its tangent-cone rows. Everything
 is exact polyhedral arithmetic at desk scale (m up to about 10).
 
+The tangent cone of piece k depends only on h and the active hyperplane set,
+so its generators are converted once per (k, active set) and cached on the
+PLQ function as unit rows ready for `subdiff_hrep`.
+
 Extended-real results use the tagged ExtReal type; no float('inf') arithmetic.
-All operations are pure functions over immutable inputs and are thread-safe.
+All operations are functions over immutable inputs. The only state is the
+caches an immutable PLQ function or polyhedron fills on first use; filling
+them is idempotent, so concurrent calls are safe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -154,12 +161,13 @@ class PolyhedronH:
         return np.array(keep_rows), np.array(keep_rhs)
 
     @staticmethod
-    def from_rows(dim, eq_rows=(), ineq_rows=()):
-        E = np.array([r for r, _ in eq_rows]).reshape(len(eq_rows), dim) if eq_rows else np.zeros((0, dim))
-        e = np.array([v for _, v in eq_rows]) if eq_rows else np.zeros(0)
-        F = np.array([r for r, _ in ineq_rows]).reshape(len(ineq_rows), dim) if ineq_rows else np.zeros((0, dim))
-        f = np.array([v for _, v in ineq_rows]) if ineq_rows else np.zeros(0)
-        return PolyhedronH(E, e, F, f)
+    def from_unit_rows(E, e, F, f) -> "PolyhedronH":
+        """The polyhedron of rows already divided by their norms, kept as given
+        (normalizing a unit row again may move its last bit)."""
+        P = object.__new__(PolyhedronH)
+        for name, arr in (("E", E), ("e", e), ("F", F), ("f", f)):
+            object.__setattr__(P, name, freeze_array(arr))
+        return P
 
     @property
     def dim(self) -> int:
@@ -320,26 +328,74 @@ def _active_or_raise(h, c):
     return prof
 
 
+def _tangent_piece(h: PLQFunction, prof, w):
+    """The first active piece whose tangent cone contains w, or None."""
+    for k in prof.active_pieces:
+        if cone_contains(h.tangent_rows_at(k, prof.active_set), w):
+            return k
+    return None
+
+
 def dir_deriv_first(h: PLQFunction, c, w) -> ExtReal:
     """One-sided directional derivative h'(c; w); +inf outside the tangent cone of dom h."""
     prof = _active_or_raise(h, c)
     c = as_vector(c, h.m, "c")
     w = as_vector(w, h.m, "w")
-    for k in prof.active_pieces:
-        if cone_contains(h.tangent_rows(k, c), w):
-            return ExtReal.finite(h.piece_gradient(k, c) @ w)
-    return PLUS_INF
+    k = _tangent_piece(h, prof, w)
+    return PLUS_INF if k is None else ExtReal.finite(h.piece_gradient(k, c) @ w)
 
 
 def dir_deriv_second(h: PLQFunction, c, w) -> ExtReal:
     """One-sided second directional derivative h''(c; w); nonnegative when finite."""
-    prof = _active_or_raise(h, c)
-    c = as_vector(c, h.m, "c")
+    return dir_deriv_second_at(h, _active_or_raise(h, c), w)
+
+
+def dir_deriv_second_at(h: PLQFunction, prof, w) -> ExtReal:
+    """`dir_deriv_second` at a point whose finite active profile is `prof`, so
+    that many directions at one point share one evaluation of h."""
     w = as_vector(w, h.m, "w")
-    for k in prof.active_pieces:
-        if cone_contains(h.tangent_rows(k, c), w):
-            return ExtReal.finite(w @ (h.pieces[k].Q @ w))
-    return PLUS_INF
+    k = _tangent_piece(h, prof, w)
+    return PLUS_INF if k is None else ExtReal.finite(w @ (h.pieces[k].Q @ w))
+
+
+class _GeneratorRows(NamedTuple):
+    """Generators of one cone part (rays or lineality), one per row."""
+
+    raw: np.ndarray    # as cone_generators returns them
+    norm: np.ndarray   # the norm of each row
+    unit: np.ndarray   # raw / norm, as PolyhedronH stores rows
+    signed_axes: bool  # every row is a signed coordinate vector
+
+    @staticmethod
+    def of(gens, m) -> "_GeneratorRows":
+        raw = np.array(gens, dtype=float).reshape(len(gens), m)
+        norm = np.array([np.linalg.norm(r) for r in raw])
+        axes = bool(np.all(np.count_nonzero(raw, axis=1) <= 1)
+                    and np.all(np.isin(raw[raw != 0.0], (-1.0, 1.0))))
+        return _GeneratorRows(freeze_array(raw), freeze_array(norm),
+                              freeze_array(raw / norm[:, None]), axes)
+
+    def rhs(self, g) -> np.ndarray:
+        """<raw_i, g> / norm_i per row, rounded as `PolyhedronH` rounds the
+        right-hand side of a row it normalizes: one dot per row. A matrix
+        product sums in another order, which gives the same bits only when
+        each row picks out one entry of g, up to sign."""
+        if self.signed_axes:
+            dots = self.raw @ g
+        else:
+            dots = np.array([float(r @ g) for r in self.raw])
+        return dots / self.norm
+
+
+def _tangent_cone(h: PLQFunction, k, act):
+    """(lineality, rays) of the tangent cone of piece k where the hyperplanes
+    `act` are active, converted once per (k, act) and cached on h."""
+    cone = h._cone_cache.get((k, act))
+    if cone is None:
+        rays, lin = cone_generators(h.tangent_rows_at(k, act))
+        cone = h._cone_cache.setdefault(
+            (k, act), (_GeneratorRows.of(lin, h.m), _GeneratorRows.of(rays, h.m)))
+    return cone
 
 
 def subdiff_hrep(h: PLQFunction, c) -> PolyhedronH:
@@ -347,19 +403,20 @@ def subdiff_hrep(h: PLQFunction, c) -> PolyhedronH:
 
     Each active piece contributes {y : y - grad_k(c) in N(c | C_k)}; the
     normal cone is converted to half-spaces through the generators of its
-    polar (the tangent cone).
+    polar (the tangent cone), cached per (piece, active set).
     """
     prof = _active_or_raise(h, c)
     c = as_vector(c, h.m, "c")
-    eq_rows, ineq_rows = [], []
+    E, e, F, f = [], [], [], []
     for k in prof.active_pieces:
         g = h.piece_gradient(k, c)
-        rays, lin = cone_generators(h.tangent_rows(k, c))
-        for r in rays:
-            ineq_rows.append((r, float(r @ g)))
-        for l in lin:
-            eq_rows.append((l, float(l @ g)))
-    return PolyhedronH.from_rows(h.m, eq_rows, ineq_rows)
+        lin, rays = _tangent_cone(h, k, prof.active_set)
+        E.append(lin.unit)
+        e.append(lin.rhs(g))
+        F.append(rays.unit)
+        f.append(rays.rhs(g))
+    return PolyhedronH.from_unit_rows(np.vstack(E), np.concatenate(e),
+                                      np.vstack(F), np.concatenate(f))
 
 
 def second_subderivative(h: PLQFunction, c, y, w) -> ExtReal:

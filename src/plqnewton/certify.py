@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .calculus import cone_generators, dir_deriv_second
+from .calculus import cone_generators, dir_deriv_second_at
 from .composite import CompositeProblem, PointAnalysis, analyze_point
 from .errors import PreconditionError
 from .manifold import ManifoldData, build_manifold
@@ -105,10 +105,11 @@ def _sosc(pa: PointAnalysis, ybar, md: ManifoldData | None) -> SOSCReport:
         return SOSCReport("certified-subspace", Z.shape[1],
                           tuple(zip(md.active_pieces, eigs)), None, bool(passed))
 
-    # Heuristic: sample the union-of-cones non-ascent set.
+    # Heuristic: sample the union-of-cones non-ascent set. Every direction
+    # reads the one profile of h at c(xbar) and its cached tangent rows.
     worst = None
     for d in _nonascent_directions(pa):
-        h2 = dir_deriv_second(p.h, pa.cx, jac @ d)
+        h2 = dir_deriv_second_at(p.h, prof, jac @ d)
         if h2.is_inf:
             continue
         val = h2.value + d @ H @ d

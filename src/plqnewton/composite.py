@@ -186,7 +186,7 @@ def _bcq(h: PLQFunction, cx, prof, N) -> bool:
     """
     if N.shape[1] == 0:
         return True
-    gens = [h.normal_generators(k, cx) for k in prof.active_pieces]
+    gens = [h.tangent_rows_at(k, prof.active_set).T for k in prof.active_pieces]
     if any(G.shape[1] == 0 for G in gens):
         return True  # some active normal cone is {0}
     m = h.m

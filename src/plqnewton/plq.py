@@ -6,7 +6,15 @@ and carries the quadratic 0.5 <c, Q_k c> + <b_k, c> + beta_k there. Every
 piece takes a side of every hyperplane, so the active hyperplane set at a
 point is the same for each piece containing it.
 
-Instances are immutable after construction and all operations are pure, so
+`eval_with_active` computes the hyperplane residuals r = A c - alpha once and
+tests every piece at once against the K x s sign matrix. Each function caches
+what depends on h alone, filled on first use: the unit tangent-cone rows of
+piece k for each active hyperplane set (and, through `calculus`, the cone's
+generators), and each piece's interior point.
+
+Instances are immutable after construction: the caches are plain dicts set in
+`__post_init__`, not dataclass fields, so equality is unchanged. Filling an
+entry is idempotent (two threads computing it store equal values), so
 concurrent reads are safe.
 """
 
@@ -74,6 +82,11 @@ class ActiveProfile:
     def is_finite(self) -> bool:
         return self.value.is_finite
 
+    @property
+    def active_set(self) -> tuple:
+        """The active hyperplane indices, shared by every active piece."""
+        return self.active_hyperplanes[self.active_pieces[0]] if self.active_pieces else ()
+
 
 @dataclass(frozen=True)
 class PLQFunction:
@@ -103,6 +116,14 @@ class PLQFunction:
         object.__setattr__(self, "_A", freeze_array(A))
         object.__setattr__(self, "_alpha", freeze_array(alph))
         object.__setattr__(self, "_act_tol", freeze_array(ACT_TOL * (1.0 + np.abs(alph))))
+        signs = np.array([p.signs for p in pcs], dtype=float).reshape(len(pcs), s)
+        object.__setattr__(self, "_signs", freeze_array(signs))
+        # h-only data, filled on first use: (k, active set) -> unit tangent
+        # rows; (k, active set) -> tangent-cone generators (see calculus);
+        # (k, cap) -> piece interior point.
+        object.__setattr__(self, "_tangent_cache", {})
+        object.__setattr__(self, "_cone_cache", {})
+        object.__setattr__(self, "_interior_cache", {})
 
     # -- basic geometry ---------------------------------------------------
 
@@ -132,12 +153,8 @@ class PLQFunction:
             return np.zeros(0)
         return self._A @ c - self._alpha
 
-    def piece_contains(self, k, c, slack=0.0) -> bool:
-        r = self.residuals(c)
-        if r.size == 0:
-            return True
-        p = self.pieces[k]
-        return bool(np.all(p.signs * r <= self._act_tol + slack))
+    def piece_contains(self, k, c) -> bool:
+        return bool(np.all(self._signs[k] * self.residuals(c) <= self._act_tol))
 
     def piece_value(self, k, c) -> float:
         c = as_vector(c, self.m, "c")
@@ -155,12 +172,20 @@ class PLQFunction:
 
     def tangent_rows(self, k, c) -> np.ndarray:
         """Rows B with T(c | C_k) = {v : B v <= 0}, unit-normalized active gradients."""
-        act = self.active_hyperplane_set(c)
-        p = self.pieces[k]
-        if not act:
-            return np.zeros((0, self.m))
-        rows = np.array([p.signs[j] * self._A[j] for j in act])
-        return rows / np.linalg.norm(rows, axis=1)[:, None]
+        return self.tangent_rows_at(k, self.active_hyperplane_set(c))
+
+    def tangent_rows_at(self, k, act) -> np.ndarray:
+        """`tangent_rows` at any point whose active hyperplane set is `act`;
+        cached per (k, act) and read-only."""
+        rows = self._tangent_cache.get((k, act))
+        if rows is None:
+            if act:
+                rows = np.array([self._signs[k, j] * self._A[j] for j in act])
+                rows = rows / np.linalg.norm(rows, axis=1)[:, None]
+            else:
+                rows = np.zeros((0, self.m))
+            rows = self._tangent_cache.setdefault((k, act), freeze_array(rows))
+        return rows
 
     def normal_generators(self, k, c) -> np.ndarray:
         """Columns generate N(c | C_k) as a nonnegative cone (unit-normalized)."""
@@ -174,7 +199,8 @@ def eval_with_active(h: PLQFunction, c) -> ActiveProfile:
     beyond VALUE_TOL * (1 + |value|).
     """
     c = as_vector(c, h.m, "c")
-    active = [k for k in range(h.n_pieces) if h.piece_contains(k, c)]
+    r = h.residuals(c)
+    active = np.flatnonzero(np.all(h._signs * r <= h._act_tol, axis=1)).tolist()
     if not active:
         return ActiveProfile(PLUS_INF, (), {}, 0, None)
     vals = [h.piece_value(k, c) for k in active]
@@ -183,11 +209,9 @@ def eval_with_active(h: PLQFunction, c) -> ActiveProfile:
         if abs(v - v0) > VALUE_TOL * (1.0 + abs(v0)):
             raise RepresentationError(
                 f"active pieces {active[0]} and {k} disagree in value: {v0} vs {v}")
-    act_set = h.active_hyperplane_set(c)
-    hyper = {k: act_set for k in active}
-    ells = {len(act_set)}
-    return ActiveProfile(ExtReal.finite(v0), tuple(active), hyper, len(active),
-                         ells.pop() if len(ells) == 1 else None)
+    act_set = tuple(np.flatnonzero(np.abs(r) <= h._act_tol).tolist())
+    return ActiveProfile(ExtReal.finite(v0), tuple(active), dict.fromkeys(active, act_set),
+                         len(active), len(act_set))
 
 
 def value(h: PLQFunction, c) -> ExtReal:
@@ -205,14 +229,20 @@ def finite_value(h: PLQFunction, c) -> float:
 
 
 def piece_interior_point(h: PLQFunction, k, cap=4.0):
-    """A point of maximal uniform slack inside piece k; (None, None) when empty."""
-    B, g = h.piece_rows(k)
-    if B.shape[0] == 0:
-        return np.zeros(h.m), cap
-    x, t = max_slack_point(B, g, cap=cap)
-    if x is None or t < -1e-9:
-        return None, None
-    return x, t
+    """A point of maximal uniform slack inside piece k; (None, None) when empty.
+    The LP runs once per (k, cap); each call returns a fresh copy."""
+    found = h._interior_cache.get((k, cap))
+    if found is None:
+        B, g = h.piece_rows(k)
+        if B.shape[0] == 0:
+            x, t = np.zeros(h.m), cap
+        else:
+            x, t = max_slack_point(B, g, cap=cap)
+            if x is None or t < -1e-9:
+                x, t = None, None
+        found = h._interior_cache.setdefault((k, cap), (x, t))
+    x, t = found
+    return (None, None) if x is None else (x.copy(), t)
 
 
 def sample_point_in_piece(h: PLQFunction, k, rng, base=None, radius=8.0):
@@ -371,8 +401,7 @@ def validate_representation(h: PLQFunction, probes: int, rng=None, strict=False)
                 continue
             worst = 0.0
             pts = [x]
-            act_rows = [j for j in range(h.n_hyperplanes)
-                        if abs(h.residuals(x)[j]) <= ACT_TOL * (1 + abs(h._alpha[j]))]
+            act_rows = list(h.active_hyperplane_set(x))
             A, alpha = h.hyperplane_matrix()
             tangent = nullspace_basis(A[act_rows]) if act_rows else np.eye(h.m)
             for _ in range(max(2, probes // max(1, h.n_pieces))):

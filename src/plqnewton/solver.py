@@ -351,7 +351,6 @@ def solve_subproblem_enum(p: CompositeProblem, x_hat, y_hat, H,
     s = h.n_hyperplanes
     n, m = p.n, p.m
     out = []
-    seen = []
     for k in range(h.n_pieces):
         signs = h.pieces[k].signs
         Q, b = h.pieces[k].Q, h.pieces[k].b
@@ -370,14 +369,14 @@ def solve_subproblem_enum(p: CompositeProblem, x_hat, y_hat, H,
             sol, extra, resid = _solve_possibly_singular(M, rhs)
             if sol is None:
                 continue
+            # A candidate on an accepted (d, y) would be dropped even when
+            # consistent, so it is dropped before the consistency test.
+            d, y = sol[:n], sol[n:n + m]
+            if any(np.linalg.norm(d - q.d) + np.linalg.norm(y - q.y) <= 1e-9 for q in out):
+                continue
             entry = _consistent_entry(p, h, k, subset, sol, extra, resid, cx, jac, H)
-            if entry is None:
-                continue
-            if any(np.linalg.norm(entry.d - q.d) + np.linalg.norm(entry.y - q.y) <= 1e-9
-                   for q in seen):
-                continue
-            seen.append(entry)
-            out.append(entry)
+            if entry is not None:
+                out.append(entry)
     out.sort(key=SubproblemSolution.key)
     return out
 
@@ -436,14 +435,14 @@ def _consistent_entry(p, h, k, subset, sol, alt, resid, cx, jac, H):
         alternate = (alt[:p.n], alt[p.n:p.n + p.m])
     return SubproblemSolution(d=d, y=y, lam=lam, piece=k, active_set=tuple(subset),
                               model_value=prof.value.value + 0.5 * float(d @ H @ d),
-                              model_sosc_ok=_structure_model_sosc(p, h, prof, c_lin, jac, H),
+                              model_sosc_ok=_structure_model_sosc(p, h, prof, jac, H),
                               unique=alternate is None, alternate=alternate, residual=resid)
 
 
-def _structure_model_sosc(p, h, prof, c_lin, jac, H) -> bool:
+def _structure_model_sosc(p, h, prof, jac, H) -> bool:
     """Reduced model curvature on the nullspace of the active rows at the
     linearized point, over every piece active there."""
-    act = h.active_hyperplane_set(c_lin)
+    act = prof.active_set
     A_all, _ = h.hyperplane_matrix()
     rows = A_all[list(act)] @ jac if act else np.zeros((0, p.n))
     eigs = reduced_min_eigs(nullspace_basis(rows), jac, H,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from plqnewton.benchmarks import halfquad_plq, l1_plq, l1sq_plq, max2_plq, nlp_plq
+from plqnewton.benchmarks import halfquad_plq, l1_plq, l1sq_plq, max2_plq, nlp_plq, sumsq_plq
 from plqnewton.calculus import (
     PolyhedronH,
     cone_contains,
@@ -144,7 +144,38 @@ def _poly_equal(P: PolyhedronH, Q: PolyhedronH, tol=1e-7) -> bool:
     return True
 
 
+def _subdiff_reference(h, c):
+    """The subdifferential built the direct way: every active piece's tangent
+    cone converted at c, one dot per row, rows normalized by PolyhedronH."""
+    prof = eval_with_active(h, c)
+    E, e, F, f = [], [], [], []
+    for k in prof.active_pieces:
+        g = h.piece_gradient(k, c)
+        rays, lin = cone_generators(h.tangent_rows(k, c))
+        E += lin
+        e += [float(l @ g) for l in lin]
+        F += rays
+        f += [float(r @ g) for r in rays]
+    return PolyhedronH(np.array(E).reshape(len(E), h.m), np.array(e),
+                       np.array(F).reshape(len(F), h.m), np.array(f))
+
+
 class TestSubdiff:
+    def test_cached_cones_give_the_direct_construction_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for build in (l1_plq, l1sq_plq, max2_plq, nlp_plq, halfquad_plq, sumsq_plq):
+            h = build()
+            grid = [np.array(p, dtype=float) for p in np.ndindex(*(3,) * h.m)] if h.m <= 2 else []
+            pts = [sample_domain_point(h, rng) for _ in range(20)]
+            pts += [p - 1.0 for p in grid if eval_with_active(h, p - 1.0).is_finite]
+            for c in pts:
+                want = _subdiff_reference(h, c)
+                for _ in range(2):  # converting, then reading the cache
+                    got = subdiff_hrep(h, c)
+                    for a, b in ((got.E, want.E), (got.e, want.e), (got.F, want.F), (got.f, want.f)):
+                        assert a.shape == b.shape and np.array_equal(a, b), (build.__name__, c)
+                        assert np.array_equal(np.signbit(a), np.signbit(b))
+
     def test_l1_at_origin_is_unit_box(self):
         P = subdiff_hrep(l1_plq(), [0, 0])
         assert _poly_equal(P, _box(2, -1.0, 1.0))

@@ -13,7 +13,7 @@ from plqnewton.benchmarks import (
     l1_plq,
     rosenbrock_ls,
 )
-from plqnewton import calculus, composite, manifold, simplex
+from plqnewton import calculus, composite, manifold, plq, simplex
 from plqnewton.certify import certify_sosc, certify_subregularity, restricted_kkt_matrix
 from plqnewton.cli import run_report
 from plqnewton.composite import CompositeProblem
@@ -21,6 +21,7 @@ from plqnewton.errors import PreconditionError
 from plqnewton.exprmap import SmoothMap
 from plqnewton.manifold import build_manifold
 from plqnewton.problems import parse_problem_dict
+from plqnewton.solver import solve_subproblem_enum
 
 
 class TestSOSC:
@@ -273,3 +274,39 @@ class TestOneAnalysisPerPoint:
     def test_three_hyperplane_crossing_reference(self, monkeypatch):
         calls = self._certify(monkeypatch, _weighted_l1_crossing(), ((simplex, "solve_lp"),))
         assert len(calls["solve_lp"]) <= 60
+
+
+class TestPolyhedralDataOnce:
+    """What depends on h alone is computed once per PLQ function: piece
+    interior points, and the tangent-cone generators of each (piece, active
+    set). Counted on the s = 3 weighted-l1 crossing."""
+
+    def test_validation_solves_one_lp_per_piece_and_pair(self, monkeypatch):
+        h = _weighted_l1_crossing().problem.h
+        lps = _count_calls(monkeypatch, simplex, "solve_lp")
+        rep = plq.validate_representation(h, 200, rng=np.random.default_rng(42))
+        assert rep.all_pass
+        # 8 interior points and 28 pair intersections; no LP per sample.
+        assert len(lps) <= 36
+
+    def test_enumeration_converts_each_cone_once(self, monkeypatch):
+        p = _weighted_l1_crossing().problem
+        x0, y0 = np.array([0.05, -0.04, 0.06]), np.array([0.1, -0.1, 0.05])
+        H = p.c.evaluate(x0, y0).H
+        subdiffs = _count_calls(monkeypatch, calculus, "subdiff_hrep")
+        cones = _count_calls(monkeypatch, calculus, "cone_generators")
+        first = solve_subproblem_enum(p, x0, y0, H)
+        assert first and len(subdiffs) <= 1
+        converted = len(cones)
+        again = solve_subproblem_enum(p, x0, y0, H)
+        assert len(cones) == converted
+        assert [(e.piece, e.active_set, e.model_value) for e in again] == \
+            [(e.piece, e.active_set, e.model_value) for e in first]
+
+    def test_sampled_sosc_evaluates_h_once(self, monkeypatch):
+        pf = parse_problem_dict(b1_flat().as_problem_dict())
+        evals = _count_calls(monkeypatch, plq, "eval_with_active")
+        report, code = run_report(pf, "certify", {"seed": 42})
+        assert code == 1
+        assert report["subregularity"]["sosc"]["mode"] == "heuristic-sampled"
+        assert len(evals) <= 10

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plqnewton.benchmarks import halfquad_plq, l1_plq, l1sq_plq, max2_plq, nlp_plq, sumsq_plq
 from plqnewton.errors import RepresentationError
 from plqnewton.plq import (
+    VALUE_TOL,
     Hyperplane,
     Piece,
     PLQFunction,
@@ -20,6 +22,7 @@ class TestEvalWithActive:
         assert prof.value.is_finite and prof.value.value == pytest.approx(0.0, abs=1e-15)
         assert prof.active_pieces == (0, 1, 2, 3)
         assert all(prof.active_hyperplanes[k] == (0, 1) for k in prof.active_pieces)
+        assert prof.active_set == (0, 1)
         assert prof.kbar == 4 and prof.ell == 2
 
     def test_nlp_outside_domain(self):
@@ -36,7 +39,7 @@ class TestEvalWithActive:
         prof = eval_with_active(h, c)
         assert prof.value.value == pytest.approx(9.0)
         assert prof.active_pieces == (0,)
-        assert prof.active_hyperplanes[0] == ()
+        assert prof.active_hyperplanes[0] == () and prof.active_set == ()
 
     def test_deterministic(self):
         h = l1_plq()
@@ -61,6 +64,69 @@ class TestEvalWithActive:
         h = PLQFunction(1, hps, pieces)
         with pytest.raises(RepresentationError):
             eval_with_active(h, [0.0])
+
+
+def _random_plq(rng):
+    """A PLQ function with small-integer hyperplanes (so integer points sit
+    exactly on them and on their crossings), s = 0 allowed, and K random sign
+    patterns. Pieces share one quadratic half of the time (values agree
+    wherever pieces meet) and have their own otherwise (eval may refuse)."""
+    m = int(rng.integers(1, 4))
+    s = int(rng.integers(0, 4))
+    hps = []
+    while len(hps) < s:
+        a = rng.integers(-2, 3, size=m).astype(float)
+        if np.any(a):
+            hps.append(Hyperplane(a, float(rng.integers(-2, 3))))
+    shared = rng.random() < 0.5
+
+    def quadratic():
+        L = rng.standard_normal((m, m))
+        return L @ L.T, rng.standard_normal(m), float(rng.standard_normal())
+
+    common = quadratic()
+    pieces = [Piece(rng.choice((-1.0, 1.0), size=s), *(common if shared else quadratic()))
+              for _ in range(int(rng.integers(1, 7)))]
+    return PLQFunction(m, hps, pieces)
+
+
+def _random_points(rng, h):
+    """Integer points (on hyperplanes and crossings), the point of each
+    hyperplane nearest the origin (on it up to rounding), and generic points."""
+    A, alpha = h.hyperplane_matrix()
+    pts = [rng.integers(-2, 3, size=h.m).astype(float) for _ in range(6)]
+    for j in range(h.n_hyperplanes):
+        pts.append(alpha[j] / (A[j] @ A[j]) * A[j])
+    pts += [rng.uniform(-3, 3, size=h.m) for _ in range(4)]
+    return pts
+
+
+class TestVectorizedActivity:
+    """`eval_with_active` tests every piece at once; it must agree exactly with
+    the piece-by-piece definitions."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 100_000))
+    def test_matches_piece_by_piece(self, seed):
+        rng = np.random.default_rng(seed)
+        h = _random_plq(rng)
+        for c in _random_points(rng, h):
+            active = tuple(k for k in range(h.n_pieces) if h.piece_contains(k, c))
+            if not active:
+                prof = eval_with_active(h, c)
+                assert prof.value.is_inf and prof.active_pieces == () and prof.kbar == 0
+                continue
+            vals = [h.piece_value(k, c) for k in active]
+            if any(abs(v - vals[0]) > VALUE_TOL * (1.0 + abs(vals[0])) for v in vals):
+                with pytest.raises(RepresentationError):
+                    eval_with_active(h, c)
+                continue
+            prof = eval_with_active(h, c)
+            act = h.active_hyperplane_set(c)
+            assert prof.value.value == vals[0]
+            assert prof.active_pieces == active and prof.kbar == len(active)
+            assert prof.active_hyperplanes == {k: act for k in active}
+            assert prof.active_set == act and prof.ell == len(act)
 
 
 class TestConstruction:
