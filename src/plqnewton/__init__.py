@@ -15,14 +15,13 @@ The public surface mirrors the module layout:
 """
 
 from .calculus import (
-    ConePair,
     PolyhedronH,
     cone_generators,
-    cone_pair,
     dir_deriv_first,
     dir_deriv_second,
     second_subderivative,
     subdiff_hrep,
+    subdiff_hrep_at,
 )
 from .certify import (
     SOSCReport,

@@ -7,7 +7,8 @@ is exact polyhedral arithmetic at desk scale (m up to about 10).
 
 The tangent cone of piece k depends only on h and the active hyperplane set,
 so its generators are converted once per (k, active set) and cached on the
-PLQ function as unit rows ready for `subdiff_hrep`.
+PLQ function as unit rows ready for `subdiff_hrep`. The `_at` twins take an
+active profile the caller already holds, so h is evaluated once per point.
 
 Extended-real results use the tagged ExtReal type; no float('inf') arithmetic.
 All operations are functions over immutable inputs. The only state is the
@@ -280,44 +281,6 @@ class PolyhedronH:
                 "F": self.F.tolist(), "f": self.f.tolist()}
 
 
-@dataclass(frozen=True)
-class ConePair:
-    """Normal-cone generators and tangent-cone rows of one piece at one point."""
-
-    normal_generators: np.ndarray  # columns generate N(c | C_k)
-    tangent_rows: np.ndarray       # T(c | C_k) = {v : rows v <= 0}
-
-    def tangent_generators(self):
-        return cone_generators(self.tangent_rows)
-
-    def polarity_gap(self, samples=64, rng=None) -> float:
-        """max <v, w> over normal generators v and sampled tangent members w."""
-        rng = np.random.default_rng(0) if rng is None else rng
-        rays, lin = self.tangent_generators()
-        members = list(rays)
-        for l in lin:
-            members.extend((l, -l))
-        for _ in range(samples):
-            w = np.zeros(self.tangent_rows.shape[1])
-            for r in rays:
-                w = w + rng.uniform(0, 1) * r
-            for l in lin:
-                w = w + rng.standard_normal() * l
-            if np.linalg.norm(w) > 0:
-                members.append(w / np.linalg.norm(w))
-        gap = 0.0
-        for j in range(self.normal_generators.shape[1]):
-            v = self.normal_generators[:, j]
-            for w in members:
-                gap = max(gap, float(v @ w))
-        return gap
-
-
-def cone_pair(h: PLQFunction, c, k) -> ConePair:
-    return ConePair(freeze_array(h.normal_generators(k, c)),
-                    freeze_array(h.tangent_rows(k, c)))
-
-
 # -- calculus operations ------------------------------------------------------
 
 
@@ -405,7 +368,12 @@ def subdiff_hrep(h: PLQFunction, c) -> PolyhedronH:
     normal cone is converted to half-spaces through the generators of its
     polar (the tangent cone), cached per (piece, active set).
     """
-    prof = _active_or_raise(h, c)
+    return subdiff_hrep_at(h, _active_or_raise(h, c), c)
+
+
+def subdiff_hrep_at(h: PLQFunction, prof, c) -> PolyhedronH:
+    """`subdiff_hrep` at c, whose finite active profile is `prof`, so that a
+    caller that has evaluated h at c does not evaluate it again."""
     c = as_vector(c, h.m, "c")
     E, e, F, f = [], [], [], []
     for k in prof.active_pieces:

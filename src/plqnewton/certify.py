@@ -17,7 +17,7 @@ All checks at xbar read one `PointAnalysis` (see composite): `certify_point`
 hands it, with the manifold data at c(xbar), from the multiplier test to the
 sufficiency check, and the CLI's certify report reads the same two.
 `restricted_kkt_matrix` exposes the matrix of a restricted Newton step, as
-assembled by the solver's `kkt_matrix`.
+assembled by the solver's `kkt_matrix`. The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -25,13 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .calculus import cone_generators, dir_deriv_second_at
 from .composite import CompositeProblem, PointAnalysis, analyze_point
 from .errors import PreconditionError
 from .manifold import ManifoldData, build_manifold
-from .numerics import as_vector, nullspace_basis
+from .numerics import as_vector, matrix_rank_rel, nullspace_basis
 from .solver import kkt_matrix, reduced_min_eigs
 
 # Positive-definiteness threshold on reduced eigenvalues.
@@ -195,8 +194,8 @@ def certify_point(pa: PointAnalysis, md: ManifoldData | None) -> SubregularityCe
 def restricted_kkt_matrix(p: CompositeProblem, md: ManifoldData, x, y, j):
     """The (n + m + ell) square system matrix of the j-th restricted step.
 
-    Returns (matrix, nonsingular); nonsingularity is judged from the LU
-    pivots against 1e-12 times the matrix norm.
+    Returns (matrix, nonsingular), judged by the relative rank test
+    `numerics.matrix_rank_rel`.
     """
     if not md.nondegenerate:
         raise PreconditionError("degenerate A")
@@ -204,14 +203,4 @@ def restricted_kkt_matrix(p: CompositeProblem, md: ManifoldData, x, y, j):
     y = as_vector(y, p.m, "y")
     _, jac, H = p.c.evaluate(x, y)
     M = kkt_matrix(H, jac, md.piece(j).Q, md.AP(j), md.A.T @ jac)
-    return M, _nonsingular_by_lu(M)
-
-
-def _nonsingular_by_lu(M) -> bool:
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    return bool(np.min(pivots) > 1e-12 * np.linalg.norm(M))
+    return M, matrix_rank_rel(M) == M.shape[0]

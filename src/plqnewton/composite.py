@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import PolyhedronH, subdiff_hrep, dir_deriv_first
+from .calculus import PolyhedronH, dir_deriv_first, subdiff_hrep, subdiff_hrep_at
 from .errors import DomainError, PreconditionError
 from .exprmap import Linearization, SmoothMap
 from .numerics import as_vector, matrix_rank_rel, nullspace_basis
@@ -243,7 +243,7 @@ def kkt_residual(p: CompositeProblem, x, y, lin: Linearization | None = None) ->
     prof = eval_with_active(p.h, cx)
     if not prof.is_finite:
         return KKTResidual(stat, math.inf)
-    viol = subdiff_hrep(p.h, cx).violation(y)
+    viol = subdiff_hrep_at(p.h, prof, cx).violation(y)
     return KKTResidual(stat, viol)
 
 

@@ -9,6 +9,11 @@ the diagonal sign matrices P_j relate the other pieces' gradients through
 A P_j. Nondegeneracy means A has full column rank, which makes the block
 multiplier mu(c, y) unique.
 
+Partial smoothness is certified by nondegeneracy, k-strict complementarity
+and the parallel-subspace identity, decided in closed form from the block
+multiplier with no LP (the identification setting of Lewis, "Active sets,
+nonsmoothness, and sensitivity", SIAM J. Optim. 2002).
+
 ManifoldData is immutable and the operations are pure, so concurrent use is
 safe.
 """
@@ -28,7 +33,6 @@ from .errors import (
 )
 from .numerics import as_vector, freeze_array, matrix_rank_rel
 from .plq import ACT_TOL, PLQFunction, eval_with_active
-from .simplex import solve_lp
 
 # Strictness threshold on multiplier entries.
 SC_TOL = 1e-8
@@ -70,27 +74,6 @@ class ManifoldData:
         """The j-th active piece's data."""
         return self.h.pieces[self.active_pieces[j]]
 
-    # Block operators of the averaged subdifferential system.
-
-    def block_A(self) -> np.ndarray:
-        """Block-circulant coefficient matrix of the multiplier system."""
-        k, ell, m = self.kbar, self.ell, self.m
-        out = np.zeros((k * m, k * ell))
-        for r in range(k):
-            for c in range(k):
-                coef = (1.0 - k) if r == c else 1.0
-                out[r * m:(r + 1) * m, c * ell:(c + 1) * ell] = coef * self.AP(c)
-        return out
-
-    def block_Q(self) -> np.ndarray:
-        return np.vstack([self.piece(j).Q for j in range(self.kbar)])
-
-    def block_b(self) -> np.ndarray:
-        return np.concatenate([self.piece(j).b for j in range(self.kbar)])
-
-    def block_J(self) -> np.ndarray:
-        return np.vstack([np.eye(self.m)] * self.kbar)
-
     def A_bar(self) -> np.ndarray:
         return np.hstack([self.AP(j) for j in range(self.kbar)]) / self.kbar
 
@@ -104,16 +87,6 @@ class ManifoldData:
         c = as_vector(c, self.m, "c")
         return self.Q_bar() @ c + self.b_bar()
 
-    def mu_rhs(self, c) -> np.ndarray:
-        """Right-hand side of the multiplier system at c."""
-        c = as_vector(c, self.m, "c")
-        k = self.kbar
-        avg = self.Q_bar() @ c + self.b_bar()
-        rows = []
-        for j in range(k):
-            rows.append(k * (self.piece(j).Q @ c + self.piece(j).b - avg))
-        return np.concatenate(rows)
-
     def mu_projection(self, c, y):
         """(blocks, residuals): per active piece j the residual
         r_j = y - Q_j c - b_j and its block P_j (A^T A)^{-1} A^T r_j."""
@@ -122,15 +95,6 @@ class ManifoldData:
         blocks = np.array([self.P[j] * np.linalg.solve(AtA, self.A.T @ r)
                            for j, r in enumerate(resids)])
         return blocks, resids
-
-    def zeta_basis(self) -> np.ndarray:
-        """Columns zeta_p spanning the nullspace of the block system matrix."""
-        k, ell = self.kbar, self.ell
-        Z = np.zeros((k * ell, ell))
-        for p in range(ell):
-            for j in range(k):
-                Z[j * ell + p, p] = self.P[j][p]
-        return Z
 
     def to_dict(self):
         return {
@@ -288,42 +252,28 @@ class PartialSmoothnessCertificate:
         }
 
 
-def _zeta_realizable(md: ManifoldData, c, p) -> bool:
-    """Whether the p-th nullspace basis vector is a difference of two
-    nonnegative multiplier-system solutions at c (a feasibility LP)."""
-    rhs = md.mu_rhs(c)
-    cal_A = md.block_A()
-    zeta = md.zeta_basis()[:, p]
-    q = cal_A.shape[1]
-    # Variables (mu_plus, mu_minus, t): maximize t subject to
-    # cal_A mu_plus = rhs, cal_A mu_minus = rhs, mu_plus - mu_minus = t zeta,
-    # mu_plus, mu_minus >= 0, t <= 1.
-    nvar = 2 * q + 1
-    E = np.zeros((2 * cal_A.shape[0] + q, nvar))
-    e = np.zeros(E.shape[0])
-    E[:cal_A.shape[0], :q] = cal_A
-    e[:cal_A.shape[0]] = rhs
-    E[cal_A.shape[0]:2 * cal_A.shape[0], q:2 * q] = cal_A
-    e[cal_A.shape[0]:2 * cal_A.shape[0]] = rhs
-    E[2 * cal_A.shape[0]:, :q] = np.eye(q)
-    E[2 * cal_A.shape[0]:, q:2 * q] = -np.eye(q)
-    E[2 * cal_A.shape[0]:, 2 * q] = -zeta
-    F = np.zeros((2 * q + 1, nvar))
-    F[:2 * q, :2 * q] = -np.eye(2 * q)
-    F[2 * q, 2 * q] = 1.0
-    f = np.zeros(2 * q + 1)
-    f[2 * q] = 1.0
-    obj = np.zeros(nvar)
-    obj[2 * q] = -1.0
-    res = solve_lp(obj, F=F, f=f, E=E, e=e)
-    return bool(res.optimal and -res.objective > 1e-9)
+def _zeta_realizable(P, blocks) -> tuple:
+    """Per p, whether zeta_p = (P_j e_p)_j, a basis vector of the nullspace of
+    the block system (Q_j c + b_j + A P_j mu_j equal for every active piece
+    j), is a difference of two nonnegative solutions, given one solution
+    `blocks` = mu >= 0. The solutions are mu + (P_j w)_j, so w_p must lie in
+    [max_{P_j[p]=+1} -mu_jp, min_{P_j[p]=-1} mu_jp], and zeta_p is realizable
+    exactly when that interval is longer than 1e-9. k-strictness makes every
+    such interval longer than 2 SC_TOL, so wherever
+    `certify_partial_smoothness` asks, the answer is True up to rounding.
+    """
+    signs = np.array(P)
+    lo = np.max(np.where(signs > 0, -blocks, -np.inf), axis=0)
+    hi = np.min(np.where(signs < 0, blocks, np.inf), axis=0)
+    return tuple(bool(v) for v in hi - lo > 1e-9)
 
 
 def certify_partial_smoothness(md: ManifoldData, c, y) -> PartialSmoothnessCertificate:
     """Certificate that the function is partly smooth relative to the manifold,
     checked at (c, y): nondegeneracy plus k-strict complementarity. When
     certified, the parallel-subspace identity is verified through the
-    realizability of each nullspace basis vector. `strictness` keeps the
+    realizability of each nullspace basis vector, read from the block
+    multiplier of the strictness report. `strictness` keeps the
     report it rests on (None when the check raised: the reason says why)."""
     if not md.nondegenerate:
         return PartialSmoothnessCertificate(False, False, None, None, None, None, None,
@@ -337,7 +287,7 @@ def certify_partial_smoothness(md: ManifoldData, c, y) -> PartialSmoothnessCerti
     if not report.k_strict:
         return PartialSmoothnessCertificate(False, True, False, report.ri_member, None, None,
                                             margins, ("k-strict complementarity fails",), report)
-    realizable = tuple(_zeta_realizable(md, c, p) for p in range(md.ell))
+    realizable = _zeta_realizable(md.P, report.mu.blocks)
     parallel = all(realizable)
     reasons = () if parallel else ("parallel-subspace identity failed the realizability check",)
     return PartialSmoothnessCertificate(bool(parallel), True, True, report.ri_member,

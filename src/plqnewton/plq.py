@@ -170,12 +170,9 @@ class PLQFunction:
         r = self.residuals(c)
         return tuple(int(j) for j in np.flatnonzero(np.abs(r) <= self._act_tol))
 
-    def tangent_rows(self, k, c) -> np.ndarray:
-        """Rows B with T(c | C_k) = {v : B v <= 0}, unit-normalized active gradients."""
-        return self.tangent_rows_at(k, self.active_hyperplane_set(c))
-
     def tangent_rows_at(self, k, act) -> np.ndarray:
-        """`tangent_rows` at any point whose active hyperplane set is `act`;
+        """Rows B with T(c | C_k) = {v : B v <= 0}, the unit-normalized active
+        gradients, at any point c whose active hyperplane set is `act`;
         cached per (k, act) and read-only."""
         rows = self._tangent_cache.get((k, act))
         if rows is None:
@@ -186,10 +183,6 @@ class PLQFunction:
                 rows = np.zeros((0, self.m))
             rows = self._tangent_cache.setdefault((k, act), freeze_array(rows))
         return rows
-
-    def normal_generators(self, k, c) -> np.ndarray:
-        """Columns generate N(c | C_k) as a nonnegative cone (unit-normalized)."""
-        return self.tangent_rows(k, c).T
 
 
 def eval_with_active(h: PLQFunction, c) -> ActiveProfile:

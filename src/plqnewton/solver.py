@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import subdiff_hrep
+from .calculus import subdiff_hrep_at
 from .composite import CompositeProblem, kkt_residual
 from .errors import DivergenceError, PreconditionError, RegimeError, SchemaError, StepError
 from .exprmap import Linearization
@@ -420,7 +420,7 @@ def _on_piece(p, h, k, sol, cx, jac):
     c_lin = cx + jac @ d
     prof = eval_with_active(h, c_lin)
     if not prof.is_finite or k not in prof.active_pieces \
-            or not subdiff_hrep(h, c_lin).contains(y, slack=1e-7):
+            or not subdiff_hrep_at(h, prof, c_lin).contains(y, slack=1e-7):
         return None
     return d, y, lam, c_lin, prof
 

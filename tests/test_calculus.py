@@ -6,7 +6,6 @@ from plqnewton.calculus import (
     PolyhedronH,
     cone_contains,
     cone_generators,
-    cone_pair,
     dir_deriv_first,
     dir_deriv_second,
     second_subderivative,
@@ -151,7 +150,7 @@ def _subdiff_reference(h, c):
     E, e, F, f = [], [], [], []
     for k in prof.active_pieces:
         g = h.piece_gradient(k, c)
-        rays, lin = cone_generators(h.tangent_rows(k, c))
+        rays, lin = cone_generators(h.tangent_rows_at(k, h.active_hyperplane_set(c)))
         E += lin
         e += [float(l @ g) for l in lin]
         F += rays
@@ -320,18 +319,6 @@ class TestFiniteDifferenceOracles:
                 assert abs(lhs - rhs) <= 1e-9 * (1 + abs(lhs))
                 checked += 1
             assert checked > 150
-
-
-class TestConePairPolarity:
-    def test_polarity_gap(self):
-        rng = np.random.default_rng(31)
-        for build in (l1_plq, max2_plq, halfquad_plq, nlp_plq):
-            h = build()
-            for _ in range(30):
-                c = sample_domain_point(h, rng)
-                prof = eval_with_active(h, c)
-                for k in prof.active_pieces:
-                    assert cone_pair(h, c, k).polarity_gap(rng=rng) <= 1e-10
 
 
 class TestPolyhedronH:

@@ -20,6 +20,7 @@ from plqnewton.composite import CompositeProblem
 from plqnewton.errors import PreconditionError
 from plqnewton.exprmap import SmoothMap
 from plqnewton.manifold import build_manifold
+from plqnewton.numerics import matrix_rank_rel
 from plqnewton.problems import parse_problem_dict
 from plqnewton.solver import solve_subproblem_enum
 
@@ -212,9 +213,11 @@ class TestRestrictedKKTMatrix:
         # the matrix is [[1,1,0],[0,1,-1],[1,0,0]] with determinant -1.
         M = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, -1.0], [1.0, 0.0, 0.0]])
         assert np.linalg.det(M) == pytest.approx(-1.0)
-        from plqnewton.certify import _nonsingular_by_lu
-
-        assert _nonsingular_by_lu(M)
+        assert matrix_rank_rel(M) == 3
+        # The same matrix with its last row replaced by the sum of the first
+        # two is singular, and the rank test says so.
+        M[2] = M[0] + M[1]
+        assert matrix_rank_rel(M) == 2
 
 
 def _count_calls(monkeypatch, module, name):

@@ -173,6 +173,15 @@ class TestMainEntry:
         assert res.returncode == 0
         assert "converged: True" in res.stdout
 
+    def test_import_loads_no_scipy(self):
+        # numpy is the only runtime dependency; scipy serves the tests alone.
+        res = subprocess.run([sys.executable, "-c",
+                              "import sys, plqnewton.cli; print(sorted(m for m in sys.modules "
+                              "if m.split('.')[0] == 'scipy'))"],
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"
+
 
 def _sumsq_file(tmp_path, c, x):
     """A one-piece problem h(c) = |c|^2 / 2 over R^2 started at x."""

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from plqnewton.benchmarks import l1_plq, l1sq_plq, max2_plq
 from plqnewton.calculus import subdiff_hrep
 from plqnewton.errors import MembershipError, RegimeError, DomainError
 from plqnewton.manifold import (
+    SC_TOL,
+    _zeta_realizable,
     build_manifold,
     certify_partial_smoothness,
     manifold_contains,
@@ -114,11 +117,10 @@ class TestMuOf:
         c = np.array([0.5, 0.5])
         y = np.array([0.3, 0.7])
         mu = mu_of(md, c, y)
-        lhs = md.block_J() @ y
-        rhs = md.block_Q() @ c + md.block_b()
         for j in range(md.kbar):
-            rhs[j * md.m:(j + 1) * md.m] += md.AP(j) @ mu.blocks[j]
-        assert np.allclose(lhs, rhs, atol=1e-10)
+            piece = md.piece(j)
+            rhs = piece.Q @ c + piece.b + md.AP(j) @ mu.blocks[j]
+            assert np.allclose(y, rhs, atol=1e-10)
 
 
 class TestTangentNormal:
@@ -135,10 +137,10 @@ class TestTangentNormal:
         for h, c in ((l1sq_plq(), [1.0, 0.0]), (l1sq_plq(), [0.0, 0.0]), (l1_plq(), [1.0, 0.0])):
             md = build_manifold(h, c)
             W = nullspace_basis(md.A.T)
+            scale = 1.0 + max(np.max(np.abs(md.piece(j).Q)) for j in range(md.kbar))
             for i in range(md.kbar):
                 for j in range(md.kbar):
                     dQ = md.piece(i).Q - md.piece(j).Q
-                    scale = 1.0 + np.max(np.abs(md.block_Q()))
                     for p in range(W.shape[1]):
                         assert dist_to_range(dQ @ W[:, p], md.A) <= 1e-9 * scale
 
@@ -242,3 +244,98 @@ class TestPartialSmoothness:
         cert = certify_partial_smoothness(md, [1.0, 1.0], [0.5, 0.5])
         assert not cert.certified
         assert "degenerate A" in cert.reasons
+
+
+def _realizable_by_lp(A, P, mu, p):
+    """The LP oracle of realizability: maximize t <= 1 over two nonnegative
+    solutions mu+, mu- of the block system (Q_j c + b_j + A P_j mu_j equal for
+    every j; its right-hand side is taken from mu, so mu solves it) with
+    mu+ - mu- = t zeta_p; zeta_p is realizable when the optimum exceeds 1e-9."""
+    from scipy.optimize import linprog
+
+    k, ell = P.shape
+    m = A.shape[0]
+    q = k * ell
+    block_A = np.zeros((k * m, q))
+    for r in range(k):
+        for j in range(k):
+            coef = (1.0 - k) if r == j else 1.0
+            block_A[r * m:(r + 1) * m, j * ell:(j + 1) * ell] = coef * A * P[j]
+    rhs = block_A @ mu.reshape(-1)
+    zeta = np.zeros(q)
+    zeta[p::ell] = P[:, p]
+    zero_block, zero_col = np.zeros_like(block_A), np.zeros((k * m, 1))
+    A_eq = np.block([[block_A, zero_block, zero_col],
+                     [zero_block, block_A, zero_col],
+                     [np.eye(q), -np.eye(q), -zeta[:, None]]])
+    b_eq = np.concatenate([rhs, rhs, np.zeros(q)])
+    obj = np.zeros(2 * q + 1)
+    obj[-1] = -1.0
+    # HiGHS's default tolerances (1e-7) call LPs whose optimum is a few SC_TOL
+    # infeasible; its tightest ones resolve them.
+    res = linprog(obj, A_eq=A_eq, b_eq=b_eq, bounds=[(0, None)] * (2 * q) + [(None, 1.0)],
+                  method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                           "dual_feasibility_tolerance": 1e-10})
+    return res.status == 0 and -res.fun > 1e-9
+
+
+_above_sc = st.one_of(st.floats(SC_TOL * (1 + 1e-6), 3 * SC_TOL), st.floats(1e-3, 3.0))
+_at_most_sc = st.sampled_from((0.0, 1e-12, 0.5 * SC_TOL, SC_TOL))
+
+
+@st.composite
+def _block_multipliers(draw):
+    """(A, P, mu, k_strict): k_bar in 2..4 sign vectors, the last all +1 as
+    for the reference piece, a full-column-rank m x ell matrix A with m in
+    {ell, ell + 1}, and a block multiplier mu >= 0. When k_strict, entries of
+    mu at or below SC_TOL, exact zeros included, lie only in columns whose
+    signs are all +1, every other entry is above SC_TOL, down to just above
+    it, and one block is wholly above SC_TOL; otherwise any entry may be
+    small."""
+    k = draw(st.integers(2, 4))
+    ell = draw(st.integers(1, 3))
+    P = np.ones((k, ell))
+    for p in range(ell):
+        if not draw(st.booleans()):  # a column with both signs
+            P[:k - 1, p] = [draw(st.sampled_from((-1.0, 1.0))) for _ in range(k - 1)]
+            P[draw(st.integers(0, k - 2)), p] = -1.0
+    k_strict = draw(st.booleans())
+    positive_block = draw(st.integers(0, k - 1))
+    mu = np.array([[draw(_above_sc if k_strict and (j == positive_block or np.any(P[:, p] < 0))
+                         else st.one_of(_at_most_sc, _above_sc))
+                    for p in range(ell)] for j in range(k)])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    A = rng.standard_normal((ell + draw(st.integers(0, 1)), ell))
+    return A, P, mu, k_strict
+
+
+class TestZetaRealizable:
+    @settings(max_examples=150, deadline=None)
+    @given(_block_multipliers())
+    @example((np.eye(3),
+              np.array([[-1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [1.0, 1.0, 1.0]]),
+              np.array([[1.50e-8, 1.72e-8, 2.24e-8],
+                        [1.331, 0.330, 0.534],
+                        [1.199, 1.847, 1.654]]), True))
+    @example((np.array([[-0.00497750284237397, -0.5501650895403997, 0.6629321996878393],
+                        [-1.7794762312288845, -0.941111704254921, 0.2865549998432787],
+                        [0.6923258043006366, -0.3377568766073392, -0.28005759670090796],
+                        [1.2466833968408477, -0.38517668092320306, 1.6225324783979806]]),
+              np.array([[1.0, 1.0, 1.0], [-1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, 1.0]]),
+              np.array([[1.4e-8, 2.4, 1.3e-8], [1.6, 2.5e-8, 1.6e-8],
+                        [2.3e-8, 0.92, 5e-9], [0.88, 2.9e-8, 5e-9]]), True))
+    @example((np.array([[1.18380392, -0.49153562], [0.46059857, 0.96042997],
+                        [-0.46554071, -0.18438057]]),
+              np.array([[-1.0, 1.0], [1.0, 1.0]]),
+              np.array([[2.40135401e-8, 1.000001e-8], [1.42206237e-8, 0.0]]), True))
+    def test_closed_form_agrees_with_lp(self, case):
+        # The first two examples are k-strict points where the in-house
+        # simplex, solving this LP, found no t > 0. The first is quoted rounded
+        # and without its A; on the second it reports the LP of p = 2
+        # infeasible. The third needs the oracle's tight tolerances: its
+        # optimum at p = 0 is t = 3.8e-8.
+        A, P, mu, k_strict = case
+        got = _zeta_realizable(tuple(P), mu)
+        assert got == tuple(_realizable_by_lp(A, P, mu, p) for p in range(P.shape[1]))
+        # At a k-strict point every direction is realizable.
+        assert all(got) or not k_strict

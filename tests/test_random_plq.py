@@ -105,12 +105,14 @@ def test_random_1d_plq_properties(seed):
         assert prof.kbar == 2
         md = build_manifold(h, [tk])
         assert md.nondegenerate and md.ell == 1
-        # Block system consistency at the breakpoint.
-        assert np.allclose(md.block_A() @ md.zeta_basis(), 0.0, atol=1e-12)
         if right - left > 1e-6:
+            # Block system consistency at the breakpoint: y = Q_j c + b_j +
+            # A P_j mu_j for each of the two active pieces.
             y = np.array([mid])
             mu = mu_of(md, [tk], y)
-            assert np.allclose(md.block_A() @ mu.flat, md.mu_rhs([tk]), atol=1e-8)
+            for j in range(md.kbar):
+                grad = md.piece(j).Q @ [tk] + md.piece(j).b
+                assert np.allclose(grad + md.AP(j) @ mu.blocks[j], y, atol=1e-8)
             strict = strictness_check(md, [tk], y)
             assert strict.ri_member and strict.k_strict
 
