@@ -210,17 +210,30 @@ class PolyhedronH:
 
     def implicit_equality_mask(self):
         """Inequality rows that hold with equality (within MEMB_TOL) on the whole
-        set, by one support LP per row; `_hull_split` computes it once."""
+        set; `_hull_split` computes it once.
+
+        One max-slack LP gives a point y of P. A row with slack above MEMB_TOL
+        plus y's violation is not an implicit equality (Schrijver, *Theory of
+        Linear and Integer Programming*, 1986, §8.2). Each remaining row gets
+        a support LP, one per distinct row. A y outside P clears no row."""
         mask = np.zeros(self.F.shape[0], dtype=bool)
-        for i in range(self.F.shape[0]):
-            val, _ = self.support(-self.F[i])  # max of -F_i y  ==  -(min F_i y)
-            if val is None:
-                return mask  # empty set: meaningless, caller checks emptiness
-            if np.isinf(val):
-                continue
-            min_row = -val
-            if self.f[i] - min_row <= MEMB_TOL:
-                mask[i] = True
+        if not mask.size:
+            return mask
+        blocks = self._lp_blocks()
+        y, _ = max_slack_point(self.F, self.f, E=blocks["E"], e=blocks["e"], cap=1.0)
+        if y is not None and self.contains(y):
+            cleared = self.f - self.F @ y > MEMB_TOL + self.violation(y)
+        else:
+            cleared = mask.copy()
+        row_min = {}  # min of F_i y over P, by the bytes of the row
+        for i in np.flatnonzero(~cleared):
+            key = self.F[i].tobytes()
+            if key not in row_min:
+                val, _ = self.support(-self.F[i])  # max of -F_i y  ==  -(min F_i y)
+                if val is None:
+                    return mask  # empty set: meaningless, caller checks emptiness
+                row_min[key] = -val
+            mask[i] = self.f[i] - row_min[key] <= MEMB_TOL
         return mask
 
     @cached_property

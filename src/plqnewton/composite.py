@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import PolyhedronH, dir_deriv_first, subdiff_hrep, subdiff_hrep_at
+from .calculus import PolyhedronH, dir_deriv_first, subdiff_hrep_at
 from .errors import DomainError, PreconditionError
 from .exprmap import Linearization, SmoothMap
 from .numerics import as_vector, matrix_rank_rel, nullspace_basis
@@ -130,7 +130,7 @@ def analyze_point(p: CompositeProblem, x) -> PointAnalysis:
     if not prof.is_finite:
         raise DomainError("c(x) is outside dom h")
     N = nullspace_basis(jac.T)
-    sub = subdiff_hrep(p.h, cx)
+    sub = subdiff_hrep_at(p.h, prof, cx)
     bcq = _bcq(p.h, cx, prof, N)
 
     poly = PolyhedronH(np.vstack([sub.E, jac.T]), np.concatenate([sub.e, np.zeros(p.n)]),

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from plqnewton import calculus
 from plqnewton.benchmarks import halfquad_plq, l1_plq, l1sq_plq, max2_plq, nlp_plq, sumsq_plq
 from plqnewton.calculus import (
+    MEMB_TOL,
     PolyhedronH,
     cone_contains,
     cone_generators,
@@ -363,3 +366,108 @@ class TestPolyhedronH:
     def test_cone_contains_scale(self):
         assert cone_contains([[1.0, 0.0]], [-5.0, 3.0])
         assert not cone_contains([[1.0, 0.0]], [0.1, 0.0])
+
+
+def _support_loop_mask(P: PolyhedronH):
+    """The implicit-equality mask by one support LP per inequality row: the
+    reference the max-slack shortcut must reproduce."""
+    mask = np.zeros(P.F.shape[0], dtype=bool)
+    for i in range(P.F.shape[0]):
+        val, _ = P.support(-P.F[i])
+        if val is None:
+            return mask
+        if np.isinf(val):
+            continue
+        mask[i] = P.f[i] + val <= MEMB_TOL
+    return mask
+
+
+def _random_polyhedron(rng):
+    """Small-integer data in dim 2-4 around an integer point y0: rows tight or
+    slack at y0, opposed pairs a y <= b, -a y <= -b (forced implicit
+    equalities; now and then shifted apart so the set is empty), exact and
+    scaled duplicates, non-unit rows and an equality block. With few rows the
+    set is unbounded."""
+    d = int(rng.integers(2, 5))
+    y0 = rng.integers(-2, 3, d).astype(float)
+
+    def row():
+        while True:
+            a = rng.integers(-3, 4, d).astype(float)
+            if np.any(a):
+                return a
+
+    F, f = [], []
+    for _ in range(int(rng.integers(1, 6))):
+        a = row()
+        F.append(a)
+        f.append(a @ y0 + rng.choice([0.0, 0.0, 1.0, 2.0]))
+    for _ in range(int(rng.integers(0, 3))):
+        a, gap = row(), float(rng.random() < 0.1)
+        k1, k2 = rng.integers(1, 4, 2)
+        F += [k1 * a, -k2 * a]
+        f += [k1 * (a @ y0), -k2 * (a @ y0 + gap)]
+    for i in rng.integers(0, len(F), int(rng.integers(0, 4))):
+        F.append(F[i] * rng.choice([1.0, 1.0, 2.0, 0.5]))
+        f.append(f[i] * (F[-1] @ F[i]) / (F[i] @ F[i]))
+    E = [row() for _ in range(int(rng.integers(0, 3)))]
+    e = [a @ y0 + float(rng.random() < 0.1) for a in E]
+    order = rng.permutation(len(F))
+    return PolyhedronH(np.array(E).reshape(len(E), d), np.array(e),
+                       np.array(F)[order], np.array(f)[order])
+
+
+class TestImplicitEqualityMask:
+    """`implicit_equality_mask` clears rows with slack at one max-slack point
+    and runs a support LP per distinct remaining row; it must give the
+    per-row support-LP mask."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 100_000))
+    def test_matches_one_support_lp_per_row(self, seed):
+        P = _random_polyhedron(np.random.default_rng(seed))
+        assert np.array_equal(P.implicit_equality_mask(), _support_loop_mask(P))
+
+    def test_generator_covers_every_case(self):
+        kinds = set()
+        for seed in range(200):
+            P = _random_polyhedron(np.random.default_rng(seed))
+            if P.is_empty():
+                kinds.add("empty")
+                continue
+            if np.isinf(P.support(np.ones(P.dim))[0]):
+                kinds.add("unbounded")
+            if P.implicit_equality_mask().any():
+                kinds.add("implicit")
+            if len({r.tobytes() for r in P.F}) < P.F.shape[0]:
+                kinds.add("duplicate")
+            if P.E.shape[0]:
+                kinds.add("equalities")
+        assert kinds == {"empty", "unbounded", "implicit", "duplicate", "equalities"}
+
+    def test_point_outside_clears_no_row(self, monkeypatch):
+        # {0} as y1 <= 0, y2 <= 0, -y1 - y2 <= 0: every row is an implicit
+        # equality. At (-1, 0) row 1 has slack 1, more than the violation
+        # 1/sqrt(2), so only the membership check keeps it in the mask.
+        P = PolyhedronH(np.zeros((0, 2)), np.zeros(0),
+                        np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]), np.zeros(3))
+        monkeypatch.setattr(calculus, "max_slack_point",
+                            lambda *args, **kwargs: (np.array([-1.0, 0.0]), 1.0))
+        supports = []
+        real_support = PolyhedronH.support
+        monkeypatch.setattr(PolyhedronH, "support",
+                            lambda self, w: supports.append(w) or real_support(self, w))
+        assert P.implicit_equality_mask().tolist() == [True, True, True]
+        assert len(supports) == 3
+
+    def test_one_support_lp_per_distinct_row(self, monkeypatch):
+        # A segment {y1 = 1, |y2| <= 1} whose two equality rows appear three
+        # times each: eight rows, four distinct, each LP'd at most once.
+        rows = np.array([[1.0, 0.0], [-1.0, 0.0]] * 3 + [[0.0, 1.0], [0.0, -1.0]])
+        P = PolyhedronH(np.zeros((0, 2)), np.zeros(0), rows, np.array([1.0, -1.0] * 3 + [1.0, 1.0]))
+        supports = []
+        real_support = PolyhedronH.support
+        monkeypatch.setattr(PolyhedronH, "support",
+                            lambda self, w: supports.append(w) or real_support(self, w))
+        assert P.implicit_equality_mask().tolist() == [True] * 6 + [False] * 2
+        assert len({w.tobytes() for w in supports}) == len(supports) <= 4

@@ -236,23 +236,26 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def _weighted_l1_crossing():
-    """sum_i w_i |c_i| with c_i = x_i + a_i x_{i+1}^2 (cyclic), s = 3 hyperplanes
-    and all 8 sign pieces; x = 0 sits on the crossing with y = 0."""
-    w, a = (0.7, 1.3, 1.9), (0.3, -0.5, 0.4)
-    doc = {"name": "crossing3", "n": 3, "m": 3,
-           "h": {"m": 3,
-                 "hyperplanes": [{"a": list(np.eye(3)[i]), "alpha": 0.0} for i in range(3)],
-                 "pieces": [{"signs": list(s), "b": [-si * wi for si, wi in zip(s, w)]}
-                            for s in itertools.product((-1, 1), repeat=3)]},
-           "c": [f"x{i + 1} + {a[i]}*x{(i + 1) % 3 + 1}^2" for i in range(3)],
-           "reference": {"x": [0.0] * 3, "y": [0.0] * 3}}
+def _weighted_l1_crossing(w=(0.7, 1.3, 1.9), a=(0.3, -0.5, 0.4)):
+    """sum_i w_i |c_i| with c_i = x_i + a_i x_{i+1}^2 (cyclic), s = len(w)
+    hyperplanes and all 2^s sign pieces; x = 0 sits on the crossing with y = 0."""
+    s = len(w)
+    doc = {"name": f"crossing{s}", "n": s, "m": s,
+           "h": {"m": s,
+                 "hyperplanes": [{"a": list(np.eye(s)[i]), "alpha": 0.0} for i in range(s)],
+                 "pieces": [{"signs": list(sg), "b": [-si * wi for si, wi in zip(sg, w)]}
+                            for sg in itertools.product((-1, 1), repeat=s)]},
+           "c": [f"x{i + 1} + {a[i]}*x{(i + 1) % s + 1}^2" for i in range(s)],
+           "reference": {"x": [0.0] * s, "y": [0.0] * s}}
     return parse_problem_dict(doc)
 
 
 class TestOneAnalysisPerPoint:
     """A certify run analyzes its point once: one subdifferential at c(xbar),
-    one bcq LP sweep, one manifold and one strictness check, and few LPs."""
+    from the profile the analysis already holds, one bcq LP sweep, one
+    manifold and one strictness check, and few LPs. One max-slack LP decides
+    the implicit equalities of a full-dimensional subdifferential, so the LP
+    count does not grow with the 2^(s-1) copies of each box facet."""
 
     def _certify(self, monkeypatch, pf, counted):
         calls = {name: _count_calls(monkeypatch, module, name) for module, name in counted}
@@ -264,19 +267,26 @@ class TestOneAnalysisPerPoint:
     def test_cross_l1_reference(self, monkeypatch):
         pf = parse_problem_dict(cross_l1().as_problem_dict())
         calls = self._certify(monkeypatch, pf, (
-            (calculus, "subdiff_hrep"), (composite, "_bcq"), (manifold, "build_manifold"),
-            (manifold, "strictness_check"), (simplex, "solve_lp")))
+            (calculus, "subdiff_hrep_at"), (plq, "eval_with_active"), (composite, "_bcq"),
+            (manifold, "build_manifold"), (manifold, "strictness_check"),
+            (simplex, "solve_lp")))
         cbar = pf.problem.c.value(pf.reference[0])
-        assert len(calls["subdiff_hrep"]) == 1
-        assert np.array_equal(calls["subdiff_hrep"][0][1], cbar)
+        assert len(calls["subdiff_hrep_at"]) == 1
+        assert np.array_equal(calls["subdiff_hrep_at"][0][2], cbar)
+        assert len(calls["eval_with_active"]) <= 2
         assert len(calls["_bcq"]) == 1
         assert len(calls["build_manifold"]) == 1
         assert len(calls["strictness_check"]) == 1
-        assert len(calls["solve_lp"]) <= 30
+        assert len(calls["solve_lp"]) <= 6
 
     def test_three_hyperplane_crossing_reference(self, monkeypatch):
         calls = self._certify(monkeypatch, _weighted_l1_crossing(), ((simplex, "solve_lp"),))
-        assert len(calls["solve_lp"]) <= 60
+        assert len(calls["solve_lp"]) <= 6
+
+    def test_four_hyperplane_crossing_reference(self, monkeypatch):
+        pf = _weighted_l1_crossing(w=(0.7, 1.3, 1.9, 0.9), a=(0.3, -0.5, 0.4, 0.6))
+        calls = self._certify(monkeypatch, pf, ((simplex, "solve_lp"),))
+        assert len(calls["solve_lp"]) <= 6
 
 
 class TestPolyhedralDataOnce:
