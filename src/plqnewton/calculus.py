@@ -31,6 +31,9 @@ from .simplex import feasible_point, max_slack_point, support_value
 
 # Uniform membership slack for polyhedral tests.
 MEMB_TOL = 1e-9
+# Slack, scaled by 1 + |y|, above which a row at a max-slack point y is no
+# implicit equality (see `PolyhedronH.implicit_equality_mask`).
+CLEAR_MARGIN = 1e-6
 
 
 # -- double description -----------------------------------------------------
@@ -212,28 +215,28 @@ class PolyhedronH:
         """Inequality rows that hold with equality (within MEMB_TOL) on the whole
         set; `_hull_split` computes it once.
 
-        One max-slack LP gives a point y of P. A row with slack above MEMB_TOL
-        plus y's violation is not an implicit equality (Schrijver, *Theory of
-        Linear and Integer Programming*, 1986, §8.2). Each remaining row gets
-        a support LP, one per distinct row. A y outside P clears no row."""
+        One max-slack LP gives a point y. At a y in P, a row with slack above
+        MEMB_TOL is not an implicit equality (Schrijver, *Theory of Linear and
+        Integer Programming*, 1986, §8.2). The LP's y passes `contains` yet may
+        lie outside P by up to MEMB_TOL (1 + |y|), and an implicit row's slack
+        there can reach the Hoffman constant of P times that. So only a row
+        with slack above CLEAR_MARGIN (1 + |y|) is cleared, which holds for
+        Hoffman constants up to about 1000; every other row gets a support LP.
+        A y that fails `contains` clears no row."""
         mask = np.zeros(self.F.shape[0], dtype=bool)
         if not mask.size:
             return mask
         blocks = self._lp_blocks()
         y, _ = max_slack_point(self.F, self.f, E=blocks["E"], e=blocks["e"], cap=1.0)
         if y is not None and self.contains(y):
-            cleared = self.f - self.F @ y > MEMB_TOL + self.violation(y)
+            cleared = self.f - self.F @ y > CLEAR_MARGIN * (1.0 + float(np.linalg.norm(y)))
         else:
             cleared = mask.copy()
-        row_min = {}  # min of F_i y over P, by the bytes of the row
         for i in np.flatnonzero(~cleared):
-            key = self.F[i].tobytes()
-            if key not in row_min:
-                val, _ = self.support(-self.F[i])  # max of -F_i y  ==  -(min F_i y)
-                if val is None:
-                    return mask  # empty set: meaningless, caller checks emptiness
-                row_min[key] = -val
-            mask[i] = self.f[i] - row_min[key] <= MEMB_TOL
+            val, _ = self.support(-self.F[i])  # max of -F_i y  ==  -(min F_i y)
+            if val is None:
+                return mask  # empty set: meaningless, caller checks emptiness
+            mask[i] = self.f[i] + val <= MEMB_TOL
         return mask
 
     @cached_property

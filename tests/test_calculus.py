@@ -419,8 +419,8 @@ def _random_polyhedron(rng):
 
 class TestImplicitEqualityMask:
     """`implicit_equality_mask` clears rows with slack at one max-slack point
-    and runs a support LP per distinct remaining row; it must give the
-    per-row support-LP mask."""
+    and runs a support LP per remaining row; it must give the per-row
+    support-LP mask."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 100_000))
@@ -460,14 +460,17 @@ class TestImplicitEqualityMask:
         assert P.implicit_equality_mask().tolist() == [True, True, True]
         assert len(supports) == 3
 
-    def test_one_support_lp_per_distinct_row(self, monkeypatch):
-        # A segment {y1 = 1, |y2| <= 1} whose two equality rows appear three
-        # times each: eight rows, four distinct, each LP'd at most once.
-        rows = np.array([[1.0, 0.0], [-1.0, 0.0]] * 3 + [[0.0, 1.0], [0.0, -1.0]])
-        P = PolyhedronH(np.zeros((0, 2)), np.zeros(0), rows, np.array([1.0, -1.0] * 3 + [1.0, 1.0]))
-        supports = []
-        real_support = PolyhedronH.support
-        monkeypatch.setattr(PolyhedronH, "support",
-                            lambda self, w: supports.append(w) or real_support(self, w))
-        assert P.implicit_equality_mask().tolist() == [True] * 6 + [False] * 2
-        assert len({w.tobytes() for w in supports}) == len(supports) <= 4
+    def test_thin_set_point_just_outside_clears_no_implicit_row(self, monkeypatch):
+        # {0} as the thin wedge (1, s) y <= 0, (-1, s) y <= 0 and -y2 <= 0,
+        # rows normalized: every row is an implicit equality. At (0, t) the
+        # wedge rows are violated by s t / sqrt(1 + s^2), inside `contains`,
+        # while -y2 <= 0 has slack t, about 100 times that: above MEMB_TOL
+        # plus the violation, below CLEAR_MARGIN, so a support LP keeps it.
+        s = 0.01
+        t = 0.5 * calculus.MEMB_TOL * np.sqrt(1 + s * s) / s
+        P = PolyhedronH(np.zeros((0, 2)), np.zeros(0),
+                        np.array([[1.0, s], [-1.0, s], [0.0, -1.0]]), np.zeros(3))
+        y = np.array([0.0, t])
+        assert P.contains(y) and t > calculus.MEMB_TOL + P.violation(y)
+        monkeypatch.setattr(calculus, "max_slack_point", lambda *args, **kwargs: (y, 0.0))
+        assert P.implicit_equality_mask().tolist() == [True, True, True]
