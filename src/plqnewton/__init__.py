@@ -43,8 +43,9 @@ from .composite import (
     kkt_residual,
     multiplier_set,
     nonascent_contains,
+    qualification_chain,
 )
-from .exprmap import Linearization, SmoothMap, evaluate_map, parse_expr
+from .exprmap import Linearization, SmoothMap, parse_expr
 from .manifold import (
     ManifoldData,
     MuVector,

@@ -211,24 +211,34 @@ class PolyhedronH:
         """(max <w,y>, argmax); (inf, None) when unbounded, (None, None) when empty."""
         return support_value(w, **self._lp_blocks())
 
+    @cached_property
+    def _slack_point(self):
+        """The point of one max-slack LP over the inequality rows, or None when
+        there are no such rows or the point fails `contains`. Cached: the mask
+        clears rows with it and `is_singleton` takes it as a point of P."""
+        if not self.F.shape[0]:
+            return None
+        blocks = self._lp_blocks()
+        y, _ = max_slack_point(self.F, self.f, E=blocks["E"], e=blocks["e"], cap=1.0)
+        return y if y is not None and self.contains(y) else None
+
     def implicit_equality_mask(self):
         """Inequality rows that hold with equality (within MEMB_TOL) on the whole
-        set; `_hull_split` computes it once.
+        set; `hull_split` computes it once.
 
-        One max-slack LP gives a point y. At a y in P, a row with slack above
-        MEMB_TOL is not an implicit equality (Schrijver, *Theory of Linear and
-        Integer Programming*, 1986, §8.2). The LP's y passes `contains` yet may
-        lie outside P by up to MEMB_TOL (1 + |y|), and an implicit row's slack
+        At a y in P, a row with slack above MEMB_TOL is not an implicit
+        equality (Schrijver, *Theory of Linear and Integer Programming*, 1986,
+        §8.2); y is `_slack_point`. That y passes `contains` yet may lie
+        outside P by up to MEMB_TOL (1 + |y|), and an implicit row's slack
         there can reach the Hoffman constant of P times that. So only a row
         with slack above CLEAR_MARGIN (1 + |y|) is cleared, which holds for
         Hoffman constants up to about 1000; every other row gets a support LP.
-        A y that fails `contains` clears no row."""
+        Without a slack point no row is cleared."""
         mask = np.zeros(self.F.shape[0], dtype=bool)
         if not mask.size:
             return mask
-        blocks = self._lp_blocks()
-        y, _ = max_slack_point(self.F, self.f, E=blocks["E"], e=blocks["e"], cap=1.0)
-        if y is not None and self.contains(y):
+        y = self._slack_point
+        if y is not None:
             cleared = self.f - self.F @ y > CLEAR_MARGIN * (1.0 + float(np.linalg.norm(y)))
         else:
             cleared = mask.copy()
@@ -240,7 +250,7 @@ class PolyhedronH:
         return mask
 
     @cached_property
-    def _hull_split(self):
+    def hull_split(self):
         """(A, b, Fr, fr): the equalities plus the implicit-equality rows, which
         describe aff(P), and the remaining inequality rows. Cached: the
         polyhedron is immutable, so recomputing would give the same rows."""
@@ -252,7 +262,7 @@ class PolyhedronH:
 
     def affine_hull(self):
         """Stacked equality system (A, b) describing aff(P), implicit rows included."""
-        return self._hull_split[:2]
+        return self.hull_split[:2]
 
     def parallel_basis(self):
         """Orthonormal basis (columns) of the subspace parallel to aff(P)."""
@@ -260,10 +270,13 @@ class PolyhedronH:
         return nullspace_basis(A) if A.shape[0] else np.eye(self.dim)
 
     def is_singleton(self):
-        """(True, point) for a zero-dimensional nonempty set, else (False, any point or None)."""
-        x = self.feasible_point()
+        """(True, point) for a zero-dimensional nonempty set, else (False, any
+        point or None). A feasibility LP runs only without a `_slack_point`."""
+        x = self._slack_point
         if x is None:
-            return False, None
+            x = self.feasible_point()
+            if x is None:
+                return False, None
         if self.parallel_basis().shape[1] == 0:
             A, b = self.affine_hull()
             pt, *_ = np.linalg.lstsq(A, b, rcond=None)
@@ -275,7 +288,7 @@ class PolyhedronH:
         uniform slack `depth` <= 1 on the inequalities that are not implicit
         equalities; depth is inf without such rows, negative when they cannot
         all hold, and (None, None) means the equalities cannot hold."""
-        A, b, Fr, fr = self._hull_split
+        A, b, Fr, fr = self.hull_split
         E, e = np.vstack([A, rows]), np.concatenate([b, rhs])
         if Fr.shape[0] == 0:
             x = feasible_point(E=E, e=e, dim=self.dim) if E.shape[0] else np.zeros(self.dim)

@@ -3,20 +3,21 @@
 The multiplier set at x is Null(Jac(x)^T) intersected with the subdifferential
 of h at c(x). The three nested qualifications are checked as follows:
 
-  bcq: Null(Jac^T) meets the normal cone of dom h at c(x) only at 0, decided
-       by feasibility LPs over the normal-cone generators restricted to a
-       nullspace basis;
   tc:  Null(Jac^T) meets the subspace parallel to the subdifferential only
        at 0, decided by a rank test on the stacked bases;
+  bcq: Null(Jac^T) meets the normal cone of dom h at c(x), the recession
+       cone of the subdifferential, only at 0: implied by tc, else decided
+       by double description on that cone restricted to Null(Jac^T);
   sc:  Null(Jac^T) meets the relative interior of the subdifferential in a
        single point, decided by an interior-slack LP plus the tc rank test.
 
-The chain is computed once per point: `analyze_point` derives bcq, the
-multiplier set and the CQReport from one first-order sweep of c, one
-nullspace and one subdifferential; `bcq_holds`, `multiplier_set`, `check_cqs`
-and `nonascent_contains` are thin entry points over it. The only state is the
-implicit-equality mask a polyhedron caches on first use; computing it is
-idempotent, so concurrent checks on one problem are safe.
+The chain is computed once per point: `analyze_point` makes one first-order
+sweep of c and one subdifferential, and `qualification_chain` derives bcq,
+tc, sc and the multiplier set from that nullspace and that polyhedron;
+`bcq_holds`, `multiplier_set`, `check_cqs` and `nonascent_contains` are thin
+entry points over it. The only state is the implicit-equality data a
+polyhedron caches on first use; computing it is idempotent, so concurrent
+checks on one problem are safe.
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import PolyhedronH, dir_deriv_first, subdiff_hrep_at
+from .calculus import PolyhedronH, cone_generators, dir_deriv_first, subdiff_hrep_at
 from .errors import DomainError, PreconditionError
 from .exprmap import Linearization, SmoothMap
 from .numerics import as_vector, matrix_rank_rel, nullspace_basis
 from .plq import ActiveProfile, PLQFunction, eval_with_active
-from .simplex import feasible_point
 
 RI_SLACK = 1e-7
 
@@ -102,15 +102,14 @@ class KKTResidual:
 @dataclass(frozen=True)
 class PointAnalysis:
     """One point x, analyzed once: c(x) and jac = Jac c(x) from one
-    first-order sweep, an orthonormal basis N of Null(jac^T), the
-    subdifferential `sub` of h at c(x), and what `analyze_point` derives."""
+    first-order sweep, the subdifferential `sub` of h at c(x), and what
+    `qualification_chain` derives from Null(jac^T) and `sub`."""
 
     p: CompositeProblem
     x: np.ndarray
     cx: np.ndarray
     prof: ActiveProfile
     jac: np.ndarray
-    N: np.ndarray
     sub: PolyhedronH
     multipliers: MultiplierSet
     cqs: CQReport
@@ -129,25 +128,46 @@ def analyze_point(p: CompositeProblem, x) -> PointAnalysis:
     prof = eval_with_active(p.h, cx)
     if not prof.is_finite:
         raise DomainError("c(x) is outside dom h")
-    N = nullspace_basis(jac.T)
     sub = subdiff_hrep_at(p.h, prof, cx)
-    bcq = _bcq(p.h, cx, prof, N)
+    mult, cqs = qualification_chain(sub, jac.T)
+    return PointAnalysis(p, x, cx, prof, jac, sub, mult, cqs)
 
-    poly = PolyhedronH(np.vstack([sub.E, jac.T]), np.concatenate([sub.e, np.zeros(p.n)]),
-                       sub.F, sub.f)
+
+def qualification_chain(C: PolyhedronH, rows) -> tuple[MultiplierSet, CQReport]:
+    """The multiplier set S n C and the qualifications of the subspace
+    S = Null(rows) against a nonempty polyhedron C (at a point x: rows =
+    Jac(x)^T and C the subdifferential at c(x)).
+
+      tc:  S meets par C only at 0, by a rank test on the stacked bases;
+      bcq: S meets rec C (the normal cone of dom h for a subdifferential)
+           only at 0. True with tc, since rec C lies in par C; otherwise
+           rec C n S = {B u : Fr B u <= 0} for a basis B of S n par C and
+           the rows Fr of C that are not implicit equalities, and double
+           description decides whether that cone is {0};
+      sc:  S meets ri C, with interior slack at least RI_SLACK, and tc.
+    """
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    N = nullspace_basis(rows)
+    tc = _tc_from_bases(N, C.parallel_basis())
+    bcq = tc
+    if not tc:
+        A, _, Fr, _ = C.hull_split
+        rays, lin = cone_generators(Fr @ nullspace_basis(np.vstack([rows, A])))
+        bcq = not rays and not lin
+
+    zeros = np.zeros(rows.shape[0])
+    poly = PolyhedronH(np.vstack([C.E, rows]), np.concatenate([C.e, zeros]), C.F, C.f)
     single, y = poly.is_singleton()
     status = "singleton" if single else "empty" if y is None else "nonsingleton"
     mult = MultiplierSet(poly, status, y if single else None, bcq,
                          "" if bcq else "unsupported-by-theory: bcq fails at x")
 
-    tc = _tc_from_bases(N, sub.parallel_basis())
-    # sc: a point of the subdifferential in Null(jac^T), RI_SLACK inside ri.
-    ybar, depth = sub.ri_slack(jac.T, np.zeros(p.n))
+    ybar, depth = C.ri_slack(rows, zeros)
     sc = bool(ybar is not None and depth >= RI_SLACK and tc)
     # A strict-criticality point is the unique multiplier; prefer its exact value.
     cqs = CQReport(bcq=bcq, tc=tc, sc=sc, ybar=(mult.y if single else ybar) if sc else None,
                    m_singleton=single)
-    return PointAnalysis(p, x, cx, prof, jac, N, sub, mult, cqs)
+    return mult, cqs
 
 
 def multiplier_set(p: CompositeProblem, x) -> MultiplierSet:
@@ -179,50 +199,6 @@ def nonascent_contains(p: CompositeProblem, x, d) -> bool:
     return bool(val.is_finite and val.value <= 1e-10)
 
 
-def _bcq(h: PLQFunction, cx, prof, N) -> bool:
-    """The bcq LP sweep: span(N) meets N(cx | dom h), the intersection of the
-    active pieces' normal cones, only at zero. A nonzero meeting point is
-    sought with one feasibility LP per coordinate normalization v_i = +/-1.
-    """
-    if N.shape[1] == 0:
-        return True
-    gens = [h.tangent_rows_at(k, prof.active_set).T for k in prof.active_pieces]
-    if any(G.shape[1] == 0 for G in gens):
-        return True  # some active normal cone is {0}
-    m = h.m
-    r = N.shape[1]
-    sizes = [G.shape[1] for G in gens]
-    nvar = r + sum(sizes)
-    # Equalities: N z = G_1 l_1 and G_k l_k = G_1 l_1 for k >= 2.
-    rows = []
-    offs = [r]
-    for sz in sizes[:-1]:
-        offs.append(offs[-1] + sz)
-    base = np.zeros((m, nvar))
-    base[:, :r] = N
-    base[:, offs[0]:offs[0] + sizes[0]] = -gens[0]
-    rows.append(base)
-    for k in range(1, len(gens)):
-        row = np.zeros((m, nvar))
-        row[:, offs[k]:offs[k] + sizes[k]] = gens[k]
-        row[:, offs[0]:offs[0] + sizes[0]] = -gens[0]
-        rows.append(row)
-    E = np.vstack(rows)
-    e = np.zeros(E.shape[0])
-    Fneg = np.zeros((sum(sizes), nvar))
-    Fneg[:, r:] = -np.eye(sum(sizes))
-    fneg = np.zeros(sum(sizes))
-    for i in range(m):
-        for sgn in (1.0, -1.0):
-            norm_row = np.zeros((1, nvar))
-            norm_row[0, :r] = sgn * N[i]
-            Eall = np.vstack([E, norm_row])
-            eall = np.concatenate([e, [1.0]])
-            if feasible_point(F=Fneg, f=fneg, E=Eall, e=eall, dim=nvar) is not None:
-                return False
-    return True
-
-
 def _tc_from_bases(N: np.ndarray, V: np.ndarray) -> bool:
     if N.shape[1] == 0 or V.shape[1] == 0:
         return True
@@ -245,35 +221,3 @@ def kkt_residual(p: CompositeProblem, x, y, lin: Linearization | None = None) ->
         return KKTResidual(stat, math.inf)
     viol = subdiff_hrep_at(p.h, prof, cx).violation(y)
     return KKTResidual(stat, viol)
-
-
-# -- pure subspace/polyhedron predicates (used by the qualification chain tests) --
-
-
-def subspace_polyhedron_predicates(N: np.ndarray, poly: PolyhedronH) -> dict:
-    """For the subspace spanned by the columns of N and a nonempty polyhedron C:
-
-      a: span(N) meets ri C in exactly one point,
-      b: span(N) meets par C only at zero,
-      c: span(N) meets C in exactly one point.
-    """
-    N = np.atleast_2d(np.asarray(N, dtype=float))
-    dim = poly.dim
-    b = _tc_from_bases(N, poly.parallel_basis())
-
-    if N.shape[1] == 0:
-        span_rows = np.eye(dim)  # span(N) = {0}
-        span_rhs = np.zeros(dim)
-    else:
-        # y in span(N)  <=>  (I - N N^T) y = 0 for orthonormal N.
-        span_rows = np.eye(dim) - N @ N.T
-        span_rhs = np.zeros(dim)
-    pt, depth = poly.ri_slack(span_rows, span_rhs)
-    ri_nonempty = pt is not None and depth >= RI_SLACK
-
-    inter = PolyhedronH(np.vstack([poly.E, span_rows]),
-                        np.concatenate([poly.e, span_rhs]),
-                        poly.F, poly.f)
-    single, _ = inter.is_singleton()
-
-    return {"a": bool(ri_nonempty and b), "b": bool(b), "c": bool(single)}

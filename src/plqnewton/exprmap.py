@@ -458,10 +458,6 @@ class SmoothMap:
         return SmoothMap(self.n, self.m, comps)
 
 
-def evaluate_map(c: SmoothMap, x, y=None):
-    return c.evaluate(x, y)
-
-
 def fd_jacobian(c: SmoothMap, x, step=1e-5) -> np.ndarray:
     """Central finite differences of the map values."""
     x = as_vector(x, c.n, "x")

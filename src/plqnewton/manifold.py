@@ -131,10 +131,7 @@ def build_manifold(h: PLQFunction, cbar) -> ManifoldData:
         raise DomainError("cbar is outside dom h")
     if prof.kbar == 1:
         raise RegimeError("single active piece at cbar: use the smooth solver path")
-    sets = {prof.active_hyperplanes[k] for k in prof.active_pieces}
-    if len(sets) != 1:
-        raise RepresentationError("active hyperplane sets differ across active pieces")
-    act = tuple(sorted(sets.pop()))
+    act = prof.active_set
     if not act:
         raise RepresentationError("two pieces active with no active hyperplane")
     pieces = tuple(sorted(prof.active_pieces))

@@ -31,7 +31,6 @@ from .composite import CompositeProblem
 from .errors import ExprSyntaxError, SchemaError, ValidationFailure
 from .exprmap import SmoothMap
 from .plq import Hyperplane, Piece, PLQFunction, validate_representation
-from .simplex import feasible_point
 
 METHODS = ("newton", "quasi", "smooth", "enum")
 
@@ -192,11 +191,7 @@ def load_problem(path, probes=200, validate=True, strict=False, rng=None) -> Pro
             raise SchemaError("", f"invalid JSON: {err}") from None
     pf = parse_problem_dict(doc, path=str(path))
     if validate:
-        h = pf.problem.h
-        if not any(feasible_point(F=h.piece_rows(k)[0], f=h.piece_rows(k)[1], dim=h.m)
-                   is not None for k in range(h.n_pieces)):
-            raise ValidationFailure(["dom h is empty"])
-        rep = validate_representation(h, probes=probes, rng=rng, strict=strict)
+        rep = validate_representation(pf.problem.h, probes=probes, rng=rng, strict=strict)
         if not rep.all_pass:
             raise ValidationFailure(rep.messages or ["representation checks failed"])
     return pf

@@ -27,11 +27,7 @@ from plqnewton.benchmarks import (
 )
 from plqnewton.calculus import PolyhedronH, dir_deriv_first, dir_deriv_second, subdiff_hrep
 from plqnewton.certify import certify_subregularity
-from plqnewton.composite import (
-    CompositeProblem,
-    check_cqs,
-    subspace_polyhedron_predicates,
-)
+from plqnewton.composite import CompositeProblem, check_cqs, qualification_chain
 from plqnewton.exprmap import SmoothMap, fd_jacobian, fd_weighted_hessian
 from plqnewton.manifold import build_manifold, certify_partial_smoothness
 from plqnewton.plq import eval_with_active, finite_value, sample_domain_point
@@ -324,11 +320,13 @@ def test_criterion_8_qualification_implication_chain():
         if poly.is_empty():
             continue
         k = int(rng.integers(0, dim + 1))
-        N = np.linalg.qr(rng.standard_normal((dim, dim)))[0][:, :k] if k \
-            else np.zeros((dim, 0))
-        pred = subspace_polyhedron_predicates(N, poly)
-        assert not (pred["a"] and not pred["b"])
-        assert not (pred["a"] and not pred["c"])
+        # S = span of the first k columns of Q, as the null space of the rest.
+        Q = np.linalg.qr(rng.standard_normal((dim, dim)))[0] if k else np.eye(dim)
+        _, rep = qualification_chain(poly, Q[:, k:].T)
+        assert not (rep.sc and not rep.tc)
+        assert not (rep.sc and not rep.m_singleton)
+        assert not (rep.tc and not rep.bcq)
+        assert not (rep.m_singleton and not rep.bcq)
         checked += 1
 
     # Composite instances over the library functions with random affine maps.

@@ -252,10 +252,12 @@ def _weighted_l1_crossing(w=(0.7, 1.3, 1.9), a=(0.3, -0.5, 0.4)):
 
 class TestOneAnalysisPerPoint:
     """A certify run analyzes its point once: one subdifferential at c(xbar),
-    from the profile the analysis already holds, one bcq LP sweep, one
+    from the profile the analysis already holds, one qualification chain, one
     manifold and one strictness check, and few LPs. One max-slack LP decides
     the implicit equalities of a full-dimensional subdifferential, so the LP
-    count does not grow with the 2^(s-1) copies of each box facet."""
+    count does not grow with the 2^(s-1) copies of each box facet, and the
+    multiplier set's max-slack point is its point for `is_singleton`: the
+    three LPs are the two max-slack LPs and the sc interior-slack LP."""
 
     def _certify(self, monkeypatch, pf, counted):
         calls = {name: _count_calls(monkeypatch, module, name) for module, name in counted}
@@ -267,26 +269,32 @@ class TestOneAnalysisPerPoint:
     def test_cross_l1_reference(self, monkeypatch):
         pf = parse_problem_dict(cross_l1().as_problem_dict())
         calls = self._certify(monkeypatch, pf, (
-            (calculus, "subdiff_hrep_at"), (plq, "eval_with_active"), (composite, "_bcq"),
+            (calculus, "subdiff_hrep_at"), (plq, "eval_with_active"),
+            (composite, "qualification_chain"),
             (manifold, "build_manifold"), (manifold, "strictness_check"),
             (simplex, "solve_lp")))
         cbar = pf.problem.c.value(pf.reference[0])
         assert len(calls["subdiff_hrep_at"]) == 1
         assert np.array_equal(calls["subdiff_hrep_at"][0][2], cbar)
         assert len(calls["eval_with_active"]) <= 2
-        assert len(calls["_bcq"]) == 1
+        assert len(calls["qualification_chain"]) == 1
         assert len(calls["build_manifold"]) == 1
         assert len(calls["strictness_check"]) == 1
-        assert len(calls["solve_lp"]) <= 6
+        assert len(calls["solve_lp"]) <= 3
 
     def test_three_hyperplane_crossing_reference(self, monkeypatch):
         calls = self._certify(monkeypatch, _weighted_l1_crossing(), ((simplex, "solve_lp"),))
-        assert len(calls["solve_lp"]) <= 6
+        assert len(calls["solve_lp"]) <= 3
 
     def test_four_hyperplane_crossing_reference(self, monkeypatch):
         pf = _weighted_l1_crossing(w=(0.7, 1.3, 1.9, 0.9), a=(0.3, -0.5, 0.4, 0.6))
         calls = self._certify(monkeypatch, pf, ((simplex, "solve_lp"),))
-        assert len(calls["solve_lp"]) <= 6
+        assert len(calls["solve_lp"]) <= 3
+
+    def test_b1_minimax_reference(self, monkeypatch):
+        pf = parse_problem_dict(b1_minimax().as_problem_dict())
+        calls = self._certify(monkeypatch, pf, ((simplex, "solve_lp"),))
+        assert len(calls["solve_lp"]) <= 3
 
 
 class TestPolyhedralDataOnce:

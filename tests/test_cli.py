@@ -151,6 +151,19 @@ class TestMainEntry:
         path.write_text(json.dumps(doc))
         assert main(["validate", str(path)]) == 2
 
+    @pytest.mark.parametrize("command", ["solve", "certify"])
+    def test_empty_domain_is_input_error(self, tmp_path, capsys, command):
+        # The only piece asks for c1 <= 0 and c1 >= 1.
+        doc = {"name": "empty", "n": 1, "m": 1,
+               "h": {"m": 1, "hyperplanes": [{"a": [1.0], "alpha": 0.0},
+                                             {"a": [1.0], "alpha": 1.0}],
+                     "pieces": [{"signs": [1, -1], "b": [0.0]}]},
+               "c": ["x1"], "start": {"x": [0.0]}}
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == 2
+        assert "dom h is empty" in capsys.readouterr().err
+
     def test_regime_error_exit_code(self):
         # The smooth solver rejects a start on the kink.
         assert main(["solve", f"{BENCH_DIR}/b1_minimax.json", "--method", "smooth"]) == 3

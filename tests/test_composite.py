@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plqnewton.benchmarks import b1_flat, b1_minimax, l1_kink, l1_plq, l1sq_plq, max2_plq
 from plqnewton.calculus import PolyhedronH, subdiff_hrep, dir_deriv_first
@@ -12,11 +14,11 @@ from plqnewton.composite import (
     kkt_residual,
     multiplier_set,
     nonascent_contains,
-    subspace_polyhedron_predicates,
+    qualification_chain,
 )
 from plqnewton.errors import DomainError, PreconditionError
 from plqnewton.exprmap import SmoothMap
-from plqnewton.plq import sample_domain_point
+from plqnewton.plq import Hyperplane, Piece, PLQFunction, sample_domain_point
 
 
 def _identity_problem(h):
@@ -172,31 +174,120 @@ class TestChainRule:
                         assert val.value >= y @ d - 1e-9
 
 
+def _pure_instance(rng):
+    """Criterion 8's draw: a polyhedron C in R^dim, dim in 1..4, of up to six
+    random rows tight or slack at a random point, sometimes with an equality,
+    and complement rows whose null space S is spanned by the first k columns
+    of a random orthogonal Q. None when C is empty."""
+    dim = int(rng.integers(1, 5))
+    rows = int(rng.integers(1, 7))
+    F = rng.standard_normal((rows, dim))
+    y0 = rng.standard_normal(dim)
+    f = F @ y0 + rng.uniform(0.0, 1.0, size=rows) * (rng.random(rows) > 0.3)
+    n_eq = int(rng.integers(0, 2))
+    E = rng.standard_normal((n_eq, dim))
+    e = E @ y0
+    poly = PolyhedronH(E, e, F, f)
+    if poly.is_empty():
+        return None
+    k = int(rng.integers(0, dim + 1))
+    Q = np.linalg.qr(rng.standard_normal((dim, dim)))[0] if k else np.eye(dim)
+    return poly, Q[:, k:].T
+
+
 class TestPredicateChain:
     def test_appendix_chain_on_random_instances(self):
         rng = np.random.default_rng(99)
         checked = 0
         for _ in range(200):
-            dim = int(rng.integers(1, 5))
-            rows = int(rng.integers(1, 7))
-            F = rng.standard_normal((rows, dim))
-            y0 = rng.standard_normal(dim)
-            f = F @ y0 + rng.uniform(0.0, 1.0, size=rows) * (rng.random(rows) > 0.3)
-            n_eq = int(rng.integers(0, 2))
-            E = rng.standard_normal((n_eq, dim))
-            e = E @ y0
-            poly = PolyhedronH(E, e, F, f)
-            if poly.is_empty():
+            drawn = _pure_instance(rng)
+            if drawn is None:
                 continue
-            k = int(rng.integers(0, dim + 1))
-            N = np.linalg.qr(rng.standard_normal((dim, dim)))[0][:, :k] if k else np.zeros((dim, 0))
-            pred = subspace_polyhedron_predicates(N, poly)
-            assert not (pred["a"] and not pred["b"]), "a must imply b"
-            assert not (pred["b"] and not pred["c"] and pred["a"]), "a must imply c"
-            if pred["a"]:
-                assert pred["c"]
+            _, rep = qualification_chain(*drawn)
+            assert not (rep.sc and not rep.tc), "sc must imply tc"
+            assert not (rep.tc and not rep.m_singleton and rep.sc), "sc must imply a singleton"
+            if rep.sc:
+                assert rep.m_singleton
+            assert not (rep.tc and not rep.bcq), "tc must imply bcq"
+            assert not (rep.m_singleton and not rep.bcq), "a singleton must imply bcq"
             checked += 1
         assert checked >= 120
+
+
+def _bcq_by_lp(C, rows):
+    """The LP oracle of bcq: S = Null(rows) meets rec C = {d : E d = 0,
+    F d <= 0} at some d != 0 exactly when one of the 2 dim LPs that also fix
+    d_i = +/-1 is feasible."""
+    from scipy.optimize import linprog
+
+    dim = C.dim
+    F = C.F if C.F.shape[0] else None
+    for i in range(dim):
+        for sgn in (1.0, -1.0):
+            A_eq = np.vstack([rows, C.E, sgn * np.eye(dim)[i]])
+            b_eq = np.zeros(A_eq.shape[0])
+            b_eq[-1] = 1.0
+            res = linprog(np.zeros(dim), A_ub=F, b_ub=None if F is None else np.zeros(len(F)),
+                          A_eq=A_eq, b_eq=b_eq, bounds=[(None, None)] * dim, method="highs")
+            if res.status == 0:
+                return False
+    return True
+
+
+def _kink_with_boundary(rng):
+    """(p, J, bcq_fails): sum_i w_i |c_i| over the first s of m coordinates on
+    the domain {G c <= 0}, one or two integer rows G with a nonzero entry
+    among the free coordinates, composed with c(x) = J x for an integer J, so
+    c(0) = 0 lies on every hyperplane. With bcq_fails, J = (|v|^2 I - v v^T) M
+    for a positive combination v of the rows of G, which puts v, a nonzero
+    normal of dom h at 0, in Null(J^T)."""
+    m = int(rng.integers(2, 5))
+    s = int(rng.integers(1, m))
+    free = m - s
+    G = rng.integers(-2, 3, size=(int(rng.integers(1, min(2, free) + 1)), m)).astype(float)
+    G[:, s:] = rng.integers(1, 3, size=(len(G), free)) * rng.choice((-1.0, 1.0), (len(G), free))
+    w = rng.integers(1, 4, size=s).astype(float)
+    b_free = rng.integers(-2, 3, size=free).astype(float)
+    hps = [Hyperplane(np.eye(m)[i], 0.0) for i in range(s)] + [Hyperplane(g, 0.0) for g in G]
+    pieces = [Piece(list(sg) + [1] * len(G), np.zeros((m, m)),
+                    np.concatenate([-np.array(sg) * w, b_free]))
+              for sg in itertools.product((-1, 1), repeat=s)]
+    h = PLQFunction(m, hps, pieces, name="kink-boundary")
+    n = int(rng.integers(1, 4))
+    J = rng.integers(-2, 3, size=(m, n)).astype(float)
+    bcq_fails = bool(rng.random() < 0.5)
+    if bcq_fails:
+        v = rng.integers(1, 3, size=len(G)) @ G
+        J = (v @ v) * J - np.outer(v, v @ J)
+    exprs = [" + ".join(f"({J[i, j]:.1f})*x{j + 1}" for j in range(n)) for i in range(m)]
+    return CompositeProblem(h, SmoothMap.from_strings(exprs, n)), J, bcq_fails
+
+
+class TestBcqAgainstLP:
+    """`qualification_chain`'s bcq (implied by tc, else double description on
+    rec C restricted to S n par C) against an LP sweep over rec C n S."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 16))
+    def test_composite_kinks(self, seed):
+        p, J, bcq_fails = _kink_with_boundary(np.random.default_rng(seed))
+        rep = check_cqs(p, np.zeros(p.n))
+        assert rep.bcq == _bcq_by_lp(subdiff_hrep(p.h, np.zeros(p.m)), J.T)
+        assert not (bcq_fails and rep.bcq)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 16))
+    def test_pure_polyhedra(self, seed):
+        drawn = _pure_instance(np.random.default_rng(seed))
+        if drawn is not None:
+            _, rep = qualification_chain(*drawn)
+            assert rep.bcq == _bcq_by_lp(*drawn)
+
+    def test_generators_give_both_verdicts(self):
+        kinks = [_kink_with_boundary(np.random.default_rng(seed)) for seed in range(40)]
+        assert {check_cqs(p, np.zeros(p.n)).bcq for p, _, _ in kinks} == {True, False}
+        pure = [_pure_instance(np.random.default_rng(seed)) for seed in range(40)]
+        assert {qualification_chain(*d)[1].bcq for d in pure if d is not None} == {True, False}
 
 
 class TestCQChainOnComposites:
