@@ -356,7 +356,7 @@ def validate_representation(h: PLQFunction, probes: int, rng=None, strict=False)
     rep.all_pass = all(rep.piece_feasible)
     if not any(rep.piece_feasible):
         rep.messages.append("dom h is empty")
-        rep.all_pass = False
+        rep.all_pass = rep.full_dimensional = False
         return rep
     rep.full_dimensional = any(t is not None and t > 1e-9 for _, t in inner)
     if not rep.full_dimensional:

@@ -10,7 +10,9 @@ held at equality differ. Entry points:
       active piece and checking that their (x, y) parts agree (the gluing
       identity), with identification and strict-positivity monitors;
   solve_subproblem_enum: direction finding by enumeration of candidate active
-      structures (piece, active hyperplane subset) of the linearized model;
+      structures (piece, active hyperplane subset) of the linearized model,
+      with one KKT solve and one consistency test per face (the subset with
+      the signs off it); singular faces are solved piece by piece;
   quasi_newton_solve / smooth_newton_solve: the structure-enumerating
       iteration with Hessian models B_k, and classical Newton on the
       stationarity equations of one smooth piece (no coupling blocks);
@@ -38,6 +40,7 @@ gluing check, so they could execute in parallel.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -71,9 +74,6 @@ class RestrictedState:
     x: np.ndarray
     y: np.ndarray
     mu_blocks: np.ndarray  # (k_bar, ell)
-
-    def copy(self):
-        return RestrictedState(self.x.copy(), self.y.copy(), self.mu_blocks.copy())
 
 
 @dataclass
@@ -124,21 +124,24 @@ class IterationTrace:
         mu_len = 0 if self.rows[0].mu is None else self.rows[0].mu.size
         header = (["iter"] + [f"x{i + 1}" for i in range(n)] + [f"y{i + 1}" for i in range(m)]
                   + [f"mu{i + 1}" for i in range(mu_len)]
-                  + ["stat_res", "sub_viol", "err", "dm_ratio", "on_manifold"])
+                  + ["mu_min", "gluing_gap", "model_sosc_ok", "lin_active",
+                     "stat_res", "sub_viol", "err", "dm_ratio", "on_manifold"])
         def fmt(v):
-            return repr(float(v))
+            return "" if v is None else repr(float(v))
+
+        def flag(v):
+            return "" if v is None else int(v)
 
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(header)
             for r in self.rows:
                 mu_vals = [] if r.mu is None else [fmt(v) for v in r.mu.reshape(-1)]
-                w.writerow([r.k] + [fmt(v) for v in r.x] + [fmt(v) for v in r.y]
-                           + mu_vals
-                           + [fmt(r.stat_res), fmt(r.sub_viol),
-                              "" if r.err is None else fmt(r.err),
-                              "" if r.dm_ratio is None else fmt(r.dm_ratio),
-                              "" if r.on_manifold is None else int(r.on_manifold)])
+                w.writerow([r.k] + [fmt(v) for v in r.x] + [fmt(v) for v in r.y] + mu_vals
+                           + [fmt(r.mu_min), fmt(r.gluing_gap), flag(r.model_sosc_ok),
+                              "" if r.lin_active is None else ";".join(map(str, r.lin_active)),
+                              fmt(r.stat_res), fmt(r.sub_viol), fmt(r.err), fmt(r.dm_ratio),
+                              flag(r.on_manifold)])
 
 
 def kkt_matrix(H, jac, Q, cols=None, rows=None) -> np.ndarray:
@@ -337,56 +340,89 @@ def solve_subproblem_enum(p: CompositeProblem, x_hat, y_hat, H,
     Jacobian come from `lin` when given (a linearization at x_hat), and from
     one first-order sweep otherwise.
 
-    Each structure's equality KKT system is solved; multiplier signs and
-    piece feasibility of the linearized point are checked afterwards, as is
-    membership of y in the subdifferential at the linearized point. Singular
-    but consistent systems are reported as non-unique with a second point on
-    the solution family. Results are sorted by model value, ties by piece.
+    Structures are visited piece by piece, subsets inside. A face is a subset
+    S with the signs off S; its pieces differ there by elements of
+    span{a_j : j in S}, so their equality KKT systems share (d, y). The first
+    piece on a face solves its system; later pieces of a nonsingular face
+    recover their multipliers from y when their own system's residual passes,
+    and solve their own otherwise. Multiplier signs, k active at the
+    linearized point and y a subgradient there are checked, the last two once
+    per face. Singular but consistent systems are reported as non-unique with
+    a second point on the solution family; a (d, y) is accepted once. Results
+    are sorted by model value, ties by piece.
     """
     x_hat = as_vector(x_hat, p.n, "x")
     H = np.atleast_2d(np.asarray(H, dtype=float))
     cx, jac, _ = p.c.evaluate(x_hat) if lin is None else lin
     h = p.h
     A_all, alpha = h.hyperplane_matrix()
-    s = h.n_hyperplanes
     n, m = p.n, p.m
-    out = []
+    # Per subset S: S as a list and as a bit mask, A_S, the linearized rows
+    # and the last rhs block; the pseudoinverse of A_S^T on first need.
+    blocks, pinvs = {}, {}
+    s = h.n_hyperplanes
+    for S in itertools.chain.from_iterable(itertools.combinations(range(s), r)
+                                           for r in range(s + 1)):
+        A_S = A_all[list(S)]
+        blocks[S] = (list(S), sum(1 << j for j in S), A_S,
+                     np.array([a @ jac for a in A_S]).reshape(len(S), n),
+                     np.array([alpha[j] - A_all[j] @ cx for j in S]))
+    faces, out, found = {}, [], np.empty((0, n + m))
     for k in range(h.n_pieces):
-        signs = h.pieces[k].signs
-        Q, b = h.pieces[k].Q, h.pieces[k].b
-        for subset in _subsets(s):
-            na = len(subset)
-            dim = n + m + na
-            cols = np.empty((m, na))
-            rows = np.empty((na, n))
-            rhs = np.zeros(dim)
-            rhs[n:n + m] = Q @ cx + b
-            for t, jdx in enumerate(subset):
-                cols[:, t] = signs[jdx] * A_all[jdx]
-                rows[t] = A_all[jdx] @ jac
-                rhs[n + m + t] = alpha[jdx] - A_all[jdx] @ cx
-            M = kkt_matrix(H, jac, Q, cols, rows)
-            sol, extra, resid = _solve_possibly_singular(M, rhs)
-            if sol is None:
+        signs, Q, b = h.pieces[k].signs, h.pieces[k].Q, h.pieces[k].b
+        # Signs as a bit mask (bit j for +1), signed normals and rhs head.
+        plus = sum(1 << j for j in range(s) if signs[j] > 0)
+        cols_all, head = signs[:, None] * A_all, np.concatenate([np.zeros(n), Q @ cx + b])
+        for S, (idx, mask, A_S, rows, rhs_S) in blocks.items():
+            key = (S, plus & ~mask)  # the face: S with the signs off S
+            face = faces.get(key)
+            if face is not None and face.done:
                 continue
-            # A candidate on an accepted (d, y) would be dropped even when
-            # consistent, so it is dropped before the consistency test.
-            d, y = sol[:n], sol[n:n + m]
-            if any(np.linalg.norm(d - q.d) + np.linalg.norm(y - q.y) <= 1e-9 for q in out):
+            cand, alt = None, None
+            if face is not None:
+                # Piece k's multipliers solve its middle block at the face's
+                # (d, y) in the least-squares sense; its system's residual is
+                # held to the test of _solve_possibly_singular.
+                if S not in pinvs:
+                    pinvs[S] = np.linalg.pinv(A_S.T)
+                g = face.y - Q @ face.c_lin - b
+                nu = pinvs[S] @ g
+                resid = math.hypot(face.r13, float(np.linalg.norm(g - A_S.T @ nu)))
+                if resid <= 1e-9 * face.scale:
+                    cand, sol = face, np.concatenate([face.d, face.y, signs[idx] * nu])
+            if cand is None:
+                M = kkt_matrix(H, jac, Q, cols_all[idx].T, rows)
+                rhs = np.concatenate([head, rhs_S])
+                sol, alt, resid = _solve_possibly_singular(M, rhs)
+                if sol is None:
+                    continue
+                cand = _Face(p, sol, cx, jac)
+                if face is None and alt is None:  # kept for the face's later pieces
+                    r = M @ sol - rhs
+                    cand.scale = 1.0 + float(np.linalg.norm(M))
+                    cand.r13 = math.hypot(np.linalg.norm(r[:n]), np.linalg.norm(r[n + m:]))
+                    faces[key] = cand
+            lam = sol[n + m:]
+            if not cand.on_piece(k, lam):
                 continue
-            entry = _consistent_entry(p, h, k, subset, sol, extra, resid, cx, jac, H)
-            if entry is not None:
-                out.append(entry)
+            # Copies of an accepted face are skipped above, so a consistent
+            # candidate is rarely on an accepted (d, y): test it last.
+            if out and np.any(np.linalg.norm(found[:, :n] - cand.d, axis=1)
+                              + np.linalg.norm(found[:, n:] - cand.y, axis=1) <= 1e-9):
+                cand.done = True
+                continue
+            alternate = None
+            if alt is not None and _Face(p, alt, cx, jac).on_piece(k, alt[n + m:]):
+                alternate = (alt[:n], alt[n:n + m])
+            out.append(SubproblemSolution(
+                d=cand.d, y=cand.y, lam=lam, piece=k, active_set=S,
+                model_value=cand.prof.value.value + 0.5 * float(cand.d @ H @ cand.d),
+                model_sosc_ok=_structure_model_sosc(p, h, cand.prof, jac, H),
+                unique=alternate is None, alternate=alternate, residual=resid))
+            found = np.vstack([found, sol[:n + m]])
+            cand.done = True
     out.sort(key=SubproblemSolution.key)
     return out
-
-
-def _subsets(s):
-    from itertools import combinations
-
-    for r in range(s + 1):
-        for combo in combinations(range(s), r):
-            yield combo
 
 
 def _solve_possibly_singular(M, rhs, tol=1e-9):
@@ -410,33 +446,34 @@ def _solve_possibly_singular(M, rhs, tol=1e-9):
     return sol, sol + 0.05 * vt[rank], resid
 
 
-def _on_piece(p, h, k, sol, cx, jac):
-    """(d, y, lam, c_lin, profile) when sol = (d, y, lam) is consistent for
-    piece k: lam >= 0, k active at c_lin = c + Jac d and y a subgradient
-    there; None otherwise."""
-    d, y, lam = sol[:p.n], sol[p.n:p.n + p.m], sol[p.n + p.m:]
-    if lam.size and np.min(lam) < -1e-8:
-        return None
-    c_lin = cx + jac @ d
-    prof = eval_with_active(h, c_lin)
-    if not prof.is_finite or k not in prof.active_pieces \
-            or not subdiff_hrep_at(h, prof, c_lin).contains(y, slack=1e-7):
-        return None
-    return d, y, lam, c_lin, prof
+class _Face:
+    """One solved (d, y) with its linearized point c_lin = c + Jac d. The
+    active profile at c_lin and whether y is a subgradient there are found on
+    first need and kept for every piece that shares the face. A face kept
+    for later pieces holds 1 + ||M|| of its solved system (`scale`) and the
+    residual of the blocks no piece changes (`r13`); `done` is set once the
+    (d, y) is accepted or dropped as a duplicate."""
 
+    def __init__(self, p, sol, cx, jac):
+        self.h = p.h
+        self.d, self.y = sol[:p.n], sol[p.n:p.n + p.m]
+        self.c_lin = cx + jac @ self.d
+        self.prof = self.member = self.scale = self.r13 = None
+        self.done = False
 
-def _consistent_entry(p, h, k, subset, sol, alt, resid, cx, jac, H):
-    consistent = _on_piece(p, h, k, sol, cx, jac)
-    if consistent is None:
-        return None
-    d, y, lam, c_lin, prof = consistent
-    alternate = None
-    if alt is not None and _on_piece(p, h, k, alt, cx, jac) is not None:
-        alternate = (alt[:p.n], alt[p.n:p.n + p.m])
-    return SubproblemSolution(d=d, y=y, lam=lam, piece=k, active_set=tuple(subset),
-                              model_value=prof.value.value + 0.5 * float(d @ H @ d),
-                              model_sosc_ok=_structure_model_sosc(p, h, prof, jac, H),
-                              unique=alternate is None, alternate=alternate, residual=resid)
+    def on_piece(self, k, lam) -> bool:
+        """The consistency test for piece k with multipliers lam: lam >= 0,
+        k active at c_lin and y a subgradient there."""
+        if lam.size and np.min(lam) < -1e-8:
+            return False
+        if self.prof is None:
+            self.prof = eval_with_active(self.h, self.c_lin)
+        if not self.prof.is_finite or k not in self.prof.active_pieces:
+            return False
+        if self.member is None:
+            self.member = subdiff_hrep_at(self.h, self.prof, self.c_lin).contains(
+                self.y, slack=1e-7)
+        return self.member
 
 
 def _structure_model_sosc(p, h, prof, jac, H) -> bool:

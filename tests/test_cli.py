@@ -151,8 +151,8 @@ class TestMainEntry:
         path.write_text(json.dumps(doc))
         assert main(["validate", str(path)]) == 2
 
-    @pytest.mark.parametrize("command", ["solve", "certify"])
-    def test_empty_domain_is_input_error(self, tmp_path, capsys, command):
+    @staticmethod
+    def _empty_domain_file(tmp_path):
         # The only piece asks for c1 <= 0 and c1 >= 1.
         doc = {"name": "empty", "n": 1, "m": 1,
                "h": {"m": 1, "hyperplanes": [{"a": [1.0], "alpha": 0.0},
@@ -161,8 +161,20 @@ class TestMainEntry:
                "c": ["x1"], "start": {"x": [0.0]}}
         path = tmp_path / "empty.json"
         path.write_text(json.dumps(doc))
-        assert main([command, str(path)]) == 2
+        return path
+
+    @pytest.mark.parametrize("command", ["solve", "certify"])
+    def test_empty_domain_is_input_error(self, tmp_path, capsys, command):
+        assert main([command, str(self._empty_domain_file(tmp_path))]) == 2
         assert "dom h is empty" in capsys.readouterr().err
+
+    def test_empty_domain_is_not_full_dimensional(self, tmp_path):
+        jout = tmp_path / "rep.json"
+        assert main(["validate", str(self._empty_domain_file(tmp_path)),
+                     "--json", str(jout)]) == 2
+        report = json.loads(jout.read_text())["report"]
+        assert "dom h is empty" in report["messages"]
+        assert report["full_dimensional"] is False
 
     def test_regime_error_exit_code(self):
         # The smooth solver rejects a start on the kink.

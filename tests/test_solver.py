@@ -1,6 +1,11 @@
+import csv
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from plqnewton import plq, solver
 from plqnewton.benchmarks import (
     BENCHMARKS,
     b1_cubic,
@@ -13,6 +18,7 @@ from plqnewton.benchmarks import (
     rosenbrock_ls,
     sumsq_plq,
 )
+from plqnewton.calculus import subdiff_hrep_at
 from plqnewton.cli import run_report
 from plqnewton.composite import CompositeProblem
 from plqnewton.errors import DivergenceError, RegimeError
@@ -22,12 +28,17 @@ from plqnewton.problems import parse_problem_dict
 from plqnewton.solver import (
     RestrictedState,
     SolveOptions,
+    SubproblemSolution,
+    _solve_possibly_singular,
+    _structure_model_sosc,
+    kkt_matrix,
     newton_solve,
     quasi_newton_solve,
     restricted_newton_step,
     smooth_newton_solve,
     solve_subproblem_enum,
 )
+from test_certify import _count_calls, _weighted_l1_crossing
 
 
 def _b1_setup():
@@ -226,6 +237,183 @@ class TestSubproblemEnum:
             assert np.linalg.norm(r) <= 1e-8
 
 
+def _subsets(s):
+    return itertools.chain.from_iterable(itertools.combinations(range(s), r)
+                                         for r in range(s + 1))
+
+
+def _on_piece_ref(p, k, sol, cx, jac):
+    """The active profile at c + Jac d when sol = (d, y, lam) is consistent
+    for piece k (lam >= 0, k active there, y a subgradient there); None
+    otherwise."""
+    d, y, lam = sol[:p.n], sol[p.n:p.n + p.m], sol[p.n + p.m:]
+    if lam.size and np.min(lam) < -1e-8:
+        return None
+    c_lin = cx + jac @ d
+    prof = plq.eval_with_active(p.h, c_lin)
+    if not prof.is_finite or k not in prof.active_pieces \
+            or not subdiff_hrep_at(p.h, prof, c_lin).contains(y, slack=1e-7):
+        return None
+    return prof
+
+
+def _per_structure_enum(p, H, lin):
+    """Every (piece, subset) structure solved and tested on its own, in the
+    same order: the enumeration that sharing one solve per face must
+    reproduce."""
+    cx, jac, _ = lin
+    A_all, alpha = p.h.hyperplane_matrix()
+    n, m = p.n, p.m
+    out = []
+    for k in range(p.h.n_pieces):
+        signs, Q, b = p.h.pieces[k].signs, p.h.pieces[k].Q, p.h.pieces[k].b
+        for subset in _subsets(p.h.n_hyperplanes):
+            na = len(subset)
+            cols, rows, rhs = np.empty((m, na)), np.empty((na, n)), np.zeros(n + m + na)
+            rhs[n:n + m] = Q @ cx + b
+            for t, j in enumerate(subset):
+                cols[:, t] = signs[j] * A_all[j]
+                rows[t] = A_all[j] @ jac
+                rhs[n + m + t] = alpha[j] - A_all[j] @ cx
+            sol, alt, resid = _solve_possibly_singular(kkt_matrix(H, jac, Q, cols, rows), rhs)
+            if sol is None:
+                continue
+            d, y = sol[:n], sol[n:n + m]
+            if any(np.linalg.norm(d - q.d) + np.linalg.norm(y - q.y) <= 1e-9 for q in out):
+                continue
+            prof = _on_piece_ref(p, k, sol, cx, jac)
+            if prof is None:
+                continue
+            alternate = None
+            if alt is not None and _on_piece_ref(p, k, alt, cx, jac) is not None:
+                alternate = (alt[:n], alt[n:n + m])
+            out.append(SubproblemSolution(
+                d=d, y=y, lam=sol[n + m:], piece=k, active_set=subset,
+                model_value=prof.value.value + 0.5 * float(d @ H @ d),
+                model_sosc_ok=_structure_model_sosc(p, p.h, prof, jac, H),
+                unique=alternate is None, alternate=alternate, residual=resid))
+    out.sort(key=SubproblemSolution.key)
+    return out
+
+
+def _huber_pair(t, a):
+    """huber_t1(c1) + huber_t2(c2), c_i = x_i + a_i x_j^2 (j the other index),
+    with hyperplanes c_i = -t_i and c_i = t_i. Each quadratic piece
+    c_i^2 / (2 t_i) borders two linear ones, so Q differs across a face."""
+    # Per coordinate: (signs on c_i = -t_i and c_i = t_i, Q, b, beta).
+    sides = [[((1, 1), 0.0, -1.0, -ti / 2), ((-1, 1), 1.0 / ti, 0.0, 0.0),
+              ((-1, -1), 0.0, 1.0, -ti / 2)] for ti in t]
+    pieces = [{"signs": list(s1[0] + s2[0]), "Q": [[s1[1], 0.0], [0.0, s2[1]]],
+               "b": [s1[2], s2[2]], "beta": s1[3] + s2[3]}
+              for s1, s2 in itertools.product(*sides)]
+    doc = {"name": "huber2", "n": 2, "m": 2,
+           "h": {"m": 2, "pieces": pieces,
+                 "hyperplanes": [{"a": list(np.eye(2)[i]), "alpha": sg * t[i]}
+                                 for i in range(2) for sg in (-1.0, 1.0)]},
+           "c": [f"x1 + {a[0]}*x2^2", f"x2 + {a[1]}*x1^2"]}
+    return parse_problem_dict(doc).problem
+
+
+def _enum_step(seed):
+    """(family, problem, x, y, H) of one enumeration step at a random (x, y),
+    with H the model Hessian or I: a weighted-l1 crossing with s <= 4, a
+    Huber pair, or b1_flat (singular systems). In family "kink" the crossing
+    has c = x, H = I and x = b_k for a random piece k: every subset of piece
+    k then gives d = -b_k, so distinct faces share one (d, y)."""
+    rng = np.random.default_rng(seed)
+    family = ("crossing", "huber", "flat", "kink")[seed % 4]
+    if family in ("crossing", "kink"):
+        s = int(rng.integers(1, 5))
+        a = rng.uniform(-0.6, 0.6, s) if family == "crossing" else np.zeros(s)
+        p = _weighted_l1_crossing(w=tuple(rng.uniform(0.5, 2.0, s)), a=tuple(a)).problem
+        x, y = rng.uniform(-0.3, 0.3, s), rng.uniform(-2.0, 2.0, s)
+        if family == "kink":
+            x = p.h.pieces[int(rng.integers(p.h.n_pieces))].b.copy()
+    elif family == "huber":
+        p = _huber_pair(rng.uniform(0.5, 1.5, 2), rng.uniform(-0.6, 0.6, 2))
+        x, y = rng.uniform(-2.5, 2.5, 2), rng.uniform(-1.2, 1.2, 2)
+    else:
+        p = b1_flat().problem
+        x, y = rng.uniform(-1.0, 1.0, 2), rng.uniform(0.0, 1.0, 2)
+    H = p.c.weighted_hessian(x, y) if family != "kink" and rng.uniform() < 0.5 \
+        else np.eye(p.n)
+    return family, p, x, y, H
+
+
+def _face(p, sol):
+    """The face of an accepted entry: its active set with its piece's signs
+    off that set."""
+    signs = p.h.pieces[sol.piece].signs
+    return sol.active_set, tuple(np.delete(signs, list(sol.active_set)))
+
+
+class TestFaceEnumeration:
+    """One KKT solve and one consistency test per face (subset held at
+    equality, signs off it): at an off-kink point of a weighted-l1 crossing
+    every face is nonsingular, so a step makes 3^s solves, not the 4^s of
+    one per (piece, subset), and evaluates h at most once per face."""
+
+    @pytest.mark.parametrize("w,a,faces", [
+        ((0.7, 1.3, 1.9), (0.3, -0.5, 0.4), 27),
+        ((0.7, 1.3, 1.9, 0.9), (0.3, -0.5, 0.4, 0.6), 81)])
+    def test_one_solve_per_face(self, monkeypatch, w, a, faces):
+        p = _weighted_l1_crossing(w=w, a=a).problem
+        x = np.array([0.05, -0.06, 0.045, -0.055])[:len(w)]
+        y = np.array([0.1, -0.05, 0.12, 0.02])[:len(w)]
+        lin = p.c.evaluate(x, y)
+        assert all(abs(r) > 1e-3 for r in p.h.residuals(lin.c))
+        solves = _count_calls(monkeypatch, solver, "_solve_possibly_singular")
+        evals = _count_calls(monkeypatch, plq, "eval_with_active")
+        sols = solve_subproblem_enum(p, x, y, lin.H, lin)
+        assert sols
+        assert len(solves) <= faces
+        assert len(evals) <= faces
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 20))
+    def test_agrees_with_per_structure_reference(self, seed):
+        _, p, x, y, H = _enum_step(seed)
+        lin = p.c.evaluate(x, y)
+        got = solve_subproblem_enum(p, x, y, H, lin)
+        ref = _per_structure_enum(p, H, lin)
+        assert bool(got) == bool(ref)
+        # Every face the reference accepts is accepted, and no other. At an
+        # ill-conditioned face the reference may keep per-piece copies that
+        # differ by more than the duplicate tolerance; sharing keeps one.
+        assert {_face(p, q) for q in got} == {_face(p, q) for q in ref}
+        assert len(got) <= len(ref)
+        if got:
+            g, r = got[0], ref[0]
+            assert (g.piece, g.active_set, g.unique, g.model_sosc_ok) \
+                == (r.piece, r.active_set, r.unique, r.model_sosc_ok)
+            for u, v in ((g.d, r.d), (g.y, r.y), (g.lam, r.lam)):
+                assert np.linalg.norm(u - v) <= 1e-12 * max(1.0, np.linalg.norm(v))
+
+    def test_generator_covers_every_case(self, monkeypatch):
+        solves = _count_calls(monkeypatch, solver, "_solve_possibly_singular")
+        kinds = set()
+        for seed in range(60):
+            family, p, x, y, H = _enum_step(seed)
+            solves.clear()
+            sols = solve_subproblem_enum(p, x, y, H)
+            kinds.update([family] if sols else [])
+            kinds.update(["several"] if len(sols) > 1 else [])
+            kinds.update(["non-unique"] if any(not q.unique for q in sols) else [])
+            # A subset with dependent normals (c_i = -t_i and c_i = t_i) gives
+            # singular systems, solved per piece; every other face is solved
+            # once, also where its pieces' Q differ.
+            A, _ = p.h.hyperplane_matrix()
+            subsets = list(_subsets(p.h.n_hyperplanes))
+            free = [S for S in subsets if np.linalg.matrix_rank(A[list(S)]) == len(S)]
+            faces = {(S, np.delete(piece.signs, list(S)).tobytes())
+                     for piece in p.h.pieces for S in free}
+            per_piece = p.h.n_pieces * (len(subsets) - len(free))
+            if family == "huber" and len(solves) == len(faces) + per_piece:
+                kinds.add("shared across Q")
+        assert kinds == {"crossing", "huber", "flat", "kink", "several", "non-unique",
+                         "shared across Q"}
+
+
 class TestQuasiNewton:
     def test_exact_hessian_reproduces_newton(self):
         b, md = _b1_setup()
@@ -340,6 +528,39 @@ class TestTraceCSV:
         assert len(rows) == len(tr.rows) + 1
         final = rows[-1]
         assert float(final[1]) == pytest.approx(tr.final.x[0])
+
+    def test_monitor_columns_read_back(self, tmp_path):
+        # The monitors sit before stat_res; empty where a method records none.
+        b = b1_cubic()
+        md = build_manifold(b.problem.h, b.problem.c.value(b.xbar))
+        traces = {
+            "newton": newton_solve(b.problem, md, (b.start_x, b.start_y), SolveOptions(),
+                                   reference=(b.xbar, b.ybar)),
+            "quasi": quasi_newton_solve(b.problem, (b.start_x, b.start_y), None,
+                                        SolveOptions(), reference=(b.xbar, b.ybar))}
+        for method, tr in traces.items():
+            assert tr.converged and len(tr.rows) > 3
+            path = tmp_path / f"{method}.csv"
+            tr.write_csv(path)
+            with open(path) as fh:
+                lines = list(csv.DictReader(fh))
+            assert list(lines[0])[-9:-5] == ["mu_min", "gluing_gap", "model_sosc_ok",
+                                             "lin_active"]
+            assert len(lines) == len(tr.rows)
+            for line, row in zip(lines, tr.rows):
+                for name in ("mu_min", "gluing_gap"):
+                    want = getattr(row, name)
+                    assert line[name] == "" if want is None else float(line[name]) == want
+                assert line["model_sosc_ok"] == ("" if row.model_sosc_ok is None
+                                                 else str(int(row.model_sosc_ok)))
+                got = tuple(int(j) for j in line["lin_active"].split(";") if j)
+                assert got == (row.lin_active or ())
+            for line in lines[1:]:
+                assert line["model_sosc_ok"] == "1" and line["lin_active"] == "0;1"
+                if method == "newton":
+                    assert float(line["mu_min"]) > 0 and float(line["gluing_gap"]) <= 1e-8
+                else:  # no block multipliers, no gluing
+                    assert line["mu_min"] == line["gluing_gap"] == ""
 
 
 class TestMapPasses:
