@@ -10,9 +10,13 @@ held at equality differ. Entry points:
       active piece and checking that their (x, y) parts agree (the gluing
       identity), with identification and strict-positivity monitors;
   solve_subproblem_enum: direction finding by enumeration of candidate active
-      structures (piece, active hyperplane subset) of the linearized model,
-      with one KKT solve and one consistency test per face (the subset with
-      the signs off it); singular faces are solved piece by piece;
+      structures (piece, active hyperplane subset) of the linearized model.
+      It returns its critical pairs: H d + Jac^T y = 0 with y in
+      dh(c + Jac d). Each face (the subset with the signs off it) is solved
+      and tested once, by its first piece, and later pieces skip it. The
+      membership test alone decides, since for a continuous h it already
+      makes the multipliers of every active piece nonnegative. Singular faces
+      are solved piece by piece;
   quasi_newton_solve / smooth_newton_solve: the structure-enumerating
       iteration with Hessian models B_k, and classical Newton on the
       stationarity equations of one smooth piece (no coupling blocks);
@@ -290,16 +294,18 @@ def newton_solve(p: CompositeProblem, md: ManifoldData | None, start, opts: Solv
         return new.x, new.y, dict(
             mu=mu.copy(), on_manifold=manifold_contains(md, c_lin),
             lin_active=eval_with_active(p.h, c_lin).active_pieces,
-            model_sosc_ok=_model_sosc_ok(p, md, lin.J, lin.H),
+            model_sosc_ok=_model_sosc_ok(md.A.T @ lin.J, lin.J, lin.H,
+                                         [md.piece(j).Q for j in range(md.kbar)]),
             mu_min=float(np.min(mu)), gluing_gap=gap)
 
     return _iterate(p, IterationTrace(method="newton"), x, y, step, opts, reference, lin,
                     mu=mu.copy(), mu_min=float(np.min(mu)))
 
 
-def _model_sosc_ok(p, md, jac, H) -> bool:
-    eigs = reduced_min_eigs(nullspace_basis(md.A.T @ jac), jac, H,
-                            [md.piece(j).Q for j in range(md.kbar)])
+def _model_sosc_ok(rows, jac, H, Qs) -> bool:
+    """Whether the model curvature Jac^T Q Jac + H is positive definite on
+    Null(rows) for every Q in Qs (true when the nullspace is {0})."""
+    eigs = reduced_min_eigs(nullspace_basis(rows), jac, H, Qs)
     return eigs is None or min(eigs) > 0
 
 
@@ -325,7 +331,6 @@ class SubproblemSolution:
     model_sosc_ok: bool
     unique: bool
     alternate: tuple | None  # a second (d, y) on the same solution family
-    residual: float
 
     def key(self):
         return (round(self.model_value, 12), self.piece)
@@ -333,100 +338,80 @@ class SubproblemSolution:
 
 def solve_subproblem_enum(p: CompositeProblem, x_hat, y_hat, H,
                           lin: Linearization | None = None):
-    """All consistent critical pairs of the linearized model over candidate
-    active structures (piece, subset of hyperplanes held at equality).
+    """All critical pairs of the linearized model over candidate active
+    structures (piece, subset of hyperplanes held at equality).
 
     H is the model Hessian. The model linearizes c at x_hat: its value and
     Jacobian come from `lin` when given (a linearization at x_hat), and from
-    one first-order sweep otherwise.
+    one first-order sweep otherwise. A critical pair (d, y) solves
+    H d + Jac^T y = 0 with y in dh(c_lin), c_lin = c + Jac d.
 
     Structures are visited piece by piece, subsets inside. A face is a subset
     S with the signs off S; its pieces differ there by elements of
     span{a_j : j in S}, so their equality KKT systems share (d, y). The first
-    piece on a face solves its system; later pieces of a nonsingular face
-    recover their multipliers from y when their own system's residual passes,
-    and solve their own otherwise. Multiplier signs, k active at the
-    linearized point and y a subgradient there are checked, the last two once
-    per face. Singular but consistent systems are reported as non-unique with
-    a second point on the solution family; a (d, y) is accepted once. Results
-    are sorted by model value, ties by piece.
+    piece on a face solves its system and `_consistent` decides the face:
+    that piece active at c_lin and y in dh(c_lin). Membership alone decides,
+    with no test of the multipliers' signs: for a continuous h it already
+    makes every active piece's multipliers nonnegative, up to its slack.
+    Later pieces skip a solved face. A singular face (a solve with a second
+    point on its solution family) is solved and tested piece by piece, and
+    its pairs are reported as non-unique with that point. A (d, y) is
+    accepted once. Results are sorted by model value, ties by piece.
     """
     x_hat = as_vector(x_hat, p.n, "x")
     H = np.atleast_2d(np.asarray(H, dtype=float))
     cx, jac, _ = p.c.evaluate(x_hat) if lin is None else lin
     h = p.h
     A_all, alpha = h.hyperplane_matrix()
-    n, m = p.n, p.m
-    # Per subset S: S as a list and as a bit mask, A_S, the linearized rows
-    # and the last rhs block; the pseudoinverse of A_S^T on first need.
-    blocks, pinvs = {}, {}
-    s = h.n_hyperplanes
+    n, m, s = p.n, p.m, h.n_hyperplanes
+    # Per subset S: S as a list and as a bit mask, the linearized rows and the
+    # last rhs block.
+    blocks = {}
     for S in itertools.chain.from_iterable(itertools.combinations(range(s), r)
                                            for r in range(s + 1)):
-        A_S = A_all[list(S)]
-        blocks[S] = (list(S), sum(1 << j for j in S), A_S,
-                     np.array([a @ jac for a in A_S]).reshape(len(S), n),
+        blocks[S] = (list(S), sum(1 << j for j in S),
+                     np.array([a @ jac for a in A_all[list(S)]]).reshape(len(S), n),
                      np.array([alpha[j] - A_all[j] @ cx for j in S]))
-    faces, out, found = {}, [], np.empty((0, n + m))
+    solved, out, found = set(), [], np.empty((0, n + m))
     for k in range(h.n_pieces):
         signs, Q, b = h.pieces[k].signs, h.pieces[k].Q, h.pieces[k].b
         # Signs as a bit mask (bit j for +1), signed normals and rhs head.
         plus = sum(1 << j for j in range(s) if signs[j] > 0)
         cols_all, head = signs[:, None] * A_all, np.concatenate([np.zeros(n), Q @ cx + b])
-        for S, (idx, mask, A_S, rows, rhs_S) in blocks.items():
-            key = (S, plus & ~mask)  # the face: S with the signs off S
-            face = faces.get(key)
-            if face is not None and face.done:
+        for S, (idx, mask, rows, rhs_S) in blocks.items():
+            face = (S, plus & ~mask)  # S with the signs off S
+            if face in solved:
                 continue
-            cand, alt = None, None
-            if face is not None:
-                # Piece k's multipliers solve its middle block at the face's
-                # (d, y) in the least-squares sense; its system's residual is
-                # held to the test of _solve_possibly_singular.
-                if S not in pinvs:
-                    pinvs[S] = np.linalg.pinv(A_S.T)
-                g = face.y - Q @ face.c_lin - b
-                nu = pinvs[S] @ g
-                resid = math.hypot(face.r13, float(np.linalg.norm(g - A_S.T @ nu)))
-                if resid <= 1e-9 * face.scale:
-                    cand, sol = face, np.concatenate([face.d, face.y, signs[idx] * nu])
-            if cand is None:
-                M = kkt_matrix(H, jac, Q, cols_all[idx].T, rows)
-                rhs = np.concatenate([head, rhs_S])
-                sol, alt, resid = _solve_possibly_singular(M, rhs)
-                if sol is None:
-                    continue
-                cand = _Face(p, sol, cx, jac)
-                if face is None and alt is None:  # kept for the face's later pieces
-                    r = M @ sol - rhs
-                    cand.scale = 1.0 + float(np.linalg.norm(M))
-                    cand.r13 = math.hypot(np.linalg.norm(r[:n]), np.linalg.norm(r[n + m:]))
-                    faces[key] = cand
-            lam = sol[n + m:]
-            if not cand.on_piece(k, lam):
+            sol, alt = _solve_possibly_singular(kkt_matrix(H, jac, Q, cols_all[idx].T, rows),
+                                                np.concatenate([head, rhs_S]))
+            if sol is None:
                 continue
-            # Copies of an accepted face are skipped above, so a consistent
-            # candidate is rarely on an accepted (d, y): test it last.
-            if out and np.any(np.linalg.norm(found[:, :n] - cand.d, axis=1)
-                              + np.linalg.norm(found[:, n:] - cand.y, axis=1) <= 1e-9):
-                cand.done = True
+            if alt is None:
+                solved.add(face)
+            prof = _consistent(p, k, sol, cx, jac)
+            if prof is None:
+                continue
+            d, y = sol[:n], sol[n:n + m]
+            if out and np.any(np.linalg.norm(found[:, :n] - d, axis=1)
+                              + np.linalg.norm(found[:, n:] - y, axis=1) <= 1e-9):
                 continue
             alternate = None
-            if alt is not None and _Face(p, alt, cx, jac).on_piece(k, alt[n + m:]):
+            if alt is not None and _consistent(p, k, alt, cx, jac) is not None:
                 alternate = (alt[:n], alt[n:n + m])
             out.append(SubproblemSolution(
-                d=cand.d, y=cand.y, lam=lam, piece=k, active_set=S,
-                model_value=cand.prof.value.value + 0.5 * float(cand.d @ H @ cand.d),
-                model_sosc_ok=_structure_model_sosc(p, h, cand.prof, jac, H),
-                unique=alternate is None, alternate=alternate, residual=resid))
+                d=d, y=y, lam=sol[n + m:], piece=k, active_set=S,
+                model_value=prof.value.value + 0.5 * float(d @ H @ d),
+                model_sosc_ok=_model_sosc_ok(A_all[list(prof.active_set)] @ jac, jac, H,
+                                             [h.pieces[j].Q for j in prof.active_pieces]),
+                unique=alternate is None, alternate=alternate))
             found = np.vstack([found, sol[:n + m]])
-            cand.done = True
     out.sort(key=SubproblemSolution.key)
     return out
 
 
 def _solve_possibly_singular(M, rhs, tol=1e-9):
-    """(solution, alternate solution or None, residual).
+    """(solution, alternate solution or None), or (None, None) when the
+    system is singular and inconsistent.
 
     Uses the pseudoinverse when the system is singular; a consistent singular
     system yields the minimum-norm solution plus a second point along the
@@ -436,55 +421,25 @@ def _solve_possibly_singular(M, rhs, tol=1e-9):
     u, sv, vt = np.linalg.svd(M)
     rank = int(np.sum(sv > 1e-11 * scale))
     if rank == M.shape[0]:
-        sol = vt.T @ ((u.T @ rhs) / sv)
-        return sol, None, float(np.linalg.norm(M @ sol - rhs))
+        return vt.T @ ((u.T @ rhs) / sv), None
     sv_inv = np.where(sv > 1e-11 * scale, 1.0 / np.where(sv > 0, sv, 1.0), 0.0)
     sol = vt.T @ (sv_inv * (u.T @ rhs))
-    resid = float(np.linalg.norm(M @ sol - rhs))
-    if resid > tol * scale:
-        return None, None, resid  # inconsistent
-    return sol, sol + 0.05 * vt[rank], resid
+    if float(np.linalg.norm(M @ sol - rhs)) > tol * scale:
+        return None, None
+    return sol, sol + 0.05 * vt[rank]
 
 
-class _Face:
-    """One solved (d, y) with its linearized point c_lin = c + Jac d. The
-    active profile at c_lin and whether y is a subgradient there are found on
-    first need and kept for every piece that shares the face. A face kept
-    for later pieces holds 1 + ||M|| of its solved system (`scale`) and the
-    residual of the blocks no piece changes (`r13`); `done` is set once the
-    (d, y) is accepted or dropped as a duplicate."""
-
-    def __init__(self, p, sol, cx, jac):
-        self.h = p.h
-        self.d, self.y = sol[:p.n], sol[p.n:p.n + p.m]
-        self.c_lin = cx + jac @ self.d
-        self.prof = self.member = self.scale = self.r13 = None
-        self.done = False
-
-    def on_piece(self, k, lam) -> bool:
-        """The consistency test for piece k with multipliers lam: lam >= 0,
-        k active at c_lin and y a subgradient there."""
-        if lam.size and np.min(lam) < -1e-8:
-            return False
-        if self.prof is None:
-            self.prof = eval_with_active(self.h, self.c_lin)
-        if not self.prof.is_finite or k not in self.prof.active_pieces:
-            return False
-        if self.member is None:
-            self.member = subdiff_hrep_at(self.h, self.prof, self.c_lin).contains(
-                self.y, slack=1e-7)
-        return self.member
-
-
-def _structure_model_sosc(p, h, prof, jac, H) -> bool:
-    """Reduced model curvature on the nullspace of the active rows at the
-    linearized point, over every piece active there."""
-    act = prof.active_set
-    A_all, _ = h.hyperplane_matrix()
-    rows = A_all[list(act)] @ jac if act else np.zeros((0, p.n))
-    eigs = reduced_min_eigs(nullspace_basis(rows), jac, H,
-                            [h.pieces[k2].Q for k2 in prof.active_pieces])
-    return eigs is None or min(eigs) > 0
+def _consistent(p, k, sol, cx, jac):
+    """The active profile at c_lin = c + Jac d when sol = (d, y, lam) is a
+    critical pair of the linearized model on piece k: k active at c_lin and
+    y in dh(c_lin) (slack 1e-7); None otherwise."""
+    d, y = sol[:p.n], sol[p.n:p.n + p.m]
+    c_lin = cx + jac @ d
+    prof = eval_with_active(p.h, c_lin)
+    if prof.is_finite and k in prof.active_pieces \
+            and subdiff_hrep_at(p.h, prof, c_lin).contains(y, slack=1e-7):
+        return prof
+    return None
 
 
 # The B_schedule of method quasi: B_k frozen at H(x_0, y_0), read from the

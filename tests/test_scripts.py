@@ -1,6 +1,7 @@
-"""The end-to-end benchmark script: its verdict table is part of the suite."""
+"""The scripts: the benchmark verdict table and the report digest are part of the suite."""
 
 import importlib.util
+import json
 import pathlib
 
 import numpy as np
@@ -31,3 +32,22 @@ def test_run_benchmarks_verdict_table(capsys):
     assert "cert=not-certified" in rows["b1_negated"]
     assert "UNEXPECTED" not in out
     assert out.splitlines()[-1] == "all benchmark expectations met"
+
+
+def test_report_digest_benchmark_lines():
+    script = _load("report_digest")
+    lines = list(script.benchmark_lines())
+    assert len(lines) == 81
+    assert list(script.benchmark_lines()) == lines  # a digest compares by bytes
+    fields = [line.split(" ", 2) for line in lines]
+    assert len({tag for tag, _, _ in fields}) == 81
+    for tag, head, rest in fields:
+        if head in ("0", "1"):
+            report = json.loads(rest)
+            assert report["command"] == tag.split("/")[1], tag
+        else:
+            assert head in ("RegimeError", "StepError"), tag
+            assert json.loads(rest)
+    certified = sorted(tag.split("/")[0] for tag, head, _ in fields
+                       if tag.endswith("/certify") and head == "0")
+    assert certified == CERTIFIED

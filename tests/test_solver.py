@@ -29,8 +29,8 @@ from plqnewton.solver import (
     RestrictedState,
     SolveOptions,
     SubproblemSolution,
+    _model_sosc_ok,
     _solve_possibly_singular,
-    _structure_model_sosc,
     kkt_matrix,
     newton_solve,
     quasi_newton_solve,
@@ -275,7 +275,7 @@ def _per_structure_enum(p, H, lin):
                 cols[:, t] = signs[j] * A_all[j]
                 rows[t] = A_all[j] @ jac
                 rhs[n + m + t] = alpha[j] - A_all[j] @ cx
-            sol, alt, resid = _solve_possibly_singular(kkt_matrix(H, jac, Q, cols, rows), rhs)
+            sol, alt = _solve_possibly_singular(kkt_matrix(H, jac, Q, cols, rows), rhs)
             if sol is None:
                 continue
             d, y = sol[:n], sol[n:n + m]
@@ -290,8 +290,9 @@ def _per_structure_enum(p, H, lin):
             out.append(SubproblemSolution(
                 d=d, y=y, lam=sol[n + m:], piece=k, active_set=subset,
                 model_value=prof.value.value + 0.5 * float(d @ H @ d),
-                model_sosc_ok=_structure_model_sosc(p, p.h, prof, jac, H),
-                unique=alternate is None, alternate=alternate, residual=resid))
+                model_sosc_ok=_model_sosc_ok(A_all[list(prof.active_set)] @ jac, jac, H,
+                                             [p.h.pieces[j].Q for j in prof.active_pieces]),
+                unique=alternate is None, alternate=alternate))
     out.sort(key=SubproblemSolution.key)
     return out
 
@@ -388,6 +389,29 @@ class TestFaceEnumeration:
                 == (r.piece, r.active_set, r.unique, r.model_sosc_ok)
             for u, v in ((g.d, r.d), (g.y, r.y), (g.lam, r.lam)):
                 assert np.linalg.norm(u - v) <= 1e-12 * max(1.0, np.linalg.norm(v))
+
+    def test_piece_must_be_active_at_linearized_point(self):
+        # h = c^2 / 2 split by the redundant hyperplane c = 0 into two equal
+        # pieces, c = x, from x = 1: piece 0's face () (c <= 0) solves to
+        # d = -1/2, y = 1/2, with y in dh(c_lin) but piece 0 not active at
+        # c_lin = 1/2. Piece 1's face () gives the same pair, and the face
+        # (0,) gives y = 1 outside dh(0) = {0}.
+        h = plq.PLQFunction(1, [plq.Hyperplane([1.0], 0.0)],
+                            [plq.Piece([1], [[1.0]], [0.0]), plq.Piece([-1], [[1.0]], [0.0])])
+        p = CompositeProblem(h, SmoothMap.from_strings(["x1"], 1))
+        sols = solve_subproblem_enum(p, [1.0], [0.0], np.eye(1))
+        assert [(q.piece, q.active_set) for q in sols] == [(1, ())]
+
+    def test_membership_decides_at_the_slack_edge(self):
+        # h = |c|, c = x, from x = -1 - 5e-8: the face (0,) gives
+        # d = 1 + 5e-8 and y = -1 - 5e-8, inside dh(0) = [-1, 1] up to the
+        # 1e-7 slack, while piece 0 (c <= 0) solves it with lam = -5e-8.
+        # The face is accepted on membership, next to the face () of piece 0.
+        h = plq.PLQFunction(1, [plq.Hyperplane([1.0], 0.0)],
+                            [plq.Piece([1], [[0.0]], [-1.0]), plq.Piece([-1], [[0.0]], [1.0])])
+        p = CompositeProblem(h, SmoothMap.from_strings(["x1"], 1))
+        sols = solve_subproblem_enum(p, [-1.0 - 5e-8], [0.0], np.eye(1))
+        assert sorted(q.active_set for q in sols) == [(), (0,)]
 
     def test_generator_covers_every_case(self, monkeypatch):
         solves = _count_calls(monkeypatch, solver, "_solve_possibly_singular")
