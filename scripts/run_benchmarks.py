@@ -1,9 +1,9 @@
 """End-to-end benchmark drive: certify, solve, classify, summarize.
 
-Runs each built-in benchmark through the solver matching its structure
-(restricted Newton on kinks, classical Newton on smooth problems), prints a
-per-benchmark summary table plus the certificate conclusions, and exits
-nonzero if any certified benchmark fails its expected verdict.
+Runs each built-in benchmark through the restricted Newton method on the
+manifold at its reference (a kink, or the one piece of a smooth problem),
+prints a per-benchmark summary table plus the certificate conclusions, and
+exits nonzero if any certified benchmark fails its expected verdict.
 """
 
 import pathlib
@@ -27,9 +27,8 @@ def run_one(name, bench):
     p = bench.problem
     cert = certify_subregularity(p, bench.xbar) if bench.xbar is not None else None
     prof = eval_with_active(p.h, p.c.value(bench.xbar))
-    method = "newton" if prof.kbar >= 2 else "smooth"
     try:
-        tr = solve(p, method, bench.start_x, bench.start_y, SolveOptions(tol=1e-12),
+        tr = solve(p, "newton", bench.start_x, bench.start_y, SolveOptions(tol=1e-12),
                    reference=(bench.xbar, bench.ybar))
         verdict = classify_rate(tr.errors((bench.xbar, bench.ybar)))
         solve_desc = (f"{'converged' if tr.converged else 'stalled':9s} "

@@ -8,7 +8,8 @@ The public surface mirrors the module layout:
   composite  composite problems, multipliers, qualifications, residuals
   manifold   active-manifold structure, block multipliers, partial smoothness
   certify    second-order and subregularity certificates, restricted matrices
-  solver     restricted Newton, structure enumeration, quasi-Newton, smooth Newton
+  solver     restricted Newton on any active structure, structure enumeration,
+             quasi-Newton
   rates      convergence-rate classification
   problems   problem-file loading
   benchmarks built-in functions and benchmark problems
@@ -74,7 +75,6 @@ from .solver import (
     newton_solve,
     quasi_newton_solve,
     restricted_newton_step,
-    smooth_newton_solve,
     solve_subproblem_enum,
 )
 

@@ -191,9 +191,9 @@ class PolyhedronH:
         y = as_vector(y, self.dim, "y")
         v = 0.0
         if self.E.shape[0]:
-            v = max(v, float(np.max(np.abs(self.E @ y - self.e))))
+            v = max(v, float(np.abs(self.E @ y - self.e).max()))
         if self.F.shape[0]:
-            v = max(v, float(np.max(self.F @ y - self.f)))
+            v = max(v, float((self.F @ y - self.f).max()))
         return v
 
     def _lp_blocks(self):
@@ -412,6 +412,8 @@ def subdiff_hrep_at(h: PLQFunction, prof, c) -> PolyhedronH:
         e.append(lin.rhs(g))
         F.append(rays.unit)
         f.append(rays.rhs(g))
+    if len(E) == 1:  # one active piece: its rows as they are
+        return PolyhedronH.from_unit_rows(E[0], e[0], F[0], f[0])
     return PolyhedronH.from_unit_rows(np.vstack(E), np.concatenate(e),
                                       np.vstack(F), np.concatenate(f))
 

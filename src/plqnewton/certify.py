@@ -5,7 +5,9 @@ The reduced curvature check runs in one of two modes:
   certified-subspace: nondegeneracy and strict criticality pin the non-ascent
       cone down to the subspace Null(A^T Jac), so positive definiteness of
       each active piece's reduced matrix Z^T (Jac^T Q_j Jac + H) Z certifies
-      sufficiency. The smooth single-piece interior case uses Z = I_n. The
+      sufficiency. This holds for any number of active pieces: with one, it
+      is the second-order condition of a nonlinear program on the critical
+      subspace of its active constraints, and Z = I_n inside a piece. The
       minimum eigenvalues come from the solver's `reduced_min_eigs`, the
       check its model monitors use, here against PD_TOL.
   heuristic-sampled: without those qualifications the non-ascent set is a
@@ -29,7 +31,7 @@ import numpy as np
 from .calculus import cone_generators, dir_deriv_second_at
 from .composite import CompositeProblem, PointAnalysis, analyze_point
 from .errors import PreconditionError
-from .manifold import ManifoldData, build_manifold
+from .manifold import ManifoldData, build_manifold_at
 from .numerics import as_vector, matrix_rank_rel, nullspace_basis
 from .solver import kkt_matrix, reduced_min_eigs
 
@@ -77,8 +79,7 @@ def certify_sosc(p: CompositeProblem, xbar, ybar, md: ManifoldData | None = None
 
 
 def _sosc(pa: PointAnalysis, ybar, md: ManifoldData | None) -> SOSCReport:
-    """`certify_sosc` at an analyzed point; md, when None, is built here if
-    two or more pieces are active."""
+    """`certify_sosc` at an analyzed point; md, when None, is built here."""
     p, prof, jac = pa.p, pa.prof, pa.jac
     ybar = as_vector(ybar, p.m, "ybar")
     res = pa.kkt_residual(ybar)
@@ -88,15 +89,9 @@ def _sosc(pa: PointAnalysis, ybar, md: ManifoldData | None) -> SOSCReport:
             f"(xbar, ybar) is not stationary: residual ({res.stationarity:g}, {res.subdiff_violation:g})")
     H = p.c.weighted_hessian(pa.x, ybar)
 
-    if prof.kbar == 1 and prof.ell == 0:
-        # Interior single piece: the non-ascent set is all of R^n.
-        k = prof.active_pieces[0]
-        eig = reduced_min_eigs(np.eye(p.n), jac, H, [p.h.pieces[k].Q])[0]
-        return SOSCReport("certified-subspace", p.n, ((k, eig),), None, bool(eig > PD_TOL))
-
-    if md is None and prof.kbar >= 2:
-        md = build_manifold(p.h, pa.cx)
-    if md is not None and md.nondegenerate and pa.cqs.sc:
+    if md is None:
+        md = build_manifold_at(p.h, prof, pa.cx)
+    if md.nondegenerate and pa.cqs.sc:
         Z = nullspace_basis(md.A.T @ jac)
         eigs = reduced_min_eigs(Z, jac, H, [md.piece(j).Q for j in range(md.kbar)])
         eigs = [None] * md.kbar if eigs is None else eigs

@@ -1,13 +1,16 @@
-"""Active-manifold structure of a PLQ function at a kink point.
+"""Active-manifold structure of a PLQ function at a point of its domain.
 
-At a point cbar shared by kbar >= 2 pieces, the manifold is the relative
+At a point cbar shared by kbar >= 1 pieces, the manifold is the relative
 interior of the intersection of the active pieces: the common active
 hyperplanes hold with equality, every other constraint of every active piece
 strictly. The matrix A stacks the active constraint gradients of the
 reference piece (the last active piece, so its sign matrix is the identity);
 the diagonal sign matrices P_j relate the other pieces' gradients through
 A P_j. Nondegeneracy means A has full column rank, which makes the block
-multiplier mu(c, y) unique.
+multiplier mu(c, y) unique. With one active piece the manifold is that
+piece's face: A holds its ell >= 0 active gradients (the active constraints
+of a nonlinear program), P = (ones,), and the one block is the Lagrange
+multiplier of those constraints; with ell = 0 it is an open piece.
 
 Partial smoothness is certified by nondegeneracy, k-strict complementarity
 and the parallel-subspace identity, decided in closed form from the block
@@ -24,15 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    MembershipError,
-    PreconditionError,
-    RegimeError,
-    RepresentationError,
-)
+from .errors import DomainError, MembershipError, PreconditionError, RepresentationError
 from .numerics import as_vector, freeze_array, matrix_rank_rel
-from .plq import ACT_TOL, PLQFunction, eval_with_active
+from .plq import ActiveProfile, PLQFunction, active_structure, eval_with_active
 
 # Strictness threshold on multiplier entries.
 SC_TOL = 1e-8
@@ -54,6 +51,9 @@ class ManifoldData:
         object.__setattr__(self, "base_point", freeze_array(self.base_point))
         object.__setattr__(self, "A", freeze_array(self.A))
         object.__setattr__(self, "P", tuple(freeze_array(v) for v in self.P))
+        # Each piece's signed active gradients A P_j, formed once.
+        object.__setattr__(self, "_AP", tuple(freeze_array(self.A * v[None, :])
+                                              for v in self.P))
 
     @property
     def kbar(self) -> int:
@@ -68,11 +68,19 @@ class ManifoldData:
         return self.A.shape[0]
 
     def AP(self, j) -> np.ndarray:
-        return self.A * self.P[j][None, :]
+        return self._AP[j]
 
     def piece(self, j):
         """The j-th active piece's data."""
         return self.h.pieces[self.active_pieces[j]]
+
+    def matches(self, prof: ActiveProfile) -> bool:
+        """Whether a point with the active profile `prof` lies on the manifold:
+        the same active pieces and the same active hyperplanes. Under ACT_TOL
+        this is equality on the manifold's hyperplanes and strict slack on
+        every other constraint of every active piece."""
+        return prof.active_pieces == self.active_pieces \
+            and prof.active_set == self.active_hyperplanes
 
     def A_bar(self) -> np.ndarray:
         return np.hstack([self.AP(j) for j in range(self.kbar)]) / self.kbar
@@ -124,49 +132,32 @@ class MuVector:
 
 
 def build_manifold(h: PLQFunction, cbar) -> ManifoldData:
-    """Manifold data at cbar; requires at least two active pieces."""
+    """Manifold data at cbar, for any number of active pieces."""
     cbar = as_vector(cbar, h.m, "cbar")
-    prof = eval_with_active(h, cbar)
+    return build_manifold_at(h, eval_with_active(h, cbar), cbar)
+
+
+def build_manifold_at(h: PLQFunction, prof: ActiveProfile, cbar) -> ManifoldData:
+    """`build_manifold` at cbar, whose active profile is `prof`, so that a
+    caller that has evaluated h at cbar does not evaluate it again."""
     if not prof.is_finite:
         raise DomainError("cbar is outside dom h")
-    if prof.kbar == 1:
-        raise RegimeError("single active piece at cbar: use the smooth solver path")
     act = prof.active_set
-    if not act:
+    if prof.kbar >= 2 and not act:
         raise RepresentationError("two pieces active with no active hyperplane")
     pieces = tuple(sorted(prof.active_pieces))
-    ref = pieces[-1]
+    idx = list(act)
     A_all, _ = h.hyperplane_matrix()
-    ref_signs = h.pieces[ref].signs
-    A = np.column_stack([ref_signs[j] * A_all[j] for j in act])
-    P = []
-    for k in pieces:
-        P.append(np.array([h.pieces[k].signs[j] * ref_signs[j] for j in act], dtype=float))
+    ref_signs = h.pieces[pieces[-1]].signs[idx]
+    A = np.ascontiguousarray((ref_signs[:, None] * A_all[idx]).T)
+    P = tuple(h.pieces[k].signs[idx] * ref_signs for k in pieces)
     nondeg = matrix_rank_rel(A) == len(act)
-    return ManifoldData(h, cbar, pieces, act, A, tuple(P), nondeg)
+    return ManifoldData(h, cbar, pieces, act, A, P, nondeg)
 
 
 def manifold_contains(md: ManifoldData, c) -> bool:
-    """Equality on the common active hyperplanes, strict slack on every other
-    constraint of every active piece."""
-    c = as_vector(c, md.m, "c")
-    h = md.h
-    A_all, alpha = h.hyperplane_matrix()
-    if A_all.shape[0] == 0:
-        return False
-    res = A_all @ c - alpha
-    tol = ACT_TOL * (1.0 + np.abs(alpha))
-    for j in md.active_hyperplanes:
-        if abs(res[j]) > tol[j]:
-            return False
-    for k in md.active_pieces:
-        signs = h.pieces[k].signs
-        for j in range(h.n_hyperplanes):
-            if j in md.active_hyperplanes:
-                continue
-            if signs[j] * res[j] >= -tol[j]:
-                return False
-    return True
+    """Whether c lies on the manifold: see `ManifoldData.matches`."""
+    return active_structure(md.h, c) == (md.active_pieces, md.active_hyperplanes)
 
 
 def mu_of(md: ManifoldData, c, y) -> MuVector:
@@ -186,9 +177,9 @@ def mu_of(md: ManifoldData, c, y) -> MuVector:
             raise MembershipError(
                 f"y is not a subgradient at c: block {j} reconstruction residual "
                 f"{np.linalg.norm(recon):g}")
-    if np.min(blocks) < -1e-9:
-        raise MembershipError(f"y is not a subgradient at c: negative multiplier {np.min(blocks):g}")
     mu = MuVector(blocks)
+    if mu.min_entry < -1e-9:
+        raise MembershipError(f"y is not a subgradient at c: negative multiplier {mu.min_entry:g}")
     # Averaged identity: y = lambda0(c) + A_bar mu.
     avg = md.lambda0(c) + md.A_bar() @ mu.flat
     if np.linalg.norm(avg - y) > RECON_TOL * scale:

@@ -192,8 +192,7 @@ def eval_with_active(h: PLQFunction, c) -> ActiveProfile:
     beyond VALUE_TOL * (1 + |value|).
     """
     c = as_vector(c, h.m, "c")
-    r = h.residuals(c)
-    active = np.flatnonzero(np.all(h._signs * r <= h._act_tol, axis=1)).tolist()
+    active, act_set = active_structure(h, c)
     if not active:
         return ActiveProfile(PLUS_INF, (), {}, 0, None)
     vals = [h.piece_value(k, c) for k in active]
@@ -202,9 +201,18 @@ def eval_with_active(h: PLQFunction, c) -> ActiveProfile:
         if abs(v - v0) > VALUE_TOL * (1.0 + abs(v0)):
             raise RepresentationError(
                 f"active pieces {active[0]} and {k} disagree in value: {v0} vs {v}")
-    act_set = tuple(np.flatnonzero(np.abs(r) <= h._act_tol).tolist())
-    return ActiveProfile(ExtReal.finite(v0), tuple(active), dict.fromkeys(active, act_set),
+    return ActiveProfile(ExtReal.finite(v0), active, dict.fromkeys(active, act_set),
                          len(active), len(act_set))
+
+
+def active_structure(h: PLQFunction, c) -> tuple[tuple, tuple]:
+    """(active pieces, active hyperplanes) of h at c, as `eval_with_active`
+    reports them, without evaluating h: with r = A c - alpha, piece k is
+    active when signs_k r <= tol and hyperplane j when |r_j| <= tol, for
+    tol = ACT_TOL (1 + |alpha|)."""
+    r = h.residuals(c)
+    return (tuple((h._signs * r <= h._act_tol).all(axis=1).nonzero()[0].tolist()),
+            tuple((np.abs(r) <= h._act_tol).nonzero()[0].tolist()))
 
 
 def value(h: PLQFunction, c) -> ExtReal:

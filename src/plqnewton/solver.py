@@ -8,7 +8,11 @@ held at equality differ. Entry points:
   restricted_newton_step: one active piece's manifold-restricted system;
   newton_solve: the manifold-restricted iteration, taking the step of every
       active piece and checking that their (x, y) parts agree (the gluing
-      identity), with identification and strict-positivity monitors;
+      identity), with identification and strict-positivity monitors. It runs
+      on any number k_bar >= 1 of active pieces: on one piece with ell
+      active hyperplanes it is the local SQP iteration of a nonlinear
+      program, and with ell = 0 classical Newton on the piece's stationarity
+      equations (method smooth);
   solve_subproblem_enum: direction finding by enumeration of candidate active
       structures (piece, active hyperplane subset) of the linearized model.
       It returns its critical pairs: H d + Jac^T y = 0 with y in
@@ -17,9 +21,8 @@ held at equality differ. Entry points:
       membership test alone decides, since for a continuous h it already
       makes the multipliers of every active piece nonnegative. Singular faces
       are solved piece by piece;
-  quasi_newton_solve / smooth_newton_solve: the structure-enumerating
-      iteration with Hessian models B_k, and classical Newton on the
-      stationarity equations of one smooth piece (no coupling blocks);
+  quasi_newton_solve: the structure-enumerating iteration with Hessian
+      models B_k;
   solve: the dispatch on a method name (newton | enum | quasi | smooth).
 
 The iterations share one loop, `_iterate` (trace rows, convergence,
@@ -54,7 +57,7 @@ from .calculus import subdiff_hrep_at
 from .composite import CompositeProblem, kkt_residual
 from .errors import DivergenceError, PreconditionError, RegimeError, SchemaError, StepError
 from .exprmap import Linearization
-from .manifold import ManifoldData, build_manifold, manifold_contains
+from .manifold import ManifoldData, build_manifold, build_manifold_at
 from .numerics import as_vector, nullspace_basis
 from .plq import eval_with_active
 
@@ -161,7 +164,7 @@ def kkt_matrix(H, jac, Q, cols=None, rows=None) -> np.ndarray:
     M[:n, :n] = H
     M[:n, n:n + m] = jac.T
     M[n:n + m, :n] = -Q @ jac
-    M[n:n + m, n:n + m] = np.eye(m)
+    np.fill_diagonal(M[n:n + m, n:n + m], 1.0)
     if ell:
         M[n:n + m, n + m:] = -cols
         M[n + m:, :n] = rows
@@ -170,14 +173,15 @@ def kkt_matrix(H, jac, Q, cols=None, rows=None) -> np.ndarray:
 
 def reduced_min_eigs(Z, jac, H, Qs):
     """Minimum eigenvalue of the reduced matrix Z^T (Jac^T Q Jac + H) Z for
-    each Q in Qs, or None when Z has no columns."""
-    if Z.shape[1] == 0:
+    each Q in Qs (Z None: the whole space), or None when Z has no columns."""
+    if Z is not None and Z.shape[1] == 0:
         return None
     eigs = []
     for Q in Qs:
-        G = Z.T @ (jac.T @ Q @ jac + H) @ Z
+        G = jac.T @ Q @ jac + H
+        G = G if Z is None else Z.T @ G @ Z
         G = 0.5 * (G + G.T)
-        eigs.append(float(np.min(np.linalg.eigvalsh(G))))
+        eigs.append(float(np.linalg.eigvalsh(G)[0]))  # ascending
     return eigs
 
 
@@ -214,7 +218,9 @@ def _iterate(p: CompositeProblem, trace: IterationTrace, x, y, step, opts: Solve
 
 def _initial_mu(p: CompositeProblem, md: ManifoldData, cx, y) -> np.ndarray:
     """Default block multipliers from the projection of c(x) onto the manifold's
-    affine hull, clipped at zero."""
+    affine hull, clipped at zero (none when no hyperplane is active)."""
+    if md.ell == 0:
+        return np.zeros((md.kbar, 0))
     A_all, alpha = p.h.hyperplane_matrix()
     act = list(md.active_hyperplanes)
     Ar = A_all[act]
@@ -222,6 +228,10 @@ def _initial_mu(p: CompositeProblem, md: ManifoldData, cx, y) -> np.ndarray:
     proj = cx - Ar.T @ np.linalg.solve(Ar @ Ar.T, resid)
     blocks, _ = md.mu_projection(proj, y)
     return np.maximum(blocks, 0.0)
+
+
+def _mu_min(mu) -> float | None:
+    return float(np.min(mu)) if mu.size else None
 
 
 def restricted_newton_step(p: CompositeProblem, md: ManifoldData,
@@ -233,22 +243,23 @@ def restricted_newton_step(p: CompositeProblem, md: ManifoldData,
     stationarity equation, the piece-j subgradient equation at the linearized
     point, and the manifold equation pinning the linearized point to the
     manifold's affine hull. `lin` is the linearization p.c.evaluate(x, y) at
-    the state's pair, made here when not given.
+    the state's pair, made here when not given. On a one-piece manifold this
+    is the local SQP step of the nonlinear program whose constraints are the
+    active hyperplanes, and classical Newton when there are none.
     """
     x_hat = as_vector(state.x, p.n, "x")
     y_hat = as_vector(state.y, p.m, "y")
     cx, jac, H = p.c.evaluate(x_hat, y_hat) if lin is None else lin
     n, m = p.n, p.m
-    Q = md.piece(j).Q
-    b = md.piece(j).b
-    M = kkt_matrix(H, jac, Q, md.AP(j), md.A.T @ jac)
-    rhs = np.concatenate([
-        H @ x_hat,
-        Q @ (cx - jac @ x_hat) + b,
-        md.A.T @ (md.base_point - cx + jac @ x_hat),
-    ])
+    piece = md.piece(j)
+    jx = jac @ x_hat
+    rhs = [H @ x_hat, piece.Q @ (cx - jx) + piece.b]
+    rows = None
+    if md.ell:  # the manifold equation
+        rows = md.A.T @ jac
+        rhs.append(md.A.T @ (md.base_point - cx + jx))
     try:
-        sol = np.linalg.solve(M, rhs)
+        sol = np.linalg.solve(kkt_matrix(H, jac, piece.Q, md.AP(j), rows), np.concatenate(rhs))
     except np.linalg.LinAlgError:
         raise StepError(f"restricted system for piece block {j} is singular") from None
     mu = state.mu_blocks.copy()
@@ -262,18 +273,21 @@ def newton_solve(p: CompositeProblem, md: ManifoldData | None, start, opts: Solv
 
     `start` is (x0, y0) or (x0, y0, mu0). When md is None the manifold is
     built from the first linearized point of a structure-enumeration step.
+    On a one-piece manifold there is nothing to glue, and a linearized point
+    off the manifold is refused: the step has left the piece's face.
     """
     x = as_vector(start[0], p.n, "x0")
     y = as_vector(start[1], p.m, "y0")
     lin = p.c.evaluate(x, y)
     if md is None:
-        md = _bootstrap_manifold(p, x, y, lin)
+        md = _bootstrap_manifold(p, x, lin)
     if not md.nondegenerate:
         raise RegimeError("degenerate manifold matrix A")
     if len(start) > 2 and start[2] is not None:
         mu = np.asarray(start[2], dtype=float).reshape(md.kbar, md.ell)
     else:
         mu = _initial_mu(p, md, lin.c, y)
+    Qs = [md.piece(j).Q for j in range(md.kbar)]
 
     def step(k, x, y, lin):
         nonlocal mu
@@ -284,34 +298,35 @@ def newton_solve(p: CompositeProblem, md: ManifoldData | None, start, opts: Solv
             for j in range(i + 1, md.kbar):
                 gap = max(gap, float(np.linalg.norm(results[i].x - results[j].x)
                                      + np.linalg.norm(results[i].y - results[j].y)))
-        scale = 1.0 + float(np.linalg.norm(x)) + float(np.linalg.norm(y))
-        if gap > GLUE_FAIL * scale:
+        if gap and gap > GLUE_FAIL * (1.0 + float(np.linalg.norm(x)) + float(np.linalg.norm(y))):
             raise DivergenceError(
                 f"gluing identity failed at iteration {k}: cross-piece gap {gap:g}")
         new = results[-1]
-        mu = np.vstack([results[j].mu_blocks[j] for j in range(md.kbar)])
-        c_lin = lin.c + lin.J @ (new.x - x)
+        mu = np.array([r.mu_blocks[j] for j, r in enumerate(results)])
+        prof = eval_with_active(p.h, lin.c + lin.J @ (new.x - x))
+        on_manifold = md.matches(prof)
+        if md.kbar == 1 and not on_manifold:
+            raise RegimeError(f"linearized point left the interior of piece "
+                              f"{md.active_pieces[0]} at iteration {k}")
         return new.x, new.y, dict(
-            mu=mu.copy(), on_manifold=manifold_contains(md, c_lin),
-            lin_active=eval_with_active(p.h, c_lin).active_pieces,
-            model_sosc_ok=_model_sosc_ok(md.A.T @ lin.J, lin.J, lin.H,
-                                         [md.piece(j).Q for j in range(md.kbar)]),
-            mu_min=float(np.min(mu)), gluing_gap=gap)
+            mu=mu, on_manifold=on_manifold, lin_active=prof.active_pieces,
+            model_sosc_ok=_model_sosc_ok(md.A.T @ lin.J, lin.J, lin.H, Qs),
+            mu_min=_mu_min(mu), gluing_gap=gap)
 
     return _iterate(p, IterationTrace(method="newton"), x, y, step, opts, reference, lin,
-                    mu=mu.copy(), mu_min=float(np.min(mu)))
+                    mu=mu.copy(), mu_min=_mu_min(mu))
 
 
 def _model_sosc_ok(rows, jac, H, Qs) -> bool:
     """Whether the model curvature Jac^T Q Jac + H is positive definite on
     Null(rows) for every Q in Qs (true when the nullspace is {0})."""
-    eigs = reduced_min_eigs(nullspace_basis(rows), jac, H, Qs)
+    eigs = reduced_min_eigs(nullspace_basis(rows) if rows.shape[0] else None, jac, H, Qs)
     return eigs is None or min(eigs) > 0
 
 
-def _bootstrap_manifold(p, x, y, lin) -> ManifoldData:
+def _bootstrap_manifold(p, x, lin) -> ManifoldData:
     """Manifold from the first linearized point of an enumeration step."""
-    sols = solve_subproblem_enum(p, x, y, lin.H, lin)
+    sols = solve_subproblem_enum(p, x, lin.H, lin)
     if not sols:
         raise StepError("bootstrap subproblem has no consistent critical pair")
     return build_manifold(p.h, lin.c + lin.J @ sols[0].d)
@@ -336,8 +351,7 @@ class SubproblemSolution:
         return (round(self.model_value, 12), self.piece)
 
 
-def solve_subproblem_enum(p: CompositeProblem, x_hat, y_hat, H,
-                          lin: Linearization | None = None):
+def solve_subproblem_enum(p: CompositeProblem, x_hat, H, lin: Linearization | None = None):
     """All critical pairs of the linearized model over candidate active
     structures (piece, subset of hyperplanes held at equality).
 
@@ -468,7 +482,7 @@ def quasi_newton_solve(p: CompositeProblem, start, B_schedule, opts: SolveOption
         B = np.atleast_2d(np.asarray(B, dtype=float))
         if B.shape != (p.n, p.n) or np.max(np.abs(B - B.T)) > 1e-10:
             raise StepError("B schedule must produce symmetric n x n matrices")
-        sols = solve_subproblem_enum(p, x, y, B, lin)
+        sols = solve_subproblem_enum(p, x, B, lin)
         if not sols:
             raise StepError(f"no consistent critical pair at iteration {k}")
         best = sols[0]
@@ -483,70 +497,34 @@ def quasi_newton_solve(p: CompositeProblem, start, B_schedule, opts: SolveOption
     return _iterate(p, trace, x, y, step, opts, reference)
 
 
-def smooth_newton_solve(p: CompositeProblem, start, opts: SolveOptions,
-                        reference=None) -> IterationTrace:
-    """Classical Newton on the stationarity equations of one smooth piece.
-
-    Requires the start and every linearized point to stay strictly inside the
-    single active piece; leaving it raises RegimeError so callers can fall
-    back to the structure-enumerating solver.
-    """
-    x = as_vector(start[0], p.n, "x0")
-    if len(start) > 1 and start[1] is not None:
-        y = as_vector(start[1], p.m, "y0")
-    else:
-        y = None
-    cx = p.c.value(x)
-    prof = eval_with_active(p.h, cx)
-    if prof.kbar != 1 or prof.ell != 0:
-        raise RegimeError("start is not strictly inside a single piece")
-    k0 = prof.active_pieces[0]
-    Q, b = p.h.pieces[k0].Q, p.h.pieces[k0].b
-    if y is None:
-        y = Q @ cx + b
-
-    def step(k, x, y, lin):
-        cx, jac, H = lin
-        g = np.concatenate([jac.T @ y, y - Q @ cx - b])
-        try:
-            delta = np.linalg.solve(kkt_matrix(H, jac, Q), -g)
-        except np.linalg.LinAlgError:
-            raise StepError(f"smooth system singular at iteration {k}") from None
-        dx, dy = delta[:p.n], delta[p.n:]
-        prof_lin = eval_with_active(p.h, cx + jac @ dx)
-        if prof_lin.active_pieces != (k0,) or prof_lin.ell != 0:
-            raise RegimeError(
-                f"linearized point left the interior of piece {k0} at iteration {k}")
-        return x + dx, y + dy, dict(on_manifold=True, lin_active=prof_lin.active_pieces)
-
-    return _iterate(p, IterationTrace(method="smooth-newton"), x, y, step, opts, reference,
-                    on_manifold=True)
-
-
 def solve(p: CompositeProblem, method: str, x0, y0, opts: SolveOptions,
           reference=None) -> IterationTrace:
     """Run method newton | enum | quasi | smooth from (x0, y0).
 
     newton takes its manifold at c(xbar) of the reference (xbar, ybar) when
-    given; enum uses each iterate's exact Hessian, quasi the start pair's.
-    Without y0, enum and quasi start from the gradient of the one active piece.
+    given; smooth is newton on the one-piece manifold at c(x0), refused
+    unless x0 lies strictly inside a single piece. enum uses each iterate's
+    exact Hessian, quasi the start pair's. Without y0, every method starts
+    from the gradient of the one active piece.
     """
-    if method == "newton":
-        md = None
-        if reference is not None:
-            md = build_manifold(p.h, p.c.value(reference[0]))
-        if y0 is None:
-            raise PreconditionError("newton method needs a start y")
-        return newton_solve(p, md, (x0, y0), opts, reference=reference)
-    if method == "smooth":
-        return smooth_newton_solve(p, (x0, y0), opts, reference=reference)
-    if method not in ("quasi", "enum"):
+    if method not in ("newton", "smooth", "quasi", "enum"):
         raise SchemaError("/solver/method", f"unknown method {method!r}")
-    if y0 is None:
+    md = None
+    if method == "newton" and reference is not None:
+        md = build_manifold(p.h, p.c.value(reference[0]))
+    if method == "smooth" or y0 is None:
         cx = p.c.value(x0)
         prof = eval_with_active(p.h, cx)
-        if prof.kbar != 1:
-            raise PreconditionError(f"{method} method needs a start y at a kink start")
-        y0 = p.h.piece_gradient(prof.active_pieces[0], cx)
+        if method == "smooth":
+            if prof.kbar != 1 or prof.ell != 0:
+                raise RegimeError("start is not strictly inside a single piece")
+            md = build_manifold_at(p.h, prof, cx)
+        if y0 is None:
+            if prof.kbar != 1:
+                raise PreconditionError(f"{method} method needs a start y"
+                                        + ("" if method == "newton" else " at a kink start"))
+            y0 = p.h.piece_gradient(prof.active_pieces[0], cx)
+    if method in ("newton", "smooth"):
+        return newton_solve(p, md, (x0, y0), opts, reference=reference)
     schedule = _START_HESSIAN if method == "quasi" else None
     return quasi_newton_solve(p, (x0, y0), schedule, opts, reference=reference)

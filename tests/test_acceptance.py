@@ -36,7 +36,7 @@ from plqnewton.solver import (
     SolveOptions,
     newton_solve,
     quasi_newton_solve,
-    smooth_newton_solve,
+    solve,
     solve_subproblem_enum,
 )
 
@@ -85,8 +85,8 @@ def test_criterion_2_smooth_case_quadratic():
     """Zero-residual least squares converges quadratically to the known root
     in at most 10 iterations."""
     e = expsin_ls()
-    tr = smooth_newton_solve(e.problem, (e.start_x, None), SolveOptions(tol=1e-12),
-                             reference=(e.xbar, e.ybar))
+    tr = solve(e.problem, "smooth", e.start_x, None, SolveOptions(tol=1e-12),
+               reference=(e.xbar, e.ybar))
     assert tr.converged and tr.final.k <= 10
     errs = tr.errors((e.xbar, e.ybar))
     assert errs[-1] <= 1e-10
@@ -95,8 +95,8 @@ def test_criterion_2_smooth_case_quadratic():
     # The classical polynomial least-squares root is reached as well (its
     # finite termination makes it a convergence check, not a rate check).
     r = rosenbrock_ls()
-    tr2 = smooth_newton_solve(r.problem, (r.start_x, None), SolveOptions(tol=1e-12),
-                              reference=(r.xbar, r.ybar))
+    tr2 = solve(r.problem, "smooth", r.start_x, None, SolveOptions(tol=1e-12),
+                reference=(r.xbar, r.ybar))
     assert tr2.converged and tr2.final.k <= 10
     assert np.linalg.norm(tr2.final.x - r.xbar) <= 1e-10
     _report(2, f"smooth Newton quadratic in {tr.final.k} iterations")
@@ -247,7 +247,7 @@ def test_criterion_6_linearized_equation_uniqueness_spot_check():
     not certified."""
     b = b1_minimax()
     H = b.problem.c.weighted_hessian(b.xbar, b.ybar)
-    sols = solve_subproblem_enum(b.problem, b.xbar, b.ybar, H)
+    sols = solve_subproblem_enum(b.problem, b.xbar, H)
     assert len(sols) == 1, [s.active_set for s in sols]
     s = sols[0]
     assert s.unique
@@ -258,7 +258,7 @@ def test_criterion_6_linearized_equation_uniqueness_spot_check():
 
     flat = b1_flat()
     Hf = flat.problem.c.weighted_hessian(flat.xbar, flat.ybar)
-    sols_f = solve_subproblem_enum(flat.problem, flat.xbar, flat.ybar, Hf)
+    sols_f = solve_subproblem_enum(flat.problem, flat.xbar, Hf)
     family = [s for s in sols_f if not s.unique and s.alternate is not None]
     assert family, "expected a nontrivial solution family"
     sf = family[0]

@@ -11,6 +11,7 @@ from plqnewton.benchmarks import (
     cross_l1,
     l1_kink,
     l1_plq,
+    nlp_plq,
     rosenbrock_ls,
 )
 from plqnewton import calculus, composite, manifold, plq, simplex
@@ -134,7 +135,7 @@ class TestSubregularity:
             cert = certify_subregularity(bench.problem, bench.xbar)
             assert cert.conclusion == "strongly-metrically-subregular"
             H = bench.problem.c.weighted_hessian(bench.xbar, bench.ybar)
-            sols = solve_subproblem_enum(bench.problem, bench.xbar, bench.ybar, H)
+            sols = solve_subproblem_enum(bench.problem, bench.xbar, H)
             near = [s for s in sols
                     if np.linalg.norm(s.d) + np.linalg.norm(s.y - bench.ybar) <= 0.1]
             assert len(near) == 1
@@ -161,18 +162,14 @@ class TestSubregularity:
 
 class TestSinglePieceBoundary:
     def test_boundary_point_routes_to_heuristic_and_surfaces_the_gap(self):
-        # One piece with an active domain hyperplane at the solution: neither
-        # the manifold path (needs two pieces) nor the smooth path (needs an
-        # interior point) applies, so the certificate stays heuristic and the
-        # conclusion reports the gap.
-        from plqnewton.benchmarks import nlp_plq
-        from plqnewton.manifold import build_manifold
-        from plqnewton.errors import RegimeError
-        from plqnewton.solver import SolveOptions, smooth_newton_solve
-
+        # One piece with an active domain hyperplane at the solution, weakly
+        # active: ybar = (1, 0) puts the constraint's multiplier at 0, so sc
+        # fails, the one-piece manifold's subspace does not apply, and the
+        # certificate stays heuristic; the conclusion reports the gap.
         p = CompositeProblem(nlp_plq(), SmoothMap.from_strings(["x1^2", "x1"], 1))
         xbar = np.array([0.0])
         ybar = np.array([1.0, 0.0])
+        assert not composite.analyze_point(p, xbar).cqs.sc
         rep = certify_sosc(p, xbar, ybar)
         assert rep.mode == "heuristic-sampled"
         assert rep.passed  # curvature 2 on the sampled non-ascent rays
@@ -180,15 +177,56 @@ class TestSinglePieceBoundary:
         assert cert.m_singleton
         assert cert.conclusion == "not-certified"
         assert any("heuristic" in r for r in cert.reasons)
-        with pytest.raises(RegimeError):
-            build_manifold(p.h, p.c.value(xbar))
-        with pytest.raises(RegimeError):
-            smooth_newton_solve(p, (xbar, ybar), SolveOptions())
         # The structure-enumeration path still works at the solution.
         from plqnewton.solver import solve_subproblem_enum
 
-        sols = solve_subproblem_enum(p, xbar, ybar, p.c.weighted_hessian(xbar, ybar))
+        sols = solve_subproblem_enum(p, xbar, p.c.weighted_hessian(xbar, ybar))
         assert sols and np.linalg.norm(sols[0].d) <= 1e-10
+
+
+def _nlp(c1="x1^2 + x2^2", c2="1 - x1"):
+    """The nonlinear program min c1(x) s.t. c2(x) <= 0, as h = c1 + indicator(c2 <= 0)
+    composed with c = (c1, c2). With the defaults its solution is xbar = (1, 0)
+    with ybar = (1, 2): one piece, one strictly active domain hyperplane."""
+    return CompositeProblem(nlp_plq(), SmoothMap.from_strings([c1, c2], 2))
+
+
+NLP_XBAR, NLP_YBAR = np.array([1.0, 0.0]), np.array([1.0, 2.0])
+
+
+class TestNonlinearProgram:
+    """One piece with an active domain hyperplane: the one-piece manifold
+    certifies sufficiency on Null(A^T Jac), the critical subspace of the
+    active constraint, as in nonlinear programming."""
+
+    def test_reference_certified_on_the_subspace(self):
+        cert = certify_subregularity(_nlp(), NLP_XBAR)
+        assert cert.conclusion == "strongly-metrically-subregular", cert.reasons
+        assert cert.m_singleton and cert.reasons == ()
+        # Null(A^T Jac) = span{e2}, where the Lagrangian Hessian y1 * 2 I has
+        # curvature 2.
+        assert cert.sosc.mode == "certified-subspace"
+        assert cert.sosc.subspace_dim == 1
+        assert cert.sosc.piece_min_eigs == ((0, pytest.approx(2.0, abs=1e-12)),)
+        pa = composite.analyze_point(_nlp(), NLP_XBAR)
+        assert pa.cqs.sc and np.allclose(pa.multipliers.y, NLP_YBAR, atol=1e-12)
+
+    def test_curved_constraint_certified(self):
+        # c2 = 1 - x1 - x2^2 / 4 curves the boundary toward the objective's
+        # level sets without crossing them: curvature 2 - 2 * 2 / 4 = 1.
+        cert = certify_subregularity(_nlp(c2="1 - x1 - 0.25*x2^2"), NLP_XBAR)
+        assert cert.conclusion == "strongly-metrically-subregular", cert.reasons
+        assert cert.sosc.mode == "certified-subspace"
+        assert cert.sosc.piece_min_eigs == ((0, pytest.approx(1.0, abs=1e-12)),)
+
+    def test_negative_curvature_twin_refused(self):
+        # c1 = x1^2 - x2^2: the same stationary pair, curvature -2 along the
+        # boundary, so (1, 0) is a saddle and the certificate is refused.
+        cert = certify_subregularity(_nlp(c1="x1^2 - x2^2"), NLP_XBAR)
+        assert cert.conclusion == "not-certified"
+        assert cert.sosc.mode == "certified-subspace" and not cert.sosc.passed
+        assert cert.sosc.piece_min_eigs == ((0, pytest.approx(-2.0, abs=1e-12)),)
+        assert "reduced second-order sufficiency fails" in cert.reasons
 
 
 class TestRestrictedKKTMatrix:
@@ -316,10 +354,10 @@ class TestPolyhedralDataOnce:
         H = p.c.evaluate(x0, y0).H
         subdiffs = _count_calls(monkeypatch, calculus, "subdiff_hrep")
         cones = _count_calls(monkeypatch, calculus, "cone_generators")
-        first = solve_subproblem_enum(p, x0, y0, H)
+        first = solve_subproblem_enum(p, x0, H)
         assert first and len(subdiffs) <= 1
         converted = len(cones)
-        again = solve_subproblem_enum(p, x0, y0, H)
+        again = solve_subproblem_enum(p, x0, H)
         assert len(cones) == converted
         assert [(e.piece, e.active_set, e.model_value) for e in again] == \
             [(e.piece, e.active_set, e.model_value) for e in first]

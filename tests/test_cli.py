@@ -93,6 +93,22 @@ class TestRunReport:
         assert rep["identification"]["linearized_on_manifold"]
         json.dumps(rep)  # must be serializable
 
+    @pytest.mark.parametrize("name", ["rosenbrock_ls", "expsin_ls"])
+    def test_newton_solve_report_inside_one_piece(self, name):
+        # A one-piece manifold with no active hyperplane has no block
+        # multipliers: the report says so with a null mu_min.
+        from plqnewton.benchmarks import BENCHMARKS
+
+        pf = parse_problem_dict(BENCHMARKS[name]().as_problem_dict())
+        rep, code = run_report(pf, "solve", {"seed": 42, "method": "newton",
+                                             "tol": None, "max_iter": None,
+                                             "trace": None})
+        assert code == 0 and rep["converged"]
+        ident = json.loads(json.dumps(rep))["identification"]
+        assert ident["linearized_on_manifold"] is True
+        assert ident["mu_min"] is None
+        assert ident["max_gluing_gap"] == 0.0
+
     def test_certify_report(self):
         pf = parse_problem_dict(_doc())
         rep, code = run_report(pf, "certify", {"seed": 42, "point": None})

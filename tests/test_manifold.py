@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from plqnewton.benchmarks import l1_plq, l1sq_plq, max2_plq
 from plqnewton.calculus import subdiff_hrep
-from plqnewton.errors import MembershipError, RegimeError, DomainError
+from plqnewton.errors import MembershipError, DomainError
 from plqnewton.manifold import (
     SC_TOL,
     _zeta_realizable,
@@ -49,9 +49,32 @@ class TestBuildManifold:
                      for jj in md.active_hyperplanes])
                 assert np.allclose(md.AP(j), grads)
 
-    def test_smooth_point_raises_regime(self):
-        with pytest.raises(RegimeError):
-            build_manifold(l1_plq(), [1.0, 1.0])
+    def test_smooth_point_is_one_piece_manifold(self):
+        # Inside one piece: k_bar = 1, no active hyperplane, A is m x 0, and
+        # the one sign vector is empty.
+        md = build_manifold(l1_plq(), [1.0, 1.0])
+        assert md.active_pieces == (0,) and md.active_hyperplanes == ()
+        assert md.kbar == 1 and md.ell == 0
+        assert md.A.shape == (2, 0)
+        assert len(md.P) == 1 and md.P[0].shape == (0,)
+        assert md.nondegenerate
+        assert manifold_contains(md, [2.0, 3.0])
+        assert not manifold_contains(md, [0.0, 3.0])  # a hyperplane becomes active
+        assert not manifold_contains(md, [-1.0, 3.0])  # another piece
+
+    def test_domain_boundary_is_one_piece_manifold(self):
+        # One piece with an active domain hyperplane (a nonlinear program's
+        # active constraint): A is the piece's signed gradient, P = (ones,).
+        from plqnewton.benchmarks import nlp_plq
+
+        md = build_manifold(nlp_plq(), [1.0, 0.0])
+        assert md.active_pieces == (0,) and md.active_hyperplanes == (0,)
+        assert md.kbar == 1 and md.ell == 1
+        assert np.array_equal(md.A, [[0.0], [1.0]])
+        assert len(md.P) == 1 and np.array_equal(md.P[0], [1.0])
+        assert md.nondegenerate
+        assert manifold_contains(md, [-4.0, 0.0])
+        assert not manifold_contains(md, [1.0, -0.5])  # the constraint is inactive
 
     def test_outside_domain_raises(self):
         from plqnewton.benchmarks import nlp_plq

@@ -13,6 +13,7 @@ from plqnewton.benchmarks import (
     b1_minimax,
     cross_l1,
     expsin_ls,
+    halfquad_plq,
     l1_kink,
     max2_plq,
     rosenbrock_ls,
@@ -21,7 +22,7 @@ from plqnewton.benchmarks import (
 from plqnewton.calculus import subdiff_hrep_at
 from plqnewton.cli import run_report
 from plqnewton.composite import CompositeProblem
-from plqnewton.errors import DivergenceError, RegimeError
+from plqnewton.errors import DivergenceError, PreconditionError, RegimeError, StepError
 from plqnewton.exprmap import SmoothMap
 from plqnewton.manifold import build_manifold, mu_of
 from plqnewton.problems import parse_problem_dict
@@ -35,10 +36,10 @@ from plqnewton.solver import (
     newton_solve,
     quasi_newton_solve,
     restricted_newton_step,
-    smooth_newton_solve,
+    solve,
     solve_subproblem_enum,
 )
-from test_certify import _count_calls, _weighted_l1_crossing
+from test_certify import NLP_XBAR, NLP_YBAR, _count_calls, _nlp, _weighted_l1_crossing
 
 
 def _b1_setup():
@@ -156,7 +157,7 @@ class TestNewtonSolve:
             assert tr.converged
             for prev, cur in zip(tr.rows[:-1], tr.rows[1:]):
                 H = bench.problem.c.weighted_hessian(prev.x, prev.y)
-                sols = solve_subproblem_enum(bench.problem, prev.x, prev.y, H)
+                sols = solve_subproblem_enum(bench.problem, prev.x, H)
                 assert sols
                 best = sols[0]
                 gap = (np.linalg.norm(prev.x + best.d - cur.x)
@@ -171,7 +172,7 @@ class TestSubproblemEnum:
         y_hat = np.array([0.5, 0.5])
         H = b.problem.c.weighted_hessian(x_hat, y_hat)
         assert np.allclose(H, 2 * np.eye(2))
-        sols = solve_subproblem_enum(b.problem, x_hat, y_hat, H)
+        sols = solve_subproblem_enum(b.problem, x_hat, H)
         assert len(sols) == 1
         best = sols[0]
         mu0 = np.array([[0.5], [0.5]])
@@ -183,7 +184,7 @@ class TestSubproblemEnum:
     def test_single_piece_is_single_solve(self):
         p = CompositeProblem(sumsq_plq(2), SmoothMap.from_strings(["x1", "x2"], 2))
         x_hat = np.array([1.0, -2.0])
-        sols = solve_subproblem_enum(p, x_hat, p.c.value(x_hat), np.eye(2))
+        sols = solve_subproblem_enum(p, x_hat, np.eye(2))
         assert len(sols) == 1
         # Model: 0.5||x_hat + d||^2 + 0.5 d'd minimized at d = -x_hat / 2.
         assert np.allclose(sols[0].d, -x_hat / 2, atol=1e-10)
@@ -198,7 +199,7 @@ class TestSubproblemEnum:
         v = np.array([1.0, -1.0]) / np.sqrt(2)
         H = np.outer(u, u) - 0.2 * np.outer(v, v)
         x_hat = np.zeros(2)
-        sols = solve_subproblem_enum(p, x_hat, np.array([0.5, 0.5]), H)
+        sols = solve_subproblem_enum(p, x_hat, H)
         assert len(sols) >= 3
         values = [s.model_value for s in sols]
         assert values == sorted(values)
@@ -223,7 +224,7 @@ class TestSubproblemEnum:
     def test_flat_problem_reports_solution_family(self):
         b = b1_flat()
         H = b.problem.c.weighted_hessian(b.xbar, b.ybar)
-        sols = solve_subproblem_enum(b.problem, b.xbar, b.ybar, H)
+        sols = solve_subproblem_enum(b.problem, b.xbar, H)
         assert sols
         fam = [s for s in sols if not s.unique]
         assert fam, "expected a non-unique solution family"
@@ -365,7 +366,7 @@ class TestFaceEnumeration:
         assert all(abs(r) > 1e-3 for r in p.h.residuals(lin.c))
         solves = _count_calls(monkeypatch, solver, "_solve_possibly_singular")
         evals = _count_calls(monkeypatch, plq, "eval_with_active")
-        sols = solve_subproblem_enum(p, x, y, lin.H, lin)
+        sols = solve_subproblem_enum(p, x, lin.H, lin)
         assert sols
         assert len(solves) <= faces
         assert len(evals) <= faces
@@ -375,7 +376,7 @@ class TestFaceEnumeration:
     def test_agrees_with_per_structure_reference(self, seed):
         _, p, x, y, H = _enum_step(seed)
         lin = p.c.evaluate(x, y)
-        got = solve_subproblem_enum(p, x, y, H, lin)
+        got = solve_subproblem_enum(p, x, H, lin)
         ref = _per_structure_enum(p, H, lin)
         assert bool(got) == bool(ref)
         # Every face the reference accepts is accepted, and no other. At an
@@ -399,7 +400,7 @@ class TestFaceEnumeration:
         h = plq.PLQFunction(1, [plq.Hyperplane([1.0], 0.0)],
                             [plq.Piece([1], [[1.0]], [0.0]), plq.Piece([-1], [[1.0]], [0.0])])
         p = CompositeProblem(h, SmoothMap.from_strings(["x1"], 1))
-        sols = solve_subproblem_enum(p, [1.0], [0.0], np.eye(1))
+        sols = solve_subproblem_enum(p, [1.0], np.eye(1))
         assert [(q.piece, q.active_set) for q in sols] == [(1, ())]
 
     def test_membership_decides_at_the_slack_edge(self):
@@ -410,7 +411,7 @@ class TestFaceEnumeration:
         h = plq.PLQFunction(1, [plq.Hyperplane([1.0], 0.0)],
                             [plq.Piece([1], [[0.0]], [-1.0]), plq.Piece([-1], [[0.0]], [1.0])])
         p = CompositeProblem(h, SmoothMap.from_strings(["x1"], 1))
-        sols = solve_subproblem_enum(p, [-1.0 - 5e-8], [0.0], np.eye(1))
+        sols = solve_subproblem_enum(p, [-1.0 - 5e-8], np.eye(1))
         assert sorted(q.active_set for q in sols) == [(), (0,)]
 
     def test_generator_covers_every_case(self, monkeypatch):
@@ -419,7 +420,7 @@ class TestFaceEnumeration:
         for seed in range(60):
             family, p, x, y, H = _enum_step(seed)
             solves.clear()
-            sols = solve_subproblem_enum(p, x, y, H)
+            sols = solve_subproblem_enum(p, x, H)
             kinds.update([family] if sols else [])
             kinds.update(["several"] if len(sols) > 1 else [])
             kinds.update(["non-unique"] if any(not q.unique for q in sols) else [])
@@ -496,16 +497,16 @@ class TestQuasiNewton:
 class TestSmoothNewton:
     def test_rosenbrock_converges_to_root(self):
         r = rosenbrock_ls()
-        tr = smooth_newton_solve(r.problem, (r.start_x, None), SolveOptions(),
-                                 reference=(r.xbar, r.ybar))
+        tr = solve(r.problem, "smooth", r.start_x, None, SolveOptions(),
+                   reference=(r.xbar, r.ybar))
         assert tr.converged
         assert np.linalg.norm(tr.final.x - r.xbar) <= 1e-10
         assert tr.final.k <= 10
 
     def test_expsin_quadratic_tail(self):
         e = expsin_ls()
-        tr = smooth_newton_solve(e.problem, (e.start_x, None), SolveOptions(),
-                                 reference=(e.xbar, e.ybar))
+        tr = solve(e.problem, "smooth", e.start_x, None, SolveOptions(),
+                   reference=(e.xbar, e.ybar))
         assert tr.converged and tr.final.k <= 10
         from plqnewton.rates import classify_rate
 
@@ -515,12 +516,12 @@ class TestSmoothNewton:
     def test_linear_c_single_step(self):
         p = CompositeProblem(sumsq_plq(2), SmoothMap.from_strings(
             ["x1 - 3", "2*x2 + 1"], 2))
-        tr = smooth_newton_solve(p, (np.array([5.0, 5.0]), None), SolveOptions())
+        tr = solve(p, "smooth", np.array([5.0, 5.0]), None, SolveOptions())
         assert tr.converged and tr.final.k == 1
 
     def test_fixed_point_at_solution(self):
         r = rosenbrock_ls()
-        tr = smooth_newton_solve(r.problem, (r.xbar, r.ybar), SolveOptions())
+        tr = solve(r.problem, "smooth", r.xbar, r.ybar, SolveOptions())
         assert tr.converged and tr.final.k == 0
 
     def test_regime_error_when_linearized_point_hits_boundary(self):
@@ -528,12 +529,167 @@ class TestSmoothNewton:
 
         p = CompositeProblem(halfquad_plq(), SmoothMap.from_strings(["x1 - 1"], 1))
         with pytest.raises(RegimeError):
-            smooth_newton_solve(p, (np.array([3.0]), np.array([2.0])), SolveOptions())
+            solve(p, "smooth", np.array([3.0]), np.array([2.0]), SolveOptions())
 
     def test_regime_error_on_kink_start(self):
         b = b1_minimax()
         with pytest.raises(RegimeError):
-            smooth_newton_solve(b.problem, (b.xbar, b.ybar), SolveOptions())
+            solve(b.problem, "smooth", b.xbar, b.ybar, SolveOptions())
+
+
+def _smooth_reference(p, start, opts, reference=None):
+    """Method smooth as it ran before it became newton on a one-piece
+    manifold: classical Newton on the stationarity equations of the start's
+    piece in increment form, x + dx and y + dy, with its two refusals."""
+    x = np.asarray(start[0], dtype=float).reshape(-1)
+    y = None if start[1] is None else np.asarray(start[1], dtype=float).reshape(-1)
+    cx = p.c.value(x)
+    prof = plq.eval_with_active(p.h, cx)
+    if prof.kbar != 1 or prof.ell != 0:
+        raise RegimeError("start is not strictly inside a single piece")
+    k0 = prof.active_pieces[0]
+    Q, b = p.h.pieces[k0].Q, p.h.pieces[k0].b
+    if y is None:
+        y = Q @ cx + b
+
+    def step(k, x, y, lin):
+        cx, jac, H = lin
+        g = np.concatenate([jac.T @ y, y - Q @ cx - b])
+        try:
+            delta = np.linalg.solve(kkt_matrix(H, jac, Q), -g)
+        except np.linalg.LinAlgError:
+            raise StepError(f"smooth system singular at iteration {k}") from None
+        dx, dy = delta[:p.n], delta[p.n:]
+        prof_lin = plq.eval_with_active(p.h, cx + jac @ dx)
+        if prof_lin.active_pieces != (k0,) or prof_lin.ell != 0:
+            raise RegimeError(
+                f"linearized point left the interior of piece {k0} at iteration {k}")
+        return x + dx, y + dy, dict(on_manifold=True, lin_active=prof_lin.active_pieces)
+
+    return solver._iterate(p, solver.IterationTrace(method="smooth-newton"), x, y, step,
+                           opts, reference, on_manifold=True)
+
+
+def _chained_rosenbrock(n):
+    """0.5 ||r(x)||^2 over the 2n - 1 chained-Rosenbrock residuals; root all-ones."""
+    c = []
+    for i in range(1, n):
+        c += [f"10*(x{i + 1} - x{i}^2)", f"1 - x{i}"]
+    c.append(f"1 - x{n}")
+    return CompositeProblem(sumsq_plq(len(c)), SmoothMap.from_strings(c, n))
+
+
+def _smooth_cases():
+    """(name, problem, x0, y0, reference) for the smooth-method comparison."""
+    for bench in (expsin_ls(), rosenbrock_ls()):
+        yield bench.name, bench.problem, bench.start_x, None, (bench.xbar, bench.ybar)
+    p20 = _chained_rosenbrock(20)
+    for seed in range(4):
+        x0 = 1.0 + np.random.default_rng(seed).uniform(-0.1, 0.1, 20)
+        yield f"rosen_20/{seed}", p20, x0, None, (np.ones(20), np.zeros(39))
+    halfquad = CompositeProblem(halfquad_plq(), SmoothMap.from_strings(["x1 - 1"], 1))
+    yield "halfquad", halfquad, np.array([3.0]), np.array([2.0]), None
+    b = b1_minimax()
+    yield "b1_minimax", b.problem, b.xbar, b.ybar, (b.xbar, b.ybar)
+
+
+class TestSmoothIsOnePieceNewton:
+    """Method smooth is newton on the one-piece manifold at c(x0). It refuses
+    what the increment-form loop refused, with the same messages, and
+    otherwise takes the same iterations to the same pair: the restricted
+    step solves for the new (x, y), not for the increment, so the two differ
+    by rounding only."""
+
+    @pytest.mark.parametrize("case", list(_smooth_cases()), ids=lambda case: case[0])
+    def test_matches_increment_form(self, case):
+        _, p, x0, y0, reference = case
+        outcomes = []
+        for run in (_smooth_reference, None):
+            try:
+                if run is None:
+                    outcomes.append(solve(p, "smooth", x0, y0, SolveOptions(),
+                                          reference=reference))
+                else:
+                    outcomes.append(run(p, (x0, y0), SolveOptions(), reference))
+            except (RegimeError, StepError) as err:
+                outcomes.append((type(err), str(err)))
+        want, got = outcomes
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert (got.final.k, got.converged) == (want.final.k, want.converged)
+        if want.converged:
+            assert np.max(np.abs(got.final.x - want.final.x)) <= 1e-14
+            assert np.max(np.abs(got.final.y - want.final.y)) <= 1e-14
+
+    def test_cases_cover_both_refusals_and_convergence(self):
+        kinds = set()
+        for _, p, x0, y0, reference in _smooth_cases():
+            try:
+                kinds.add(_smooth_reference(p, (x0, y0), SolveOptions(), reference).converged)
+            except RegimeError as err:
+                kinds.add(str(err).split(" ")[0])
+        assert kinds == {True, "start", "linearized"}
+
+
+class TestNewtonNonlinearProgram:
+    """newton on one piece with an active domain hyperplane: the restricted
+    step is the local SQP step of min c1 s.t. c2 <= 0."""
+
+    def test_reference_instance_is_solved_by_one_step(self):
+        # A quadratic objective under a linear constraint: with y1 = 1 the
+        # Hessian is exact, and one SQP step lands on (xbar, ybar).
+        p = _nlp()
+        tr = solve(p, "newton", np.array([1.3, 0.2]), np.array([1.0, 1.5]), SolveOptions(),
+                   reference=(NLP_XBAR, NLP_YBAR))
+        assert tr.converged and tr.final.k == 1
+        assert tr.errors((NLP_XBAR, NLP_YBAR))[-1] <= 1e-14
+        row = tr.rows[1]
+        assert row.on_manifold and row.model_sosc_ok and row.gluing_gap == 0.0
+        assert row.mu_min == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("x0,y0", [((1.5, 0.5), (1.0, 1.5)), ((2.0, 1.0), None),
+                                       ((1.2, -0.4), (2.0, 1.0))])
+    def test_curved_constraint_quadratic_tail(self, x0, y0):
+        from plqnewton.rates import classify_rate
+
+        p = _nlp(c2="1 - x1 - 0.25*x2^2")
+        tr = solve(p, "newton", np.array(x0), None if y0 is None else np.array(y0),
+                   SolveOptions(), reference=(NLP_XBAR, NLP_YBAR))
+        assert tr.converged and tr.final.k <= 8
+        errs = tr.errors((NLP_XBAR, NLP_YBAR))
+        assert errs[-1] <= 1e-12
+        assert classify_rate(errs).classification == "quadratic"
+        assert all(r.on_manifold and r.model_sosc_ok for r in tr.rows[1:])
+        assert tr.final.mu_min == pytest.approx(2.0)
+
+    def test_bootstrapped_manifold_without_reference(self):
+        p = _nlp(c2="1 - x1 - 0.25*x2^2")
+        tr = solve(p, "newton", np.array([1.5, 0.5]), np.array([1.0, 1.5]), SolveOptions())
+        assert tr.converged
+        assert np.linalg.norm(tr.final.x - NLP_XBAR) <= 1e-12
+
+
+class TestStartY:
+    """Without y0, every method starts from the gradient of the start's one
+    active piece; at a kink start it needs y0."""
+
+    @pytest.mark.parametrize("method", ["newton", "enum", "quasi", "smooth"])
+    def test_one_piece_start_defaults_to_piece_gradient(self, method):
+        r = rosenbrock_ls()
+        cx = r.problem.c.value(r.start_x)
+        tr = solve(r.problem, method, r.start_x, None, SolveOptions(max_iter=1),
+                   reference=(r.xbar, r.ybar))
+        assert np.array_equal(tr.rows[0].y, r.problem.h.piece_gradient(0, cx))
+
+    @pytest.mark.parametrize("method,message", [
+        ("newton", "newton method needs a start y"),
+        ("enum", "enum method needs a start y at a kink start"),
+        ("quasi", "quasi method needs a start y at a kink start")])
+    def test_kink_start_needs_y(self, method, message):
+        b = b1_minimax()
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            solve(b.problem, method, b.xbar, None, SolveOptions(), reference=(b.xbar, b.ybar))
 
 
 class TestTraceCSV:
@@ -592,10 +748,11 @@ class TestMapPasses:
     passes per solve (the start's and one per step; quasi's frozen Hessian is
     the start's), and no value pass once the iteration has begun."""
 
-    # Newton needs a kink at the reference and smooth a start inside one
-    # piece; b1_flat's restricted system is singular.
+    # Smooth needs a start inside one piece; b1_flat's restricted system is
+    # singular.
     SOLVES = ([("newton", name) for name in ("b1_cubic", "b1_minimax", "b1_negated",
-                                             "b1_scaled", "cross_l1", "l1_kink")]
+                                             "b1_scaled", "cross_l1", "expsin_ls", "l1_kink",
+                                             "rosenbrock_ls")]
               + [("smooth", name) for name in ("expsin_ls", "rosenbrock_ls")]
               + [(method, name) for method in ("quasi", "enum") for name in sorted(BENCHMARKS)])
 
