@@ -167,10 +167,12 @@ class PolyhedronH:
     @staticmethod
     def from_unit_rows(E, e, F, f) -> "PolyhedronH":
         """The polyhedron of rows already divided by their norms, kept as given
-        (normalizing a unit row again may move its last bit)."""
+        (normalizing a unit row again may move its last bit). The arrays
+        become the polyhedron's: they are marked read-only, not copied."""
         P = object.__new__(PolyhedronH)
         for name, arr in (("E", E), ("e", e), ("F", F), ("f", f)):
-            object.__setattr__(P, name, freeze_array(arr))
+            arr.setflags(write=False)
+            object.__setattr__(P, name, arr)
         return P
 
     @property
@@ -412,10 +414,8 @@ def subdiff_hrep_at(h: PLQFunction, prof, c) -> PolyhedronH:
         e.append(lin.rhs(g))
         F.append(rays.unit)
         f.append(rays.rhs(g))
-    if len(E) == 1:  # one active piece: its rows as they are
-        return PolyhedronH.from_unit_rows(E[0], e[0], F[0], f[0])
-    return PolyhedronH.from_unit_rows(np.vstack(E), np.concatenate(e),
-                                      np.vstack(F), np.concatenate(f))
+    return PolyhedronH.from_unit_rows(np.concatenate(E), np.concatenate(e),
+                                      np.concatenate(F), np.concatenate(f))
 
 
 def second_subderivative(h: PLQFunction, c, y, w) -> ExtReal:

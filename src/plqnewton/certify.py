@@ -7,9 +7,11 @@ The reduced curvature check runs in one of two modes:
       each active piece's reduced matrix Z^T (Jac^T Q_j Jac + H) Z certifies
       sufficiency. This holds for any number of active pieces: with one, it
       is the second-order condition of a nonlinear program on the critical
-      subspace of its active constraints, and Z = I_n inside a piece. The
-      minimum eigenvalues come from the solver's `reduced_min_eigs`, the
-      check its model monitors use, here against PD_TOL.
+      subspace of its active constraints. Inside a piece (no active
+      hyperplane) the non-ascent set is all of R^n and Z = I_n, with or
+      without strict criticality. The minimum eigenvalues come from the
+      solver's `reduced_min_eigs`, the check its model monitors use, here
+      against PD_TOL.
   heuristic-sampled: without those qualifications the non-ascent set is a
       union of cones; curvature is sampled on its extreme rays (enumerated for
       small dimension) and random conic combinations. This mode never
@@ -91,7 +93,9 @@ def _sosc(pa: PointAnalysis, ybar, md: ManifoldData | None) -> SOSCReport:
 
     if md is None:
         md = build_manifold_at(p.h, prof, pa.cx)
-    if md.nondegenerate and pa.cqs.sc:
+    # Inside one piece (no active hyperplane) the non-ascent set is all of
+    # R^n, which is Null(A^T Jac) for the m x 0 matrix A, whatever sc says.
+    if md.nondegenerate and (md.ell == 0 or pa.cqs.sc):
         Z = nullspace_basis(md.A.T @ jac)
         eigs = reduced_min_eigs(Z, jac, H, [md.piece(j).Q for j in range(md.kbar)])
         eigs = [None] * md.kbar if eigs is None else eigs

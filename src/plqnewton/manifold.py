@@ -49,11 +49,10 @@ class ManifoldData:
 
     def __post_init__(self):
         object.__setattr__(self, "base_point", freeze_array(self.base_point))
-        object.__setattr__(self, "A", freeze_array(self.A))
-        object.__setattr__(self, "P", tuple(freeze_array(v) for v in self.P))
-        # Each piece's signed active gradients A P_j, formed once.
-        object.__setattr__(self, "_AP", tuple(freeze_array(self.A * v[None, :])
-                                              for v in self.P))
+        # A and P are made for this object by build_manifold_at: mark them
+        # read-only without copying.
+        for a in (self.A, *self.P):
+            a.setflags(write=False)
 
     @property
     def kbar(self) -> int:
@@ -68,19 +67,19 @@ class ManifoldData:
         return self.A.shape[0]
 
     def AP(self, j) -> np.ndarray:
-        return self._AP[j]
+        return self.A * self.P[j][None, :]
 
     def piece(self, j):
         """The j-th active piece's data."""
         return self.h.pieces[self.active_pieces[j]]
 
-    def matches(self, prof: ActiveProfile) -> bool:
-        """Whether a point with the active profile `prof` lies on the manifold:
-        the same active pieces and the same active hyperplanes. Under ACT_TOL
-        this is equality on the manifold's hyperplanes and strict slack on
-        every other constraint of every active piece."""
-        return prof.active_pieces == self.active_pieces \
-            and prof.active_set == self.active_hyperplanes
+    def matches(self, pieces: tuple, hyperplanes: tuple) -> bool:
+        """Whether a point with these active pieces and active hyperplanes
+        (as `eval_with_active` and `active_structure` give them) lies on the
+        manifold: both are the manifold's. Under ACT_TOL this is equality on
+        the manifold's hyperplanes and strict slack on every other
+        constraint of every active piece."""
+        return (pieces, hyperplanes) == (self.active_pieces, self.active_hyperplanes)
 
     def A_bar(self) -> np.ndarray:
         return np.hstack([self.AP(j) for j in range(self.kbar)]) / self.kbar
@@ -157,7 +156,7 @@ def build_manifold_at(h: PLQFunction, prof: ActiveProfile, cbar) -> ManifoldData
 
 def manifold_contains(md: ManifoldData, c) -> bool:
     """Whether c lies on the manifold: see `ManifoldData.matches`."""
-    return active_structure(md.h, c) == (md.active_pieces, md.active_hyperplanes)
+    return md.matches(*active_structure(md.h, c))
 
 
 def mu_of(md: ManifoldData, c, y) -> MuVector:

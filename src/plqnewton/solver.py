@@ -49,6 +49,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,8 +97,16 @@ class TraceRow:
     on_manifold: bool | None
     mu_min: float | None = None
     gluing_gap: float | None = None
-    model_sosc_ok: bool | None = None
     lin_active: tuple | None = None  # active pieces of the linearized point
+    # The step's model-curvature verdict, or a check that gives it when
+    # model_sosc_ok is first read (most traces never read it).
+    model_check: bool | Callable[[], bool] | None = field(default=None, repr=False)
+
+    @property
+    def model_sosc_ok(self) -> bool | None:
+        if callable(self.model_check):
+            self.model_check = self.model_check()
+        return self.model_check
 
 
 @dataclass
@@ -173,13 +182,12 @@ def kkt_matrix(H, jac, Q, cols=None, rows=None) -> np.ndarray:
 
 def reduced_min_eigs(Z, jac, H, Qs):
     """Minimum eigenvalue of the reduced matrix Z^T (Jac^T Q Jac + H) Z for
-    each Q in Qs (Z None: the whole space), or None when Z has no columns."""
-    if Z is not None and Z.shape[1] == 0:
+    each Q in Qs, or None when Z has no columns."""
+    if Z.shape[1] == 0:
         return None
     eigs = []
     for Q in Qs:
-        G = jac.T @ Q @ jac + H
-        G = G if Z is None else Z.T @ G @ Z
+        G = Z.T @ (jac.T @ Q @ jac + H) @ Z
         G = 0.5 * (G + G.T)
         eigs.append(float(np.linalg.eigvalsh(G)[0]))  # ascending
     return eigs
@@ -292,25 +300,32 @@ def newton_solve(p: CompositeProblem, md: ManifoldData | None, start, opts: Solv
     def step(k, x, y, lin):
         nonlocal mu
         state = RestrictedState(x, y, mu)
-        results = [restricted_newton_step(p, md, state, j, lin) for j in range(md.kbar)]
+        try:
+            results = [restricted_newton_step(p, md, state, j, lin) for j in range(md.kbar)]
+        except StepError:
+            if md.ell:
+                raise
+            raise StepError(f"smooth system singular at iteration {k}") from None
+        new = results[-1]
+        prof = eval_with_active(p.h, lin.c + lin.J @ (new.x - x))
+        on_manifold = md.matches(prof.active_pieces, prof.active_set)
+        if md.kbar == 1 and not on_manifold:
+            where = "face" if md.ell else "interior"
+            raise RegimeError(f"linearized point left the {where} of piece "
+                              f"{md.active_pieces[0]} at iteration {k}")
         gap = 0.0
         for i in range(md.kbar):
             for j in range(i + 1, md.kbar):
                 gap = max(gap, float(np.linalg.norm(results[i].x - results[j].x)
                                      + np.linalg.norm(results[i].y - results[j].y)))
+        # One piece has no pair to glue: gap 0 passes without the scale.
         if gap and gap > GLUE_FAIL * (1.0 + float(np.linalg.norm(x)) + float(np.linalg.norm(y))):
             raise DivergenceError(
                 f"gluing identity failed at iteration {k}: cross-piece gap {gap:g}")
-        new = results[-1]
         mu = np.array([r.mu_blocks[j] for j, r in enumerate(results)])
-        prof = eval_with_active(p.h, lin.c + lin.J @ (new.x - x))
-        on_manifold = md.matches(prof)
-        if md.kbar == 1 and not on_manifold:
-            raise RegimeError(f"linearized point left the interior of piece "
-                              f"{md.active_pieces[0]} at iteration {k}")
         return new.x, new.y, dict(
             mu=mu, on_manifold=on_manifold, lin_active=prof.active_pieces,
-            model_sosc_ok=_model_sosc_ok(md.A.T @ lin.J, lin.J, lin.H, Qs),
+            model_check=lambda: _model_sosc_ok(md.A.T @ lin.J, lin.J, lin.H, Qs),
             mu_min=_mu_min(mu), gluing_gap=gap)
 
     return _iterate(p, IterationTrace(method="newton"), x, y, step, opts, reference, lin,
@@ -320,7 +335,7 @@ def newton_solve(p: CompositeProblem, md: ManifoldData | None, start, opts: Solv
 def _model_sosc_ok(rows, jac, H, Qs) -> bool:
     """Whether the model curvature Jac^T Q Jac + H is positive definite on
     Null(rows) for every Q in Qs (true when the nullspace is {0})."""
-    eigs = reduced_min_eigs(nullspace_basis(rows) if rows.shape[0] else None, jac, H, Qs)
+    eigs = reduced_min_eigs(nullspace_basis(rows), jac, H, Qs)
     return eigs is None or min(eigs) > 0
 
 
@@ -491,7 +506,7 @@ def quasi_newton_solve(p: CompositeProblem, start, B_schedule, opts: SolveOption
         if step_norm > 1e-300:
             dm = float(np.linalg.norm((B - lin.H) @ best.d) / step_norm)
         lin_active = eval_with_active(p.h, lin.c + lin.J @ best.d).active_pieces
-        return x + best.d, best.y, dict(dm_ratio=dm, model_sosc_ok=best.model_sosc_ok,
+        return x + best.d, best.y, dict(dm_ratio=dm, model_check=best.model_sosc_ok,
                                         lin_active=lin_active)
 
     return _iterate(p, trace, x, y, step, opts, reference)

@@ -9,6 +9,7 @@ from plqnewton.benchmarks import (
     b1_minimax,
     b1_negated,
     cross_l1,
+    expsin_ls,
     l1_kink,
     l1_plq,
     nlp_plq,
@@ -55,6 +56,19 @@ class TestSOSC:
         assert rep.mode == "certified-subspace"
         assert rep.passed
         assert rep.piece_min_eigs[0][1] == pytest.approx(1.0)
+
+    def test_interior_pair_stationary_to_the_precondition(self):
+        # Inside one piece the non-ascent set is all of R^n whatever sc says.
+        # At xbar + 1e-9, stationary only to the 1e-6 precondition, the exact
+        # multiplier set is empty, so sc fails; the check stays on Z = I_n.
+        b = expsin_ls()
+        x = b.xbar + 1e-9
+        assert not composite.analyze_point(b.problem, x).cqs.sc
+        rep = certify_sosc(b.problem, x, b.ybar)
+        exact = certify_sosc(b.problem, b.xbar, b.ybar)
+        assert rep.mode == exact.mode == "certified-subspace"
+        assert rep.subspace_dim == b.problem.n and rep.passed
+        assert rep.piece_min_eigs[0][1] == pytest.approx(exact.piece_min_eigs[0][1], rel=1e-6)
 
     def test_requires_stationarity(self):
         b = b1_minimax()

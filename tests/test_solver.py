@@ -589,6 +589,9 @@ def _smooth_cases():
         yield f"rosen_20/{seed}", p20, x0, None, (np.ones(20), np.zeros(39))
     halfquad = CompositeProblem(halfquad_plq(), SmoothMap.from_strings(["x1 - 1"], 1))
     yield "halfquad", halfquad, np.array([3.0]), np.array([2.0]), None
+    # x2 does not enter c, so H + Jac^T Q Jac is singular.
+    flat = CompositeProblem(sumsq_plq(1), SmoothMap.from_strings(["x1 - 1"], 2))
+    yield "singular", flat, np.array([3.0, 0.0]), None, None
     b = b1_minimax()
     yield "b1_minimax", b.problem, b.xbar, b.ybar, (b.xbar, b.ybar)
 
@@ -622,14 +625,14 @@ class TestSmoothIsOnePieceNewton:
             assert np.max(np.abs(got.final.x - want.final.x)) <= 1e-14
             assert np.max(np.abs(got.final.y - want.final.y)) <= 1e-14
 
-    def test_cases_cover_both_refusals_and_convergence(self):
+    def test_cases_cover_every_refusal_and_convergence(self):
         kinds = set()
         for _, p, x0, y0, reference in _smooth_cases():
             try:
                 kinds.add(_smooth_reference(p, (x0, y0), SolveOptions(), reference).converged)
-            except RegimeError as err:
+            except (RegimeError, StepError) as err:
                 kinds.add(str(err).split(" ")[0])
-        assert kinds == {True, "start", "linearized"}
+        assert kinds == {True, "start", "linearized", "smooth"}
 
 
 class TestNewtonNonlinearProgram:
@@ -662,6 +665,37 @@ class TestNewtonNonlinearProgram:
         assert classify_rate(errs).classification == "quadratic"
         assert all(r.on_manifold and r.model_sosc_ok for r in tr.rows[1:])
         assert tr.final.mu_min == pytest.approx(2.0)
+
+    def test_model_curvature_monitor_reads_each_step_model(self):
+        # The negative-curvature twin on the curved constraint. On the
+        # critical subspace span{e2} the model curvature is -2 y1 - y2 / 2:
+        # positive at the start's y1 = -1, negative once y1 = 1.
+        p = _nlp(c1="x1^2 - x2^2", c2="1 - x1 - 0.25*x2^2")
+        tr = solve(p, "newton", np.array([1.2, 0.1]), np.array([-1.0, 1.0]), SolveOptions(),
+                   reference=(NLP_XBAR, NLP_YBAR))
+        assert tr.converged
+        md = build_manifold(p.h, p.c.value(NLP_XBAR))
+        for prev, row in zip(tr.rows, tr.rows[1:]):
+            lin = p.c.evaluate(prev.x, prev.y)
+            assert row.model_sosc_ok is _model_sosc_ok(md.A.T @ lin.J, lin.J, lin.H,
+                                                       [md.piece(0).Q])
+        assert [r.model_sosc_ok for r in tr.rows] == [None, True] + [False] * (len(tr.rows) - 2)
+
+    def test_step_leaving_the_face_is_refused(self):
+        # A second domain constraint c3 = x2 - 1/2 <= 0, inactive at x0 = (1, 0)
+        # where c2 = 1 - x1 <= 0 is active: the SQP step to the minimizer
+        # (1, 1) of x1^2 + (x2 - 1)^2 on x1 = 1 takes c3 to 1/2.
+        h = plq.PLQFunction(3, [plq.Hyperplane([0.0, 1.0, 0.0], 0.0),
+                                plq.Hyperplane([0.0, 0.0, 1.0], 0.0)],
+                            [plq.Piece([1, 1], np.zeros((3, 3)), [1.0, 0.0, 0.0])])
+        p = CompositeProblem(h, SmoothMap.from_strings(
+            ["x1^2 + (x2 - 1)^2", "1 - x1", "x2 - 0.5"], 2))
+        x0 = np.array([1.0, 0.0])
+        md = build_manifold(h, p.c.value(x0))
+        assert (md.kbar, md.active_hyperplanes) == (1, (0,))
+        with pytest.raises(RegimeError,
+                           match="^linearized point left the face of piece 0 at iteration 1$"):
+            newton_solve(p, md, (x0, np.array([1.0, 2.0, 0.0])), SolveOptions())
 
     def test_bootstrapped_manifold_without_reference(self):
         p = _nlp(c2="1 - x1 - 0.25*x2^2")
