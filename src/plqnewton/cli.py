@@ -129,11 +129,10 @@ def report_solve(pf: ProblemFile, opts) -> tuple[dict, int]:
     }
     monitors = [r for r in trace.rows[1:] if r.on_manifold is not None]
     if monitors and method == "newton":
-        # No block multipliers (no active hyperplane): mu_min is None.
-        mus = [r.mu_min for r in monitors if r.mu_min is not None]
         out["identification"] = {
             "linearized_on_manifold": all(bool(r.on_manifold) for r in monitors),
-            "mu_min": float(min(mus)) if mus else None,
+            # None without block multipliers (no active hyperplane).
+            "mu_min": min((r.mu_min for r in monitors if r.mu_min is not None), default=None),
             "max_gluing_gap": float(max(r.gluing_gap for r in monitors
                                         if r.gluing_gap is not None)),
         }

@@ -49,8 +49,8 @@ class ManifoldData:
 
     def __post_init__(self):
         object.__setattr__(self, "base_point", freeze_array(self.base_point))
-        # A and P are made for this object by build_manifold_at: mark them
-        # read-only without copying.
+        # A and P are h-only data that build_manifold_at makes once per
+        # structure and shares: mark them read-only without copying.
         for a in (self.A, *self.P):
             a.setflags(write=False)
 
@@ -145,12 +145,16 @@ def build_manifold_at(h: PLQFunction, prof: ActiveProfile, cbar) -> ManifoldData
     if prof.kbar >= 2 and not act:
         raise RepresentationError("two pieces active with no active hyperplane")
     pieces = tuple(sorted(prof.active_pieces))
-    idx = list(act)
-    A_all, _ = h.hyperplane_matrix()
-    ref_signs = h.pieces[pieces[-1]].signs[idx]
-    A = np.ascontiguousarray((ref_signs[:, None] * A_all[idx]).T)
-    P = tuple(h.pieces[k].signs[idx] * ref_signs for k in pieces)
-    nondeg = matrix_rank_rel(A) == len(act)
+    cached = h._manifold_cache.get((pieces, act))
+    if cached is None:
+        idx = list(act)
+        A_all, _ = h.hyperplane_matrix()
+        ref_signs = h.pieces[pieces[-1]].signs[idx]
+        A = np.ascontiguousarray((ref_signs[:, None] * A_all[idx]).T)
+        P = tuple(h.pieces[k].signs[idx] * ref_signs for k in pieces)
+        cached = h._manifold_cache.setdefault(
+            (pieces, act), (A, P, matrix_rank_rel(A) == len(act)))
+    A, P, nondeg = cached
     return ManifoldData(h, cbar, pieces, act, A, P, nondeg)
 
 

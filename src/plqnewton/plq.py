@@ -120,10 +120,12 @@ class PLQFunction:
         object.__setattr__(self, "_signs", freeze_array(signs))
         # h-only data, filled on first use: (k, active set) -> unit tangent
         # rows; (k, active set) -> tangent-cone generators (see calculus);
-        # (k, cap) -> piece interior point.
+        # (k, cap) -> piece interior point; (active pieces, active set) ->
+        # the manifold's A, P and nondegeneracy (see manifold).
         object.__setattr__(self, "_tangent_cache", {})
         object.__setattr__(self, "_cone_cache", {})
         object.__setattr__(self, "_interior_cache", {})
+        object.__setattr__(self, "_manifold_cache", {})
 
     # -- basic geometry ---------------------------------------------------
 

@@ -295,7 +295,6 @@ def newton_solve(p: CompositeProblem, md: ManifoldData | None, start, opts: Solv
         mu = np.asarray(start[2], dtype=float).reshape(md.kbar, md.ell)
     else:
         mu = _initial_mu(p, md, lin.c, y)
-    Qs = [md.piece(j).Q for j in range(md.kbar)]
 
     def step(k, x, y, lin):
         nonlocal mu
@@ -325,7 +324,8 @@ def newton_solve(p: CompositeProblem, md: ManifoldData | None, start, opts: Solv
         mu = np.array([r.mu_blocks[j] for j, r in enumerate(results)])
         return new.x, new.y, dict(
             mu=mu, on_manifold=on_manifold, lin_active=prof.active_pieces,
-            model_check=lambda: _model_sosc_ok(md.A.T @ lin.J, lin.J, lin.H, Qs),
+            model_check=lambda: _model_sosc_ok(md.A.T @ lin.J, lin.J, lin.H,
+                                               [md.piece(j).Q for j in range(md.kbar)]),
             mu_min=_mu_min(mu), gluing_gap=gap)
 
     return _iterate(p, IterationTrace(method="newton"), x, y, step, opts, reference, lin,

@@ -39,6 +39,19 @@ class TestBuildManifold:
         assert md.kbar == 2 and md.ell == 1
         assert np.allclose(md.A[:, 0], [1.0, -1.0])
 
+    def test_structure_data_is_shared_and_read_only(self):
+        # Two points of one face share A and P (h-only data); the base point
+        # is each point's own, and another face gets its own A.
+        h = l1_plq()
+        md1, md2 = build_manifold(h, [1.0, 0.0]), build_manifold(h, [2.0, 0.0])
+        assert md1.A is md2.A and md1.P is md2.P
+        assert np.array_equal(md1.base_point, [1.0, 0.0])
+        assert np.array_equal(md2.base_point, [2.0, 0.0])
+        assert not md1.A.flags.writeable and not any(v.flags.writeable for v in md1.P)
+        other = build_manifold(h, [0.0, 1.0])
+        assert other.active_hyperplanes != md1.active_hyperplanes
+        assert np.allclose(other.A, [[1.0], [0.0]])
+
     def test_ap_equals_active_gradient_matrix(self):
         # A P_j must reproduce each active piece's active constraint gradients.
         for h, c in ((l1_plq(), [1.0, 0.0]), (l1_plq(), [0.0, 0.0]), (max2_plq(), [2.0, 2.0])):
