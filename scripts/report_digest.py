@@ -1,4 +1,4 @@
-"""Digest of `cli.run_report` over a fixed set of 613 ops.
+"""Digest of `cli.run_report` over a fixed set of 660 ops.
 
 Usage: python scripts/report_digest.py OUT
 
@@ -9,11 +9,13 @@ digests are byte-identical, so comparing a change with its parent is `cmp`.
 
 The ops:
   - each of the nine shipped benchmarks, as `plqnewton` runs a benchmark
-    name: certify at the reference and at `--point random` with seeds 3, 7,
-    11 and 42, and solve with newton, enum, quasi and smooth from its start;
-  - every op of rounds 0-1 of the `desk` and `wide_map` workloads and of
-    rounds 0-2 of `many_kinks` (perfbench/workloads.py) at workload seeds 7
-    and 11, on problem files loaded and run as perfbench/run.py does.
+    name: validate, certify at the reference and at `--point random` with
+    seeds 3, 7, 11 and 42, and solve with newton, enum, quasi and smooth from
+    its start;
+  - validate on every problem file of the `desk`, `wide_map` and
+    `many_kinks` workloads (perfbench/workloads.py) at workload seeds 7 and
+    11, and every op of rounds 0-1 of `desk` and `wide_map` and of rounds 0-2
+    of `many_kinks`, on problem files loaded and run as perfbench/run.py does.
 """
 
 import dataclasses
@@ -38,8 +40,8 @@ METHODS = ("newton", "enum", "quasi", "smooth")
 WORKLOAD_ROUNDS = {"desk": 2, "wide_map": 2, "many_kinks": 3}
 WORKLOAD_SEEDS = (7, 11)
 # The options of a `plqnewton` command line that sets none.
-CLI_OPTS = {"seed": 42, "strict": False, "method": None, "tol": None, "max_iter": None,
-            "trace": None, "point": None, "probes": 200}
+CLI_OPTS = {"seed": 42, "method": None, "tol": None, "max_iter": None, "trace": None,
+            "point": None, "probes": 200}
 
 
 def digest_line(tag, pf, command, opts):
@@ -51,9 +53,10 @@ def digest_line(tag, pf, command, opts):
 
 
 def benchmark_lines():
-    """The 81 ops on the nine shipped benchmarks."""
+    """The 90 ops on the nine shipped benchmarks."""
     for name, build in sorted(BENCHMARKS.items()):
         pf = parse_problem_dict(build().as_problem_dict())
+        yield digest_line(f"{name}/validate", pf, "validate", {})
         yield digest_line(f"{name}/certify", pf, "certify", {})
         for seed in CERTIFY_SEEDS:
             yield digest_line(f"{name}/certify/random/{seed}", pf, "certify",
@@ -63,10 +66,13 @@ def benchmark_lines():
 
 
 def workload_lines(workload, seed, rounds, directory):
-    """Every op of rounds 0 .. rounds - 1 of one workload at one seed."""
+    """Validate on each problem file, then every op of rounds 0 .. rounds - 1
+    of one workload at one seed."""
     pfs = {path.stem: load_problem(path, probes=200, validate=True,
                                    rng=np.random.default_rng(42))
            for path in workload.write(seed, directory)}
+    for stem, pf in pfs.items():
+        yield digest_line(f"{workload.name}/{seed}/validate/{stem}", pf, "validate", {})
     for r in range(rounds):
         for i, op in enumerate(workload.round(seed, r)):
             tag = f"{workload.name}/{seed}/{r}/{i}/{op.kind}/{op.problem}"

@@ -125,7 +125,7 @@ def _nonascent_directions(pa: PointAnalysis, samples=1000):
     per_piece = []
     for k in pa.prof.active_pieces:
         rows = [p.h.pieces[k].signs[j] * p.h.hyperplane_matrix()[0][j] @ jac
-                for j in pa.prof.active_hyperplanes[k]]
+                for j in pa.prof.active_set]
         rows.append((p.h.piece_gradient(k, pa.cx)) @ jac)
         B = np.array(rows).reshape(len(rows), p.n)
         if p.n <= ENUM_DIM_LIMIT:

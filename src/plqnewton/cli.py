@@ -22,11 +22,11 @@ from .certify import certify_point
 from .composite import analyze_point
 from .errors import INPUT_ERRORS, REGIME_ERRORS, PreconditionError
 from .exprmap import fd_jacobian, fd_weighted_hessian
-from .manifold import build_manifold, certify_partial_smoothness
+from .manifold import build_manifold_at, certify_partial_smoothness
 from .plq import validate_representation
 from .problems import ProblemFile, load_problem
 from .rates import classify_rate
-from .solver import SolveOptions, solve
+from .solver import METHODS, SolveOptions, solve
 
 EXIT_PASS = 0
 EXIT_CERTIFIED_FAILURE = 1
@@ -61,8 +61,7 @@ def _resolve_point(pf: ProblemFile, spec: str | None, rng):
 
 def report_validate(pf: ProblemFile, opts) -> tuple[dict, int]:
     rng = np.random.default_rng(opts["seed"])
-    rep = validate_representation(pf.problem.h, probes=opts.get("probes", 200),
-                                  rng=rng, strict=opts.get("strict", False))
+    rep = validate_representation(pf.problem.h, probes=opts.get("probes", 200), rng=rng)
     code = EXIT_PASS if rep.all_pass else EXIT_INPUT_ERROR
     return {"command": "validate", "problem": pf.name, "report": rep.to_dict(),
             "all_pass": rep.all_pass}, code
@@ -89,8 +88,8 @@ def report_certify(pf: ProblemFile, opts) -> tuple[dict, int]:
                                "subdiff_violation": res.subdiff_violation}
     out["active_pieces"] = list(map(int, pa.prof.active_pieces))
     md = None
-    if pa.prof.kbar >= 2:
-        md = build_manifold(p.h, pa.cx)
+    if pa.prof.kbar >= 2 or pa.prof.ell:  # a kink, or a face of one piece
+        md = build_manifold_at(p.h, pa.prof, pa.cx)
         out["manifold"] = md.to_dict()
         if y is not None and md.nondegenerate:
             cert = certify_partial_smoothness(md, pa.cx, y)
@@ -230,13 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("file", help="problem JSON file or built-in benchmark name")
-        sp.add_argument("--method", choices=["newton", "quasi", "smooth", "enum"])
+        sp.add_argument("--method", choices=METHODS)
         sp.add_argument("--tol", type=float)
         sp.add_argument("--max-iter", type=int, dest="max_iter")
         sp.add_argument("--seed", type=int, default=42)
         sp.add_argument("--trace", help="write the iteration trace CSV here")
-        sp.add_argument("--strict", action="store_true",
-                        help="exact LP interior-disjointness checks")
         sp.add_argument("--json", dest="json_out", help="write the JSON report here")
         sp.add_argument("--point", help="JSON file with the evaluation point, or 'random'")
         sp.add_argument("--probes", type=int, default=200)
@@ -245,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    opts = {"seed": args.seed, "strict": args.strict, "method": args.method,
+    opts = {"seed": args.seed, "method": args.method,
             "tol": args.tol, "max_iter": args.max_iter, "trace": args.trace,
             "point": args.point, "probes": args.probes}
     try:
@@ -256,7 +253,6 @@ def main(argv=None) -> int:
         else:
             pf = load_problem(args.file, probes=args.probes,
                               validate=args.command != "validate",
-                              strict=args.strict,
                               rng=np.random.default_rng(args.seed))
         report, code = run_report(pf, args.command, opts)
     except INPUT_ERRORS as err:

@@ -94,10 +94,6 @@ class KKTResidual:
     stationarity: float
     subdiff_violation: float  # math.inf encodes c(x) outside dom h
 
-    @property
-    def total(self) -> float:
-        return max(self.stationarity, self.subdiff_violation)
-
 
 @dataclass(frozen=True)
 class PointAnalysis:

@@ -81,19 +81,6 @@ class ManifoldData:
         constraint of every active piece."""
         return (pieces, hyperplanes) == (self.active_pieces, self.active_hyperplanes)
 
-    def A_bar(self) -> np.ndarray:
-        return np.hstack([self.AP(j) for j in range(self.kbar)]) / self.kbar
-
-    def Q_bar(self) -> np.ndarray:
-        return sum(self.piece(j).Q for j in range(self.kbar)) / self.kbar
-
-    def b_bar(self) -> np.ndarray:
-        return sum(self.piece(j).b for j in range(self.kbar)) / self.kbar
-
-    def lambda0(self, c) -> np.ndarray:
-        c = as_vector(c, self.m, "c")
-        return self.Q_bar() @ c + self.b_bar()
-
     def mu_projection(self, c, y):
         """(blocks, residuals): per active piece j the residual
         r_j = y - Q_j c - b_j and its block P_j (A^T A)^{-1} A^T r_j."""
@@ -183,10 +170,6 @@ def mu_of(md: ManifoldData, c, y) -> MuVector:
     mu = MuVector(blocks)
     if mu.min_entry < -1e-9:
         raise MembershipError(f"y is not a subgradient at c: negative multiplier {mu.min_entry:g}")
-    # Averaged identity: y = lambda0(c) + A_bar mu.
-    avg = md.lambda0(c) + md.A_bar() @ mu.flat
-    if np.linalg.norm(avg - y) > RECON_TOL * scale:
-        raise MembershipError("averaged multiplier identity failed")
     return mu
 
 

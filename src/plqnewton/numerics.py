@@ -69,14 +69,6 @@ def matrix_rank_rel(M: np.ndarray, rtol: float = RANK_RTOL) -> int:
     s = np.linalg.svd(M, compute_uv=False)
     return int(np.sum(s > rtol * s[0])) if s.size else 0
 
-def dist_to_range(v: np.ndarray, M: np.ndarray) -> float:
-    """Euclidean distance from v to Ran(M)."""
-    Q = range_basis(M)
-    v = np.asarray(v, dtype=float)
-    if Q.shape[1] == 0:
-        return float(np.linalg.norm(v))
-    return float(np.linalg.norm(v - Q @ (Q.T @ v)))
-
 
 def freeze_array(a: np.ndarray) -> np.ndarray:
     """Copy and mark read-only; used by immutable containers."""

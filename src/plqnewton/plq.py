@@ -3,14 +3,17 @@
 A function is described by s hyperplanes (a_j, alpha_j) and K pieces. Piece k
 occupies the polyhedron {c : sign_kj * (<a_j, c> - alpha_j) <= 0 for all j}
 and carries the quadratic 0.5 <c, Q_k c> + <b_k, c> + beta_k there. Every
-piece takes a side of every hyperplane, so the active hyperplane set at a
-point is the same for each piece containing it.
+piece takes a side of every hyperplane, which settles two things: the active
+hyperplane set at a point is the same for each piece containing it, and two
+pieces whose sign vectors differ lie on opposite sides of some hyperplane, so
+their interiors are disjoint.
 
 `eval_with_active` computes the hyperplane residuals r = A c - alpha once and
-tests every piece at once against the K x s sign matrix. Each function caches
-what depends on h alone, filled on first use: the unit tangent-cone rows of
-piece k for each active hyperplane set (and, through `calculus`, the cone's
-generators), and each piece's interior point.
+tests every piece at once against the K x s sign matrix; its profile keeps
+the one active set. Each function caches what depends on h alone, filled on
+first use: the unit tangent-cone rows of piece k for each active hyperplane
+set (and, through `calculus`, the cone's generators), and each piece's
+interior point.
 
 Instances are immutable after construction: the caches are plain dicts set in
 `__post_init__`, not dataclass fields, so equality is unchanged. Filling an
@@ -25,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, RepresentationError
-from .numerics import ExtReal, PLUS_INF, as_vector, freeze_array, nullspace_basis, dist_to_range
-from .simplex import feasible_point, max_slack_point
+from .numerics import ExtReal, PLUS_INF, as_vector, freeze_array, nullspace_basis, range_basis
+from .simplex import max_slack_point
 
 # Active-constraint detection: |<a_j, c> - alpha_j| <= ACT_TOL * (1 + |alpha_j|).
 ACT_TOL = 1e-9
@@ -74,18 +77,13 @@ class ActiveProfile:
 
     value: ExtReal
     active_pieces: tuple
-    active_hyperplanes: dict  # piece index -> tuple of hyperplane indices
+    active_set: tuple  # active hyperplane indices, shared by every active piece
     kbar: int
     ell: int | None
 
     @property
     def is_finite(self) -> bool:
         return self.value.is_finite
-
-    @property
-    def active_set(self) -> tuple:
-        """The active hyperplane indices, shared by every active piece."""
-        return self.active_hyperplanes[self.active_pieces[0]] if self.active_pieces else ()
 
 
 @dataclass(frozen=True)
@@ -196,15 +194,14 @@ def eval_with_active(h: PLQFunction, c) -> ActiveProfile:
     c = as_vector(c, h.m, "c")
     active, act_set = active_structure(h, c)
     if not active:
-        return ActiveProfile(PLUS_INF, (), {}, 0, None)
+        return ActiveProfile(PLUS_INF, (), (), 0, None)
     vals = [h.piece_value(k, c) for k in active]
     v0 = vals[0]
     for k, v in zip(active, vals):
         if abs(v - v0) > VALUE_TOL * (1.0 + abs(v0)):
             raise RepresentationError(
                 f"active pieces {active[0]} and {k} disagree in value: {v0} vs {v}")
-    return ActiveProfile(ExtReal.finite(v0), active, dict.fromkeys(active, act_set),
-                         len(active), len(act_set))
+    return ActiveProfile(ExtReal.finite(v0), active, act_set, len(active), len(act_set))
 
 
 def active_structure(h: PLQFunction, c) -> tuple[tuple, tuple]:
@@ -269,7 +266,7 @@ def sample_point_in_piece(h: PLQFunction, k, rng, base=None, radius=8.0):
                 hi = min(hi, r[i] / coef[i])
             elif coef[i] < -1e-12:
                 lo = max(lo, r[i] / coef[i])
-    if hi < lo:
+    if hi <= lo:  # base alone; equal bounds may be 0.0 and -0.0, which uniform refuses
         return base
     t = rng.uniform(lo, hi) * 0.98
     return base + t * d
@@ -341,14 +338,16 @@ def _pair_intersection_point(h: PLQFunction, k1, k2):
     return x
 
 
-def validate_representation(h: PLQFunction, probes: int, rng=None, strict=False) -> ValidationReport:
+def validate_representation(h: PLQFunction, probes: int, rng=None) -> ValidationReport:
     """Probe-based checks of the representation invariants.
 
     Covers per-piece feasibility, boundary continuity between overlapping
     pieces, midpoint convexity along random segments, curvature Q >= 0 on
     piece-parallel directions, the range condition on Q differences across
-    each kink candidate, and (with strict=True) an exact LP check that piece
-    interiors are pairwise disjoint.
+    each kink candidate, and pairwise disjoint piece interiors. The last is
+    exact: pieces k1 < k2 overlap when their sign vectors are equal (else a
+    hyperplane separates them) and their common polyhedron has interior
+    depth t > 1e-9, the depth the feasibility pass computes.
     """
     if probes < 1:
         raise ValueError("probes must be >= 1")
@@ -395,6 +394,7 @@ def validate_representation(h: PLQFunction, probes: int, rng=None, strict=False)
 
     # Boundary continuity and kink candidates for the Q-difference range check.
     seen_active_sets = set()
+    A, _ = h.hyperplane_matrix()
     for k1 in range(h.n_pieces):
         for k2 in range(k1 + 1, h.n_pieces):
             if not (rep.piece_feasible[k1] and rep.piece_feasible[k2]):
@@ -404,9 +404,8 @@ def validate_representation(h: PLQFunction, probes: int, rng=None, strict=False)
                 continue
             worst = 0.0
             pts = [x]
-            act_rows = list(h.active_hyperplane_set(x))
-            A, alpha = h.hyperplane_matrix()
-            tangent = nullspace_basis(A[act_rows]) if act_rows else np.eye(h.m)
+            prof_sets, act = active_structure(h, x)
+            tangent = nullspace_basis(A[list(act)]) if act else np.eye(h.m)
             for _ in range(max(2, probes // max(1, h.n_pieces))):
                 if tangent.shape[1] == 0:
                     break
@@ -426,12 +425,11 @@ def validate_representation(h: PLQFunction, probes: int, rng=None, strict=False)
                 rep.messages.append(f"pieces {k1},{k2}: boundary value mismatch {worst:g}")
                 rep.all_pass = False
 
-            # Q-difference range condition at this kink candidate.
-            prof_sets = tuple(sorted(k for k in range(h.n_pieces) if h.piece_contains(k, x)))
-            if len(prof_sets) >= 2 and prof_sets not in seen_active_sets and act_rows:
+            # Q-difference range condition at this kink candidate: dQ maps the
+            # tangent space into the span R of the active normals.
+            if len(prof_sets) >= 2 and prof_sets not in seen_active_sets and act:
                 seen_active_sets.add(prof_sets)
-                Amat = A[act_rows].T  # columns are active normals
-                W = nullspace_basis(Amat.T)
+                R = range_basis(A[list(act)].T)
                 worst_d = 0.0
                 for i in prof_sets:
                     for j in prof_sets:
@@ -439,8 +437,9 @@ def validate_representation(h: PLQFunction, probes: int, rng=None, strict=False)
                             continue
                         dQ = h.pieces[i].Q - h.pieces[j].Q
                         scale = 1.0 + max(np.max(np.abs(h.pieces[i].Q)), np.max(np.abs(h.pieces[j].Q)))
-                        for p in range(W.shape[1]):
-                            worst_d = max(worst_d, dist_to_range(dQ @ W[:, p], Amat) / scale)
+                        for p in range(tangent.shape[1]):
+                            v = dQ @ tangent[:, p]
+                            worst_d = max(worst_d, float(np.linalg.norm(v - R @ (R.T @ v))) / scale)
                 rep.qq_range_checks.append((prof_sets, worst_d))
                 if worst_d > 1e-9:
                     rep.qq_range_failures.append((prof_sets, worst_d))
@@ -449,7 +448,6 @@ def validate_representation(h: PLQFunction, probes: int, rng=None, strict=False)
                     rep.all_pass = False
 
     # Midpoint convexity along random segments of dom h.
-    worst_conv = 0.0
     for _ in range(probes):
         try:
             c1 = sample_domain_point(h, rng)
@@ -466,37 +464,19 @@ def validate_representation(h: PLQFunction, probes: int, rng=None, strict=False)
         lhs = pm.value.value
         rhs = 0.5 * (finite_value(h, c1) + finite_value(h, c2))
         gap = lhs - rhs
-        worst_conv = max(worst_conv, gap)
         if gap > VALUE_TOL * (1.0 + abs(rhs)):
             rep.convexity_violations.append(gap)
             rep.all_pass = False
     if rep.convexity_violations and all(np.isfinite(rep.convexity_violations)):
         rep.messages.append(f"midpoint convexity violated, worst gap {max(rep.convexity_violations):g}")
 
-    # Interior disjointness.
+    # Interior disjointness, decided by the sign vectors (see the docstring).
     for k1 in range(h.n_pieces):
-        if not rep.piece_feasible[k1] or inner[k1][1] is None or inner[k1][1] <= 1e-9:
+        if inner[k1][1] is None or inner[k1][1] <= 1e-9:
             continue
-        for k2 in range(h.n_pieces):
-            if k1 == k2 or not rep.piece_feasible[k2]:
-                continue
-            if strict:
-                if k2 < k1:
-                    continue
-                B1, g1 = h.piece_rows(k1)
-                B2, g2 = h.piece_rows(k2)
-                x = feasible_point(F=np.vstack([B1, B2]),
-                                   f=np.concatenate([g1, g2]) - 1e-7,
-                                   dim=h.m)
-                overlap = x is not None
-            else:
-                x = inner[k1][0]
-                B2, g2 = h.piece_rows(k2)
-                overlap = bool(np.all(B2 @ x <= g2 - 1e-9)) if B2.shape[0] else True
-            if overlap:
-                pair = (min(k1, k2), max(k1, k2))
-                if pair not in rep.interior_overlaps:
-                    rep.interior_overlaps.append(pair)
-                    rep.messages.append(f"pieces {pair}: interiors overlap")
-                    rep.all_pass = False
+        for k2 in range(k1 + 1, h.n_pieces):
+            if np.array_equal(h._signs[k1], h._signs[k2]):
+                rep.interior_overlaps.append((k1, k2))
+                rep.messages.append(f"pieces {(k1, k2)}: interiors overlap")
+                rep.all_pass = False
     return rep

@@ -31,8 +31,7 @@ from .composite import CompositeProblem
 from .errors import ExprSyntaxError, SchemaError, ValidationFailure
 from .exprmap import SmoothMap
 from .plq import Hyperplane, Piece, PLQFunction, validate_representation
-
-METHODS = ("newton", "quasi", "smooth", "enum")
+from .solver import METHODS
 
 
 @dataclass
@@ -177,7 +176,7 @@ def parse_problem_dict(doc: dict, path: str = "") -> ProblemFile:
                        solver=sol, path=path)
 
 
-def load_problem(path, probes=200, validate=True, strict=False, rng=None) -> ProblemFile:
+def load_problem(path, probes=200, validate=True, rng=None) -> ProblemFile:
     """Load and validate a problem file.
 
     Schema violations raise SchemaError with a JSON pointer; representation
@@ -191,7 +190,7 @@ def load_problem(path, probes=200, validate=True, strict=False, rng=None) -> Pro
             raise SchemaError("", f"invalid JSON: {err}") from None
     pf = parse_problem_dict(doc, path=str(path))
     if validate:
-        rep = validate_representation(pf.problem.h, probes=probes, rng=rng, strict=strict)
+        rep = validate_representation(pf.problem.h, probes=probes, rng=rng)
         if not rep.all_pass:
             raise ValidationFailure(rep.messages or ["representation checks failed"])
     return pf

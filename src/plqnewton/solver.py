@@ -63,6 +63,8 @@ from .numerics import as_vector, nullspace_basis
 from .plq import eval_with_active
 
 GLUE_FAIL = 1e-8
+# The method names `solve` accepts, in the order problem files and the CLI list them.
+METHODS = ("newton", "quasi", "smooth", "enum")
 
 
 @dataclass(frozen=True)
@@ -522,7 +524,7 @@ def solve(p: CompositeProblem, method: str, x0, y0, opts: SolveOptions,
     exact Hessian, quasi the start pair's. Without y0, every method starts
     from the gradient of the one active piece.
     """
-    if method not in ("newton", "smooth", "quasi", "enum"):
+    if method not in METHODS:
         raise SchemaError("/solver/method", f"unknown method {method!r}")
     md = None
     if method == "newton" and reference is not None:

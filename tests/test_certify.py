@@ -23,7 +23,7 @@ from plqnewton.errors import PreconditionError
 from plqnewton.exprmap import SmoothMap
 from plqnewton.manifold import build_manifold
 from plqnewton.numerics import matrix_rank_rel
-from plqnewton.problems import parse_problem_dict
+from plqnewton.problems import ProblemFile, parse_problem_dict
 from plqnewton.solver import solve_subproblem_enum
 
 
@@ -242,6 +242,17 @@ class TestNonlinearProgram:
         assert cert.sosc.piece_min_eigs == ((0, pytest.approx(-2.0, abs=1e-12)),)
         assert "reduced second-order sufficiency fails" in cert.reasons
 
+    def test_certify_report_shows_the_face(self):
+        # The report certifies on the one-piece face and shows it: the
+        # manifold, the constraint's multiplier 2 and partial smoothness.
+        pf = ProblemFile("nlp", _nlp(), (NLP_XBAR, NLP_YBAR), None, None)
+        report, code = run_report(pf, "certify", {"seed": 42})
+        assert code == 0
+        assert report["manifold"]["active_pieces"] == [0]
+        assert report["manifold"]["active_hyperplanes"] == [0]
+        assert report["strictness"]["mu"] == [[2.0]]
+        assert report["partial_smoothness"]["certified"] is True
+
 
 class TestRestrictedKKTMatrix:
     def test_b1_nonsingular(self):
@@ -323,14 +334,14 @@ class TestOneAnalysisPerPoint:
         calls = self._certify(monkeypatch, pf, (
             (calculus, "subdiff_hrep_at"), (plq, "eval_with_active"),
             (composite, "qualification_chain"),
-            (manifold, "build_manifold"), (manifold, "strictness_check"),
+            (manifold, "build_manifold_at"), (manifold, "strictness_check"),
             (simplex, "solve_lp")))
         cbar = pf.problem.c.value(pf.reference[0])
         assert len(calls["subdiff_hrep_at"]) == 1
         assert np.array_equal(calls["subdiff_hrep_at"][0][2], cbar)
-        assert len(calls["eval_with_active"]) <= 2
+        assert len(calls["eval_with_active"]) == 1
         assert len(calls["qualification_chain"]) == 1
-        assert len(calls["build_manifold"]) == 1
+        assert len(calls["build_manifold_at"]) == 1
         assert len(calls["strictness_check"]) == 1
         assert len(calls["solve_lp"]) <= 3
 

@@ -14,7 +14,7 @@ from plqnewton.manifold import (
     mu_of,
     strictness_check,
 )
-from plqnewton.numerics import nullspace_basis, dist_to_range
+from plqnewton.numerics import nullspace_basis, range_basis
 from plqnewton.plq import eval_with_active
 
 
@@ -112,7 +112,7 @@ class TestManifoldContains:
             assert manifold_contains(md, c)
             prof = eval_with_active(md.h, c)
             assert tuple(sorted(prof.active_pieces)) == md.active_pieces
-            assert prof.active_hyperplanes[prof.active_pieces[0]] == md.active_hyperplanes
+            assert prof.active_set == md.active_hyperplanes
             count += 1
         assert count == 100
 
@@ -145,7 +145,9 @@ class TestMuOf:
             c = np.array([rng.uniform(0.1, 4.0), 0.0])
             y = np.array([1.0, rng.uniform(-1, 1)])
             mu = mu_of(md, c, y)
-            recon = md.lambda0(c) + md.A_bar() @ mu.flat
+            # The averaged identity y = mean_j (Q_j c + b_j + A P_j mu_j).
+            recon = sum(md.piece(j).Q @ c + md.piece(j).b + md.AP(j) @ mu.blocks[j]
+                        for j in range(md.kbar)) / md.kbar
             assert np.linalg.norm(recon - y) <= 1e-10 * (1 + np.linalg.norm(y))
 
     def test_block_system_identity(self):
@@ -157,6 +159,12 @@ class TestMuOf:
             piece = md.piece(j)
             rhs = piece.Q @ c + piece.b + md.AP(j) @ mu.blocks[j]
             assert np.allclose(y, rhs, atol=1e-10)
+
+
+def dist_to_range(v, M):
+    """Euclidean distance from v to Ran(M)."""
+    R = range_basis(M)
+    return float(np.linalg.norm(v - R @ (R.T @ v)))
 
 
 class TestTangentNormal:

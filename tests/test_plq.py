@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from plqnewton.benchmarks import halfquad_plq, l1_plq, l1sq_plq, max2_plq, nlp_plq, sumsq_plq
 from plqnewton.errors import RepresentationError
@@ -9,11 +9,14 @@ from plqnewton.plq import (
     Hyperplane,
     Piece,
     PLQFunction,
+    active_structure,
     eval_with_active,
     finite_value,
+    piece_interior_point,
     sample_domain_point,
     validate_representation,
 )
+from plqnewton.simplex import feasible_point
 
 
 class TestEvalWithActive:
@@ -21,7 +24,6 @@ class TestEvalWithActive:
         prof = eval_with_active(l1_plq(), [0.0, 0.0])
         assert prof.value.is_finite and prof.value.value == pytest.approx(0.0, abs=1e-15)
         assert prof.active_pieces == (0, 1, 2, 3)
-        assert all(prof.active_hyperplanes[k] == (0, 1) for k in prof.active_pieces)
         assert prof.active_set == (0, 1)
         assert prof.kbar == 4 and prof.ell == 2
 
@@ -39,7 +41,7 @@ class TestEvalWithActive:
         prof = eval_with_active(h, c)
         assert prof.value.value == pytest.approx(9.0)
         assert prof.active_pieces == (0,)
-        assert prof.active_hyperplanes[0] == () and prof.active_set == ()
+        assert prof.active_set == ()
 
     def test_deterministic(self):
         h = l1_plq()
@@ -123,9 +125,9 @@ class TestVectorizedActivity:
                 continue
             prof = eval_with_active(h, c)
             act = h.active_hyperplane_set(c)
+            assert active_structure(h, c) == (active, act)
             assert prof.value.value == vals[0]
             assert prof.active_pieces == active and prof.kbar == len(active)
-            assert prof.active_hyperplanes == {k: act for k in active}
             assert prof.active_set == act and prof.ell == len(act)
 
 
@@ -178,10 +180,10 @@ class TestValidate:
 
     def test_strict_interior_overlap(self):
         hps = [Hyperplane([1.0], 0.0), Hyperplane([1.0], -1.0)]
-        # Two copies of [-1, 0]: interiors coincide, which the LP check must flag.
+        # Two copies of [-1, 0]: interiors coincide, which the sign rule must flag.
         pieces = [Piece([1, -1], [[0.0]], [0.0]), Piece([1, -1], [[0.0]], [0.0])]
         h = PLQFunction(1, hps, pieces)
-        rep = validate_representation(h, probes=20, strict=True)
+        rep = validate_representation(h, probes=20)
         assert rep.interior_overlaps
 
     def test_nonconvex_midpoint_detected(self):
@@ -197,6 +199,57 @@ class TestValidate:
         for build in (l1_plq, l1sq_plq, max2_plq, nlp_plq, halfquad_plq, sumsq_plq):
             rep = validate_representation(build(), probes=60)
             assert rep.all_pass, (build.__name__, rep.messages)
+
+
+def _pairwise_lp_overlaps(h):
+    """Interior overlaps by one exact LP per piece pair, the check the sign
+    rule replaced: pieces k1 < k2 overlap when k1 has interior depth above
+    1e-9 and B1 x <= g1 - 1e-7, B2 x <= g2 - 1e-7 is feasible."""
+    out = []
+    for k1 in range(h.n_pieces):
+        x, t = piece_interior_point(h, k1)
+        if x is None or t <= 1e-9:
+            continue
+        for k2 in range(k1 + 1, h.n_pieces):
+            if piece_interior_point(h, k2)[0] is None:
+                continue
+            (B1, g1), (B2, g2) = h.piece_rows(k1), h.piece_rows(k2)
+            if feasible_point(F=np.vstack([B1, B2]), f=np.concatenate([g1, g2]) - 1e-7,
+                              dim=h.m) is not None:
+                out.append((k1, k2))
+    return out
+
+
+@st.composite
+def _sign_families(draw):
+    """A PLQ function whose pieces take their sign vectors from a family of
+    at most three, so equal sign vectors are common: s = 0-3 small-integer
+    hyperplanes (parallel, coincident and degenerate crossings included) in
+    m = 1-3 dimensions, scaled by 1e-3 to 10, and zero quadratics."""
+    m, s = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    scale = draw(st.sampled_from((1e-3, 0.1, 1.0, 10.0)))
+    coef = st.integers(-2, 2)
+    hps = [Hyperplane(scale * np.array(draw(st.lists(coef, min_size=m, max_size=m).filter(any)),
+                                       dtype=float), scale * draw(coef))
+           for _ in range(s)]
+    signs = st.lists(st.sampled_from((-1.0, 1.0)), min_size=s, max_size=s)
+    family = draw(st.lists(signs, min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(family) - 1), min_size=1, max_size=6))
+    return PLQFunction(m, hps, [Piece(family[i], np.zeros((m, m)), np.zeros(m)) for i in picks])
+
+
+class TestSignRule:
+    """Interior disjointness from the sign vectors agrees with the exact LP
+    per piece pair."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_sign_families())
+    # A one-point piece: a sample ray's bounds are 0.0 and -0.0.
+    @example(PLQFunction(1, [Hyperplane([1e-3], 0.0), Hyperplane([-1e-3], 0.0)],
+                         [Piece([-1, -1], [[0.0]], [0.0])]))
+    def test_matches_pairwise_lp(self, h):
+        rep = validate_representation(h, probes=4)
+        assert rep.interior_overlaps == _pairwise_lp_overlaps(h)
 
 
 class TestConvexityProperty:

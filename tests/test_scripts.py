@@ -37,10 +37,10 @@ def test_run_benchmarks_verdict_table(capsys):
 def test_report_digest_benchmark_lines():
     script = _load("report_digest")
     lines = list(script.benchmark_lines())
-    assert len(lines) == 81
+    assert len(lines) == 90
     assert list(script.benchmark_lines()) == lines  # a digest compares by bytes
     fields = [line.split(" ", 2) for line in lines]
-    assert len({tag for tag, _, _ in fields}) == 81
+    assert len({tag for tag, _, _ in fields}) == 90
     for tag, head, rest in fields:
         if head in ("0", "1"):
             report = json.loads(rest)
@@ -51,3 +51,6 @@ def test_report_digest_benchmark_lines():
     certified = sorted(tag.split("/")[0] for tag, head, _ in fields
                        if tag.endswith("/certify") and head == "0")
     assert certified == CERTIFIED
+    validated = [(head, json.loads(rest)["command"]) for tag, head, rest in fields
+                 if tag.endswith("/validate")]
+    assert validated == [("0", "validate")] * 9
