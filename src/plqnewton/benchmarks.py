@@ -79,16 +79,6 @@ def sumsq_plq(m: int = 2) -> PLQFunction:
     return PLQFunction(m, [], [Piece(np.zeros(0), np.eye(m), np.zeros(m))], name="sumsq")
 
 
-PLQ_LIBRARY = {
-    "l1": l1_plq,
-    "l1sq": l1sq_plq,
-    "max2": max2_plq,
-    "nlp": nlp_plq,
-    "halfquad": halfquad_plq,
-    "sumsq": sumsq_plq,
-}
-
-
 # -- composite benchmarks ----------------------------------------------------
 
 

@@ -4,9 +4,9 @@ Exit codes: 0 pass, 1 certified-failure (the tool ran, the verdict is
 negative), 2 input error (the input is malformed or does not meet the
 command's preconditions), 3 regime error (the evaluation or the iteration
 left the regime where it is defined); errors.INPUT_ERRORS and
-errors.REGIME_ERRORS map every package error to 2 or 3. Randomized probes
-are driven by --seed (default 42) so reports are byte-stable for identical
-inputs.
+errors.REGIME_ERRORS map every package error to 2 or 3. Random draws
+(random points, validation's midpoint-convexity segments) are driven by
+--seed (default 42), so reports are byte-stable for identical inputs.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ EXIT_PASS = 0
 EXIT_CERTIFIED_FAILURE = 1
 EXIT_INPUT_ERROR = 2
 EXIT_REGIME_ERROR = 3
+DERIV_POINTS = 100  # random points of check-derivs' finite-difference comparison
 
 
 def _resolve_point(pf: ProblemFile, spec: str | None, rng):
@@ -106,8 +107,9 @@ def report_certify(pf: ProblemFile, opts) -> tuple[dict, int]:
 
 def report_solve(pf: ProblemFile, opts) -> tuple[dict, int]:
     method = opts.get("method") or pf.solver.method
-    sopts = SolveOptions(tol=opts.get("tol") or pf.solver.tol,
-                         max_iter=opts.get("max_iter") or pf.solver.max_iter)
+    tol, max_iter = opts.get("tol"), opts.get("max_iter")
+    sopts = SolveOptions(tol=pf.solver.tol if tol is None else tol,
+                         max_iter=pf.solver.max_iter if max_iter is None else max_iter)
     if pf.start_x is None:
         raise PreconditionError("problem file has no start point")
     trace = solve(pf.problem, method, pf.start_x, pf.start_y, sopts, reference=pf.reference)
@@ -158,7 +160,7 @@ def report_check_derivs(pf: ProblemFile, opts) -> tuple[dict, int]:
     spec = opts.get("point", "random")
     worst_jac = 0.0
     worst_hess = 0.0
-    trials = 1 if spec not in (None, "random") else opts.get("deriv_points", 100)
+    trials = 1 if spec not in (None, "random") else DERIV_POINTS
     for _ in range(trials):
         x, _ = _resolve_point(pf, spec, rng)
         jac = p.c.jacobian(x)
@@ -236,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--trace", help="write the iteration trace CSV here")
         sp.add_argument("--json", dest="json_out", help="write the JSON report here")
         sp.add_argument("--point", help="JSON file with the evaluation point, or 'random'")
-        sp.add_argument("--probes", type=int, default=200)
+        sp.add_argument("--probes", type=int, default=200, help="random segments of "
+                        "validation's midpoint-convexity check, drawn from --seed")
     return ap
 
 

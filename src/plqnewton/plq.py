@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, RepresentationError
-from .numerics import ExtReal, PLUS_INF, as_vector, freeze_array, nullspace_basis, range_basis
+from .errors import DomainError, PreconditionError, RepresentationError
+from .numerics import ExtReal, PLUS_INF, as_vector, freeze_array, nullspace_basis
 from .simplex import max_slack_point
 
 # Active-constraint detection: |<a_j, c> - alpha_j| <= ACT_TOL * (1 + |alpha_j|).
@@ -245,12 +245,11 @@ def piece_interior_point(h: PLQFunction, k, cap=4.0):
     return (None, None) if x is None else (x.copy(), t)
 
 
-def sample_point_in_piece(h: PLQFunction, k, rng, base=None, radius=8.0):
-    """A random point of piece k reached by a feasible ray step from an inner point."""
+def sample_point_in_piece(h: PLQFunction, k, rng, radius=8.0):
+    """A random point of piece k reached by a feasible ray step from its interior point."""
+    base, _ = piece_interior_point(h, k)
     if base is None:
-        base, _ = piece_interior_point(h, k)
-        if base is None:
-            return None
+        return None
     B, g = h.piece_rows(k)
     d = rng.standard_normal(h.m)
     nrm = np.linalg.norm(d)
@@ -292,7 +291,7 @@ class ValidationReport:
     continuity_failures: list = field(default_factory=list)
     convexity_violations: list = field(default_factory=list)
     curvature_violations: list = field(default_factory=list)
-    qq_range_checks: list = field(default_factory=list)   # (active set, max distance)
+    qq_range_checks: list = field(default_factory=list)   # ((k1, k2), max distance)
     qq_range_failures: list = field(default_factory=list)
     interior_overlaps: list = field(default_factory=list)
     messages: list = field(default_factory=list)
@@ -338,19 +337,27 @@ def _pair_intersection_point(h: PLQFunction, k1, k2):
     return x
 
 
-def validate_representation(h: PLQFunction, probes: int, rng=None) -> ValidationReport:
-    """Probe-based checks of the representation invariants.
+def _face_basis(h: PLQFunction, x):
+    """Orthonormal basis (columns) of the directions along every hyperplane
+    active at x; the identity when none is."""
+    act = h.active_hyperplane_set(x)
+    return nullspace_basis(h._A[list(act)]) if act else np.eye(h.m)
 
-    Covers per-piece feasibility, boundary continuity between overlapping
-    pieces, midpoint convexity along random segments, curvature Q >= 0 on
-    piece-parallel directions, the range condition on Q differences across
-    each kink candidate, and pairwise disjoint piece interiors. The last is
-    exact: pieces k1 < k2 overlap when their sign vectors are equal (else a
-    hyperplane separates them) and their common polyhedron has interior
-    depth t > 1e-9, the depth the feasibility pass computes.
+
+def validate_representation(h: PLQFunction, probes: int, rng=None) -> ValidationReport:
+    """Checks of the representation invariants; only midpoint convexity, on
+    `probes` random segments of dom h drawn from `rng`, is sampled.
+
+    The rest are exact, each on a face basis T (`_face_basis`): per piece,
+    feasibility and curvature (T^T Q_k T >= 0 at its interior point); per
+    pair that meets, at a point x of the common face, continuity (value and
+    T^T gradient gaps) and the range condition T^T (Q_k1 - Q_k2) T = 0, so
+    the two quadratics agree on x + span(T). Pieces k1 < k2 overlap when
+    their sign vectors are equal (else a hyperplane separates them) and their
+    common polyhedron has interior depth t > 1e-9 (the feasibility pass's t).
     """
     if probes < 1:
-        raise ValueError("probes must be >= 1")
+        raise PreconditionError("probes must be >= 1")
     rng = np.random.default_rng(42) if rng is None else rng
     rep = ValidationReport()
 
@@ -372,29 +379,18 @@ def validate_representation(h: PLQFunction, probes: int, rng=None) -> Validation
         rep.messages.append(
             "dom h appears lower-dimensional; kink certificates are outside the supported theory")
 
-    # Curvature on sampled piece-parallel directions.
-    n_curv = max(4, probes // 8)
+    # Curvature of each piece along its face, at its interior point.
     for k in range(h.n_pieces):
         if not rep.piece_feasible[k]:
             continue
-        worst = 0.0
-        for _ in range(n_curv):
-            p1 = sample_point_in_piece(h, k, rng, base=inner[k][0])
-            p2 = sample_point_in_piece(h, k, rng, base=inner[k][0])
-            w = p1 - p2
-            nw = np.linalg.norm(w)
-            if nw < 1e-12:
-                continue
-            quad = float(w @ (h.pieces[k].Q @ w))
-            worst = min(worst, quad / nw ** 2)
-        if worst < -1e-10:
-            rep.curvature_violations.append(worst)
-            rep.messages.append(f"piece {k}: negative curvature {worst:g} on a parallel direction")
+        Q, T = h.pieces[k].Q, _face_basis(h, inner[k][0])
+        lam = float(np.linalg.eigvalsh(T.T @ Q @ T)[0]) if T.shape[1] else 0.0
+        if lam < -1e-10 * max(1.0, float(np.max(np.abs(Q)))):
+            rep.curvature_violations.append(lam)
+            rep.messages.append(f"piece {k}: negative curvature {lam:g} on a parallel direction")
             rep.all_pass = False
 
-    # Boundary continuity and kink candidates for the Q-difference range check.
-    seen_active_sets = set()
-    A, _ = h.hyperplane_matrix()
+    # Continuity and the Q-difference range condition on each common face.
     for k1 in range(h.n_pieces):
         for k2 in range(k1 + 1, h.n_pieces):
             if not (rep.piece_feasible[k1] and rep.piece_feasible[k2]):
@@ -402,50 +398,25 @@ def validate_representation(h: PLQFunction, probes: int, rng=None) -> Validation
             x = _pair_intersection_point(h, k1, k2)
             if x is None:
                 continue
-            worst = 0.0
-            pts = [x]
-            prof_sets, act = active_structure(h, x)
-            tangent = nullspace_basis(A[list(act)]) if act else np.eye(h.m)
-            for _ in range(max(2, probes // max(1, h.n_pieces))):
-                if tangent.shape[1] == 0:
-                    break
-                d = tangent @ rng.standard_normal(tangent.shape[1])
-                nd = np.linalg.norm(d)
-                if nd < 1e-12:
-                    continue
-                step = x + (0.5 * rng.uniform()) * d / nd
-                if h.piece_contains(k1, step) and h.piece_contains(k2, step):
-                    pts.append(step)
-            for p in pts:
-                v1, v2 = h.piece_value(k1, p), h.piece_value(k2, p)
-                worst = max(worst, abs(v1 - v2) / (1.0 + abs(v1)))
-            rep.continuity.append((k1, k2, worst))
-            if worst > VALUE_TOL:
-                rep.continuity_failures.append((k1, k2, worst))
-                rep.messages.append(f"pieces {k1},{k2}: boundary value mismatch {worst:g}")
+            T = _face_basis(h, x)
+            v1, g1 = h.piece_value(k1, x), T.T @ h.piece_gradient(k1, x)
+            gap = max(abs(v1 - h.piece_value(k2, x)) / (1.0 + abs(v1)), float(
+                np.linalg.norm(g1 - T.T @ h.piece_gradient(k2, x)) / (1.0 + np.linalg.norm(g1))))
+            rep.continuity.append((k1, k2, gap))
+            if gap > VALUE_TOL:
+                rep.continuity_failures.append((k1, k2, gap))
+                rep.messages.append(f"pieces {k1},{k2}: boundary value mismatch {gap:g}")
                 rep.all_pass = False
 
-            # Q-difference range condition at this kink candidate: dQ maps the
-            # tangent space into the span R of the active normals.
-            if len(prof_sets) >= 2 and prof_sets not in seen_active_sets and act:
-                seen_active_sets.add(prof_sets)
-                R = range_basis(A[list(act)].T)
-                worst_d = 0.0
-                for i in prof_sets:
-                    for j in prof_sets:
-                        if i >= j:
-                            continue
-                        dQ = h.pieces[i].Q - h.pieces[j].Q
-                        scale = 1.0 + max(np.max(np.abs(h.pieces[i].Q)), np.max(np.abs(h.pieces[j].Q)))
-                        for p in range(tangent.shape[1]):
-                            v = dQ @ tangent[:, p]
-                            worst_d = max(worst_d, float(np.linalg.norm(v - R @ (R.T @ v))) / scale)
-                rep.qq_range_checks.append((prof_sets, worst_d))
-                if worst_d > 1e-9:
-                    rep.qq_range_failures.append((prof_sets, worst_d))
-                    rep.messages.append(
-                        f"pieces {prof_sets}: quadratic-difference range condition fails ({worst_d:g})")
-                    rep.all_pass = False
+            Q1, Q2 = h.pieces[k1].Q, h.pieces[k2].Q
+            dist = float(np.max(np.linalg.norm(T.T @ (Q1 - Q2) @ T, axis=0), initial=0.0)
+                         / (1.0 + max(np.max(np.abs(Q1)), np.max(np.abs(Q2)))))
+            rep.qq_range_checks.append(((k1, k2), dist))
+            if dist > 1e-9:
+                rep.qq_range_failures.append(((k1, k2), dist))
+                rep.messages.append(
+                    f"pieces {(k1, k2)}: quadratic-difference range condition fails ({dist:g})")
+                rep.all_pass = False
 
     # Midpoint convexity along random segments of dom h.
     for _ in range(probes):

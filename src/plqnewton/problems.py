@@ -17,7 +17,8 @@ The JSON layout:
 
 Q omitted means the zero matrix; beta omitted means 0. Schema problems raise
 SchemaError with a JSON-pointer-style location; a loaded representation is
-then validated with probe checks and failures raise ValidationFailure.
+then validated by `plq.validate_representation` and failures raise
+ValidationFailure.
 """
 
 from __future__ import annotations
@@ -180,8 +181,10 @@ def load_problem(path, probes=200, validate=True, rng=None) -> ProblemFile:
     """Load and validate a problem file.
 
     Schema violations raise SchemaError with a JSON pointer; representation
-    failures (empty domain, discontinuity, non-convexity, overlapping
-    interiors) raise ValidationFailure listing every failure.
+    failures (empty domain, discontinuity, the range condition, negative
+    curvature, non-convexity, overlapping interiors) raise ValidationFailure
+    listing every failure. `probes` midpoint-convexity segments are drawn
+    from `rng`, the only sampled check; probes < 1 raises PreconditionError.
     """
     with open(path) as fh:
         try:

@@ -63,6 +63,8 @@ from .numerics import as_vector, nullspace_basis
 from .plq import eval_with_active
 
 GLUE_FAIL = 1e-8
+# The divergence guard: |x_k| > DIVERGENCE_FACTOR (1 + |x_0|) raises DivergenceError.
+DIVERGENCE_FACTOR = 1e6
 # The method names `solve` accepts, in the order problem files and the CLI list them.
 METHODS = ("newton", "quasi", "smooth", "enum")
 
@@ -71,7 +73,6 @@ METHODS = ("newton", "quasi", "smooth", "enum")
 class SolveOptions:
     tol: float = 1e-12
     max_iter: int = 50
-    divergence_factor: float = 1e6
 
     def converged(self, res) -> bool:
         return res.stationarity <= self.tol and res.subdiff_violation <= self.tol
@@ -220,7 +221,7 @@ def _iterate(p: CompositeProblem, trace: IterationTrace, x, y, step, opts: Solve
         lin = p.c.evaluate(x, y)
         if record(k, x, y, lin, monitors):
             return trace
-        if np.linalg.norm(x) > opts.divergence_factor * x0_norm:
+        if np.linalg.norm(x) > DIVERGENCE_FACTOR * x0_norm:
             raise DivergenceError("iterates diverged beyond the guard radius")
     trace.message = "max_iter reached"
     return trace

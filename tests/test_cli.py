@@ -136,9 +136,8 @@ class TestRunReport:
 
     def test_check_derivs_report(self):
         pf = parse_problem_dict(_doc())
-        rep, code = run_report(pf, "check-derivs",
-                               {"seed": 42, "point": "random", "deriv_points": 50})
-        assert code == 0 and rep["pass"]
+        rep, code = run_report(pf, "check-derivs", {"seed": 42, "point": "random"})
+        assert code == 0 and rep["pass"] and rep["points"] == cli.DERIV_POINTS
         assert rep["max_jacobian_deviation"] <= 1e-6
         json.dumps(rep)
 
@@ -153,6 +152,13 @@ class TestMainEntry:
         assert trace.exists() and jout.exists()
         rep = json.loads(jout.read_text())
         assert rep["converged"]
+
+    def test_max_iter_zero_is_kept(self, tmp_path):
+        # 0 is a value, not "unset": no step is taken and the solve fails.
+        jout = tmp_path / "rep.json"
+        assert main(["solve", "b1_minimax", "--max-iter", "0", "--json", str(jout)]) == 1
+        rep = json.loads(jout.read_text())
+        assert rep["iterations"] == 0 and rep["message"] == "max_iter reached"
 
     def test_builtin_benchmark_name(self):
         assert main(["solve", "b1_cubic"]) == 0
@@ -272,6 +278,16 @@ class TestExitCodeContract:
             assert main([command, "cross_l1", "--point", str(point)]) == 2
             err = capsys.readouterr().err
             assert "Traceback" not in err and "--point" in err
+
+    @pytest.mark.parametrize("argv", [["validate", "b1_minimax", "--probes", "0"],
+                                      ["certify", "FILE", "--probes", "-3"]])
+    def test_probes_below_one_is_input_error(self, tmp_path, capsys, argv):
+        # A file is validated as it loads; a benchmark name only by validate.
+        path = tmp_path / "b1.json"
+        path.write_text(json.dumps(_doc()))
+        assert main([str(path) if a == "FILE" else a for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "probes must be >= 1" in err
 
     def test_every_package_error_maps_to_2_or_3(self, monkeypatch):
         documented = {"SchemaError": 2, "ValidationFailure": 2, "PreconditionError": 2,

@@ -155,7 +155,10 @@ class TestValidate:
         rep = validate_representation(l1_plq(), probes=100)
         assert rep.all_pass
         assert all(rep.piece_feasible)
-        assert rep.qq_range_checks  # kink candidates were exercised
+        # Every pair of the four quadrants meets: on a half-axis or at 0.
+        pairs = [(k1, k2) for k1 in range(4) for k2 in range(k1 + 1, 4)]
+        assert [(k1, k2) for k1, k2, _ in rep.continuity] == pairs
+        assert [pair for pair, _ in rep.qq_range_checks] == pairs
 
     def test_discontinuous_pair_fails(self):
         hps = [Hyperplane([1.0], 0.0)]
@@ -199,6 +202,47 @@ class TestValidate:
         for build in (l1_plq, l1sq_plq, max2_plq, nlp_plq, halfquad_plq, sumsq_plq):
             rep = validate_representation(build(), probes=60)
             assert rep.all_pass, (build.__name__, rep.messages)
+
+
+class TestExactChecks:
+    """Curvature, continuity and the range condition are decided on a face
+    basis, independent of the rng."""
+
+    @pytest.mark.parametrize("seed", [42, 2, 3])
+    def test_negative_curvature_found_at_every_seed(self, seed):
+        # 0.5 (c1^2 + c2^2 - 1e-3 c3^2): the samples at these seeds miss it.
+        h = PLQFunction(3, [], [Piece([], np.diag([1.0, 1.0, -1e-3]), np.zeros(3))])
+        rep = validate_representation(h, probes=200, rng=np.random.default_rng(seed))
+        assert not rep.all_pass
+        assert rep.curvature_violations == [pytest.approx(-1e-3, rel=1e-12)]
+
+    def test_curvature_threshold_scales_with_q(self):
+        # 0.5 1e8 (v^T c)^2 is convex; eigvalsh rounds its zero eigenvalues
+        # to about -4e-10, below an absolute -1e-10.
+        v = np.array([1.0, 0.3, -0.7])
+        h = PLQFunction(3, [], [Piece([], 1e8 * np.outer(v, v), np.zeros(3))])
+        rep = validate_representation(h, probes=50)
+        assert rep.all_pass, rep.messages
+        assert rep.curvature_violations == []
+
+    @staticmethod
+    def _split(Q0, Q1, b0, b1):
+        """c1 <= 0 carries (Q0, b0), c1 >= 0 carries (Q1, b1)."""
+        return PLQFunction(2, [Hyperplane([1.0, 0.0], 0.0)],
+                           [Piece([1], Q0, b0), Piece([-1], Q1, b1)])
+
+    def test_range_condition_on_the_common_face(self):
+        h = self._split(np.diag([0.0, 1.0]), np.diag([0.0, 2.0]), [0.0, 0.0], [0.0, 0.0])
+        rep = validate_representation(h, probes=50)
+        assert not rep.all_pass
+        assert rep.qq_range_failures == [((0, 1), 1 / 3)]
+
+    def test_tangential_gradient_gap_is_a_continuity_failure(self):
+        h = self._split(np.diag([0.0, 1.0]), np.diag([0.0, 1.0]), [0.0, 0.0], [0.0, 1e-3])
+        rep = validate_representation(h, probes=50)
+        assert not rep.all_pass
+        assert rep.continuity_failures == [(0, 1, pytest.approx(1e-3, rel=1e-12))]
+        assert rep.qq_range_failures == []
 
 
 def _pairwise_lp_overlaps(h):
