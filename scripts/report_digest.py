@@ -41,7 +41,7 @@ WORKLOAD_ROUNDS = {"desk": 2, "wide_map": 2, "many_kinks": 3}
 WORKLOAD_SEEDS = (7, 11)
 # The options of a `plqnewton` command line that sets none.
 CLI_OPTS = {"seed": 42, "method": None, "tol": None, "max_iter": None, "trace": None,
-            "point": None, "probes": 200}
+            "point": None}
 
 
 def digest_line(tag, pf, command, opts):
@@ -68,8 +68,7 @@ def benchmark_lines():
 def workload_lines(workload, seed, rounds, directory):
     """Validate on each problem file, then every op of rounds 0 .. rounds - 1
     of one workload at one seed."""
-    pfs = {path.stem: load_problem(path, probes=200, validate=True,
-                                   rng=np.random.default_rng(42))
+    pfs = {path.stem: load_problem(path, validate=True)
            for path in workload.write(seed, directory)}
     for stem, pf in pfs.items():
         yield digest_line(f"{workload.name}/{seed}/validate/{stem}", pf, "validate", {})

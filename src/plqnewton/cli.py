@@ -4,9 +4,9 @@ Exit codes: 0 pass, 1 certified-failure (the tool ran, the verdict is
 negative), 2 input error (the input is malformed or does not meet the
 command's preconditions), 3 regime error (the evaluation or the iteration
 left the regime where it is defined); errors.INPUT_ERRORS and
-errors.REGIME_ERRORS map every package error to 2 or 3. Random draws
-(random points, validation's midpoint-convexity segments) are driven by
---seed (default 42), so reports are byte-stable for identical inputs.
+errors.REGIME_ERRORS map every package error to 2 or 3. --seed (default 42)
+drives the only random draws (`--point random`, check-derivs' multipliers),
+so reports are byte-stable for identical inputs; validation draws none.
 """
 
 from __future__ import annotations
@@ -61,8 +61,7 @@ def _resolve_point(pf: ProblemFile, spec: str | None, rng):
 
 
 def report_validate(pf: ProblemFile, opts) -> tuple[dict, int]:
-    rng = np.random.default_rng(opts["seed"])
-    rep = validate_representation(pf.problem.h, probes=opts.get("probes", 200), rng=rng)
+    rep = validate_representation(pf.problem.h)
     code = EXIT_PASS if rep.all_pass else EXIT_INPUT_ERROR
     return {"command": "validate", "problem": pf.name, "report": rep.to_dict(),
             "all_pass": rep.all_pass}, code
@@ -238,8 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--trace", help="write the iteration trace CSV here")
         sp.add_argument("--json", dest="json_out", help="write the JSON report here")
         sp.add_argument("--point", help="JSON file with the evaluation point, or 'random'")
-        sp.add_argument("--probes", type=int, default=200, help="random segments of "
-                        "validation's midpoint-convexity check, drawn from --seed")
     return ap
 
 
@@ -247,16 +244,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     opts = {"seed": args.seed, "method": args.method,
             "tol": args.tol, "max_iter": args.max_iter, "trace": args.trace,
-            "point": args.point, "probes": args.probes}
+            "point": args.point}
     try:
         if args.file in BENCHMARKS:
             from .problems import parse_problem_dict
 
             pf = parse_problem_dict(BENCHMARKS[args.file]().as_problem_dict())
         else:
-            pf = load_problem(args.file, probes=args.probes,
-                              validate=args.command != "validate",
-                              rng=np.random.default_rng(args.seed))
+            pf = load_problem(args.file, validate=args.command != "validate")
         report, code = run_report(pf, args.command, opts)
     except INPUT_ERRORS as err:
         print(f"input error: {err}", file=sys.stderr)

@@ -15,6 +15,9 @@ first use: the unit tangent-cone rows of piece k for each active hyperplane
 set (and, through `calculus`, the cone's generators), and each piece's
 interior point.
 
+`validate_representation` decides every invariant exactly, convexity
+included, on the faces of the arrangement; it draws no random number.
+
 Instances are immutable after construction: the caches are plain dicts set in
 `__post_init__`, not dataclass fields, so equality is unchanged. Filling an
 entry is idempotent (two threads computing it store equal values), so
@@ -23,13 +26,14 @@ concurrent reads are safe.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, RepresentationError
+from .errors import DomainError, RepresentationError
 from .numerics import ExtReal, PLUS_INF, as_vector, freeze_array, nullspace_basis
-from .simplex import max_slack_point
+from .simplex import max_slack_point, support_value
 
 # Active-constraint detection: |<a_j, c> - alpha_j| <= ACT_TOL * (1 + |alpha_j|).
 ACT_TOL = 1e-9
@@ -225,7 +229,7 @@ def finite_value(h: PLQFunction, c) -> float:
     return prof.value.value
 
 
-# -- sampling helpers (used by validation and by tests) --------------------
+# -- validation -------------------------------------------------------------
 
 
 def piece_interior_point(h: PLQFunction, k, cap=4.0):
@@ -245,51 +249,13 @@ def piece_interior_point(h: PLQFunction, k, cap=4.0):
     return (None, None) if x is None else (x.copy(), t)
 
 
-def sample_point_in_piece(h: PLQFunction, k, rng, radius=8.0):
-    """A random point of piece k reached by a feasible ray step from its interior point."""
-    base, _ = piece_interior_point(h, k)
-    if base is None:
-        return None
-    B, g = h.piece_rows(k)
-    d = rng.standard_normal(h.m)
-    nrm = np.linalg.norm(d)
-    if nrm == 0:
-        return base
-    d = d / nrm
-    lo, hi = -radius, radius
-    if B.shape[0]:
-        r = g - B @ base
-        coef = B @ d
-        for i in range(B.shape[0]):
-            if coef[i] > 1e-12:
-                hi = min(hi, r[i] / coef[i])
-            elif coef[i] < -1e-12:
-                lo = max(lo, r[i] / coef[i])
-    if hi <= lo:  # base alone; equal bounds may be 0.0 and -0.0, which uniform refuses
-        return base
-    t = rng.uniform(lo, hi) * 0.98
-    return base + t * d
-
-
-def sample_domain_point(h: PLQFunction, rng, radius=8.0):
-    """A random point of dom h (uniform piece choice, then a ray sample)."""
-    for _ in range(32):
-        k = int(rng.integers(h.n_pieces))
-        x = sample_point_in_piece(h, k, rng, radius=radius)
-        if x is not None:
-            return x
-    raise DomainError("could not sample a domain point; is dom h empty?")
-
-
-# -- validation -------------------------------------------------------------
-
-
 @dataclass
 class ValidationReport:
     piece_feasible: list = field(default_factory=list)
     continuity: list = field(default_factory=list)        # (k1, k2, max residual)
     continuity_failures: list = field(default_factory=list)
     convexity_violations: list = field(default_factory=list)
+    facet_jumps: list = field(default_factory=list)       # (k1, k2, min derivative jump)
     curvature_violations: list = field(default_factory=list)
     qq_range_checks: list = field(default_factory=list)   # ((k1, k2), max distance)
     qq_range_failures: list = field(default_factory=list)
@@ -308,6 +274,7 @@ class ValidationReport:
             "continuity": [(int(a), int(b), float(r)) for a, b, r in self.continuity],
             "continuity_failures": [(int(a), int(b), float(r)) for a, b, r in self.continuity_failures],
             "convexity_violations": [float(v) for v in self.convexity_violations],
+            "facet_jumps": [(int(a), int(b), float(v)) for a, b, v in self.facet_jumps],
             "curvature_violations": [float(v) for v in self.curvature_violations],
             "qq_range_checks": [(list(map(int, s)), float(d)) for s, d in self.qq_range_checks],
             "qq_range_failures": [(list(map(int, s)), float(d)) for s, d in self.qq_range_failures],
@@ -317,24 +284,32 @@ class ValidationReport:
         }
 
 
-def _pair_intersection_point(h: PLQFunction, k1, k2):
-    """Relative-interior point of C_k1 n C_k2, or None. Sign conflicts force equality."""
-    s1, s2 = h.pieces[k1].signs, h.pieces[k2].signs
-    A, alpha = h.hyperplane_matrix()
-    eq_idx = [j for j in range(h.n_hyperplanes) if s1[j] != s2[j]]
-    in_idx = [j for j in range(h.n_hyperplanes) if s1[j] == s2[j]]
-    E = A[eq_idx] if eq_idx else None
-    e = alpha[eq_idx] if eq_idx else None
-    if in_idx:
-        F = s1[in_idx, None] * A[in_idx]
-        f = s1[in_idx] * alpha[in_idx]
-    else:
-        F = np.zeros((1, h.m))
-        f = np.ones(1)
-    x, t = max_slack_point(F, f, E=E, e=e, cap=4.0)
-    if x is None or t < -1e-9:
-        return None
-    return x
+def _face(h: PLQFunction, memo, eq, signs, found=None):
+    """(x, T, rows) of the face where the hyperplanes `eq` hold with equality
+    and signs_j (<a_j, c> - alpha_j) <= 0 for every other j, or None when it
+    is empty: x is a relative-interior point, T = `_face_basis(h, x)` and
+    rows = (F, f, E, e) give the face as F c <= f, E c = e. One max-slack LP
+    per face and `memo`, unless `found` is its (x, t). At a depth t of at most
+    1e-9, the rows that a support LP shows to hold with equality on the whole
+    face join E and the LP runs again (Schrijver, *Theory of Linear and
+    Integer Programming*, 1986, §8.2)."""
+    off = [j for j in range(h.n_hyperplanes) if j not in eq]
+    key = (eq, tuple(signs[off]))
+    if key not in memo:
+        F, f, E, e = signs[off, None] * h._A[off], signs[off] * h._alpha[off], \
+            h._A[list(eq)], h._alpha[list(eq)]
+        x, t = found or max_slack_point(F, f, E=E, e=e, cap=4.0)
+        if x is not None and -1e-9 <= t <= 1e-9:
+            nrm, imp = np.linalg.norm(F, axis=1), np.zeros(f.size, dtype=bool)
+            for i in np.flatnonzero(f - F @ x <= 1e-6 * nrm * (1.0 + np.linalg.norm(x))):
+                val = support_value(-F[i], F, f, E, e)[0]  # -(min of F_i c)
+                imp[i] = val is not None and val <= 1e-9 * nrm[i] - f[i]
+            if imp.any():
+                F, f, E, e = F[~imp], f[~imp], np.vstack([E, F[imp]]), np.r_[e, f[imp]]
+                y = max_slack_point(F, f, E=E, e=e, cap=4.0)[0]
+                x = x if y is None else y
+        memo[key] = None if x is None or t < -1e-9 else (x, _face_basis(h, x), (F, f, E, e))
+    return memo[key]
 
 
 def _face_basis(h: PLQFunction, x):
@@ -344,110 +319,138 @@ def _face_basis(h: PLQFunction, x):
     return nullspace_basis(h._A[list(act)]) if act else np.eye(h.m)
 
 
-def validate_representation(h: PLQFunction, probes: int, rng=None) -> ValidationReport:
-    """Checks of the representation invariants; only midpoint convexity, on
-    `probes` random segments of dom h drawn from `rng`, is sampled.
+def _facet_jump(h: PLQFunction, k1, k2, facet, x2):
+    """Minimum over the facet (a `_face`) of nu . (grad f_k2 - grad f_k1), the
+    jump of the derivative along the unit normal nu into k2, whose point is
+    x2; -inf when unbounded below."""
+    x, T, rows = facet
+    nu = (x2 - x) - T @ (T.T @ (x2 - x))
+    nu = nu / np.linalg.norm(nu)
+    dQ, db = h.pieces[k2].Q - h.pieces[k1].Q, h.pieces[k2].b - h.pieces[k1].b
+    g = dQ @ nu
+    # Constant along the facet (so always when Q_k1 = Q_k2): no LP, which
+    # could read rounding noise on an unbounded facet as a slope.
+    if np.max(np.abs(T.T @ g), initial=0.0) > 1e-12 * (1.0 + np.max(np.abs(dQ))):
+        val, z = support_value(-g, *rows)
+        if val == np.inf:
+            return -np.inf
+        x = x if z is None else z
+    return float(nu @ (dQ @ x + db))
 
-    The rest are exact, each on a face basis T (`_face_basis`): per piece,
-    feasibility and curvature (T^T Q_k T >= 0 at its interior point); per
-    pair that meets, at a point x of the common face, continuity (value and
-    T^T gradient gaps) and the range condition T^T (Q_k1 - Q_k2) T = 0, so
-    the two quadratics agree on x + span(T). Pieces k1 < k2 overlap when
-    their sign vectors are equal (else a hyperplane separates them) and their
-    common polyhedron has interior depth t > 1e-9 (the feasibility pass's t).
+
+def _domain_failure(h: PLQFunction, memo, points, top, d):
+    """Why dom h is not convex, or None. Every piece must lie in the flat of
+    the top pieces and inside each boundary facet C_k n H_j of a top piece k
+    (a (d-1)-face where no top piece across H_j is active); a piece takes a
+    side of every hyperplane, so its relative-interior point decides."""
+    x0, T0 = points[top[0]]
+    for k, (x, T) in points.items():
+        v = x - x0
+        if d < h.m and (np.linalg.norm(v - T0 @ (T0.T @ v)) > ACT_TOL * (1 + np.linalg.norm(x))
+                        or np.linalg.norm(T - T0 @ (T0.T @ T)) > 1e-9):
+            return f"piece {k} leaves the flat of the {d}-dimensional pieces"
+    for k in top:
+        act = h.active_hyperplane_set(points[k][0])
+        for j in [j for j in range(h.n_hyperplanes) if j not in act]:
+            face = _face(h, memo, (j,), h._signs[k])
+            w, tol = h._signs[k, j] * h._A[j], h._signs[k, j] * h._alpha[j] + h._act_tol[j]
+            if face is None or face[1].shape[1] != d - 1 or any(
+                    i in top and w @ points[i][0] > tol for i in active_structure(h, face[0])[0]):
+                continue
+            for k2, (x, _) in points.items():
+                if w @ x > tol:
+                    return f"piece {k2} crosses the boundary facet of piece {k} on hyperplane {j}"
+
+
+def validate_representation(h: PLQFunction) -> ValidationReport:
+    """Exact checks of the representation invariants; no random draw.
+
+    Each runs on a face basis T (`_face_basis`) at a relative-interior point
+    of a face (`_face`): per piece, feasibility and curvature (T^T Q_k T >= 0);
+    per pair that meets, at the point x of their common face, continuity
+    (value and T^T gradient gaps) and the range condition
+    T^T (Q_k1 - Q_k2) T = 0, so the two quadratics agree on x + span(T).
+    Given these, h is convex exactly when dom h is (`_domain_failure`) and
+    the derivative does not drop across a facet that two top pieces (of the
+    largest dimension d) share: `_facet_jump` >= -VALUE_TOL (1 + |T^T grad
+    f_k1(x)|), as a generic segment of dom h meets no other face. Pieces
+    k1 < k2 overlap when their sign vectors are equal (else a hyperplane
+    separates them) and k1 has interior depth t > 1e-9.
     """
-    if probes < 1:
-        raise PreconditionError("probes must be >= 1")
-    rng = np.random.default_rng(42) if rng is None else rng
-    rep = ValidationReport()
-
-    inner = []
+    rep, memo, points, depth = ValidationReport(), {}, {}, {}
     for k in range(h.n_pieces):
         x, t = piece_interior_point(h, k)
-        feas = x is not None
-        rep.piece_feasible.append(feas)
-        inner.append((x, t if feas else None))
-        if not feas:
+        rep.piece_feasible.append(x is not None)
+        if x is None:
             rep.messages.append(f"piece {k} is empty")
+        else:
+            depth[k], points[k] = t, _face(h, memo, (), h._signs[k], found=(x, t))[:2]
     rep.all_pass = all(rep.piece_feasible)
-    if not any(rep.piece_feasible):
+    if not points:
         rep.messages.append("dom h is empty")
         rep.all_pass = rep.full_dimensional = False
         return rep
-    rep.full_dimensional = any(t is not None and t > 1e-9 for _, t in inner)
+    rep.full_dimensional = max(depth.values()) > 1e-9
     if not rep.full_dimensional:
         rep.messages.append(
             "dom h appears lower-dimensional; kink certificates are outside the supported theory")
+    d = max(T.shape[1] for _, T in points.values())
+    top = [k for k, (_, T) in points.items() if T.shape[1] == d]
 
-    # Curvature of each piece along its face, at its interior point.
-    for k in range(h.n_pieces):
-        if not rep.piece_feasible[k]:
-            continue
-        Q, T = h.pieces[k].Q, _face_basis(h, inner[k][0])
+    # Curvature of each piece along its face, at its relative-interior point.
+    for k, (_, T) in points.items():
+        Q = h.pieces[k].Q
         lam = float(np.linalg.eigvalsh(T.T @ Q @ T)[0]) if T.shape[1] else 0.0
         if lam < -1e-10 * max(1.0, float(np.max(np.abs(Q)))):
             rep.curvature_violations.append(lam)
             rep.messages.append(f"piece {k}: negative curvature {lam:g} on a parallel direction")
             rep.all_pass = False
 
-    # Continuity and the Q-difference range condition on each common face.
-    for k1 in range(h.n_pieces):
-        for k2 in range(k1 + 1, h.n_pieces):
-            if not (rep.piece_feasible[k1] and rep.piece_feasible[k2]):
-                continue
-            x = _pair_intersection_point(h, k1, k2)
-            if x is None:
-                continue
-            T = _face_basis(h, x)
-            v1, g1 = h.piece_value(k1, x), T.T @ h.piece_gradient(k1, x)
-            gap = max(abs(v1 - h.piece_value(k2, x)) / (1.0 + abs(v1)), float(
-                np.linalg.norm(g1 - T.T @ h.piece_gradient(k2, x)) / (1.0 + np.linalg.norm(g1))))
-            rep.continuity.append((k1, k2, gap))
-            if gap > VALUE_TOL:
-                rep.continuity_failures.append((k1, k2, gap))
-                rep.messages.append(f"pieces {k1},{k2}: boundary value mismatch {gap:g}")
-                rep.all_pass = False
-
-            Q1, Q2 = h.pieces[k1].Q, h.pieces[k2].Q
-            dist = float(np.max(np.linalg.norm(T.T @ (Q1 - Q2) @ T, axis=0), initial=0.0)
-                         / (1.0 + max(np.max(np.abs(Q1)), np.max(np.abs(Q2)))))
-            rep.qq_range_checks.append(((k1, k2), dist))
-            if dist > 1e-9:
-                rep.qq_range_failures.append(((k1, k2), dist))
-                rep.messages.append(
-                    f"pieces {(k1, k2)}: quadratic-difference range condition fails ({dist:g})")
-                rep.all_pass = False
-
-    # Midpoint convexity along random segments of dom h.
-    for _ in range(probes):
-        try:
-            c1 = sample_domain_point(h, rng)
-            c2 = sample_domain_point(h, rng)
-        except DomainError:
-            break
-        mid = 0.5 * (c1 + c2)
-        pm = eval_with_active(h, mid)
-        if not pm.is_finite:
-            rep.convexity_violations.append(np.inf)
-            rep.messages.append("midpoint of two domain points left dom h (domain not convex)")
-            rep.all_pass = False
+    # Continuity and the Q-difference range condition on each common face,
+    # and the derivative jump across each facet of two top pieces.
+    for k1, k2 in itertools.combinations(points, 2):
+        face = _face(h, memo, tuple(np.flatnonzero(h._signs[k1] != h._signs[k2]).tolist()),
+                     h._signs[k1])
+        if face is None:
             continue
-        lhs = pm.value.value
-        rhs = 0.5 * (finite_value(h, c1) + finite_value(h, c2))
-        gap = lhs - rhs
-        if gap > VALUE_TOL * (1.0 + abs(rhs)):
-            rep.convexity_violations.append(gap)
+        x, T, _ = face
+        v1, g1 = h.piece_value(k1, x), T.T @ h.piece_gradient(k1, x)
+        gap = max(abs(v1 - h.piece_value(k2, x)) / (1.0 + abs(v1)), float(
+            np.linalg.norm(g1 - T.T @ h.piece_gradient(k2, x)) / (1.0 + np.linalg.norm(g1))))
+        rep.continuity.append((k1, k2, gap))
+        if gap > VALUE_TOL:
+            rep.continuity_failures.append((k1, k2, gap))
+            rep.messages.append(f"pieces {k1},{k2}: boundary value mismatch {gap:g}")
             rep.all_pass = False
-    if rep.convexity_violations and all(np.isfinite(rep.convexity_violations)):
-        rep.messages.append(f"midpoint convexity violated, worst gap {max(rep.convexity_violations):g}")
+
+        Q1, Q2 = h.pieces[k1].Q, h.pieces[k2].Q
+        dist = float(np.max(np.linalg.norm(T.T @ (Q1 - Q2) @ T, axis=0), initial=0.0)
+                     / (1.0 + max(np.max(np.abs(Q1)), np.max(np.abs(Q2)))))
+        rep.qq_range_checks.append(((k1, k2), dist))
+        if dist > 1e-9:
+            rep.qq_range_failures.append(((k1, k2), dist))
+            rep.messages.append(
+                f"pieces {(k1, k2)}: quadratic-difference range condition fails ({dist:g})")
+            rep.all_pass = False
+
+        if k1 in top and k2 in top and T.shape[1] == d - 1:
+            jump = _facet_jump(h, k1, k2, face, points[k2][0])
+            rep.facet_jumps.append((k1, k2, jump))
+            if jump < -VALUE_TOL * (1.0 + np.linalg.norm(g1)):
+                rep.convexity_violations.append(jump)
+                rep.messages.append(f"pieces {k1},{k2}: derivative jump {jump:g} across the facet")
+                rep.all_pass = False
+
+    why = _domain_failure(h, memo, points, top, d)
+    if why:
+        rep.convexity_violations.append(np.inf)
+        rep.messages.append(f"dom h is not convex: {why}")
+        rep.all_pass = False
 
     # Interior disjointness, decided by the sign vectors (see the docstring).
-    for k1 in range(h.n_pieces):
-        if inner[k1][1] is None or inner[k1][1] <= 1e-9:
-            continue
-        for k2 in range(k1 + 1, h.n_pieces):
-            if np.array_equal(h._signs[k1], h._signs[k2]):
-                rep.interior_overlaps.append((k1, k2))
-                rep.messages.append(f"pieces {(k1, k2)}: interiors overlap")
-                rep.all_pass = False
+    for k1, k2 in itertools.combinations(points, 2):
+        if depth[k1] > 1e-9 and np.array_equal(h._signs[k1], h._signs[k2]):
+            rep.interior_overlaps.append((k1, k2))
+            rep.messages.append(f"pieces {(k1, k2)}: interiors overlap")
+            rep.all_pass = False
     return rep

@@ -183,8 +183,9 @@ def load_problem(path, probes=200, validate=True, rng=None) -> ProblemFile:
     Schema violations raise SchemaError with a JSON pointer; representation
     failures (empty domain, discontinuity, the range condition, negative
     curvature, non-convexity, overlapping interiors) raise ValidationFailure
-    listing every failure. `probes` midpoint-convexity segments are drawn
-    from `rng`, the only sampled check; probes < 1 raises PreconditionError.
+    listing every failure. Every check is exact and draws no random number:
+    `probes` and `rng` are accepted and ignored, for callers written when
+    convexity was sampled (perfbench/run.py still passes them).
     """
     with open(path) as fh:
         try:
@@ -193,7 +194,7 @@ def load_problem(path, probes=200, validate=True, rng=None) -> ProblemFile:
             raise SchemaError("", f"invalid JSON: {err}") from None
     pf = parse_problem_dict(doc, path=str(path))
     if validate:
-        rep = validate_representation(pf.problem.h, probes=probes, rng=rng)
+        rep = validate_representation(pf.problem.h)
         if not rep.all_pass:
             raise ValidationFailure(rep.messages or ["representation checks failed"])
     return pf

@@ -74,6 +74,11 @@ class SolveOptions:
     tol: float = 1e-12
     max_iter: int = 50
 
+    def __post_init__(self):
+        if not (0.0 <= self.tol < np.inf and self.max_iter >= 0):
+            raise PreconditionError(f"tol must be finite and >= 0 and max_iter >= 0, "
+                                    f"got tol {self.tol} and max_iter {self.max_iter}")
+
     def converged(self, res) -> bool:
         return res.stationarity <= self.tol and res.subdiff_violation <= self.tol
 

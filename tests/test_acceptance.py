@@ -30,7 +30,7 @@ from plqnewton.certify import certify_subregularity
 from plqnewton.composite import CompositeProblem, check_cqs, qualification_chain
 from plqnewton.exprmap import SmoothMap, fd_jacobian, fd_weighted_hessian
 from plqnewton.manifold import build_manifold, certify_partial_smoothness
-from plqnewton.plq import eval_with_active, finite_value, sample_domain_point
+from plqnewton.plq import eval_with_active, finite_value
 from plqnewton.rates import classify_rate
 from plqnewton.solver import (
     SolveOptions,
@@ -39,6 +39,8 @@ from plqnewton.solver import (
     solve,
     solve_subproblem_enum,
 )
+
+from plq_sampling import sample_domain_point
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 

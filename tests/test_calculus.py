@@ -15,8 +15,10 @@ from plqnewton.calculus import (
     subdiff_hrep,
 )
 from plqnewton.errors import DomainError, MembershipError
-from plqnewton.plq import eval_with_active, finite_value, sample_domain_point
+from plqnewton.plq import eval_with_active, finite_value
 from plqnewton.simplex import feasible_point
+
+from plq_sampling import sample_domain_point
 
 
 class TestDoubleDescription:

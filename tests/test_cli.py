@@ -77,6 +77,40 @@ class TestLoadProblem:
         with pytest.raises(ValidationFailure):
             load_problem(path)
 
+    def test_one_point_piece_is_reported_not_raised(self, tmp_path):
+        # Pieces (-inf, 0] with value 0, [0, inf) with value u + 1 and {0}
+        # with value 0: each failure is listed; no evaluation of h raises.
+        doc = {"n": 1, "m": 1,
+               "h": {"m": 1,
+                     "hyperplanes": [{"a": [1.0], "alpha": 0.0}, {"a": [-1.0], "alpha": 0.0}],
+                     "pieces": [{"signs": [1, -1], "b": [0.0]},
+                                {"signs": [-1, 1], "b": [1.0], "beta": 1.0},
+                                {"signs": [1, 1], "b": [0.0]}]},
+               "c": ["x1"]}
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps(doc))
+        rep, code = run_report(load_problem(path, validate=False), "validate", {"seed": 42})
+        assert code == 2
+        assert rep["report"]["messages"] == ["pieces 0,1: boundary value mismatch 1",
+                                             "pieces 1,2: boundary value mismatch 0.5"]
+        with pytest.raises(ValidationFailure) as err:
+            load_problem(path)
+        assert "pieces 0,1: boundary value mismatch 1" in str(err.value)
+        assert "pieces 1,2: boundary value mismatch 0.5" in str(err.value)
+
+    def test_validate_report_does_not_depend_on_the_seed(self, tmp_path):
+        # -|u| is concave: the verdict and its margins are the same at every seed.
+        doc = {"n": 1, "m": 1, "c": ["x1"],
+               "h": {"m": 1, "hyperplanes": [{"a": [1.0], "alpha": 0.0}],
+                     "pieces": [{"signs": [-1], "b": [-1.0]}, {"signs": [1], "b": [1.0]}]}}
+        path = tmp_path / "negabs.json"
+        path.write_text(json.dumps(doc))
+        outs = [tmp_path / "seed1.json", tmp_path / "seed2.json"]
+        for seed, out in zip(("1", "2"), outs):
+            assert main(["validate", str(path), "--seed", seed, "--json", str(out)]) == 2
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert json.loads(outs[0].read_text())["report"]["facet_jumps"] == [[0, 1, -2.0]]
+
     def test_q_and_beta_defaults(self):
         pf = parse_problem_dict(_doc())
         assert not np.any(pf.problem.h.pieces[0].Q)
@@ -130,7 +164,7 @@ class TestRunReport:
 
     def test_validate_report(self):
         pf = parse_problem_dict(_doc())
-        rep, code = run_report(pf, "validate", {"seed": 42, "probes": 100})
+        rep, code = run_report(pf, "validate", {"seed": 42})
         assert code == 0 and rep["all_pass"]
         json.dumps(rep)
 
@@ -279,15 +313,27 @@ class TestExitCodeContract:
             err = capsys.readouterr().err
             assert "Traceback" not in err and "--point" in err
 
-    @pytest.mark.parametrize("argv", [["validate", "b1_minimax", "--probes", "0"],
-                                      ["certify", "FILE", "--probes", "-3"]])
-    def test_probes_below_one_is_input_error(self, tmp_path, capsys, argv):
-        # A file is validated as it loads; a benchmark name only by validate.
-        path = tmp_path / "b1.json"
-        path.write_text(json.dumps(_doc()))
-        assert main([str(path) if a == "FILE" else a for a in argv]) == 2
+    def test_probes_is_no_longer_an_option(self, capsys):
+        # Validation draws no random segments, so argparse refuses the flag.
+        with pytest.raises(SystemExit) as exit_:
+            main(["validate", "b1_minimax", "--probes", "5"])
+        assert exit_.value.code == 2
         err = capsys.readouterr().err
-        assert "Traceback" not in err and "probes must be >= 1" in err
+        assert "Traceback" not in err and "--probes" in err
+
+    @pytest.mark.parametrize("flags", [["--max-iter", "-5"], ["--tol", "-1"], ["--tol", "nan"]])
+    def test_negative_or_nonfinite_solver_option_is_input_error(self, capsys, flags):
+        assert main(["solve", "b1_minimax", *flags]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "max_iter >= 0" in err
+
+    def test_solver_block_of_a_file_is_checked(self, tmp_path, capsys):
+        doc = _doc()
+        doc["solver"] = {"tol": -1e-12}
+        path = tmp_path / "b1.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", str(path)]) == 2
+        assert "tol must be finite" in capsys.readouterr().err
 
     def test_every_package_error_maps_to_2_or_3(self, monkeypatch):
         documented = {"SchemaError": 2, "ValidationFailure": 2, "PreconditionError": 2,

@@ -18,7 +18,9 @@ from plqnewton.composite import (
 )
 from plqnewton.errors import DomainError, PreconditionError
 from plqnewton.exprmap import SmoothMap
-from plqnewton.plq import Hyperplane, Piece, PLQFunction, sample_domain_point
+from plqnewton.plq import Hyperplane, Piece, PLQFunction
+
+from plq_sampling import sample_domain_point
 
 
 def _identity_problem(h):

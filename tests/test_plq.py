@@ -1,6 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from plqnewton.benchmarks import halfquad_plq, l1_plq, l1sq_plq, max2_plq, nlp_plq, sumsq_plq
 from plqnewton.errors import RepresentationError
@@ -13,10 +15,11 @@ from plqnewton.plq import (
     eval_with_active,
     finite_value,
     piece_interior_point,
-    sample_domain_point,
     validate_representation,
 )
 from plqnewton.simplex import feasible_point
+
+from plq_sampling import sample_domain_point
 
 
 class TestEvalWithActive:
@@ -152,7 +155,7 @@ class TestConstruction:
 
 class TestValidate:
     def test_l1_all_pass(self):
-        rep = validate_representation(l1_plq(), probes=100)
+        rep = validate_representation(l1_plq())
         assert rep.all_pass
         assert all(rep.piece_feasible)
         # Every pair of the four quadrants meets: on a half-axis or at 0.
@@ -164,20 +167,20 @@ class TestValidate:
         hps = [Hyperplane([1.0], 0.0)]
         pieces = [Piece([1], [[0.0]], [0.0], 0.0), Piece([-1], [[0.0]], [0.0], 1.0)]
         h = PLQFunction(1, hps, pieces)
-        rep = validate_representation(h, probes=50)
+        rep = validate_representation(h)
         assert not rep.all_pass
         assert rep.continuity_failures
 
     def test_halfquad_all_pass(self):
         # Hand oracle: continuous at 0 (0.5*0^2 = 0) and convex per piece.
-        rep = validate_representation(halfquad_plq(), probes=100)
+        rep = validate_representation(halfquad_plq())
         assert rep.all_pass
 
     def test_interior_overlap_detected(self):
         hps = [Hyperplane([1.0], 0.0)]
         pieces = [Piece([1], [[0.0]], [1.0]), Piece([1], [[0.0]], [1.0])]
         h = PLQFunction(1, hps, pieces)
-        rep = validate_representation(h, probes=20)
+        rep = validate_representation(h)
         assert rep.interior_overlaps == [(0, 1)]
         assert not rep.all_pass
 
@@ -186,7 +189,7 @@ class TestValidate:
         # Two copies of [-1, 0]: interiors coincide, which the sign rule must flag.
         pieces = [Piece([1, -1], [[0.0]], [0.0]), Piece([1, -1], [[0.0]], [0.0])]
         h = PLQFunction(1, hps, pieces)
-        rep = validate_representation(h, probes=20)
+        rep = validate_representation(h)
         assert rep.interior_overlaps
 
     def test_nonconvex_midpoint_detected(self):
@@ -194,13 +197,13 @@ class TestValidate:
         hps = [Hyperplane([1.0], 0.0)]
         pieces = [Piece([-1], [[0.0]], [-1.0]), Piece([1], [[0.0]], [1.0])]
         h = PLQFunction(1, hps, pieces)
-        rep = validate_representation(h, probes=200)
+        rep = validate_representation(h)
         assert not rep.all_pass
         assert rep.convexity_violations
 
     def test_all_library_functions_pass(self):
         for build in (l1_plq, l1sq_plq, max2_plq, nlp_plq, halfquad_plq, sumsq_plq):
-            rep = validate_representation(build(), probes=60)
+            rep = validate_representation(build())
             assert rep.all_pass, (build.__name__, rep.messages)
 
 
@@ -212,7 +215,7 @@ class TestExactChecks:
     def test_negative_curvature_found_at_every_seed(self, seed):
         # 0.5 (c1^2 + c2^2 - 1e-3 c3^2): the samples at these seeds miss it.
         h = PLQFunction(3, [], [Piece([], np.diag([1.0, 1.0, -1e-3]), np.zeros(3))])
-        rep = validate_representation(h, probes=200, rng=np.random.default_rng(seed))
+        rep = validate_representation(h)
         assert not rep.all_pass
         assert rep.curvature_violations == [pytest.approx(-1e-3, rel=1e-12)]
 
@@ -221,7 +224,7 @@ class TestExactChecks:
         # to about -4e-10, below an absolute -1e-10.
         v = np.array([1.0, 0.3, -0.7])
         h = PLQFunction(3, [], [Piece([], 1e8 * np.outer(v, v), np.zeros(3))])
-        rep = validate_representation(h, probes=50)
+        rep = validate_representation(h)
         assert rep.all_pass, rep.messages
         assert rep.curvature_violations == []
 
@@ -233,13 +236,13 @@ class TestExactChecks:
 
     def test_range_condition_on_the_common_face(self):
         h = self._split(np.diag([0.0, 1.0]), np.diag([0.0, 2.0]), [0.0, 0.0], [0.0, 0.0])
-        rep = validate_representation(h, probes=50)
+        rep = validate_representation(h)
         assert not rep.all_pass
         assert rep.qq_range_failures == [((0, 1), 1 / 3)]
 
     def test_tangential_gradient_gap_is_a_continuity_failure(self):
         h = self._split(np.diag([0.0, 1.0]), np.diag([0.0, 1.0]), [0.0, 0.0], [0.0, 1e-3])
-        rep = validate_representation(h, probes=50)
+        rep = validate_representation(h)
         assert not rep.all_pass
         assert rep.continuity_failures == [(0, 1, pytest.approx(1e-3, rel=1e-12))]
         assert rep.qq_range_failures == []
@@ -288,12 +291,127 @@ class TestSignRule:
 
     @settings(max_examples=150, deadline=None)
     @given(_sign_families())
-    # A one-point piece: a sample ray's bounds are 0.0 and -0.0.
+    # A one-point piece (a sample ray's bounds there are 0.0 and -0.0).
     @example(PLQFunction(1, [Hyperplane([1e-3], 0.0), Hyperplane([-1e-3], 0.0)],
                          [Piece([-1, -1], [[0.0]], [0.0])]))
     def test_matches_pairwise_lp(self, h):
-        rep = validate_representation(h, probes=4)
+        rep = validate_representation(h)
         assert rep.interior_overlaps == _pairwise_lp_overlaps(h)
+
+
+def _chain(t0, gaps, q, jumps):
+    """A continuous PLQ function on the line with breakpoints t0, t0 + gaps[0],
+    ..., curvature q[k] on piece k and derivative jump jumps[k] at breakpoint
+    k: convex exactly when every jump is >= 0."""
+    t = t0 + np.concatenate([[0.0], np.cumsum(gaps)])
+    b, beta = [0.3], [-0.2]
+    for k, tk in enumerate(t):
+        b.append(q[k] * tk + b[k] + jumps[k] - q[k + 1] * tk)
+        beta.append(0.5 * (q[k] - q[k + 1]) * tk ** 2 + (b[k] - b[k + 1]) * tk + beta[k])
+    return PLQFunction(1, [Hyperplane([1.0], tk) for tk in t],
+                       [Piece([1.0 if j >= k else -1.0 for j in range(len(t))], [[q[k]]], [b[k]],
+                              beta[k]) for k in range(len(t) + 1)])
+
+
+def _crossing(w, Q):
+    """0.5 c^T Q c + sum_i w_i |c_i|, one piece per sign vector: convex
+    exactly when every w_i >= 0 (Q is PSD)."""
+    s = len(w)
+    return PLQFunction(s, [Hyperplane(np.eye(s)[i], 0.0) for i in range(s)],
+                       [Piece(sg, Q, [-si * wi for si, wi in zip(sg, w)])
+                        for sg in itertools.product((-1.0, 1.0), repeat=s)])
+
+
+def _split(w, omega):
+    """Q = I on c1 <= 0; f2 - f1 = c1 (w c2 + omega) on c1 >= 0; dom h is
+    c2 >= -1. The jump w c2 + omega across c1 = 0 is >= 0 on the facet
+    exactly when 0 <= w <= omega; |w| < 1 keeps both pieces convex."""
+    return PLQFunction(2, [Hyperplane([1.0, 0.0], 0.0), Hyperplane([0.0, -1.0], 1.0)],
+                       [Piece([1, 1], np.eye(2), [0.0, 0.0]),
+                        Piece([-1, 1], [[1.0, w], [w, 1.0]], [omega, 0.0])])
+
+
+_signed = st.floats(0.05, 2.0).flatmap(lambda v: st.sampled_from((v, -v)))
+
+
+class TestExactConvexity:
+    """Convexity is decided on faces: derivative jumps across shared facets
+    and the domain at boundary facets. Each family's convexity is known in
+    closed form, and the verdict must equal it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda s: st.tuples(
+        st.floats(-2.0, 0.0), st.lists(st.floats(0.2, 1.0), min_size=s - 1, max_size=s - 1),
+        st.lists(st.floats(0.0, 2.0), min_size=s + 1, max_size=s + 1),
+        st.lists(_signed, min_size=s, max_size=s))))
+    def test_chain_with_signed_jumps(self, args):
+        t0, gaps, q, jumps = args
+        rep = validate_representation(_chain(t0, gaps, q, jumps))
+        assert rep.all_pass == all(j >= 0 for j in jumps), rep.messages
+        assert [v for _, _, v in rep.facet_jumps] == pytest.approx(jumps, abs=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda s: st.tuples(
+        st.lists(_signed, min_size=s, max_size=s),
+        st.lists(st.floats(-1.0, 1.0), min_size=s * s, max_size=s * s))))
+    def test_weighted_l1_crossing_with_signed_weights(self, args):
+        w, entries = args
+        L = np.reshape(entries, (len(w), len(w)))
+        rep = validate_representation(_crossing(w, L @ L.T))
+        assert rep.all_pass == all(wi >= 0 for wi in w), rep.messages
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(-0.9, 0.9), st.floats(-0.5, 1.0))
+    def test_split_with_a_jump_that_changes_sign(self, w, omega):
+        assume(min(abs(w), abs(w - omega)) >= 0.02)
+        rep = validate_representation(_split(w, omega))
+        assert rep.all_pass == (0.0 <= w <= omega), rep.messages
+        assert rep.facet_jumps == [(0, 1, -np.inf if w < 0 else pytest.approx(omega - w))]
+
+    def test_split_reports_its_jump(self):
+        rep = validate_representation(_split(0.2, 0.1))
+        assert rep.facet_jumps == [(0, 1, -0.1)]
+        assert not rep.all_pass and rep.convexity_violations == [-0.1]
+
+    def test_quadrant_plus_ray_is_not_a_convex_domain(self):
+        # c1, c2 <= 0 and {c2 = 0, c1 >= 0}: the segment from (-1, -1) to
+        # (1, 0) leaves dom h.
+        zero = (np.zeros((2, 2)), np.zeros(2))
+        h = PLQFunction(2, [Hyperplane([0.0, 1.0], 0.0), Hyperplane([1.0, 0.0], 0.0),
+                            Hyperplane([0.0, -1.0], 0.0)],
+                        [Piece([1, 1, -1], *zero), Piece([1, -1, 1], *zero)])
+        rep = validate_representation(h)
+        assert not rep.all_pass and rep.convexity_violations == [np.inf]
+        assert any(m.startswith("dom h is not convex") for m in rep.messages)
+
+    def test_lower_dimensional_domain(self):
+        # The line c1 = 0 in three pieces, c2 <= 0, 0 <= c2 <= 1 and c2 >= 1:
+        # convex. Without the middle piece it has a gap.
+        hps = [Hyperplane([1.0, 0.0], 0.0), Hyperplane([-1.0, 0.0], 0.0),
+               Hyperplane([0.0, 1.0], 0.0), Hyperplane([0.0, 1.0], 1.0)]
+        zero = (np.zeros((2, 2)), np.zeros(2))
+        pieces = [Piece([1, 1, 1, 1], *zero), Piece([1, 1, -1, -1], *zero),
+                  Piece([1, 1, -1, 1], *zero)]
+        rep = validate_representation(PLQFunction(2, hps, pieces))
+        assert rep.all_pass and not rep.full_dimensional, rep.messages
+        assert rep.facet_jumps == [(0, 2, 0.0), (1, 2, 0.0)]
+        rep = validate_representation(PLQFunction(2, hps, pieces[:2]))
+        assert not rep.all_pass and rep.convexity_violations == [np.inf]
+
+    def test_point_off_the_flat_of_the_top_pieces(self):
+        # The line c1 = 0 (two half-lines) and the point (1, 0): no boundary
+        # facet separates them, but the point leaves the line.
+        hps = [Hyperplane([1.0, 0.0], 0.0), Hyperplane([-1.0, 0.0], 0.0),
+               Hyperplane([1.0, 0.0], 1.0), Hyperplane([-1.0, 0.0], -1.0),
+               Hyperplane([0.0, 1.0], 0.0), Hyperplane([0.0, -1.0], 0.0)]
+        zero = (np.zeros((2, 2)), np.zeros(2))
+        pieces = [Piece([1, 1, 1, -1, 1, -1], *zero), Piece([1, 1, 1, -1, -1, 1], *zero),
+                  Piece([-1, 1, 1, 1, 1, 1], *zero)]
+        rep = validate_representation(PLQFunction(2, hps, pieces))
+        assert rep.convexity_violations == [np.inf]
+        assert rep.messages[-1] == ("dom h is not convex: piece 2 leaves the flat of "
+                                    "the 1-dimensional pieces")
+        assert validate_representation(PLQFunction(2, hps, pieces[:2])).all_pass
 
 
 class TestConvexityProperty:

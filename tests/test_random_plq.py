@@ -66,7 +66,7 @@ def test_random_1d_plq_properties(seed):
     h, t, q, b, beta, jumps = random_convex_plq_1d(rng)
     s = len(t)
 
-    rep = validate_representation(h, probes=40, rng=rng)
+    rep = validate_representation(h)
     assert rep.all_pass, rep.messages
 
     # Values match the closed-form chain at random points.
