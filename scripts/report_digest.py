@@ -6,6 +6,8 @@ Writes one line per op to OUT: the op's tag, then the exit code and the
 report JSON with sorted keys, or the error class and message when the op is
 refused. Two checkouts give the same answer on every op exactly when their
 digests are byte-identical, so comparing a change with its parent is `cmp`.
+A RuntimeWarning (numpy's overflow, division or invalid-value warning) is
+raised as an error, so an op that warns fails the digest.
 
 The ops:
   - each of the nine shipped benchmarks, as `plqnewton` runs a benchmark
@@ -23,6 +25,7 @@ import json
 import pathlib
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -90,6 +93,7 @@ def main(argv=None):
     if len(argv) != 1:
         print(__doc__.strip(), file=sys.stderr)
         return 2
+    warnings.simplefilter("error", RuntimeWarning)
     with open(argv[0], "w") as out, tempfile.TemporaryDirectory() as tmp:
         for text in benchmark_lines():
             out.write(text + "\n")

@@ -12,8 +12,8 @@ their interiors are disjoint.
 tests every piece at once against the K x s sign matrix; its profile keeps
 the one active set. Each function caches what depends on h alone, filled on
 first use: the unit tangent-cone rows of piece k for each active hyperplane
-set (and, through `calculus`, the cone's generators), and each piece's
-interior point.
+set (and, through `calculus`, the cone's generators), each piece's
+interior point and, through `solver`, the structure enumeration's face plan.
 
 `validate_representation` decides every invariant exactly, convexity
 included, on the faces of the arrangement; it draws no random number.
@@ -123,11 +123,13 @@ class PLQFunction:
         # h-only data, filled on first use: (k, active set) -> unit tangent
         # rows; (k, active set) -> tangent-cone generators (see calculus);
         # (k, cap) -> piece interior point; (active pieces, active set) ->
-        # the manifold's A, P and nondegeneracy (see manifold).
+        # the manifold's A, P and nondegeneracy (see manifold); () -> the
+        # structure enumeration's face plan (see solver).
         object.__setattr__(self, "_tangent_cache", {})
         object.__setattr__(self, "_cone_cache", {})
         object.__setattr__(self, "_interior_cache", {})
         object.__setattr__(self, "_manifold_cache", {})
+        object.__setattr__(self, "_face_plan_cache", {})
 
     # -- basic geometry ---------------------------------------------------
 
@@ -237,13 +239,9 @@ def piece_interior_point(h: PLQFunction, k, cap=4.0):
     The LP runs once per (k, cap); each call returns a fresh copy."""
     found = h._interior_cache.get((k, cap))
     if found is None:
-        B, g = h.piece_rows(k)
-        if B.shape[0] == 0:
-            x, t = np.zeros(h.m), cap
-        else:
-            x, t = max_slack_point(B, g, cap=cap)
-            if x is None or t < -1e-9:
-                x, t = None, None
+        x, t = max_slack_point(*h.piece_rows(k), cap=cap)
+        if x is None or t < -1e-9:
+            x, t = None, None
         found = h._interior_cache.setdefault((k, cap), (x, t))
     x, t = found
     return (None, None) if x is None else (x.copy(), t)

@@ -183,10 +183,12 @@ def max_slack_point(F, f, E=None, e=None, cap=1.0):
     the inequalities relative to the equality-constrained affine set, while
     t < 0 means the system Fx <= f, Ex = e is infeasible (by roughly |t|).
     Returns (None, None) only when the equalities themselves are infeasible.
+    F is k x n with k >= 0 rows; n, the number of variables, is its column
+    count, so a row-free F (k = 0) returns t = cap.
     """
     F = np.atleast_2d(np.asarray(F, dtype=float))
     f = np.asarray(f, dtype=float).reshape(-1)
-    n = F.shape[1] if F.size else (np.atleast_2d(E).shape[1] if E is not None else 0)
+    n = F.shape[1]
     norms = np.linalg.norm(F, axis=1) if F.shape[0] else np.zeros(0)
     norms = np.where(norms > 0, norms, 1.0)
     Fn = F / norms[:, None] if F.shape[0] else F

@@ -20,7 +20,11 @@ held at equality differ. Entry points:
       and tested once, by its first piece, and later pieces skip it. The
       membership test alone decides, since for a continuous h it already
       makes the multipliers of every active piece nonnegative. Singular faces
-      are solved piece by piece;
+      are solved piece by piece. A step is batched: h caches its face plan
+      (the visiting order and each pair's face), the systems of a pass are
+      stacked by size and solved with one SVD per stack (`_solve_stack`), a
+      pair whose piece is not active at c + Jac d is rejected before h is
+      evaluated there, and a pair's curvature verdict is computed when read;
   quasi_newton_solve: the structure-enumerating iteration with Hessian
       models B_k;
   solve: the dispatch on a method name (newton | enum | quasi | smooth).
@@ -47,10 +51,12 @@ gluing check, so they could execute in parallel.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -173,18 +179,22 @@ def kkt_matrix(H, jac, Q, cols=None, rows=None) -> np.ndarray:
 
     `cols` (m x ell) are the gradients of the hyperplanes held at equality,
     signed for the piece, and `rows` (ell x n) their linearization; without
-    them the matrix is the (n + m) square system of a smooth piece.
+    them the matrix is the (n + m) square system of a smooth piece. Given a
+    stack of B systems (Q as B x m x m, cols and rows with the same leading
+    axis), it returns the B x N x N stack.
     """
     m, n = jac.shape
-    ell = 0 if cols is None else cols.shape[1]
-    M = np.zeros((n + m + ell, n + m + ell))
-    M[:n, :n] = H
-    M[:n, n:n + m] = jac.T
-    M[n:n + m, :n] = -Q @ jac
-    np.fill_diagonal(M[n:n + m, n:n + m], 1.0)
+    ell = 0 if cols is None else cols.shape[-1]
+    N, lead = n + m + ell, np.shape(Q)[:-2]
+    M = np.zeros(lead + (N, N))
+    M[..., :n, :n] = H
+    M[..., :n, n:n + m] = jac.T
+    M[..., n:n + m, :n] = -Q @ jac
+    # The identity block: diagonal entries n .. n + m - 1 of each flat matrix.
+    M.reshape(lead + (N * N,))[..., n * (N + 1):(n + m) * (N + 1):N + 1] = 1.0
     if ell:
-        M[n:n + m, n + m:] = -cols
-        M[n + m:, :n] = rows
+        M[..., n:n + m, n + m:] = -cols
+        M[..., n + m:, :n] = rows
     return M
 
 
@@ -357,6 +367,10 @@ def _bootstrap_manifold(p, x, lin) -> ManifoldData:
 
 # -- structure enumeration ------------------------------------------------------
 
+# Systems per stack handed to `_solve_stack`: bounds the memory of a step that
+# visits many faces (K 2^s pairs) without changing any solve.
+_STACK_CHUNK = 1024
+
 
 @dataclass
 class SubproblemSolution:
@@ -366,12 +380,68 @@ class SubproblemSolution:
     piece: int
     active_set: tuple
     model_value: float
-    model_sosc_ok: bool
+    # The model-curvature verdict, or a check that gives it when
+    # model_sosc_ok is first read (callers read the best pair's, if any).
+    model_check: bool | Callable[[], bool] = field(repr=False)
     unique: bool
     alternate: tuple | None  # a second (d, y) on the same solution family
 
+    @property
+    def model_sosc_ok(self) -> bool:
+        if callable(self.model_check):
+            self.model_check = self.model_check()
+        return self.model_check
+
     def key(self):
         return (round(self.model_value, 12), self.piece)
+
+
+class _FacePlan(NamedTuple):
+    """The visiting order of `solve_subproblem_enum`, which depends on h
+    alone: pair q = k 2^s + i is piece k with the i-th subset."""
+
+    subsets: list        # the subsets S, by size, then lexicographically
+    members: np.ndarray  # (2^s, s): row i starts with the members of subset i
+    face: np.ndarray     # (K 2^s,): the face id of each pair
+    first: np.ndarray    # (K 2^s,): whether the pair is the first to reach its face
+    first_groups: list   # `_size_groups` of the first pairs
+
+
+def _face_plan(h) -> _FacePlan:
+    """The enumeration's face plan, built once per h. A face is a subset S
+    with the piece's signs off S, keyed as the bit masks (S, plus & ~S)."""
+    plan = h._face_plan_cache.get(())
+    if plan is None:
+        s = h.n_hyperplanes
+        subsets = list(itertools.chain.from_iterable(
+            itertools.combinations(range(s), r) for r in range(s + 1)))
+        members = np.zeros((len(subsets), s), dtype=np.intp)
+        masks = np.zeros(len(subsets), dtype=np.int64)
+        for i, S in enumerate(subsets):
+            members[i, :len(S)] = S
+            masks[i] = sum(1 << j for j in S)
+        plus = (h._signs > 0) @ (np.int64(1) << np.arange(s, dtype=np.int64))
+        keys = (masks[None, :] << s) | (plus[:, None] & ~masks[None, :])
+        _, firsts, face = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+        first = np.zeros(keys.size, dtype=bool)
+        first[firsts] = True
+        plan = h._face_plan_cache.setdefault((), _FacePlan(
+            subsets, members, face, first, _size_groups(subsets, members, np.sort(firsts))))
+    return plan
+
+
+def _size_groups(subsets, members, pairs) -> list:
+    """The pairs grouped by |S|, in chunks of at most _STACK_CHUNK:
+    (|S|, pairs, their pieces, their subsets' members)."""
+    pieces, subs = np.divmod(pairs, len(subsets))
+    sizes = np.array([len(subsets[i]) for i in subs], dtype=np.intp)
+    groups = []
+    for ell in range(members.shape[1] + 1):
+        group = np.flatnonzero(sizes == ell)
+        for at in range(0, group.size, _STACK_CHUNK):
+            chunk = group[at:at + _STACK_CHUNK]
+            groups.append((ell, pairs[chunk], pieces[chunk], members[subs[chunk], :ell]))
+    return groups
 
 
 def solve_subproblem_enum(p: CompositeProblem, x_hat, H, lin: Linearization | None = None):
@@ -383,87 +453,143 @@ def solve_subproblem_enum(p: CompositeProblem, x_hat, H, lin: Linearization | No
     one first-order sweep otherwise. A critical pair (d, y) solves
     H d + Jac^T y = 0 with y in dh(c_lin), c_lin = c + Jac d.
 
-    Structures are visited piece by piece, subsets inside. A face is a subset
-    S with the signs off S; its pieces differ there by elements of
-    span{a_j : j in S}, so their equality KKT systems share (d, y). The first
-    piece on a face solves its system and `_consistent` decides the face:
-    that piece active at c_lin and y in dh(c_lin). Membership alone decides,
-    with no test of the multipliers' signs: for a continuous h it already
-    makes every active piece's multipliers nonnegative, up to its slack.
-    Later pieces skip a solved face. A singular face (a solve with a second
-    point on its solution family) is solved and tested piece by piece, and
-    its pairs are reported as non-unique with that point. A (d, y) is
-    accepted once. Results are sorted by model value, ties by piece.
+    Structures are visited piece by piece, subsets inside (h's `_face_plan`).
+    A face is a subset S with the signs off S; its pieces differ there by
+    elements of span{a_j : j in S}, so their equality KKT systems share
+    (d, y). The first piece on a face solves its system and `_consistent`
+    decides the face: that piece active at c_lin and y in dh(c_lin).
+    Membership alone decides, with no test of the multipliers' signs: for a
+    continuous h it already makes every active piece's multipliers
+    nonnegative, up to its slack. Later pieces skip a solved face. A
+    singular face (a solve with a second point on its solution family, or
+    none) is solved and tested piece by piece, and its pairs are reported as
+    non-unique with that point. A (d, y) is accepted once. Results are
+    sorted by model value, ties by piece; each pair's curvature verdict is
+    computed when first read.
+
+    The solves are batched: one pass solves the first piece of every face,
+    a second the later pieces of the faces whose first solve was singular,
+    each as one `_solve_stack` per system size. The visiting order is then
+    replayed as above. A pair whose piece is not active at c_lin (the
+    residual test of `plq.active_structure`, `_pieces_active`) is rejected
+    before h is evaluated there.
     """
     x_hat = as_vector(x_hat, p.n, "x")
     H = np.atleast_2d(np.asarray(H, dtype=float))
     cx, jac, _ = p.c.evaluate(x_hat) if lin is None else lin
     h = p.h
     A_all, alpha = h.hyperplane_matrix()
-    n, m, s = p.n, p.m, h.n_hyperplanes
-    # Per subset S: S as a list and as a bit mask, the linearized rows and the
-    # last rhs block.
-    blocks = {}
-    for S in itertools.chain.from_iterable(itertools.combinations(range(s), r)
-                                           for r in range(s + 1)):
-        blocks[S] = (list(S), sum(1 << j for j in S),
-                     np.array([a @ jac for a in A_all[list(S)]]).reshape(len(S), n),
-                     np.array([alpha[j] - A_all[j] @ cx for j in S]))
+    n, m, s, K = p.n, p.m, h.n_hyperplanes, h.n_pieces
+    plan = _face_plan(h)
+    # Per piece Q and the rhs head; per hyperplane its linearized row and its
+    # last rhs entry.
+    Qs = np.array([pc.Q for pc in h.pieces])
+    head = np.zeros((K, n + m))
+    head[:, n:] = [pc.Q @ cx + pc.b for pc in h.pieces]
+    AJ = np.array([a @ jac for a in A_all]).reshape(s, n)
+    tail = np.array([alpha[j] - A_all[j] @ cx for j in range(s)])
+    results = {}  # pair -> (solution or None, alternate or None, piece active at c_lin)
+
+    def solve(groups):
+        for ell, pairs, ks, idx in groups:
+            cols = (h._signs[ks[:, None], idx][:, :, None] * A_all[idx]).transpose(0, 2, 1)
+            sols, alts, full, ok = _solve_stack(kkt_matrix(H, jac, Qs[ks], cols, AJ[idx]),
+                                                np.concatenate([head[ks], tail[idx]], axis=1))
+            active = _pieces_active(h, ks, cx + (jac @ sols[:, :n, None])[:, :, 0])
+            for q, sol, alt, f, o, a in zip(pairs.tolist(), sols, alts, full, ok, active):
+                results[q] = (sol, None if f else alt, a) if o else (None, None, a)
+
+    solve(plan.first_groups)
+    singular = [plan.face[q] for q, (sol, alt, _) in results.items()
+                if sol is None or alt is not None]
+    if singular:
+        solve(_size_groups(plan.subsets, plan.members,
+                           np.flatnonzero(~plan.first & np.isin(plan.face, singular))))
+
     solved, out, found = set(), [], np.empty((0, n + m))
-    for k in range(h.n_pieces):
-        signs, Q, b = h.pieces[k].signs, h.pieces[k].Q, h.pieces[k].b
-        # Signs as a bit mask (bit j for +1), signed normals and rhs head.
-        plus = sum(1 << j for j in range(s) if signs[j] > 0)
-        cols_all, head = signs[:, None] * A_all, np.concatenate([np.zeros(n), Q @ cx + b])
-        for S, (idx, mask, rows, rhs_S) in blocks.items():
-            face = (S, plus & ~mask)  # S with the signs off S
-            if face in solved:
-                continue
-            sol, alt = _solve_possibly_singular(kkt_matrix(H, jac, Q, cols_all[idx].T, rows),
-                                                np.concatenate([head, rhs_S]))
-            if sol is None:
-                continue
-            if alt is None:
-                solved.add(face)
-            prof = _consistent(p, k, sol, cx, jac)
-            if prof is None:
-                continue
-            d, y = sol[:n], sol[n:n + m]
-            if out and np.any(np.linalg.norm(found[:, :n] - d, axis=1)
-                              + np.linalg.norm(found[:, n:] - y, axis=1) <= 1e-9):
-                continue
-            alternate = None
-            if alt is not None and _consistent(p, k, alt, cx, jac) is not None:
-                alternate = (alt[:n], alt[n:n + m])
-            out.append(SubproblemSolution(
-                d=d, y=y, lam=sol[n + m:], piece=k, active_set=S,
-                model_value=prof.value.value + 0.5 * float(d @ H @ d),
-                model_sosc_ok=_model_sosc_ok(A_all[list(prof.active_set)] @ jac, jac, H,
-                                             [h.pieces[j].Q for j in prof.active_pieces]),
-                unique=alternate is None, alternate=alternate))
-            found = np.vstack([found, sol[:n + m]])
+    for q in sorted(results):
+        face = plan.face[q]
+        if face in solved:
+            continue
+        sol, alt, active = results[q]
+        if sol is None:
+            continue
+        if alt is None:
+            solved.add(face)
+        k, i = divmod(q, len(plan.subsets))
+        prof = _consistent(p, k, sol, cx, jac) if active else None
+        if prof is None:
+            continue
+        d, y = sol[:n], sol[n:n + m]
+        if out and np.any(np.linalg.norm(found[:, :n] - d, axis=1)
+                          + np.linalg.norm(found[:, n:] - y, axis=1) <= 1e-9):
+            continue
+        alternate = None
+        if alt is not None and _consistent(p, k, alt, cx, jac) is not None:
+            alternate = (alt[:n], alt[n:n + m])
+        out.append(SubproblemSolution(
+            d=d, y=y, lam=sol[n + m:], piece=k, active_set=plan.subsets[i],
+            model_value=prof.value.value + 0.5 * float(d @ H @ d),
+            model_check=functools.partial(
+                _model_sosc_ok, A_all[list(prof.active_set)] @ jac, jac, H,
+                [h.pieces[j].Q for j in prof.active_pieces]),
+            unique=alternate is None, alternate=alternate))
+        found = np.vstack([found, sol[:n + m]])
     out.sort(key=SubproblemSolution.key)
     return out
 
 
+def _solve_stack(M, rhs, tol=1e-9):
+    """Solve each system M[i] x = rhs[i] of a (B, N, N) stack with one SVD.
+
+    Returns (sols, alts, full, ok), one row per system. full[i] when M[i]
+    has full numerical rank, every singular value above 1e-11 (1 + ||M[i]||):
+    sols[i] = V (U^T rhs / sv). Otherwise sols[i] is the minimum-norm
+    solution from the kept singular values, alts[i] a second point along the
+    nullspace that witnesses non-uniqueness, and ok[i] is false when sols[i]
+    leaves a residual above tol (1 + ||M[i]||): the system is inconsistent.
+    Only kept singular values are inverted. Each system gets the
+    floating-point operations of solving it alone.
+    """
+    B, N = rhs.shape
+    flat = M.reshape(B, 1, N * N)
+    scale = 1.0 + np.sqrt((flat @ flat.transpose(0, 2, 1)).reshape(B))
+    u, sv, vt = np.linalg.svd(M)
+    kept = sv > 1e-11 * scale[:, None]
+    full = kept.all(axis=1)
+    proj = (u.transpose(0, 2, 1) @ rhs[:, :, None])[:, :, 0]
+    if full.all():
+        sols = (vt.transpose(0, 2, 1) @ (proj / sv)[:, :, None])[:, :, 0]
+        return sols, sols, full, full
+    sing = np.flatnonzero(~full)
+    coef = np.divide(proj, sv, out=np.zeros_like(proj), where=full[:, None])
+    coef[sing] = np.divide(1.0, sv[sing], out=np.zeros((sing.size, N)),
+                           where=kept[sing]) * proj[sing]
+    sols = (vt.transpose(0, 2, 1) @ coef[:, :, None])[:, :, 0]
+    res = (M[sing] @ sols[sing, :, None])[:, :, 0] - rhs[sing]
+    ok = np.ones(B, dtype=bool)
+    ok[sing] = ~(np.sqrt((res[:, None, :] @ res[:, :, None]).reshape(sing.size))
+                 > tol * scale[sing])
+    alts = sols.copy()
+    alts[sing] += 0.05 * vt[sing, kept[sing].sum(axis=1)]
+    return sols, alts, full, ok
+
+
 def _solve_possibly_singular(M, rhs, tol=1e-9):
     """(solution, alternate solution or None), or (None, None) when the
-    system is singular and inconsistent.
-
-    Uses the pseudoinverse when the system is singular; a consistent singular
-    system yields the minimum-norm solution plus a second point along the
-    nullspace to witness non-uniqueness.
-    """
-    scale = 1.0 + float(np.linalg.norm(M))
-    u, sv, vt = np.linalg.svd(M)
-    rank = int(np.sum(sv > 1e-11 * scale))
-    if rank == M.shape[0]:
-        return vt.T @ ((u.T @ rhs) / sv), None
-    sv_inv = np.where(sv > 1e-11 * scale, 1.0 / np.where(sv > 0, sv, 1.0), 0.0)
-    sol = vt.T @ (sv_inv * (u.T @ rhs))
-    if float(np.linalg.norm(M @ sol - rhs)) > tol * scale:
+    system is singular and inconsistent: `_solve_stack` on a stack of one."""
+    sols, alts, full, ok = _solve_stack(np.asarray(M, dtype=float)[None],
+                                        np.asarray(rhs, dtype=float).reshape(1, -1), tol)
+    if not ok[0]:
         return None, None
-    return sol, sol + 0.05 * vt[rank]
+    return sols[0], None if full[0] else alts[0]
+
+
+def _pieces_active(h, pieces, c_lin):
+    """Whether piece pieces[i] is active at c_lin[i]: signs_k (A c - alpha) <=
+    ACT_TOL (1 + |alpha|), the test and tolerance of `plq.active_structure`."""
+    r = (h._A @ c_lin[:, :, None])[:, :, 0] - h._alpha
+    return np.all(h._signs[pieces] * r <= h._act_tol, axis=1)
 
 
 def _consistent(p, k, sol, cx, jac):
@@ -514,7 +640,7 @@ def quasi_newton_solve(p: CompositeProblem, start, B_schedule, opts: SolveOption
         if step_norm > 1e-300:
             dm = float(np.linalg.norm((B - lin.H) @ best.d) / step_norm)
         lin_active = eval_with_active(p.h, lin.c + lin.J @ best.d).active_pieces
-        return x + best.d, best.y, dict(dm_ratio=dm, model_check=best.model_sosc_ok,
+        return x + best.d, best.y, dict(dm_ratio=dm, model_check=best.model_check,
                                         lin_active=lin_active)
 
     return _iterate(p, trace, x, y, step, opts, reference)

@@ -56,6 +56,13 @@ def test_max_slack_none_for_infeasible_equalities():
     assert x is None and t is None
 
 
+def test_max_slack_without_rows():
+    # No row at all: the variable count comes from F's columns, and the
+    # slack is the cap at any point (the LP returns the origin).
+    x, t = max_slack_point(np.zeros((0, 3)), np.zeros(0), cap=4.0)
+    assert t == 4.0 and np.array_equal(x, np.zeros(3))
+
+
 def test_max_slack_with_equality():
     # Segment {y1 = 1, -1 <= y2 <= 1}: depth 1 around (1, 0).
     x, t = max_slack_point(F=[[0, 1], [0, -1]], f=[1, 1], E=[[1, 0]], e=[1], cap=5)

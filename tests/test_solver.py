@@ -30,8 +30,11 @@ from plqnewton.solver import (
     RestrictedState,
     SolveOptions,
     SubproblemSolution,
+    _consistent,
     _model_sosc_ok,
+    _pieces_active,
     _solve_possibly_singular,
+    _solve_stack,
     kkt_matrix,
     newton_solve,
     quasi_newton_solve,
@@ -238,6 +241,39 @@ class TestSubproblemEnum:
             assert np.linalg.norm(r) <= 1e-8
 
 
+class TestSingularSolve:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_singular_value_is_dropped(self):
+        # sv = 1e-320 falls below the rank threshold; inverting it would
+        # overflow. Alone and next to a full-rank system in one stack.
+        M, rhs = np.diag([1.0, 1e-320]), np.array([1.0, 0.0])
+        sol, alt = _solve_possibly_singular(M, rhs)
+        assert np.array_equal(sol, [1.0, 0.0])
+        assert alt is not None and abs(alt[1]) == 0.05
+        sols, _, full, ok = _solve_stack(np.stack([np.eye(2), M]), np.stack([rhs, rhs]))
+        assert full.tolist() == [True, False] and ok.all()
+        assert np.array_equal(sols, [[1.0, 0.0], [1.0, 0.0]])
+
+    def test_stack_solves_as_one_system_each(self):
+        # A stack gives each system the bits of solving it alone, singular,
+        # inconsistent and full-rank ones alike.
+        rng = np.random.default_rng(5)
+        M = rng.standard_normal((6, 4, 4))
+        M[1, 3] = M[1, 2]                            # singular, consistent below
+        M[2, :, 3] = 0.0                             # singular, inconsistent below
+        rhs = rng.standard_normal((6, 4))
+        rhs[1, 3] = rhs[1, 2]
+        sols, alts, full, ok = _solve_stack(M, rhs)
+        assert full.tolist() == [True, False, False, True, True, True]
+        assert ok.tolist() == [True, True, False, True, True, True]
+        for i in range(6):
+            sol, alt = _solve_possibly_singular(M[i], rhs[i])
+            assert (sol is None) == (not ok[i])
+            if sol is not None:
+                assert np.array_equal(sol, sols[i]) and (alt is None) == full[i]
+                assert alt is None or np.array_equal(alt, alts[i])
+
+
 def _subsets(s):
     return itertools.chain.from_iterable(itertools.combinations(range(s), r)
                                          for r in range(s + 1))
@@ -258,14 +294,11 @@ def _on_piece_ref(p, k, sol, cx, jac):
     return prof
 
 
-def _per_structure_enum(p, H, lin):
-    """Every (piece, subset) structure solved and tested on its own, in the
-    same order: the enumeration that sharing one solve per face must
-    reproduce."""
-    cx, jac, _ = lin
+def _structure_solves(p, H, cx, jac):
+    """(piece, subset, solution, alternate) of every (piece, subset) structure
+    whose KKT system is solved on its own, in the enumeration's order."""
     A_all, alpha = p.h.hyperplane_matrix()
     n, m = p.n, p.m
-    out = []
     for k in range(p.h.n_pieces):
         signs, Q, b = p.h.pieces[k].signs, p.h.pieces[k].Q, p.h.pieces[k].b
         for subset in _subsets(p.h.n_hyperplanes):
@@ -277,23 +310,34 @@ def _per_structure_enum(p, H, lin):
                 rows[t] = A_all[j] @ jac
                 rhs[n + m + t] = alpha[j] - A_all[j] @ cx
             sol, alt = _solve_possibly_singular(kkt_matrix(H, jac, Q, cols, rows), rhs)
-            if sol is None:
-                continue
-            d, y = sol[:n], sol[n:n + m]
-            if any(np.linalg.norm(d - q.d) + np.linalg.norm(y - q.y) <= 1e-9 for q in out):
-                continue
-            prof = _on_piece_ref(p, k, sol, cx, jac)
-            if prof is None:
-                continue
-            alternate = None
-            if alt is not None and _on_piece_ref(p, k, alt, cx, jac) is not None:
-                alternate = (alt[:n], alt[n:n + m])
-            out.append(SubproblemSolution(
-                d=d, y=y, lam=sol[n + m:], piece=k, active_set=subset,
-                model_value=prof.value.value + 0.5 * float(d @ H @ d),
-                model_sosc_ok=_model_sosc_ok(A_all[list(prof.active_set)] @ jac, jac, H,
-                                             [p.h.pieces[j].Q for j in prof.active_pieces]),
-                unique=alternate is None, alternate=alternate))
+            if sol is not None:
+                yield k, subset, sol, alt
+
+
+def _per_structure_enum(p, H, lin):
+    """Every (piece, subset) structure solved and tested on its own, in the
+    same order: the enumeration that sharing one solve per face must
+    reproduce."""
+    cx, jac, _ = lin
+    A_all, _ = p.h.hyperplane_matrix()
+    n, m = p.n, p.m
+    out = []
+    for k, subset, sol, alt in _structure_solves(p, H, cx, jac):
+        d, y = sol[:n], sol[n:n + m]
+        if any(np.linalg.norm(d - q.d) + np.linalg.norm(y - q.y) <= 1e-9 for q in out):
+            continue
+        prof = _on_piece_ref(p, k, sol, cx, jac)
+        if prof is None:
+            continue
+        alternate = None
+        if alt is not None and _on_piece_ref(p, k, alt, cx, jac) is not None:
+            alternate = (alt[:n], alt[n:n + m])
+        out.append(SubproblemSolution(
+            d=d, y=y, lam=sol[n + m:], piece=k, active_set=subset,
+            model_value=prof.value.value + 0.5 * float(d @ H @ d),
+            model_check=_model_sosc_ok(A_all[list(prof.active_set)] @ jac, jac, H,
+                                       [p.h.pieces[j].Q for j in prof.active_pieces]),
+            unique=alternate is None, alternate=alternate))
     out.sort(key=SubproblemSolution.key)
     return out
 
@@ -349,11 +393,18 @@ def _face(p, sol):
     return sol.active_set, tuple(np.delete(signs, list(sol.active_set)))
 
 
+def _systems(stacks):
+    """The number of systems in the stacks recorded from `_solve_stack`."""
+    return sum(len(args[0]) for args in stacks)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestFaceEnumeration:
     """One KKT solve and one consistency test per face (subset held at
     equality, signs off it): at an off-kink point of a weighted-l1 crossing
-    every face is nonsingular, so a step makes 3^s solves, not the 4^s of
-    one per (piece, subset), and evaluates h at most once per face."""
+    every face is nonsingular, so a step hands 3^s systems to the batched
+    solver, not the 4^s of one per (piece, subset), in one stack (one SVD)
+    per system size, and evaluates h at most once per face."""
 
     @pytest.mark.parametrize("w,a,faces", [
         ((0.7, 1.3, 1.9), (0.3, -0.5, 0.4), 27),
@@ -364,12 +415,15 @@ class TestFaceEnumeration:
         y = np.array([0.1, -0.05, 0.12, 0.02])[:len(w)]
         lin = p.c.evaluate(x, y)
         assert all(abs(r) > 1e-3 for r in p.h.residuals(lin.c))
-        solves = _count_calls(monkeypatch, solver, "_solve_possibly_singular")
+        stacks = _count_calls(monkeypatch, solver, "_solve_stack")
         evals = _count_calls(monkeypatch, plq, "eval_with_active")
         sols = solve_subproblem_enum(p, x, lin.H, lin)
         assert sols
-        assert len(solves) <= faces
+        assert _systems(stacks) <= faces
         assert len(evals) <= faces
+        # Sizes n + m + |S| with n = m = s and |S| = 0..s, one stack each.
+        s = len(w)
+        assert sorted(args[0].shape[1] for args in stacks) == list(range(2 * s, 3 * s + 1))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2 ** 20))
@@ -415,7 +469,7 @@ class TestFaceEnumeration:
         assert sorted(q.active_set for q in sols) == [(), (0,)]
 
     def test_generator_covers_every_case(self, monkeypatch):
-        solves = _count_calls(monkeypatch, solver, "_solve_possibly_singular")
+        solves = _count_calls(monkeypatch, solver, "_solve_stack")
         kinds = set()
         for seed in range(60):
             family, p, x, y, H = _enum_step(seed)
@@ -433,10 +487,42 @@ class TestFaceEnumeration:
             faces = {(S, np.delete(piece.signs, list(S)).tobytes())
                      for piece in p.h.pieces for S in free}
             per_piece = p.h.n_pieces * (len(subsets) - len(free))
-            if family == "huber" and len(solves) == len(faces) + per_piece:
+            if family == "huber" and _systems(solves) == len(faces) + per_piece:
                 kinds.add("shared across Q")
         assert kinds == {"crossing", "huber", "flat", "kink", "several", "non-unique",
                          "shared across Q"}
+
+    def test_curvature_checked_only_when_read(self, monkeypatch):
+        checks = _count_calls(monkeypatch, solver, "_model_sosc_ok")
+        steps = [solve_subproblem_enum(p, x, H) for _, p, x, _, H in map(_enum_step, range(12))]
+        assert sum(map(len, steps)) > len(steps) and checks == []
+        best = next(sols[0] for sols in steps if sols)
+        assert best.model_sosc_ok == best.model_sosc_ok and len(checks) == 1
+
+    def test_lazy_verdict_equals_eager(self):
+        for seed in range(40):
+            _, p, x, y, H = _enum_step(seed)
+            cx, jac, _ = p.c.evaluate(x, y)
+            A_all, _ = p.h.hyperplane_matrix()
+            for q in solve_subproblem_enum(p, x, H):
+                prof = plq.eval_with_active(p.h, cx + jac @ q.d)
+                eager = _model_sosc_ok(A_all[list(prof.active_set)] @ jac, jac, H,
+                                       [p.h.pieces[j].Q for j in prof.active_pieces])
+                assert q.model_sosc_ok is eager, seed
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 20))
+    def test_activity_filter_rejects_only_inconsistent_pairs(self, seed):
+        # Every (piece, subset) pair solved on its own: the filter's verdict
+        # is the activity of plq.active_structure, and a pair it rejects is
+        # one `_consistent` rejects.
+        _, p, x, y, H = _enum_step(seed)
+        cx, jac, _ = p.c.evaluate(x, y)
+        for k, _, sol, _ in _structure_solves(p, H, cx, jac):
+            c_lin = cx + jac @ sol[:p.n]
+            active = _pieces_active(p.h, np.array([k]), c_lin[None])[0]
+            assert active == (k in plq.active_structure(p.h, c_lin)[0])
+            assert active or _consistent(p, k, sol, cx, jac) is None
 
 
 class TestQuasiNewton:
