@@ -1,6 +1,6 @@
 """Second-order sufficiency and strong-metric-subregularity certificates.
 
-The reduced curvature check runs in one of two modes:
+The reduced curvature check runs in one of two modes, both exact:
 
   certified-subspace: nondegeneracy and strict criticality pin the non-ascent
       cone down to the subspace Null(A^T Jac), so positive definiteness of
@@ -12,27 +12,38 @@ The reduced curvature check runs in one of two modes:
       without strict criticality. The minimum eigenvalues come from the
       solver's `reduced_min_eigs`, the check its model monitors use, here
       against PD_TOL.
-  heuristic-sampled: without those qualifications the non-ascent set is a
-      union of cones; curvature is sampled on its extreme rays (enumerated for
-      small dimension) and random conic combinations. This mode never
-      certifies, it only reports evidence.
+  certified-cone: otherwise each active piece k has the critical cone
+      W_k = {d : B_k Jac d <= 0, <grad f_k(cbar), Jac d> <= 0}, with B_k its
+      tangent rows, on which the second subderivative of h is
+      (Jac d)^T Q_k (Jac d) (Rockafellar & Wets, Variational Analysis,
+      ch. 13). Sufficiency holds exactly when each M_k = H + Jac^T Q_k Jac
+      is strictly copositive on W_k = cone(G) + span(L): L^T M_k L is
+      positive definite and the Schur complement S of M_k on the rays G has
+      no principal submatrix with a positive eigenvector whose eigenvalue is
+      at most PD_TOL (Kaplan, "A test for copositive matrices", Linear
+      Algebra Appl. 2000). A piece's margin is the least eigenvalue of
+      L^T M_k L when that fails, else the least eigenvalue with a positive
+      eigenvector, which is the minimum of s^T S s over unit s >= 0. A cone
+      with more than RAY_LIMIT rays is refused with a RegimeError.
 
 All checks at xbar read one `PointAnalysis` (see composite): `certify_point`
 hands it, with the manifold data at c(xbar), from the multiplier test to the
 sufficiency check, and the CLI's certify report reads the same two.
 `restricted_kkt_matrix` exposes the matrix of a restricted Newton step, as
-assembled by the solver's `kkt_matrix`. The module needs numpy only.
+assembled by the solver's `kkt_matrix`. No check draws a random number. The
+module needs numpy only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from .calculus import cone_generators, dir_deriv_second_at
+from .calculus import cone_generators
 from .composite import CompositeProblem, PointAnalysis, analyze_point
-from .errors import PreconditionError
+from .errors import PreconditionError, RegimeError
 from .manifold import ManifoldData, build_manifold_at
 from .numerics import as_vector, matrix_rank_rel, nullspace_basis
 from .solver import kkt_matrix, reduced_min_eigs
@@ -41,23 +52,22 @@ from .solver import kkt_matrix, reduced_min_eigs
 PD_TOL = 1e-8
 # KKT residual threshold for "is a stationary pair".
 STATIONARY_TOL = 1e-6
-# Extreme-ray enumeration is exact up to this many primal dimensions.
-ENUM_DIM_LIMIT = 6
+# The copositivity test reads every subset of a critical cone's rays, so a
+# cone with more rays than this is refused.
+RAY_LIMIT = 12
 
 
 @dataclass(frozen=True)
 class SOSCReport:
-    mode: str                 # "certified-subspace" | "heuristic-sampled"
+    mode: str                 # "certified-subspace" | "certified-cone"
     subspace_dim: int | None
-    piece_min_eigs: tuple     # (piece index, min eigenvalue) per active piece
-    sampled_min: float | None
+    piece_min_eigs: tuple     # (piece index, deciding eigenvalue) per active piece
     passed: bool
 
     def to_dict(self):
         return {"mode": self.mode, "subspace_dim": self.subspace_dim,
                 "piece_min_eigs": [(int(k), None if v is None else float(v))
                                    for k, v in self.piece_min_eigs],
-                "sampled_min": None if self.sampled_min is None else float(self.sampled_min),
                 "passed": bool(self.passed)}
 
 
@@ -101,60 +111,50 @@ def _sosc(pa: PointAnalysis, ybar, md: ManifoldData | None) -> SOSCReport:
         eigs = [None] * md.kbar if eigs is None else eigs
         passed = all(v > PD_TOL for v in eigs if v is not None)
         return SOSCReport("certified-subspace", Z.shape[1],
-                          tuple(zip(md.active_pieces, eigs)), None, bool(passed))
+                          tuple(zip(md.active_pieces, eigs)), bool(passed))
 
-    # Heuristic: sample the union-of-cones non-ascent set. Every direction
-    # reads the one profile of h at c(xbar) and its cached tangent rows.
-    worst = None
-    for d in _nonascent_directions(pa):
-        h2 = dir_deriv_second_at(p.h, prof, jac @ d)
-        if h2.is_inf:
-            continue
-        val = h2.value + d @ H @ d
-        worst = val if worst is None else min(worst, val)
-    passed = worst is None or worst > PD_TOL
-    return SOSCReport("heuristic-sampled", None, (), worst, bool(passed))
+    # Otherwise decide copositivity on each active piece's critical cone, read
+    # from the one profile of h at c(xbar) and its cached tangent rows.
+    margins = []
+    for k in prof.active_pieces:
+        rows = np.vstack([p.h.tangent_rows_at(k, prof.active_set),
+                          p.h.piece_gradient(k, pa.cx)]) @ jac
+        M = H + jac.T @ p.h.pieces[k].Q @ jac
+        margins.append(_cone_margin(M, *cone_generators(rows)))
+    passed = all(v > PD_TOL for v in margins if v is not None)
+    return SOSCReport("certified-cone", None, tuple(zip(prof.active_pieces, margins)),
+                      bool(passed))
 
 
-def _nonascent_directions(pa: PointAnalysis, samples=1000):
-    """Unit directions in the non-ascent set: per-piece extreme rays when the
-    dimension is small, plus random conic combinations."""
-    p, jac = pa.p, pa.jac
-    rng = np.random.default_rng(0)
-    out = []
-    per_piece = []
-    for k in pa.prof.active_pieces:
-        rows = [p.h.pieces[k].signs[j] * p.h.hyperplane_matrix()[0][j] @ jac
-                for j in pa.prof.active_set]
-        rows.append((p.h.piece_gradient(k, pa.cx)) @ jac)
-        B = np.array(rows).reshape(len(rows), p.n)
-        if p.n <= ENUM_DIM_LIMIT:
-            rays, lin = cone_generators(B)
-        else:
-            rays, lin = [], []
-        per_piece.append((B, rays, lin))
-        for r in rays:
-            out.append(r)
-        for l in lin:
-            out.append(l)
-            out.append(-l)
-    budget = max(0, samples - len(out))
-    per = budget // max(1, len(per_piece))
-    for B, rays, lin in per_piece:
-        for _ in range(per):
-            d = np.zeros(p.n)
-            for r in rays:
-                d = d + rng.uniform(0, 1) * r
-            for l in lin:
-                d = d + rng.standard_normal() * l
-            if not rays and not lin:
-                cand = rng.standard_normal(p.n)
-                if np.all(B @ cand <= 1e-12):
-                    d = cand
-            nd = np.linalg.norm(d)
-            if nd > 1e-12:
-                out.append(d / nd)
-    return out
+def _cone_margin(M, rays, lin):
+    """The deciding eigenvalue of d^T M d on cone(rays) + span(lin) (None for
+    the cone {0}): the least eigenvalue of M on the lineality space when it is
+    at most PD_TOL or there is no ray, else the least eigenvalue with a
+    positive eigenvector of a principal submatrix of the Schur complement on
+    the rays."""
+    n = M.shape[0]
+    G = np.reshape(rays, (len(rays), n)).T
+    L = np.reshape(lin, (len(lin), n)).T
+    S = G.T @ M @ G
+    if lin:
+        MLL = L.T @ M @ L
+        lin_min = float(np.linalg.eigvalsh(MLL)[0])
+        if lin_min <= PD_TOL or not rays:
+            return lin_min
+        MLG = L.T @ M @ G
+        S = S - MLG.T @ np.linalg.solve(MLL, MLG)
+    elif not rays:
+        return None
+    if len(rays) > RAY_LIMIT:
+        raise RegimeError(f"the critical cone has {len(rays)} rays; "
+                          f"copositivity is decided up to {RAY_LIMIT}")
+    best = np.inf
+    for size in range(1, len(rays) + 1):
+        idx = np.array(list(combinations(range(len(rays)), size)))
+        vals, vecs = np.linalg.eigh(S[idx[:, :, None], idx[:, None, :]])
+        positive = np.all(vecs > 0, axis=1) | np.all(vecs < 0, axis=1)
+        best = min(best, float(np.min(vals, initial=np.inf, where=positive)))
+    return best
 
 
 def certify_subregularity(p: CompositeProblem, xbar) -> SubregularityCertificate:
@@ -180,11 +180,9 @@ def certify_point(pa: PointAnalysis, md: ManifoldData | None) -> SubregularityCe
         sosc = _sosc(pa, y, md)
         if not sosc.passed:
             reasons.append("reduced second-order sufficiency fails")
-        elif sosc.mode == "heuristic-sampled" and single:
-            reasons.append("sufficiency evidence is heuristic only")
     except PreconditionError as err:
         reasons.append(str(err))
-    certified = single and sosc is not None and sosc.passed and sosc.mode == "certified-subspace"
+    certified = single and sosc is not None and sosc.passed
     return SubregularityCertificate(
         single, sosc, "strongly-metrically-subregular" if certified else "not-certified",
         tuple(reasons))

@@ -68,8 +68,9 @@ def report_validate(pf: ProblemFile, opts) -> tuple[dict, int]:
 
 
 def report_certify(pf: ProblemFile, opts) -> tuple[dict, int]:
-    rng = np.random.default_rng(opts["seed"])
-    x, y = _resolve_point(pf, opts.get("point"), rng)
+    spec = opts.get("point")
+    rng = np.random.default_rng(opts["seed"]) if spec == "random" else None
+    x, y = _resolve_point(pf, spec, rng)
     p = pf.problem
     out: dict = {"command": "certify", "problem": pf.name,
                  "x": [float(v) for v in x]}

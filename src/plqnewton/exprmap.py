@@ -370,10 +370,6 @@ def _sweep(node, x, order):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def eval_value(node, x) -> float:
-    return _sweep(node, np.asarray(x, dtype=float).tolist(), 0)[0]
-
-
 # -- smooth maps ------------------------------------------------------------------
 
 

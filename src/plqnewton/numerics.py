@@ -51,17 +51,6 @@ def nullspace_basis(M: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     return vt[rank:].T.copy()
 
 
-def range_basis(M: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Orthonormal basis (columns) of Ran(M)."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.size == 0:
-        return np.zeros((M.shape[0], 0))
-    u, s, _ = np.linalg.svd(M)
-    tol = rtol * (s[0] if s.size else 1.0)
-    rank = int(np.sum(s > tol))
-    return u[:, :rank].copy()
-
-
 def matrix_rank_rel(M: np.ndarray, rtol: float = RANK_RTOL) -> int:
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.size == 0:

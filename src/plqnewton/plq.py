@@ -159,9 +159,6 @@ class PLQFunction:
             return np.zeros(0)
         return self._A @ c - self._alpha
 
-    def piece_contains(self, k, c) -> bool:
-        return bool(np.all(self._signs[k] * self.residuals(c) <= self._act_tol))
-
     def piece_value(self, k, c) -> float:
         c = as_vector(c, self.m, "c")
         p = self.pieces[k]

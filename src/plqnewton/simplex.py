@@ -184,16 +184,19 @@ def max_slack_point(F, f, E=None, e=None, cap=1.0):
     t < 0 means the system Fx <= f, Ex = e is infeasible (by roughly |t|).
     Returns (None, None) only when the equalities themselves are infeasible.
     F is k x n with k >= 0 rows; n, the number of variables, is its column
-    count, so a row-free F (k = 0) returns t = cap.
+    count. Without rows or equalities the answer is the origin and t = cap,
+    returned without an LP.
     """
     F = np.atleast_2d(np.asarray(F, dtype=float))
     f = np.asarray(f, dtype=float).reshape(-1)
-    n = F.shape[1]
-    norms = np.linalg.norm(F, axis=1) if F.shape[0] else np.zeros(0)
+    rows, n = F.shape
+    has_eq = E is not None and np.size(E)
+    if not rows and not has_eq:
+        return np.zeros(n), float(cap)
+    norms = np.linalg.norm(F, axis=1)
     norms = np.where(norms > 0, norms, 1.0)
-    Fn = F / norms[:, None] if F.shape[0] else F
-    fn = f / norms if F.shape[0] else f
-    rows = F.shape[0]
+    Fn = F / norms[:, None]
+    fn = f / norms
     # Variables (x, t); rows: Fn x + t <= fn and t <= cap.
     Ft = np.zeros((rows + 1, n + 1))
     ft = np.zeros(rows + 1)
@@ -203,7 +206,7 @@ def max_slack_point(F, f, E=None, e=None, cap=1.0):
     Ft[rows, n] = 1.0
     ft[rows] = cap
     Et = None
-    if E is not None and np.size(E):
+    if has_eq:
         E2 = np.atleast_2d(np.asarray(E, dtype=float))
         Et = np.hstack([E2, np.zeros((E2.shape[0], 1))])
     obj = np.zeros(n + 1)

@@ -575,16 +575,6 @@ def _solve_stack(M, rhs, tol=1e-9):
     return sols, alts, full, ok
 
 
-def _solve_possibly_singular(M, rhs, tol=1e-9):
-    """(solution, alternate solution or None), or (None, None) when the
-    system is singular and inconsistent: `_solve_stack` on a stack of one."""
-    sols, alts, full, ok = _solve_stack(np.asarray(M, dtype=float)[None],
-                                        np.asarray(rhs, dtype=float).reshape(1, -1), tol)
-    if not ok[0]:
-        return None, None
-    return sols[0], None if full[0] else alts[0]
-
-
 def _pieces_active(h, pieces, c_lin):
     """Whether piece pieces[i] is active at c_lin[i]: signs_k (A c - alpha) <=
     ACT_TOL (1 + |alpha|), the test and tolerance of `plq.active_structure`."""

@@ -1,8 +1,10 @@
 import itertools
+import json
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plqnewton.benchmarks import (
     b1_flat,
@@ -15,14 +17,14 @@ from plqnewton.benchmarks import (
     nlp_plq,
     rosenbrock_ls,
 )
-from plqnewton import calculus, composite, manifold, plq, simplex
+from plqnewton import calculus, certify, composite, manifold, plq, simplex
 from plqnewton.certify import certify_sosc, certify_subregularity, restricted_kkt_matrix
-from plqnewton.cli import run_report
+from plqnewton.cli import main, run_report
 from plqnewton.composite import CompositeProblem
 from plqnewton.errors import PreconditionError
 from plqnewton.exprmap import SmoothMap
 from plqnewton.manifold import build_manifold
-from plqnewton.numerics import matrix_rank_rel
+from plqnewton.numerics import matrix_rank_rel, nullspace_basis
 from plqnewton.problems import ProblemFile, parse_problem_dict
 from plqnewton.solver import solve_subproblem_enum
 
@@ -75,11 +77,15 @@ class TestSOSC:
         with pytest.raises(PreconditionError):
             certify_sosc(b.problem, [0.5, 0.5], [1.0, 0.0])
 
-    def test_heuristic_mode_on_flat_problem(self):
+    def test_cone_mode_on_flat_problem(self):
+        # Jac = 0 at xbar, so each piece's critical cone is all of R^2, a
+        # lineality space on which H = diag(2, 0) has the flat direction e2.
         b = b1_flat()
         rep = certify_sosc(b.problem, b.xbar, b.ybar)
-        assert rep.mode == "heuristic-sampled"
-        assert not rep.passed  # flat direction has zero curvature
+        assert rep.mode == "certified-cone"
+        assert not rep.passed
+        assert rep.piece_min_eigs == ((0, pytest.approx(0.0, abs=1e-12)),
+                                      (1, pytest.approx(0.0, abs=1e-12)))
 
     def test_invariant_under_orthogonal_reparameterization(self):
         rng = np.random.default_rng(31)
@@ -175,22 +181,23 @@ class TestSubregularity:
 
 
 class TestSinglePieceBoundary:
-    def test_boundary_point_routes_to_heuristic_and_surfaces_the_gap(self):
+    def test_weakly_active_boundary_point_certified_on_the_cone(self):
         # One piece with an active domain hyperplane at the solution, weakly
         # active: ybar = (1, 0) puts the constraint's multiplier at 0, so sc
-        # fails, the one-piece manifold's subspace does not apply, and the
-        # certificate stays heuristic; the conclusion reports the gap.
+        # fails and the one-piece manifold's subspace does not apply. The
+        # critical cone is the ray d <= 0, with curvature 2 on it.
         p = CompositeProblem(nlp_plq(), SmoothMap.from_strings(["x1^2", "x1"], 1))
         xbar = np.array([0.0])
         ybar = np.array([1.0, 0.0])
         assert not composite.analyze_point(p, xbar).cqs.sc
         rep = certify_sosc(p, xbar, ybar)
-        assert rep.mode == "heuristic-sampled"
-        assert rep.passed  # curvature 2 on the sampled non-ascent rays
+        assert rep.mode == "certified-cone"
+        assert rep.passed
+        assert rep.piece_min_eigs == ((0, pytest.approx(2.0, abs=1e-12)),)
         cert = certify_subregularity(p, xbar)
         assert cert.m_singleton
-        assert cert.conclusion == "not-certified"
-        assert any("heuristic" in r for r in cert.reasons)
+        assert cert.conclusion == "strongly-metrically-subregular"
+        assert cert.reasons == ()
         # The structure-enumeration path still works at the solution.
         from plqnewton.solver import solve_subproblem_enum
 
@@ -252,6 +259,180 @@ class TestNonlinearProgram:
         assert report["manifold"]["active_hyperplanes"] == [0]
         assert report["strictness"]["mu"] == [[2.0]]
         assert report["partial_smoothness"]["certified"] is True
+
+
+def _cone_problem(M, A, w=None):
+    """min 0.5 x^T M x + sum_i 0.5 w_i (a_i^T x)^2 s.t. A x <= 0, as one piece
+    h = c1 + sum_i 0.5 w_i c_(i+1)^2 + indicators(c_(i+1) <= 0) composed with
+    c = (0.5 x^T M x, A x). At xbar = 0 with ybar = e1 every constraint is
+    weakly active and the critical cone is {d : A d <= 0}, on which the
+    curvature is d^T (M + A^T diag(w) A) d."""
+    M, A = np.asarray(M, dtype=float), np.asarray(A, dtype=float)
+    (q, n), m = A.shape, A.shape[0] + 1
+    w = np.zeros(q) if w is None else np.asarray(w, dtype=float)
+    h = plq.PLQFunction(m, [plq.Hyperplane(np.eye(m)[i + 1], 0.0) for i in range(q)],
+                        [plq.Piece(np.ones(q), np.diag(np.r_[0.0, w]), np.eye(m)[0])])
+    quad = " + ".join(f"{float(0.5 * M[i, j])!r}*x{i + 1}*x{j + 1}"
+                      for i in range(n) for j in range(n))
+    rows = [" + ".join(f"{float(A[i, j])!r}*x{j + 1}" for j in range(n)) for i in range(q)]
+    return CompositeProblem(h, SmoothMap.from_strings([quad] + rows, n))
+
+
+def _orthant(k):
+    """The orthant instance: curvature [[1, k], [k, 1]] on the cone d >= 0."""
+    return _cone_problem([[1.0, k], [k, 1.0]], -np.eye(2))
+
+
+def _polygon_cone(rays):
+    """A problem file whose critical cone at the reference is the cone over a
+    regular polygon with `rays` vertices, with curvature I on it."""
+    th = 2 * np.pi * np.arange(rays) / rays
+    doc = {"name": f"polygon{rays}", "n": 3, "m": 4,
+           "h": {"m": 4,
+                 "hyperplanes": [{"a": [0.0, float(np.cos(t)), float(np.sin(t)), -1.0],
+                                  "alpha": 0.0} for t in th],
+                 "pieces": [{"signs": [1] * rays, "b": [1.0, 0.0, 0.0, 0.0]}]},
+           "c": ["0.5*x1^2 + 0.5*x2^2 + 0.5*x3^2", "x1", "x2", "x3"],
+           "reference": {"x": [0.0] * 3, "y": [1.0, 0.0, 0.0, 0.0]}}
+    return doc
+
+
+def _face_minimum(M, A):
+    """min d^T M d over unit d with A d <= 0, exactly: the minimizer of
+    smallest face is an eigenvector of M compressed to that face's span
+    Null(A_T), for some row subset T (the rows tight on the face)."""
+    best = np.inf
+    for size in range(A.shape[0] + 1):
+        for T in itertools.combinations(range(A.shape[0]), size):
+            P = nullspace_basis(A[list(T)]) if T else np.eye(A.shape[1])
+            if not P.shape[1]:
+                continue
+            vals, vecs = np.linalg.eigh(P.T @ M @ P)
+            for v, d in zip(vals, (P @ vecs).T):
+                if np.all(A @ d <= 1e-9) or np.all(A @ d >= -1e-9):
+                    best = min(best, v)
+    return best
+
+
+def _sampled_curvature(M, A, rng, samples=400):
+    """d^T M d at unit directions d with A d <= 0, drawn densely in the cone and
+    on each face of it: random directions projected onto Null(A_T) for every
+    row subset T."""
+    n = A.shape[1]
+    out = []
+    for size in range(min(A.shape[0], n - 1) + 1):
+        for T in itertools.combinations(range(A.shape[0]), size):
+            P = nullspace_basis(A[list(T)]) if T else np.eye(n)
+            D = rng.standard_normal((samples, P.shape[1])) @ P.T
+            D = np.vstack([D, -D])
+            D = D[np.all(D @ A.T <= 1e-12, axis=1)]
+            D = D[np.linalg.norm(D, axis=1) > 1e-9]
+            D /= np.linalg.norm(D, axis=1)[:, None]
+            out.extend(np.einsum("ij,jk,ik->i", D, M, D))
+    return np.array(out)
+
+
+_GRID = st.sampled_from((-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0))
+
+
+class TestCriticalCone:
+    """Without strict complementarity SOSC is decided exactly on each active
+    piece's critical cone: strict copositivity of its curvature there."""
+
+    def test_weakly_active_instance_certified(self):
+        # min x1^2 + x2^2 s.t. x1 <= 0: the cone is the half-plane d1 <= 0
+        # with lineality e2, where H = 2 I.
+        cert = certify_subregularity(_nlp(c2="x1"), [0.0, 0.0])
+        assert cert.conclusion == "strongly-metrically-subregular", cert.reasons
+        assert cert.m_singleton and cert.sosc.mode == "certified-cone"
+        assert cert.sosc.piece_min_eigs == ((0, pytest.approx(2.0, abs=1e-12)),)
+
+    def test_weakly_active_negative_curvature_twin_refused(self):
+        cert = certify_subregularity(_nlp(c1="x1^2 - x2^2", c2="x1"), [0.0, 0.0])
+        assert cert.conclusion == "not-certified"
+        assert cert.m_singleton and cert.sosc.mode == "certified-cone"
+        assert cert.sosc.piece_min_eigs == ((0, pytest.approx(-2.0, abs=1e-12)),)
+        assert cert.reasons == ("reduced second-order sufficiency fails",)
+
+    def test_orthant_instance_certified(self):
+        # [[1, 3], [3, 1]] is indefinite but strictly copositive: its least
+        # eigenvalue with a positive eigenvector is the diagonal's 1.
+        cert = certify_subregularity(_orthant(3.0), [0.0, 0.0])
+        assert cert.conclusion == "strongly-metrically-subregular", cert.reasons
+        assert cert.sosc.mode == "certified-cone"
+        assert cert.sosc.piece_min_eigs == ((0, pytest.approx(1.0, abs=1e-12)),)
+
+    def test_orthant_twin_refused(self):
+        # With -3 the eigenvector (1, 1) is positive, with eigenvalue -2.
+        cert = certify_subregularity(_orthant(-3.0), [0.0, 0.0])
+        assert cert.conclusion == "not-certified" and cert.m_singleton
+        assert cert.sosc.piece_min_eigs == ((0, pytest.approx(-2.0, abs=1e-12)),)
+
+    def test_linear_increase_leaves_the_critical_cone(self):
+        # h = max(c1, c2) + 1.5 (c1 - c2)_+^2 and c = (x1^2 - x2^2, x2), at a
+        # kink with the unique multiplier (1, 0). On piece 1 (value c2) the
+        # rows d2 >= 0 of its tangent cone and d2 <= 0 of its gradient leave
+        # the line d2 = 0, where the curvature is 2; d = e2 raises h at
+        # first order. Piece 0's quadratic lifts its cone d2 <= 0 to 1.
+        h = plq.PLQFunction(2, [plq.Hyperplane([1.0, -1.0], 0.0)], [
+            plq.Piece([-1], 3.0 * np.array([[1.0, -1.0], [-1.0, 1.0]]), [1.0, 0.0]),
+            plq.Piece([1], np.zeros((2, 2)), [0.0, 1.0])])
+        p = CompositeProblem(h, SmoothMap.from_strings(["x1^2 - x2^2", "x2"], 2))
+        assert plq.validate_representation(h).all_pass
+        cert = certify_subregularity(p, [0.0, 0.0])
+        assert cert.conclusion == "strongly-metrically-subregular", cert.reasons
+        assert cert.sosc.mode == "certified-cone"
+        assert cert.sosc.piece_min_eigs == ((0, pytest.approx(1.0, abs=1e-12)),
+                                            (1, pytest.approx(2.0, abs=1e-12)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 3).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(_GRID, min_size=n, max_size=n), min_size=n, max_size=n),
+        st.lists(st.lists(_GRID, min_size=n - 1, max_size=n - 1), min_size=1, max_size=4),
+        st.lists(st.sampled_from((0.0, 1.0)), min_size=4, max_size=4),
+        st.integers(0, 2 ** 32 - 1))))
+    def test_verdict_agrees_with_the_sampled_cone(self, case):
+        # Rows a_i = (-1, r_i) keep e1 inside the cone, so the multiplier
+        # e1 is the only one. Sampling never finds negative curvature on a
+        # certified cone, and the verdict is the sign of the exact minimum
+        # over the cone's faces wherever that minimum is clear of zero.
+        M, R, w, seed = case
+        M = np.asarray(M) + np.asarray(M).T
+        A = np.hstack([-np.ones((len(R), 1)), np.asarray(R).reshape(len(R), -1)])
+        w = np.asarray(w[:len(R)])
+        rep = certify_sosc(_cone_problem(M, A, w), np.zeros(A.shape[1]), np.eye(len(R) + 1)[0])
+        assert rep.mode == "certified-cone"
+        curv = M + A.T @ np.diag(w) @ A
+        sampled = _sampled_curvature(curv, A, np.random.default_rng(seed))
+        exact = _face_minimum(curv, A)
+        assert sampled.min() >= exact - 1e-9
+        if rep.passed:
+            assert sampled.min() > -1e-9
+        if abs(exact) > 1e-6:
+            assert rep.passed == (exact > 0)
+
+    def test_ray_limit_is_a_regime_error(self, tmp_path, capsys):
+        # The cone over a 13-gon has 13 rays, one above the limit: refused,
+        # never sampled. At the limit the same cone is certified.
+        assert certify.RAY_LIMIT == 12
+        path = tmp_path / "polygon.json"
+        path.write_text(json.dumps(_polygon_cone(13)))
+        assert main(["certify", str(path)]) == 3
+        assert "13 rays" in capsys.readouterr().err
+        pf = parse_problem_dict(_polygon_cone(12))
+        report, code = run_report(pf, "certify", {"seed": 42})
+        assert code == 0 and report["subregularity"]["sosc"]["mode"] == "certified-cone"
+
+    def test_certify_at_a_reference_draws_no_random_number(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.random.default_rng called")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        for build in (b1_flat, b1_minimax, b1_negated, cross_l1):
+            pf = parse_problem_dict(build().as_problem_dict())
+            run_report(pf, "certify", {"seed": 42})
+        for p in (_orthant(3.0), _orthant(-3.0), _nlp(c2="x1")):
+            assert certify_subregularity(p, [0.0, 0.0]).sosc.mode == "certified-cone"
 
 
 class TestRestrictedKKTMatrix:
@@ -387,10 +568,10 @@ class TestPolyhedralDataOnce:
         assert [(e.piece, e.active_set, e.model_value) for e in again] == \
             [(e.piece, e.active_set, e.model_value) for e in first]
 
-    def test_sampled_sosc_evaluates_h_once(self, monkeypatch):
+    def test_cone_sosc_evaluates_h_once(self, monkeypatch):
         pf = parse_problem_dict(b1_flat().as_problem_dict())
         evals = _count_calls(monkeypatch, plq, "eval_with_active")
         report, code = run_report(pf, "certify", {"seed": 42})
         assert code == 1
-        assert report["subregularity"]["sosc"]["mode"] == "heuristic-sampled"
+        assert report["subregularity"]["sosc"]["mode"] == "certified-cone"
         assert len(evals) <= 10

@@ -11,12 +11,13 @@ from plqnewton.exprmap import (
     Neg,
     SmoothMap,
     Var,
-    eval_value,
     fd_jacobian,
     fd_weighted_hessian,
     format_expr,
     parse_expr,
 )
+
+from oracles import eval_value
 
 
 class TestParsing:

@@ -14,8 +14,10 @@ from plqnewton.manifold import (
     mu_of,
     strictness_check,
 )
-from plqnewton.numerics import nullspace_basis, range_basis
+from plqnewton.numerics import nullspace_basis
 from plqnewton.plq import eval_with_active
+
+from oracles import range_basis
 
 
 class TestBuildManifold:

@@ -19,6 +19,7 @@ from plqnewton.plq import (
 )
 from plqnewton.simplex import feasible_point
 
+from oracles import piece_contains
 from plq_sampling import sample_domain_point
 
 
@@ -116,7 +117,7 @@ class TestVectorizedActivity:
         rng = np.random.default_rng(seed)
         h = _random_plq(rng)
         for c in _random_points(rng, h):
-            active = tuple(k for k in range(h.n_pieces) if h.piece_contains(k, c))
+            active = tuple(k for k in range(h.n_pieces) if piece_contains(h, k, c))
             if not active:
                 prof = eval_with_active(h, c)
                 assert prof.value.is_inf and prof.active_pieces == () and prof.kbar == 0

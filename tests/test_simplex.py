@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plqnewton import simplex
 from plqnewton.simplex import feasible_point, max_slack_point, solve_lp, support_value
 
 
@@ -56,11 +57,20 @@ def test_max_slack_none_for_infeasible_equalities():
     assert x is None and t is None
 
 
-def test_max_slack_without_rows():
+def test_max_slack_without_rows(monkeypatch):
     # No row at all: the variable count comes from F's columns, and the
-    # slack is the cap at any point (the LP returns the origin).
+    # slack is the cap at the origin, stated without an LP.
     x, t = max_slack_point(np.zeros((0, 3)), np.zeros(0), cap=4.0)
     assert t == 4.0 and np.array_equal(x, np.zeros(3))
+    lps = []
+    monkeypatch.setattr(simplex, "solve_lp", lambda *args: lps.append(args))
+    for n in (1, 3, 20, 79):
+        for cap in (1, 4.0):
+            x, t = max_slack_point(np.zeros((0, n)), np.zeros(0), cap=cap)
+            assert type(t) is float and t == cap
+            assert x.shape == (n,) and np.array_equal(x, np.zeros(n))
+            assert not np.signbit(x).any()
+    assert lps == []
 
 
 def test_max_slack_with_equality():

@@ -33,7 +33,6 @@ from plqnewton.solver import (
     _consistent,
     _model_sosc_ok,
     _pieces_active,
-    _solve_possibly_singular,
     _solve_stack,
     kkt_matrix,
     newton_solve,
@@ -42,6 +41,7 @@ from plqnewton.solver import (
     solve,
     solve_subproblem_enum,
 )
+from oracles import solve_possibly_singular as _solve_possibly_singular
 from test_certify import NLP_XBAR, NLP_YBAR, _count_calls, _nlp, _weighted_l1_crossing
 
 
