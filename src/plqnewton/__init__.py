@@ -70,7 +70,6 @@ from .problems import ProblemFile, load_problem
 from .rates import RateVerdict, classify_rate
 from .solver import (
     IterationTrace,
-    RestrictedState,
     SolveOptions,
     newton_solve,
     quasi_newton_solve,

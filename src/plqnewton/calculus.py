@@ -206,9 +206,6 @@ class PolyhedronH:
     def feasible_point(self):
         return feasible_point(**self._lp_blocks(), dim=self.dim)
 
-    def is_empty(self) -> bool:
-        return self.feasible_point() is None
-
     def support(self, w):
         """(max <w,y>, argmax); (inf, None) when unbounded, (None, None) when empty."""
         return support_value(w, **self._lp_blocks())
@@ -341,12 +338,7 @@ def dir_deriv_first(h: PLQFunction, c, w) -> ExtReal:
 
 def dir_deriv_second(h: PLQFunction, c, w) -> ExtReal:
     """One-sided second directional derivative h''(c; w); nonnegative when finite."""
-    return dir_deriv_second_at(h, _active_or_raise(h, c), w)
-
-
-def dir_deriv_second_at(h: PLQFunction, prof, w) -> ExtReal:
-    """`dir_deriv_second` at a point whose finite active profile is `prof`, so
-    that many directions at one point share one evaluation of h."""
+    prof = _active_or_raise(h, c)
     w = as_vector(w, h.m, "w")
     k = _tangent_piece(h, prof, w)
     return PLUS_INF if k is None else ExtReal.finite(w @ (h.pieces[k].Q @ w))

@@ -29,9 +29,9 @@ The reduced curvature check runs in one of two modes, both exact:
 All checks at xbar read one `PointAnalysis` (see composite): `certify_point`
 hands it, with the manifold data at c(xbar), from the multiplier test to the
 sufficiency check, and the CLI's certify report reads the same two.
-`restricted_kkt_matrix` exposes the matrix of a restricted Newton step, as
-assembled by the solver's `kkt_matrix`. No check draws a random number. The
-module needs numpy only.
+`restricted_kkt_matrix` exposes one piece's matrix of the restricted Newton
+step, a row of the stack that the solver's `restricted_systems` assembles.
+No check draws a random number. The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .composite import CompositeProblem, PointAnalysis, analyze_point
 from .errors import PreconditionError, RegimeError
 from .manifold import ManifoldData, build_manifold_at
 from .numerics import as_vector, matrix_rank_rel, nullspace_basis
-from .solver import kkt_matrix, reduced_min_eigs
+from .solver import reduced_min_eigs, restricted_systems
 
 # Positive-definiteness threshold on reduced eigenvalues.
 PD_TOL = 1e-8
@@ -107,7 +107,7 @@ def _sosc(pa: PointAnalysis, ybar, md: ManifoldData | None) -> SOSCReport:
     # R^n, which is Null(A^T Jac) for the m x 0 matrix A, whatever sc says.
     if md.nondegenerate and (md.ell == 0 or pa.cqs.sc):
         Z = nullspace_basis(md.A.T @ jac)
-        eigs = reduced_min_eigs(Z, jac, H, [md.piece(j).Q for j in range(md.kbar)])
+        eigs = reduced_min_eigs(Z, jac, H, md.stacked[0])
         eigs = [None] * md.kbar if eigs is None else eigs
         passed = all(v > PD_TOL for v in eigs if v is not None)
         return SOSCReport("certified-subspace", Z.shape[1],
@@ -131,7 +131,9 @@ def _cone_margin(M, rays, lin):
     the cone {0}): the least eigenvalue of M on the lineality space when it is
     at most PD_TOL or there is no ray, else the least eigenvalue with a
     positive eigenvector of a principal submatrix of the Schur complement on
-    the rays."""
+    the rays. The value is in generator coordinates (unit weights on the
+    rays), so its scale depends on the angles between rays: compare it with
+    PD_TOL only, not across pieces or with a subspace margin."""
     n = M.shape[0]
     G = np.reshape(rays, (len(rays), n)).T
     L = np.reshape(lin, (len(lin), n)).T
@@ -189,7 +191,9 @@ def certify_point(pa: PointAnalysis, md: ManifoldData | None) -> SubregularityCe
 
 
 def restricted_kkt_matrix(p: CompositeProblem, md: ManifoldData, x, y, j):
-    """The (n + m + ell) square system matrix of the j-th restricted step.
+    """The (n + m + ell) square system matrix of the j-th active piece's
+    restricted Newton step at (x, y): row j of the solver's stack
+    (`restricted_systems`).
 
     Returns (matrix, nonsingular), judged by the relative rank test
     `numerics.matrix_rank_rel`.
@@ -198,6 +202,5 @@ def restricted_kkt_matrix(p: CompositeProblem, md: ManifoldData, x, y, j):
         raise PreconditionError("degenerate A")
     x = as_vector(x, p.n, "x")
     y = as_vector(y, p.m, "y")
-    _, jac, H = p.c.evaluate(x, y)
-    M = kkt_matrix(H, jac, md.piece(j).Q, md.AP(j), md.A.T @ jac)
+    M = restricted_systems(md, x, p.c.evaluate(x, y))[0][j]
     return M, matrix_rank_rel(M) == M.shape[0]

@@ -203,63 +203,6 @@ def parse_expr(text: str, n: int):
     return _Parser(_tokenize(text), n).parse()
 
 
-def format_expr(node) -> str:
-    """Fully parenthesized text form; parse(format(ast)) reproduces the ast."""
-    if isinstance(node, Const):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return f"x{node.index}"
-    if isinstance(node, Neg):
-        # The child is always parenthesized: '-x1^2' would re-associate the
-        # power onto the negated base under this grammar.
-        return f"(-({format_expr(node.child)}))"
-    if isinstance(node, BinOp):
-        return f"({format_expr(node.left)} {node.op} {format_expr(node.right)})"
-    if isinstance(node, IntPow):
-        return f"{_pow_base(node.child)}^{node.power}"
-    if isinstance(node, Func):
-        return f"{node.name}({format_expr(node.child)})"
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def _pow_base(node) -> str:
-    if isinstance(node, (Var,)):
-        return format_expr(node)
-    return f"({format_expr(node)})"
-
-
-def substitute_linear(node, M):
-    """Replace each variable x_i by the linear form sum_j M[i-1, j] * x_j."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-
-    def repl(i):
-        terms = None
-        for j in range(M.shape[1]):
-            coef = M[i - 1, j]
-            if coef == 0.0:
-                continue
-            t = BinOp("*", Const(coef), Var(j + 1))
-            terms = t if terms is None else BinOp("+", terms, t)
-        return terms if terms is not None else Const(0.0)
-
-    def walk(nd):
-        if isinstance(nd, Const):
-            return nd
-        if isinstance(nd, Var):
-            return repl(nd.index)
-        if isinstance(nd, Neg):
-            return Neg(walk(nd.child))
-        if isinstance(nd, BinOp):
-            return BinOp(nd.op, walk(nd.left), walk(nd.right))
-        if isinstance(nd, IntPow):
-            return IntPow(walk(nd.child), nd.power)
-        if isinstance(nd, Func):
-            return Func(nd.name, walk(nd.child))
-        raise TypeError(nd)
-
-    return walk(node)
-
-
 # -- order-aware forward sweeps ---------------------------------------------------
 #
 # A jet is the tuple (value,), (value, gradient) or (value, gradient, Hessian):
@@ -447,11 +390,6 @@ class SmoothMap:
         if wh is not None:
             wh = 0.5 * (wh + wh.T)
         return Linearization(val, jac, wh)
-
-    def rotated(self, M) -> "SmoothMap":
-        """The map x -> c(Mx), by substituting linear forms into each component."""
-        comps = tuple(substitute_linear(cmp, M) for cmp in self.components)
-        return SmoothMap(self.n, self.m, comps)
 
 
 def fd_jacobian(c: SmoothMap, x, step=1e-5) -> np.ndarray:

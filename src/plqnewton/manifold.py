@@ -46,12 +46,13 @@ class ManifoldData:
     A: np.ndarray                 # m x ell, reference-piece active gradients
     P: tuple                      # k_bar diagonal sign vectors (length ell)
     nondegenerate: bool
+    stacked: tuple                # (Q_j, b_j, A P_j) of the active pieces, leading axis k_bar
 
     def __post_init__(self):
         object.__setattr__(self, "base_point", freeze_array(self.base_point))
-        # A and P are h-only data that build_manifold_at makes once per
-        # structure and shares: mark them read-only without copying.
-        for a in (self.A, *self.P):
+        # A, P and the stacks are h-only data that build_manifold_at makes
+        # once per structure and shares: mark them read-only without copying.
+        for a in (self.A, *self.P, *self.stacked):
             a.setflags(write=False)
 
     @property
@@ -67,7 +68,7 @@ class ManifoldData:
         return self.A.shape[0]
 
     def AP(self, j) -> np.ndarray:
-        return self.A * self.P[j][None, :]
+        return self.stacked[2][j]
 
     def piece(self, j):
         """The j-th active piece's data."""
@@ -139,10 +140,12 @@ def build_manifold_at(h: PLQFunction, prof: ActiveProfile, cbar) -> ManifoldData
         ref_signs = h.pieces[pieces[-1]].signs[idx]
         A = np.ascontiguousarray((ref_signs[:, None] * A_all[idx]).T)
         P = tuple(h.pieces[k].signs[idx] * ref_signs for k in pieces)
+        pcs = [h.pieces[k] for k in pieces]
+        stacked = (np.array([pc.Q for pc in pcs]), np.array([pc.b for pc in pcs]),
+                   A * np.array(P)[:, None])
         cached = h._manifold_cache.setdefault(
-            (pieces, act), (A, P, matrix_rank_rel(A) == len(act)))
-    A, P, nondeg = cached
-    return ManifoldData(h, cbar, pieces, act, A, P, nondeg)
+            (pieces, act), (A, P, matrix_rank_rel(A) == len(act), stacked))
+    return ManifoldData(h, cbar, pieces, act, *cached)
 
 
 def manifold_contains(md: ManifoldData, c) -> bool:
@@ -190,13 +193,9 @@ def strictness_check(md: ManifoldData, c, y) -> StrictnessReport:
     mu = mu_of(md, c, y)
     blocks = mu.blocks
     ri_member = bool(np.all(blocks > SC_TOL))
-    has_positive_block = any(np.all(blocks[j] > SC_TOL) for j in range(md.kbar))
-    zeros_ok = True
-    for j in range(md.kbar):
-        for i in range(md.ell):
-            if blocks[j, i] <= SC_TOL:
-                if not all(md.P[jp][i] == 1.0 for jp in range(md.kbar)):
-                    zeros_ok = False
+    has_positive_block = (blocks > SC_TOL).all(axis=1).any()
+    # An entry i at zero in some block needs P_j[i] = 1 for every active piece.
+    zeros_ok = (np.array(md.P)[:, (blocks <= SC_TOL).any(axis=0)] == 1.0).all()
     k_strict = bool(has_positive_block and zeros_ok)
     return StrictnessReport(ri_member, k_strict, mu)
 

@@ -12,8 +12,8 @@ their interiors are disjoint.
 tests every piece at once against the K x s sign matrix; its profile keeps
 the one active set. Each function caches what depends on h alone, filled on
 first use: the unit tangent-cone rows of piece k for each active hyperplane
-set (and, through `calculus`, the cone's generators), each piece's
-interior point and, through `solver`, the structure enumeration's face plan.
+set (and, through `calculus`, the cone's generators) and, through `solver`,
+the structure enumeration's face plan.
 
 `validate_representation` decides every invariant exactly, convexity
 included, on the faces of the arrangement; it draws no random number.
@@ -122,12 +122,11 @@ class PLQFunction:
         object.__setattr__(self, "_signs", freeze_array(signs))
         # h-only data, filled on first use: (k, active set) -> unit tangent
         # rows; (k, active set) -> tangent-cone generators (see calculus);
-        # (k, cap) -> piece interior point; (active pieces, active set) ->
-        # the manifold's A, P and nondegeneracy (see manifold); () -> the
-        # structure enumeration's face plan (see solver).
+        # (active pieces, active set) -> the manifold's A, P, nondegeneracy
+        # and stacked piece data (see manifold); () -> the structure
+        # enumeration's face plan (see solver).
         object.__setattr__(self, "_tangent_cache", {})
         object.__setattr__(self, "_cone_cache", {})
-        object.__setattr__(self, "_interior_cache", {})
         object.__setattr__(self, "_manifold_cache", {})
         object.__setattr__(self, "_face_plan_cache", {})
 
@@ -231,19 +230,6 @@ def finite_value(h: PLQFunction, c) -> float:
 # -- validation -------------------------------------------------------------
 
 
-def piece_interior_point(h: PLQFunction, k, cap=4.0):
-    """A point of maximal uniform slack inside piece k; (None, None) when empty.
-    The LP runs once per (k, cap); each call returns a fresh copy."""
-    found = h._interior_cache.get((k, cap))
-    if found is None:
-        x, t = max_slack_point(*h.piece_rows(k), cap=cap)
-        if x is None or t < -1e-9:
-            x, t = None, None
-        found = h._interior_cache.setdefault((k, cap), (x, t))
-    x, t = found
-    return (None, None) if x is None else (x.copy(), t)
-
-
 @dataclass
 class ValidationReport:
     piece_feasible: list = field(default_factory=list)
@@ -279,21 +265,21 @@ class ValidationReport:
         }
 
 
-def _face(h: PLQFunction, memo, eq, signs, found=None):
-    """(x, T, rows) of the face where the hyperplanes `eq` hold with equality
-    and signs_j (<a_j, c> - alpha_j) <= 0 for every other j, or None when it
-    is empty: x is a relative-interior point, T = `_face_basis(h, x)` and
-    rows = (F, f, E, e) give the face as F c <= f, E c = e. One max-slack LP
-    per face and `memo`, unless `found` is its (x, t). At a depth t of at most
-    1e-9, the rows that a support LP shows to hold with equality on the whole
-    face join E and the LP runs again (Schrijver, *Theory of Linear and
-    Integer Programming*, 1986, §8.2)."""
+def _face(h: PLQFunction, memo, eq, signs):
+    """(x, T, rows, t) of the face where the hyperplanes `eq` hold with
+    equality and signs_j (<a_j, c> - alpha_j) <= 0 for every other j, or None
+    when it is empty: x is a relative-interior point, T = `_face_basis(h, x)`,
+    rows = (F, f, E, e) give the face as F c <= f, E c = e, and t is the
+    depth of its max-slack LP (capped at 4.0), one per face and `memo`. At a
+    depth of at most 1e-9, the rows that a support LP shows to hold with
+    equality on the whole face join E and the LP runs again (Schrijver,
+    *Theory of Linear and Integer Programming*, 1986, §8.2)."""
     off = [j for j in range(h.n_hyperplanes) if j not in eq]
     key = (eq, tuple(signs[off]))
     if key not in memo:
         F, f, E, e = signs[off, None] * h._A[off], signs[off] * h._alpha[off], \
             h._A[list(eq)], h._alpha[list(eq)]
-        x, t = found or max_slack_point(F, f, E=E, e=e, cap=4.0)
+        x, t = max_slack_point(F, f, E=E, e=e, cap=4.0)
         if x is not None and -1e-9 <= t <= 1e-9:
             nrm, imp = np.linalg.norm(F, axis=1), np.zeros(f.size, dtype=bool)
             for i in np.flatnonzero(f - F @ x <= 1e-6 * nrm * (1.0 + np.linalg.norm(x))):
@@ -303,7 +289,7 @@ def _face(h: PLQFunction, memo, eq, signs, found=None):
                 F, f, E, e = F[~imp], f[~imp], np.vstack([E, F[imp]]), np.r_[e, f[imp]]
                 y = max_slack_point(F, f, E=E, e=e, cap=4.0)[0]
                 x = x if y is None else y
-        memo[key] = None if x is None or t < -1e-9 else (x, _face_basis(h, x), (F, f, E, e))
+        memo[key] = None if x is None or t < -1e-9 else (x, _face_basis(h, x), (F, f, E, e), t)
     return memo[key]
 
 
@@ -318,7 +304,7 @@ def _facet_jump(h: PLQFunction, k1, k2, facet, x2):
     """Minimum over the facet (a `_face`) of nu . (grad f_k2 - grad f_k1), the
     jump of the derivative along the unit normal nu into k2, whose point is
     x2; -inf when unbounded below."""
-    x, T, rows = facet
+    x, T, rows, _ = facet
     nu = (x2 - x) - T @ (T.T @ (x2 - x))
     nu = nu / np.linalg.norm(nu)
     dQ, db = h.pieces[k2].Q - h.pieces[k1].Q, h.pieces[k2].b - h.pieces[k1].b
@@ -374,12 +360,12 @@ def validate_representation(h: PLQFunction) -> ValidationReport:
     """
     rep, memo, points, depth = ValidationReport(), {}, {}, {}
     for k in range(h.n_pieces):
-        x, t = piece_interior_point(h, k)
-        rep.piece_feasible.append(x is not None)
-        if x is None:
+        face = _face(h, memo, (), h._signs[k])
+        rep.piece_feasible.append(face is not None)
+        if face is None:
             rep.messages.append(f"piece {k} is empty")
         else:
-            depth[k], points[k] = t, _face(h, memo, (), h._signs[k], found=(x, t))[:2]
+            points[k], depth[k] = face[:2], face[3]
     rep.all_pass = all(rep.piece_feasible)
     if not points:
         rep.messages.append("dom h is empty")
@@ -408,7 +394,7 @@ def validate_representation(h: PLQFunction) -> ValidationReport:
                      h._signs[k1])
         if face is None:
             continue
-        x, T, _ = face
+        x, T, _, _ = face
         v1, g1 = h.piece_value(k1, x), T.T @ h.piece_gradient(k1, x)
         gap = max(abs(v1 - h.piece_value(k2, x)) / (1.0 + abs(v1)), float(
             np.linalg.norm(g1 - T.T @ h.piece_gradient(k2, x)) / (1.0 + np.linalg.norm(g1))))

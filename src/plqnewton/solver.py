@@ -5,14 +5,15 @@ linearized KKT system [[H, Jac^T, 0], [-Q Jac, I, -C], [R, 0, 0]] assembled
 by `kkt_matrix`, and only the coupling blocks C and R of the hyperplanes
 held at equality differ. Entry points:
 
-  restricted_newton_step: one active piece's manifold-restricted system;
-  newton_solve: the manifold-restricted iteration, taking the step of every
-      active piece and checking that their (x, y) parts agree (the gluing
-      identity), with identification and strict-positivity monitors. It runs
-      on any number k_bar >= 1 of active pieces: on one piece with ell
-      active hyperplanes it is the local SQP iteration of a nonlinear
-      program, and with ell = 0 classical Newton on the piece's stationarity
-      equations (method smooth);
+  restricted_systems, restricted_newton_step: every active piece's
+      manifold-restricted system, assembled and solved as one stack;
+  newton_solve: the manifold-restricted iteration. It takes the last row's
+      (x, y) and every row's mu, checks that the rows' (x, y) parts agree
+      (the gluing identity) as one array reduction, and records
+      identification and strict-positivity monitors. It runs on any number
+      k_bar >= 1 of active pieces: on one piece with ell active hyperplanes
+      it is the local SQP iteration of a nonlinear program, and with ell = 0
+      classical Newton on the piece's stationarity equations (method smooth);
   solve_subproblem_enum: direction finding by enumeration of candidate active
       structures (piece, active hyperplane subset) of the linearized model.
       It returns its critical pairs: H d + Jac^T y = 0 with y in
@@ -38,14 +39,12 @@ regime or divergence errors rather than recovery heuristics.
 
 Each iterate (x_k, y_k) is linearized once: a single `SmoothMap.evaluate`
 gives (c(x_k), Jac c(x_k), sum_i y_i Hess c_i(x_k)), and every consumer at
-that point shares it: the restricted steps of all pieces, the monitors, the
-enumeration subproblem and the KKT residual. The linearization made for the
-residual of (x_{k+1}, y_{k+1}) is the one step k+1 uses.
+that point shares it: the restricted step, the monitors, the enumeration
+subproblem and the KKT residual. The linearization made for the residual of
+(x_{k+1}, y_{k+1}) is the one step k+1 uses.
 
 A solve is single-threaded and owns its mutable trace; distinct solves over
-the immutable problem objects may run concurrently. The per-piece restricted
-steps within one iteration share only immutable inputs and are joined by the
-gluing check, so they could execute in parallel.
+the immutable problem objects may run concurrently.
 """
 
 from __future__ import annotations
@@ -87,15 +86,6 @@ class SolveOptions:
 
     def converged(self, res) -> bool:
         return res.stationarity <= self.tol and res.subdiff_violation <= self.tol
-
-
-@dataclass
-class RestrictedState:
-    """Primal-dual point plus the per-piece block multipliers."""
-
-    x: np.ndarray
-    y: np.ndarray
-    mu_blocks: np.ndarray  # (k_bar, ell)
 
 
 @dataclass
@@ -180,8 +170,8 @@ def kkt_matrix(H, jac, Q, cols=None, rows=None) -> np.ndarray:
     `cols` (m x ell) are the gradients of the hyperplanes held at equality,
     signed for the piece, and `rows` (ell x n) their linearization; without
     them the matrix is the (n + m) square system of a smooth piece. Given a
-    stack of B systems (Q as B x m x m, cols and rows with the same leading
-    axis), it returns the B x N x N stack.
+    stack of B systems (Q as B x m x m, cols with the same leading axis,
+    rows with it or shared), it returns the B x N x N stack.
     """
     m, n = jac.shape
     ell = 0 if cols is None else cols.shape[-1]
@@ -200,15 +190,12 @@ def kkt_matrix(H, jac, Q, cols=None, rows=None) -> np.ndarray:
 
 def reduced_min_eigs(Z, jac, H, Qs):
     """Minimum eigenvalue of the reduced matrix Z^T (Jac^T Q Jac + H) Z for
-    each Q in Qs, or None when Z has no columns."""
+    each Q in Qs (a list or a k x m x m stack), one batched eigvalsh, or
+    None when Z has no columns."""
     if Z.shape[1] == 0:
         return None
-    eigs = []
-    for Q in Qs:
-        G = Z.T @ (jac.T @ Q @ jac + H) @ Z
-        G = 0.5 * (G + G.T)
-        eigs.append(float(np.linalg.eigvalsh(G)[0]))  # ascending
-    return eigs
+    G = Z.T @ (jac.T @ Qs @ jac + H) @ Z
+    return np.linalg.eigvalsh(0.5 * (G + G.swapaxes(-1, -2)))[:, 0].tolist()  # ascending
 
 
 def _iterate(p: CompositeProblem, trace: IterationTrace, x, y, step, opts: SolveOptions,
@@ -260,37 +247,50 @@ def _mu_min(mu) -> float | None:
     return float(np.min(mu)) if mu.size else None
 
 
-def restricted_newton_step(p: CompositeProblem, md: ManifoldData,
-                           state: RestrictedState, j: int,
-                           lin: Linearization | None = None) -> RestrictedState:
-    """Solve the j-th restricted linear system at the state's (x, y).
-
-    The unknowns are the full (x, y, mu_j); rows are the linearized
-    stationarity equation, the piece-j subgradient equation at the linearized
-    point, and the manifold equation pinning the linearized point to the
-    manifold's affine hull. `lin` is the linearization p.c.evaluate(x, y) at
-    the state's pair, made here when not given. On a one-piece manifold this
-    is the local SQP step of the nonlinear program whose constraints are the
-    active hyperplanes, and classical Newton when there are none.
-    """
-    x_hat = as_vector(state.x, p.n, "x")
-    y_hat = as_vector(state.y, p.m, "y")
-    cx, jac, H = p.c.evaluate(x_hat, y_hat) if lin is None else lin
-    n, m = p.n, p.m
-    piece = md.piece(j)
-    jx = jac @ x_hat
-    rhs = [H @ x_hat, piece.Q @ (cx - jx) + piece.b]
+def restricted_systems(md: ManifoldData, x, lin: Linearization):
+    """Every active piece's restricted KKT system at x, given the
+    linearization `lin` there, as one stack: the (kbar, N, N) matrices and
+    the (kbar, N, 1) right-hand sides, N = n + m + ell. System j solves for
+    (x, y, mu_j): the linearized stationarity equation, piece j's subgradient
+    equation at the linearized point, and the manifold equation pinning that
+    point to the manifold's affine hull."""
+    cx, jac, H = lin
+    m, n = jac.shape
+    Qs, bs, cols = md.stacked
+    jx = jac @ x
+    rhs = np.empty((md.kbar, n + m + md.ell, 1))
+    rhs[:, :n, 0], rhs[:, n:n + m, 0] = H @ x, Qs @ (cx - jx) + bs
     rows = None
     if md.ell:  # the manifold equation
         rows = md.A.T @ jac
-        rhs.append(md.A.T @ (md.base_point - cx + jx))
+        rhs[:, n + m:, 0] = md.A.T @ (md.base_point - cx + jx)
+    return kkt_matrix(H, jac, Qs, cols, rows), rhs
+
+
+def restricted_newton_step(p: CompositeProblem, md: ManifoldData, x, y,
+                           lin: Linearization | None = None) -> np.ndarray:
+    """The (kbar, n + m + ell) rows (x_j, y_j, mu_j) solving every active
+    piece's restricted system at (x, y) (`restricted_systems`) as one stack;
+    `lin` is p.c.evaluate(x, y), made when not given. On one piece this is
+    the SQP step of the nonlinear program whose constraints are the active
+    hyperplanes, and classical Newton when there are none."""
+    x = as_vector(x, p.n, "x")
+    y = as_vector(y, p.m, "y")
+    M, rhs = restricted_systems(md, x, p.c.evaluate(x, y) if lin is None else lin)
     try:
-        sol = np.linalg.solve(kkt_matrix(H, jac, piece.Q, md.AP(j), rows), np.concatenate(rhs))
-    except np.linalg.LinAlgError:
+        return np.linalg.solve(M, rhs)[:, :, 0]
+    except np.linalg.LinAlgError:  # name the first system with a zero LU pivot
+        j = int(np.argmin(np.abs(np.linalg.slogdet(M)[0])))
         raise StepError(f"restricted system for piece block {j} is singular") from None
-    mu = state.mu_blocks.copy()
-    mu[j] = sol[n + m:]
-    return RestrictedState(sol[:n], sol[n:n + m], mu)
+
+
+def _gluing_gap(sols, n, m) -> float:
+    """max over rows i < j of a restricted step of |x_i - x_j| + |y_i - y_j|,
+    each norm from the dot product np.linalg.norm takes."""
+    d = sols[:, None, None, :n + m] - sols[None, :, None, :n + m]
+    dx, dy = d[..., :n], d[..., n:]
+    return float(np.max(np.sqrt((dx @ dx.swapaxes(-1, -2))[..., 0, 0])
+                        + np.sqrt((dy @ dy.swapaxes(-1, -2))[..., 0, 0])))
 
 
 def newton_solve(p: CompositeProblem, md: ManifoldData | None, start, opts: SolveOptions,
@@ -313,37 +313,30 @@ def newton_solve(p: CompositeProblem, md: ManifoldData | None, start, opts: Solv
         mu = np.asarray(start[2], dtype=float).reshape(md.kbar, md.ell)
     else:
         mu = _initial_mu(p, md, lin.c, y)
+    n, m = p.n, p.m
 
     def step(k, x, y, lin):
-        nonlocal mu
-        state = RestrictedState(x, y, mu)
         try:
-            results = [restricted_newton_step(p, md, state, j, lin) for j in range(md.kbar)]
+            sols = restricted_newton_step(p, md, x, y, lin)
         except StepError:
             if md.ell:
                 raise
             raise StepError(f"smooth system singular at iteration {k}") from None
-        new = results[-1]
-        prof = eval_with_active(p.h, lin.c + lin.J @ (new.x - x))
+        new_x, new_y, mu = sols[-1, :n], sols[-1, n:n + m], sols[:, n + m:]
+        prof = eval_with_active(p.h, lin.c + lin.J @ (new_x - x))
         on_manifold = md.matches(prof.active_pieces, prof.active_set)
         if md.kbar == 1 and not on_manifold:
             where = "face" if md.ell else "interior"
             raise RegimeError(f"linearized point left the {where} of piece "
                               f"{md.active_pieces[0]} at iteration {k}")
-        gap = 0.0
-        for i in range(md.kbar):
-            for j in range(i + 1, md.kbar):
-                gap = max(gap, float(np.linalg.norm(results[i].x - results[j].x)
-                                     + np.linalg.norm(results[i].y - results[j].y)))
         # One piece has no pair to glue: gap 0 passes without the scale.
+        gap = 0.0 if md.kbar == 1 else _gluing_gap(sols, n, m)
         if gap and gap > GLUE_FAIL * (1.0 + float(np.linalg.norm(x)) + float(np.linalg.norm(y))):
             raise DivergenceError(
                 f"gluing identity failed at iteration {k}: cross-piece gap {gap:g}")
-        mu = np.array([r.mu_blocks[j] for j, r in enumerate(results)])
-        return new.x, new.y, dict(
+        return new_x, new_y, dict(
             mu=mu, on_manifold=on_manifold, lin_active=prof.active_pieces,
-            model_check=lambda: _model_sosc_ok(md.A.T @ lin.J, lin.J, lin.H,
-                                               [md.piece(j).Q for j in range(md.kbar)]),
+            model_check=lambda: _model_sosc_ok(md.A.T @ lin.J, lin.J, lin.H, md.stacked[0]),
             mu_min=_mu_min(mu), gluing_gap=gap)
 
     return _iterate(p, IterationTrace(method="newton"), x, y, step, opts, reference, lin,

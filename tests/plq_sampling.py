@@ -1,6 +1,6 @@
 """Random points of a PLQ function's pieces and domain, for the property tests.
 
-Each draw starts at a piece's interior point (`plq.piece_interior_point`) and
+Each draw starts at a piece's interior point (`oracles.piece_interior_point`) and
 takes a random feasible step along a random ray, so the tests reach the inside
 of pieces, their faces and their crossings.
 """
@@ -8,7 +8,9 @@ of pieces, their faces and their crossings.
 import numpy as np
 
 from plqnewton.errors import DomainError
-from plqnewton.plq import PLQFunction, piece_interior_point
+from plqnewton.plq import PLQFunction
+
+from oracles import piece_interior_point
 
 
 def sample_point_in_piece(h: PLQFunction, k, rng, radius=8.0):

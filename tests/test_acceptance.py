@@ -40,6 +40,7 @@ from plqnewton.solver import (
     solve_subproblem_enum,
 )
 
+from oracles import is_empty
 from plq_sampling import sample_domain_point
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -319,7 +320,7 @@ def test_criterion_8_qualification_implication_chain():
         E = rng.standard_normal((n_eq, dim))
         e = E @ y0
         poly = PolyhedronH(E, e, F, f)
-        if poly.is_empty():
+        if is_empty(poly):
             continue
         k = int(rng.integers(0, dim + 1))
         # S = span of the first k columns of Q, as the null space of the rest.

@@ -28,6 +28,8 @@ from plqnewton.numerics import matrix_rank_rel, nullspace_basis
 from plqnewton.problems import ProblemFile, parse_problem_dict
 from plqnewton.solver import solve_subproblem_enum
 
+from oracles import rotated_map
+
 
 class TestSOSC:
     def test_b1_subspace_mode(self):
@@ -93,7 +95,7 @@ class TestSOSC:
         base = certify_sosc(b.problem, b.xbar, b.ybar)
         for _ in range(5):
             U = np.linalg.qr(rng.standard_normal((2, 2)))[0]
-            rotated = CompositeProblem(b.problem.h, b.problem.c.rotated(U))
+            rotated = CompositeProblem(b.problem.h, rotated_map(b.problem.c, U))
             rep = certify_sosc(rotated, U.T @ b.xbar, b.ybar)
             assert rep.passed == base.passed
             eigs0 = sorted(v for _, v in base.piece_min_eigs)

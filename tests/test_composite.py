@@ -20,6 +20,7 @@ from plqnewton.errors import DomainError, PreconditionError
 from plqnewton.exprmap import SmoothMap
 from plqnewton.plq import Hyperplane, Piece, PLQFunction
 
+from oracles import is_empty, rotated_map
 from plq_sampling import sample_domain_point
 
 
@@ -67,7 +68,7 @@ class TestMultiplierSet:
         for _ in range(10):
             A = rng.standard_normal((2, 2))
             U, _ = np.linalg.qr(A)
-            rotated = CompositeProblem(b.problem.h, b.problem.c.rotated(U))
+            rotated = CompositeProblem(b.problem.h, rotated_map(b.problem.c, U))
             ms0 = multiplier_set(b.problem, [0.0, 0.0])
             ms1 = multiplier_set(rotated, U.T @ np.zeros(2))
             assert ms0.status == ms1.status
@@ -190,7 +191,7 @@ def _pure_instance(rng):
     E = rng.standard_normal((n_eq, dim))
     e = E @ y0
     poly = PolyhedronH(E, e, F, f)
-    if poly.is_empty():
+    if is_empty(poly):
         return None
     k = int(rng.integers(0, dim + 1))
     Q = np.linalg.qr(rng.standard_normal((dim, dim)))[0] if k else np.eye(dim)

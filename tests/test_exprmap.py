@@ -13,11 +13,10 @@ from plqnewton.exprmap import (
     Var,
     fd_jacobian,
     fd_weighted_hessian,
-    format_expr,
     parse_expr,
 )
 
-from oracles import eval_value
+from oracles import eval_value, format_expr, rotated_map
 
 
 class TestParsing:
@@ -190,7 +189,7 @@ class TestEvaluateMap:
         c = SmoothMap.from_strings(["x1^2 + sin(x2)", "x1*x2"], 2)
         theta = 0.6
         U = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-        cr = c.rotated(U)
+        cr = rotated_map(c, U)
         for _ in range(20):
             x = rng.standard_normal(2)
             assert np.allclose(cr.value(x), c.value(U @ x), atol=1e-12)

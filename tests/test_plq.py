@@ -14,12 +14,11 @@ from plqnewton.plq import (
     active_structure,
     eval_with_active,
     finite_value,
-    piece_interior_point,
     validate_representation,
 )
 from plqnewton.simplex import feasible_point
 
-from oracles import piece_contains
+from oracles import piece_contains, piece_interior_point
 from plq_sampling import sample_domain_point
 
 

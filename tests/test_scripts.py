@@ -6,6 +6,8 @@ import pathlib
 
 import numpy as np
 
+from plqnewton.errors import INPUT_ERRORS, REGIME_ERRORS
+
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 CERTIFIED = ["b1_cubic", "b1_minimax", "b1_scaled", "cross_l1", "expsin_ls", "l1_kink",
              "rosenbrock_ls"]
@@ -54,3 +56,25 @@ def test_report_digest_benchmark_lines():
     validated = [(head, json.loads(rest)["command"]) for tag, head, rest in fields
                  if tag.endswith("/validate")]
     assert validated == [("0", "validate")] * 9
+
+
+def test_report_digest_workload_lines(tmp_path):
+    # The workload path of the digest: validate on the four many_kinks files,
+    # then the 44 ops of round 0 at seed 7, newton at k_bar = 8 and 16 included.
+    script = _load("report_digest")
+    lines = list(script.workload_lines(script.WORKLOADS["many_kinks"], 7, 1, tmp_path))
+    assert len(lines) == 48
+    fields = [line.split(" ", 2) for line in lines]
+    assert len({tag for tag, _, _ in fields}) == 48
+    documented = {cls.__name__ for cls in INPUT_ERRORS + REGIME_ERRORS}
+    newton = 0
+    for tag, head, rest in fields:
+        body = json.loads(rest)
+        if head not in ("0", "1"):
+            assert head in documented, tag
+            assert "/newton/" not in tag, tag
+            continue
+        if "/newton/" in tag:
+            newton += 1
+            assert body["identification"]["linearized_on_manifold"] is True, tag
+    assert newton == 10

@@ -27,7 +27,6 @@ from plqnewton.exprmap import SmoothMap
 from plqnewton.manifold import build_manifold, mu_of
 from plqnewton.problems import parse_problem_dict
 from plqnewton.solver import (
-    RestrictedState,
     SolveOptions,
     SubproblemSolution,
     _consistent,
@@ -41,6 +40,7 @@ from plqnewton.solver import (
     solve,
     solve_subproblem_enum,
 )
+from oracles import pairwise_gluing_gap, restricted_step_of_piece
 from oracles import solve_possibly_singular as _solve_possibly_singular
 from test_certify import NLP_XBAR, NLP_YBAR, _count_calls, _nlp, _weighted_l1_crossing
 
@@ -55,12 +55,12 @@ class TestRestrictedStep:
     def test_solution_is_fixed_point(self):
         b, md = _b1_setup()
         mu = mu_of(md, b.problem.c.value(b.xbar), b.ybar)
-        state = RestrictedState(b.xbar.copy(), b.ybar.copy(), mu.blocks.copy())
-        for j in range(md.kbar):
-            new = restricted_newton_step(b.problem, md, state, j)
-            assert np.linalg.norm(new.x - b.xbar) <= 1e-12
-            assert np.linalg.norm(new.y - b.ybar) <= 1e-12
-            assert np.linalg.norm(new.mu_blocks[j] - mu.blocks[j]) <= 1e-12
+        rows = restricted_newton_step(b.problem, md, b.xbar, b.ybar)
+        assert rows.shape == (md.kbar, 2 + 2 + md.ell)
+        for j, new in enumerate(rows):
+            assert np.linalg.norm(new[:2] - b.xbar) <= 1e-12
+            assert np.linalg.norm(new[2:4] - b.ybar) <= 1e-12
+            assert np.linalg.norm(new[4:] - mu.blocks[j]) <= 1e-12
 
     def test_quadratic_contraction_constant(self):
         # Empirical contraction fit over random starts: err_new <= C err_old^2.
@@ -72,11 +72,9 @@ class TestRestrictedStep:
             dx = rng.uniform(-0.1, 0.1, 2)
             dy = rng.uniform(-0.1, 0.1, 2)
             x0, y0 = b.xbar + dx, b.ybar + dy
-            mu0 = np.maximum(mu_of(md, b.problem.c.value(b.xbar), b.ybar).blocks, 1e-3)
-            state = RestrictedState(x0, y0, mu0)
             err_old = np.linalg.norm(x0 - b.xbar) + np.linalg.norm(y0 - b.ybar)
-            new = restricted_newton_step(b.problem, md, state, 0)
-            err_new = np.linalg.norm(new.x - b.xbar) + np.linalg.norm(new.y - b.ybar)
+            new = restricted_newton_step(b.problem, md, x0, y0)[0]
+            err_new = np.linalg.norm(new[:2] - b.xbar) + np.linalg.norm(new[2:4] - b.ybar)
             ratios.append(err_new / err_old ** 2)
         C = max(ratios)
         assert C < 10.0  # fitted constant stays moderate across the sample
@@ -93,12 +91,80 @@ class TestRestrictedStep:
         p = CompositeProblem(h, c)
         md = build_manifold(h, [0.0])
         x_hat, y_hat = np.array([0.0]), np.array([1.0])  # H = y * 1 = 1
-        state = RestrictedState(x_hat, y_hat, np.array([[0.5], [0.5]]))
-        new = restricted_newton_step(p, md, state, 1)
+        new = restricted_newton_step(p, md, x_hat, y_hat)[1]
         M = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, -1.0], [1.0, 0.0, 0.0]])
         rhs = np.array([0.0, 0.0, 0.0])  # x_hat = 0, c(0) = 0 = cbar
         direct = np.linalg.solve(M, rhs)
-        assert np.allclose([new.x[0], new.y[0], new.mu_blocks[1, 0]], direct, atol=1e-12)
+        assert np.allclose(new, direct, atol=1e-12)
+
+
+def _stack_case(name):
+    """(problem, xbar, ybar) of a benchmark, or of the s = 3 or 4 weighted-l1
+    crossing ("crossing3", "crossing4") with 2^s active pieces at xbar."""
+    if name.startswith("crossing"):
+        s = int(name[-1])
+        pf = _weighted_l1_crossing((0.7, 1.3, 1.9, 0.9)[:s], (0.3, -0.5, 0.4, 0.6)[:s])
+        return (pf.problem, *pf.reference)
+    b = BENCHMARKS[name]()
+    return b.problem, b.xbar, b.ybar
+
+
+class TestStackedStep:
+    """The restricted step solves every active piece's system as one stack:
+    each row is the piece's system solved alone, bit for bit, and the array
+    gluing gap is the pairwise loop's."""
+
+    @pytest.mark.parametrize("name, kbar", [("b1_minimax", 2), ("cross_l1", 4),
+                                            ("crossing3", 8), ("crossing4", 16)])
+    def test_rows_equal_single_solves(self, name, kbar):
+        p, xbar, ybar = _stack_case(name)
+        md = build_manifold(p.h, p.c.value(xbar))
+        assert md.kbar == kbar
+        rng = np.random.default_rng(kbar)
+        for _ in range(3):
+            x = xbar + rng.uniform(-0.1, 0.1, p.n)
+            y = ybar + rng.uniform(-0.1, 0.1, p.m)
+            rows = restricted_newton_step(p, md, x, y)
+            assert rows.shape == (kbar, p.n + p.m + md.ell)
+            for j, row in enumerate(rows):
+                assert np.array_equal(row, restricted_step_of_piece(p, md, x, y, j)), j
+            assert solver._gluing_gap(rows, p.n, p.m) == pairwise_gluing_gap(rows, p.n, p.m)
+            noise = rng.standard_normal(rows.shape)
+            assert solver._gluing_gap(noise, p.n, p.m) == pairwise_gluing_gap(noise, p.n, p.m)
+
+    @pytest.mark.parametrize("s", [3, 4])
+    def test_newton_glues_on_the_crossings(self, s):
+        p, xbar, ybar = _stack_case(f"crossing{s}")
+        md = build_manifold(p.h, p.c.value(xbar))
+        rng = np.random.default_rng(s)
+        x0 = xbar + rng.uniform(-0.05, 0.05, s)
+        y0 = ybar + rng.uniform(-0.1, 0.1, s)
+        assert plq.eval_with_active(p.h, p.c.value(x0)).kbar == 1  # off the kink
+        tr = newton_solve(p, md, (x0, y0), SolveOptions(), reference=(xbar, ybar))
+        assert tr.converged and tr.final.k >= 2
+        for prev, row in zip(tr.rows, tr.rows[1:]):
+            assert row.on_manifold and row.lin_active == md.active_pieces
+            assert row.gluing_gap <= 1e-8 * (1 + np.linalg.norm(row.x) + np.linalg.norm(row.y))
+            # The row is the last piece's (x, y), every piece's mu and the
+            # pairwise gap of the step taken from the previous row.
+            step = restricted_newton_step(p, md, prev.x, prev.y)
+            assert np.array_equal(np.concatenate([row.x, row.y]), step[-1, :2 * s])
+            assert np.array_equal(row.mu, step[:, 2 * s:]) and row.mu.shape == (2 ** s, s)
+            assert row.gluing_gap == pairwise_gluing_gap(step, s, s)
+
+    def test_singular_stack_names_the_first_singular_block(self):
+        # c = x and H = 0 across the kink c1 = 0: piece k's system is singular
+        # exactly when Q_k[1, 1] = 0, so one block of the stack is.
+        from plqnewton.plq import Hyperplane, Piece, PLQFunction
+
+        for Qs, block in (((np.diag([0.0, 1.0]), np.zeros((2, 2))), 1),
+                          ((np.zeros((2, 2)), np.diag([0.0, 1.0])), 0)):
+            h = PLQFunction(2, [Hyperplane([1.0, 0.0], 0.0)],
+                            [Piece([-1], Qs[0], [0.0, 0.0]), Piece([1], Qs[1], [0.0, 0.0])])
+            p = CompositeProblem(h, SmoothMap.from_strings(["x1", "x2"], 2))
+            md = build_manifold(h, [0.0, 0.0])
+            with pytest.raises(StepError, match=f"piece block {block} is singular"):
+                restricted_newton_step(p, md, [0.0, 0.0], [0.0, 0.0])
 
 
 class TestNewtonSolve:
@@ -178,11 +244,9 @@ class TestSubproblemEnum:
         sols = solve_subproblem_enum(b.problem, x_hat, H)
         assert len(sols) == 1
         best = sols[0]
-        mu0 = np.array([[0.5], [0.5]])
-        state = RestrictedState(x_hat, y_hat, mu0)
-        stepped = restricted_newton_step(b.problem, md, state, 0)
-        assert np.linalg.norm(x_hat + best.d - stepped.x) <= 1e-9
-        assert np.linalg.norm(best.y - stepped.y) <= 1e-9
+        stepped = restricted_newton_step(b.problem, md, x_hat, y_hat)[0]
+        assert np.linalg.norm(x_hat + best.d - stepped[:2]) <= 1e-9
+        assert np.linalg.norm(best.y - stepped[2:4]) <= 1e-9
 
     def test_single_piece_is_single_solve(self):
         p = CompositeProblem(sumsq_plq(2), SmoothMap.from_strings(["x1", "x2"], 2))
