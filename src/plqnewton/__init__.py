@@ -7,7 +7,7 @@ The public surface mirrors the module layout:
   exprmap    expression-defined smooth maps with exact derivatives
   composite  composite problems, multipliers, qualifications, residuals
   manifold   active-manifold structure, block multipliers, partial smoothness
-  certify    second-order and subregularity certificates, restricted matrices
+  certify    second-order and subregularity certificates
   solver     restricted Newton on any active structure, structure enumeration,
              quasi-Newton
   rates      convergence-rate classification
@@ -30,7 +30,6 @@ from .certify import (
     certify_point,
     certify_sosc,
     certify_subregularity,
-    restricted_kkt_matrix,
 )
 from .composite import (
     CompositeProblem,

@@ -9,6 +9,9 @@ The tangent cone of piece k depends only on h and the active hyperplane set,
 so its generators are converted once per (k, active set) and cached on the
 PLQ function as unit rows ready for `subdiff_hrep`. The `_at` twins take an
 active profile the caller already holds, so h is evaluated once per point.
+A facet shared by several active pieces comes once per piece, as the
+per-piece construction gives it; the point analysis (composite) keeps one
+copy with `PolyhedronH.distinct`, so its LPs see each facet once.
 
 Extended-real results use the tagged ExtReal type; no float('inf') arithmetic.
 All operations are functions over immutable inputs. The only state is the
@@ -128,6 +131,15 @@ def cone_contains(B, v, tol=MEMB_TOL) -> bool:
 # -- polyhedra in H-form -----------------------------------------------------
 
 
+def _first_copies(M, rhs):
+    """Indices of the first copy of each distinct (row, rhs), in order.
+    Adding 0.0 turns -0.0 into 0.0, so equal values give equal bytes."""
+    first = {}
+    for i, key in enumerate(np.hstack([M, rhs[:, None]]) + 0.0):
+        first.setdefault(key.tobytes(), i)
+    return np.fromiter(first.values(), int, len(first))
+
+
 @dataclass(frozen=True)
 class PolyhedronH:
     """{y : E y = e, F y <= f} with rows normalized to unit length."""
@@ -174,6 +186,17 @@ class PolyhedronH:
             arr.setflags(write=False)
             object.__setattr__(P, name, arr)
         return P
+
+    def distinct(self) -> "PolyhedronH":
+        """The same set with each exact (row, rhs) repeat dropped and first
+        copies kept in order; self when nothing repeats. Rows compare by
+        value, so -0.0 equals 0.0. A subdifferential at a crossing of s
+        hyperplanes stacks each of its 2s facets 2^(s-1) times, once for
+        each active piece that has it."""
+        iE, iF = _first_copies(self.E, self.e), _first_copies(self.F, self.f)
+        if len(iE) == len(self.e) and len(iF) == len(self.f):
+            return self
+        return PolyhedronH.from_unit_rows(self.E[iE], self.e[iE], self.F[iF], self.f[iF])
 
     @property
     def dim(self) -> int:

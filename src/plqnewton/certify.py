@@ -29,8 +29,6 @@ The reduced curvature check runs in one of two modes, both exact:
 All checks at xbar read one `PointAnalysis` (see composite): `certify_point`
 hands it, with the manifold data at c(xbar), from the multiplier test to the
 sufficiency check, and the CLI's certify report reads the same two.
-`restricted_kkt_matrix` exposes one piece's matrix of the restricted Newton
-step, a row of the stack that the solver's `restricted_systems` assembles.
 No check draws a random number. The module needs numpy only.
 """
 
@@ -45,8 +43,8 @@ from .calculus import cone_generators
 from .composite import CompositeProblem, PointAnalysis, analyze_point
 from .errors import PreconditionError, RegimeError
 from .manifold import ManifoldData, build_manifold_at
-from .numerics import as_vector, matrix_rank_rel, nullspace_basis
-from .solver import reduced_min_eigs, restricted_systems
+from .numerics import as_vector, nullspace_basis
+from .solver import reduced_min_eigs
 
 # Positive-definiteness threshold on reduced eigenvalues.
 PD_TOL = 1e-8
@@ -189,18 +187,3 @@ def certify_point(pa: PointAnalysis, md: ManifoldData | None) -> SubregularityCe
         single, sosc, "strongly-metrically-subregular" if certified else "not-certified",
         tuple(reasons))
 
-
-def restricted_kkt_matrix(p: CompositeProblem, md: ManifoldData, x, y, j):
-    """The (n + m + ell) square system matrix of the j-th active piece's
-    restricted Newton step at (x, y): row j of the solver's stack
-    (`restricted_systems`).
-
-    Returns (matrix, nonsingular), judged by the relative rank test
-    `numerics.matrix_rank_rel`.
-    """
-    if not md.nondegenerate:
-        raise PreconditionError("degenerate A")
-    x = as_vector(x, p.n, "x")
-    y = as_vector(y, p.m, "y")
-    M = restricted_systems(md, x, p.c.evaluate(x, y))[0][j]
-    return M, matrix_rank_rel(M) == M.shape[0]

@@ -55,8 +55,14 @@ def _resolve_point(pf: ProblemFile, spec: str | None, rng):
         raise PreconditionError(f"--point {spec} is not a JSON object with a numeric x "
                                 f"(and optional y): {type(err).__name__}: {err}") from None
     for name, v, dim in (("x", x, pf.problem.n), ("y", y, pf.problem.m)):
-        if v is not None and v.size != dim:
+        if v is None:
+            continue
+        if v.ndim != 1:
+            raise PreconditionError(f"--point {name} is not a flat list of numbers")
+        if v.size != dim:
             raise PreconditionError(f"--point {name} has length {v.size}, expected {dim}")
+        if not np.all(np.isfinite(v)):
+            raise PreconditionError(f"--point {name} has a non-finite entry")
     return x, y
 
 

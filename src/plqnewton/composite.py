@@ -12,12 +12,14 @@ of h at c(x). The three nested qualifications are checked as follows:
        single point, decided by an interior-slack LP plus the tc rank test.
 
 The chain is computed once per point: `analyze_point` makes one first-order
-sweep of c and one subdifferential, and `qualification_chain` derives bcq,
-tc, sc and the multiplier set from that nullspace and that polyhedron;
-`bcq_holds`, `multiplier_set`, `check_cqs` and `nonascent_contains` are thin
-entry points over it. The only state is the implicit-equality data a
-polyhedron caches on first use; computing it is idempotent, so concurrent
-checks on one problem are safe.
+sweep of c and one subdifferential, held with each facet once (at a crossing
+of s hyperplanes the 2^s active pieces stack each of the 2s box facets 2^(s-1)
+times, and every LP would carry the copies), and `qualification_chain`
+derives bcq, tc, sc and the multiplier set from that nullspace and that
+polyhedron; `bcq_holds`, `multiplier_set`, `check_cqs` and
+`nonascent_contains` are thin entry points over it. The only state is the
+implicit-equality data a polyhedron caches on first use; computing it is
+idempotent, so concurrent checks on one problem are safe.
 """
 
 from __future__ import annotations
@@ -98,8 +100,9 @@ class KKTResidual:
 @dataclass(frozen=True)
 class PointAnalysis:
     """One point x, analyzed once: c(x) and jac = Jac c(x) from one
-    first-order sweep, the subdifferential `sub` of h at c(x), and what
-    `qualification_chain` derives from Null(jac^T) and `sub`."""
+    first-order sweep, the subdifferential `sub` of h at c(x) with each
+    facet once, and what `qualification_chain` derives from Null(jac^T) and
+    `sub`."""
 
     p: CompositeProblem
     x: np.ndarray
@@ -124,7 +127,7 @@ def analyze_point(p: CompositeProblem, x) -> PointAnalysis:
     prof = eval_with_active(p.h, cx)
     if not prof.is_finite:
         raise DomainError("c(x) is outside dom h")
-    sub = subdiff_hrep_at(p.h, prof, cx)
+    sub = subdiff_hrep_at(p.h, prof, cx).distinct()
     mult, cqs = qualification_chain(sub, jac.T)
     return PointAnalysis(p, x, cx, prof, jac, sub, mult, cqs)
 

@@ -67,13 +67,6 @@ class ManifoldData:
     def m(self) -> int:
         return self.A.shape[0]
 
-    def AP(self, j) -> np.ndarray:
-        return self.stacked[2][j]
-
-    def piece(self, j):
-        """The j-th active piece's data."""
-        return self.h.pieces[self.active_pieces[j]]
-
     def matches(self, pieces: tuple, hyperplanes: tuple) -> bool:
         """Whether a point with these active pieces and active hyperplanes
         (as `eval_with_active` and `active_structure` give them) lies on the
@@ -83,12 +76,13 @@ class ManifoldData:
         return (pieces, hyperplanes) == (self.active_pieces, self.active_hyperplanes)
 
     def mu_projection(self, c, y):
-        """(blocks, residuals): per active piece j the residual
-        r_j = y - Q_j c - b_j and its block P_j (A^T A)^{-1} A^T r_j."""
-        AtA = self.A.T @ self.A
-        resids = [y - self.piece(j).Q @ c - self.piece(j).b for j in range(self.kbar)]
-        blocks = np.array([self.P[j] * np.linalg.solve(AtA, self.A.T @ r)
-                           for j, r in enumerate(resids)])
+        """(blocks, residuals), stacked over the active pieces j: the residual
+        r_j = y - Q_j c - b_j and its block P_j (A^T A)^{-1} A^T r_j, with
+        one batched solve on A^T A."""
+        Qs, bs, _ = self.stacked
+        resids = y - (Qs @ c[:, None])[:, :, 0] - bs
+        Atr = self.A.T @ resids[:, :, None]
+        blocks = np.array(self.P) * np.linalg.solve((self.A.T @ self.A)[None], Atr)[:, :, 0]
         return blocks, resids
 
     def to_dict(self):
@@ -163,13 +157,13 @@ def mu_of(md: ManifoldData, c, y) -> MuVector:
     if not manifold_contains(md, c):
         raise PreconditionError("c is not on the manifold")
     blocks, resids = md.mu_projection(c, y)
+    recon = resids - (md.stacked[2] @ blocks[:, :, None])[:, :, 0]
     scale = 1.0 + float(np.linalg.norm(y))
-    for j in range(md.kbar):
-        recon = resids[j] - md.AP(j) @ blocks[j]
-        if np.linalg.norm(recon) > RECON_TOL * scale:
-            raise MembershipError(
-                f"y is not a subgradient at c: block {j} reconstruction residual "
-                f"{np.linalg.norm(recon):g}")
+    bad = np.flatnonzero(np.linalg.norm(recon, axis=1) > RECON_TOL * scale)
+    if bad.size:
+        raise MembershipError(
+            f"y is not a subgradient at c: block {bad[0]} reconstruction residual "
+            f"{np.linalg.norm(recon[bad[0]]):g}")
     mu = MuVector(blocks)
     if mu.min_entry < -1e-9:
         raise MembershipError(f"y is not a subgradient at c: negative multiplier {mu.min_entry:g}")

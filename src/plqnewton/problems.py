@@ -15,15 +15,17 @@ The JSON layout:
       "solver": {"method": "newton", "tol": 1e-12, "max_iter": 50}
     }
 
-Q omitted means the zero matrix; beta omitted means 0. Schema problems raise
-SchemaError with a JSON-pointer-style location; a loaded representation is
-then validated by `plq.validate_representation` and failures raise
-ValidationFailure.
+Q omitted means the zero matrix; beta omitted means 0. Every number must be
+finite: Python's json reads NaN and Infinity, and the schema refuses them.
+Schema problems raise SchemaError with a JSON-pointer-style location; a
+loaded representation is then validated by `plq.validate_representation` and
+failures raise ValidationFailure.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,6 +67,8 @@ def _want(obj, key, kind, ptr, optional=False, default=None):
     elif kind == "num":
         if not isinstance(val, (int, float)) or isinstance(val, bool):
             raise SchemaError(f"{ptr}/{key}", "expected a number")
+        if not math.isfinite(val):
+            raise SchemaError(f"{ptr}/{key}", "expected a finite number")
     elif kind == "list":
         if not isinstance(val, list):
             raise SchemaError(f"{ptr}/{key}", "expected a list")
@@ -81,9 +85,12 @@ def _num_vector(val, length, ptr):
     if not isinstance(val, list) or len(val) != length:
         raise SchemaError(ptr, f"expected a list of {length} numbers")
     try:
-        return np.asarray([float(v) for v in val], dtype=float)
+        vals = [float(v) for v in val]
     except (TypeError, ValueError):
         raise SchemaError(ptr, "expected numeric entries") from None
+    if not all(map(math.isfinite, vals)):
+        raise SchemaError(ptr, "expected finite entries")
+    return np.asarray(vals, dtype=float)
 
 
 def parse_problem_dict(doc: dict, path: str = "") -> ProblemFile:

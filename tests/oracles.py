@@ -3,11 +3,12 @@
 Each restates a piece of the library in its plainest form, for tests that
 compare the library's faster paths against it: a linear solve that tolerates
 singular systems (a stack of one through `solver._solve_stack`), one active
-piece's restricted Newton step and the pairwise gluing gap, the value of an
-expression tree, an orthonormal basis of a matrix's range, one piece's
-membership test and interior point; also the test-only helpers: the text
-form of an expression tree, the map x -> c(Mx) and the emptiness of an
-H-form polyhedron.
+piece's restricted Newton step, the block multipliers piece by piece and the
+pairwise gluing gap, the value of an expression tree, an orthonormal basis
+of a matrix's range, one piece's membership test and interior point; also
+the test-only helpers: one piece's restricted system matrix, the text form
+of an expression tree, the map x -> c(Mx) and the emptiness of an H-form
+polyhedron.
 """
 
 import itertools
@@ -15,9 +16,10 @@ import itertools
 import numpy as np
 
 from plqnewton.exprmap import BinOp, Const, Func, IntPow, Neg, SmoothMap, Var, _sweep
-from plqnewton.numerics import RANK_RTOL
+from plqnewton.errors import PreconditionError
+from plqnewton.numerics import RANK_RTOL, as_vector, matrix_rank_rel
 from plqnewton.simplex import max_slack_point
-from plqnewton.solver import _solve_stack, kkt_matrix
+from plqnewton.solver import _solve_stack, kkt_matrix, restricted_systems
 
 
 def solve_possibly_singular(M, rhs, tol=1e-9):
@@ -34,7 +36,7 @@ def restricted_step_of_piece(p, md, x, y, j):
     """(x_j, y_j, mu_j): piece j's restricted Newton step at (x, y), its
     system assembled and solved alone."""
     cx, jac, H = p.c.evaluate(x, y)
-    piece, jx = md.piece(j), jac @ x
+    piece, jx = md.h.pieces[md.active_pieces[j]], jac @ x
     rhs = [H @ x, piece.Q @ (cx - jx) + piece.b]
     rows = None
     if md.ell:
@@ -42,6 +44,27 @@ def restricted_step_of_piece(p, md, x, y, j):
         rhs.append(md.A.T @ (md.base_point - cx + jx))
     cols = md.A * md.P[j][None, :]
     return np.linalg.solve(kkt_matrix(H, jac, piece.Q, cols, rows), np.concatenate(rhs))
+
+
+def restricted_kkt_matrix(p, md, x, y, j):
+    """(matrix, nonsingular): the (n + m + ell) square system matrix of the
+    j-th active piece's restricted Newton step at (x, y), row j of the
+    solver's stack (`restricted_systems`), judged by the relative rank test."""
+    if not md.nondegenerate:
+        raise PreconditionError("degenerate A")
+    x = as_vector(x, p.n, "x")
+    M = restricted_systems(md, x, p.c.evaluate(x, as_vector(y, p.m, "y")))[0][j]
+    return M, matrix_rank_rel(M) == M.shape[0]
+
+
+def mu_projection_of_pieces(md, c, y):
+    """`ManifoldData.mu_projection` piece by piece: the residuals
+    r_j = y - Q_j c - b_j and the blocks P_j (A^T A)^{-1} A^T r_j."""
+    AtA = md.A.T @ md.A
+    pieces = [md.h.pieces[k] for k in md.active_pieces]
+    resids = [y - piece.Q @ c - piece.b for piece in pieces]
+    blocks = [md.P[j] * np.linalg.solve(AtA, md.A.T @ r) for j, r in enumerate(resids)]
+    return np.array(blocks).reshape(md.kbar, md.ell), np.array(resids)
 
 
 def pairwise_gluing_gap(sols, n, m) -> float:

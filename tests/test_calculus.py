@@ -14,6 +14,7 @@ from plqnewton.calculus import (
     second_subderivative,
     subdiff_hrep,
 )
+from plqnewton.composite import qualification_chain
 from plqnewton.errors import DomainError, MembershipError
 from plqnewton.plq import eval_with_active, finite_value
 from plqnewton.simplex import feasible_point
@@ -477,3 +478,76 @@ class TestImplicitEqualityMask:
         assert P.contains(y) and t > calculus.MEMB_TOL + P.violation(y)
         monkeypatch.setattr(calculus, "max_slack_point", lambda *args, **kwargs: (y, 0.0))
         assert P.implicit_equality_mask().tolist() == [True, True, True]
+
+
+def _with_repeats(P: PolyhedronH, rng):
+    """P's unit rows (as given, so no bit moves) with exact repeats and
+    signed-zero twins (every 0.0 of a row and its rhs flipped to -0.0 and
+    back) appended, in a random order."""
+
+    def grow(M, rhs):
+        M, rhs = list(M), list(rhs)
+        for i in rng.integers(0, len(M), int(rng.integers(0, 4))) if M else ():
+            M.append(M[i].copy())
+            rhs.append(rhs[i])
+        for i in rng.integers(0, len(M), int(rng.integers(0, 4))) if M else ():
+            M.append(np.where(M[i] == 0.0, -M[i], M[i]))
+            rhs.append(-rhs[i] if rhs[i] == 0.0 else rhs[i])
+        order = rng.permutation(len(M))
+        return (np.array(M).reshape(len(M), P.dim)[order], np.array(rhs).reshape(-1)[order])
+
+    return PolyhedronH.from_unit_rows(*grow(P.E, P.e), *grow(P.F, P.f))
+
+
+def _first_copies_by_value(M, rhs):
+    """The rows of the first copy of each (row, rhs), compared with ==."""
+    rows, kept = np.hstack([M, rhs[:, None]]), []
+    for i, row in enumerate(rows):
+        if not any(np.array_equal(row, rows[k]) for k in kept):
+            kept.append(i)
+    return kept
+
+
+class TestDistinctRows:
+    """`PolyhedronH.distinct` drops exact repeats of a (row, rhs), -0.0 equal
+    to 0.0, and keeps the first copies in order; the set, and every verdict
+    the analysis reads from it, stays the same."""
+
+    def test_box_facets_of_the_l1_origin_once(self):
+        P = subdiff_hrep(l1_plq(), [0, 0])
+        D = P.distinct()
+        assert P.F.shape == (8, 2) and D.F.shape == (4, 2)
+        assert _poly_equal(D, _box(2, -1.0, 1.0))
+        assert D.distinct() is D
+
+    def test_signed_zero_twins_are_repeats(self):
+        F = np.array([[1.0, 0.0], [1.0, -0.0], [-0.0, 1.0], [0.0, 1.0]])
+        f = np.array([0.0, -0.0, 1.0, 1.0])
+        D = PolyhedronH.from_unit_rows(np.zeros((0, 2)), np.zeros(0), F, f).distinct()
+        assert D.F.tolist() == [[1.0, 0.0], [-0.0, 1.0]]
+        assert not np.signbit(D.f[0]) and np.signbit(D.F[1, 0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 100_000))
+    def test_same_set_and_verdicts_without_repeats(self, seed):
+        rng = np.random.default_rng(seed)
+        P = _with_repeats(_random_polyhedron(rng), rng)
+        D = P.distinct()
+        for M, rhs, kept in ((P.E, P.e, D.E), (P.F, P.f, D.F)):
+            first = _first_copies_by_value(M, rhs)
+            assert kept.tobytes() == M[first].tobytes()
+        assert D.distinct() is D
+        for _ in range(20):
+            # A matrix product may sum a row in an order that depends on the
+            # row count, so the violation may move by a rounding error.
+            y = rng.integers(-3, 4, P.dim) + rng.choice([0.0, 0.5, 1e-10], P.dim)
+            assert D.contains(y) == P.contains(y)
+            rounding = 8 * np.finfo(float).eps * (1.0 + np.abs(y).sum())
+            assert abs(D.violation(y) - P.violation(y)) <= rounding
+        if is_empty(P):
+            return
+        rows = rng.integers(-2, 3, (int(rng.integers(0, P.dim)), P.dim)).astype(float)
+        mult_p, cqs_p = qualification_chain(P, rows)
+        mult_d, cqs_d = qualification_chain(D, rows)
+        assert mult_d.status == mult_p.status
+        assert (cqs_d.tc, cqs_d.bcq, cqs_d.sc) == (cqs_p.tc, cqs_p.bcq, cqs_p.sc)

@@ -18,7 +18,7 @@ from plqnewton.benchmarks import (
     rosenbrock_ls,
 )
 from plqnewton import calculus, certify, composite, manifold, plq, simplex
-from plqnewton.certify import certify_sosc, certify_subregularity, restricted_kkt_matrix
+from plqnewton.certify import certify_sosc, certify_subregularity
 from plqnewton.cli import main, run_report
 from plqnewton.composite import CompositeProblem
 from plqnewton.errors import PreconditionError
@@ -28,7 +28,7 @@ from plqnewton.numerics import matrix_rank_rel, nullspace_basis
 from plqnewton.problems import ProblemFile, parse_problem_dict
 from plqnewton.solver import solve_subproblem_enum
 
-from oracles import rotated_map
+from oracles import restricted_kkt_matrix, rotated_map
 
 
 class TestSOSC:
@@ -541,6 +541,30 @@ class TestOneAnalysisPerPoint:
         pf = parse_problem_dict(b1_minimax().as_problem_dict())
         calls = self._certify(monkeypatch, pf, ((simplex, "solve_lp"),))
         assert len(calls["solve_lp"]) <= 3
+
+    @pytest.mark.parametrize("s", range(3, 9))
+    def test_crossing_lps_hold_each_box_facet_once(self, monkeypatch, s):
+        # At a crossing of s hyperplanes each of the 2^s active pieces
+        # contributes s facets of the box subdifferential, so each of the 2s
+        # facets comes 2^(s-1) times. The analysis keeps one copy: every LP
+        # has at most 2s + 1 inequality rows (the facets and t <= cap), not
+        # s 2^s + 1.
+        rows = []
+        solve_lp = simplex.solve_lp
+
+        def counted(c, F=None, f=None, E=None, e=None):
+            rows.append(0 if F is None else len(F))
+            return solve_lp(c, F, f, E, e)
+
+        monkeypatch.setattr(simplex, "solve_lp", counted)
+        rng = np.random.default_rng(s)
+        pf = _weighted_l1_crossing(w=tuple(rng.uniform(0.5, 2.0, s)),
+                                   a=tuple(rng.uniform(-0.5, 0.5, s)))
+        report, code = run_report(pf, "certify", {"seed": 42})
+        assert code == 0
+        assert report["subregularity"]["conclusion"] == "strongly-metrically-subregular"
+        assert 1 <= len(rows) <= 3
+        assert max(rows) <= 2 * s + 1
 
 
 class TestPolyhedralDataOnce:

@@ -303,9 +303,10 @@ class TestExitCodeContract:
         assert "Traceback" not in err and "length 3" in err
 
     @pytest.mark.parametrize("content", ['{"y": [0, 0]}', "not json", "[1, 2]",
-                                         '{"x": ["a", 1]}'])
+                                         '{"x": ["a", 1]}', '{"x": [[0, 0]]}',
+                                         '{"x": [0, 0], "y": [[0.5, 0.5]]}'])
     def test_malformed_point_file_is_input_error(self, tmp_path, capsys, content):
-        # No x, no JSON, not an object, a non-numeric x.
+        # No x, no JSON, not an object, a non-numeric x, a nested x or y.
         point = tmp_path / "point.json"
         point.write_text(content)
         for command in ("certify", "check-derivs"):
@@ -350,3 +351,45 @@ class TestExitCodeContract:
             code = main(["solve", "b1_minimax"])
             assert code in (2, 3), cls.__name__
             assert code == documented.get(cls.__name__, code), cls.__name__
+
+
+def _set(doc, path, value):
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    doc[last] = value
+
+
+@pytest.mark.filterwarnings("error")
+class TestNonFiniteNumbers:
+    """Python's json reads NaN and Infinity; a problem file or a --point file
+    that holds one is an input error (exit 2), with no warning."""
+
+    @pytest.mark.parametrize("command, path, value, pointer", [
+        ("validate", ("h", "pieces", 0, "b"), [np.inf, 0.0], "/h/pieces/0/b"),
+        ("validate", ("h", "pieces", 1, "beta"), -np.inf, "/h/pieces/1/beta"),
+        ("validate", ("h", "pieces", 0, "Q"), [[np.nan, 0.0], [0.0, 0.0]], "/h/pieces/0/Q/0"),
+        ("validate", ("h", "hyperplanes", 0, "alpha"), np.nan, "/h/hyperplanes/0/alpha"),
+        ("validate", ("h", "hyperplanes", 0, "a"), [np.inf, -1.0], "/h/hyperplanes/0/a"),
+        ("certify", ("reference", "y"), [0.5, np.inf], "/reference/y"),
+        ("solve", ("start", "x"), [np.nan, 0.0], "/start/x"),
+        ("solve", ("solver", "tol"), np.inf, "/solver/tol"),
+    ])
+    def test_problem_file(self, tmp_path, capsys, command, path, value, pointer):
+        doc = _doc()
+        doc.setdefault("solver", {})
+        _set(doc, path, value)
+        file = tmp_path / "b1.json"
+        file.write_text(json.dumps(doc))
+        assert main([command, str(file)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and pointer in err and "finite" in err
+
+    @pytest.mark.parametrize("point", [{"x": [np.nan, 0.0]}, {"x": [0.0, 0.0], "y": [np.inf, 0.0]}])
+    def test_point_file(self, tmp_path, capsys, point):
+        file = tmp_path / "point.json"
+        file.write_text(json.dumps(point))
+        for command in ("certify", "check-derivs"):
+            assert main([command, "b1_minimax", "--point", str(file)]) == 2
+            err = capsys.readouterr().err
+            assert "Traceback" not in err and "non-finite" in err

@@ -17,7 +17,8 @@ from plqnewton.manifold import (
 from plqnewton.numerics import nullspace_basis
 from plqnewton.plq import eval_with_active
 
-from oracles import range_basis
+from oracles import mu_projection_of_pieces, range_basis
+from test_certify import _weighted_l1_crossing
 
 
 class TestBuildManifold:
@@ -62,7 +63,7 @@ class TestBuildManifold:
                 grads = np.column_stack(
                     [h.pieces[k].signs[jj] * h.hyperplane_matrix()[0][jj]
                      for jj in md.active_hyperplanes])
-                assert np.allclose(md.AP(j), grads)
+                assert np.allclose(md.stacked[2][j], grads)
 
     def test_smooth_point_is_one_piece_manifold(self):
         # Inside one piece: k_bar = 1, no active hyperplane, A is m x 0, and
@@ -148,9 +149,33 @@ class TestMuOf:
             y = np.array([1.0, rng.uniform(-1, 1)])
             mu = mu_of(md, c, y)
             # The averaged identity y = mean_j (Q_j c + b_j + A P_j mu_j).
-            recon = sum(md.piece(j).Q @ c + md.piece(j).b + md.AP(j) @ mu.blocks[j]
-                        for j in range(md.kbar)) / md.kbar
+            recon = sum(md.h.pieces[k].Q @ c + md.h.pieces[k].b + md.stacked[2][j] @ mu.blocks[j]
+                        for j, k in enumerate(md.active_pieces)) / md.kbar
             assert np.linalg.norm(recon - y) <= 1e-10 * (1 + np.linalg.norm(y))
+
+    @pytest.mark.parametrize("case", ["l1_face", "l1_origin", "max2", "cross3", "cross4"])
+    def test_stacked_projection_equals_the_piece_loop(self, case):
+        # One batched solve on A^T A gives the per-piece loop's bits, at
+        # points on and off the manifold.
+        h, cbar = {"l1_face": (l1_plq(), [1.0, 0.0]), "l1_origin": (l1_plq(), [0.0, 0.0]),
+                   "max2": (max2_plq(), [2.0, 2.0]),
+                   "cross3": (_weighted_l1_crossing().problem.h, [0.0] * 3),
+                   "cross4": (_weighted_l1_crossing((0.7, 1.3, 1.9, 0.9),
+                                                    (0.3, -0.5, 0.4, 0.6)).problem.h,
+                              [0.0] * 4)}[case]
+        md = build_manifold(h, cbar)
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            c, y = rng.normal(size=md.m), rng.normal(size=md.m)
+            blocks, resids = md.mu_projection(c, y)
+            want_blocks, want_resids = mu_projection_of_pieces(md, c, y)
+            assert np.array_equal(blocks, want_blocks) and np.array_equal(resids, want_resids)
+
+    def test_failed_reconstruction_names_the_first_block(self):
+        # y - b_j leaves span(A) = span((1, -1)) by (0.5 + 0.7 - 1) / sqrt(2).
+        md = build_manifold(max2_plq(), [2.0, 2.0])
+        with pytest.raises(MembershipError, match="block 0 reconstruction residual 0.141421"):
+            mu_of(md, [1.0, 1.0], [0.5, 0.7])
 
     def test_block_system_identity(self):
         md = build_manifold(max2_plq(), [2.0, 2.0])
@@ -158,8 +183,8 @@ class TestMuOf:
         y = np.array([0.3, 0.7])
         mu = mu_of(md, c, y)
         for j in range(md.kbar):
-            piece = md.piece(j)
-            rhs = piece.Q @ c + piece.b + md.AP(j) @ mu.blocks[j]
+            piece = md.h.pieces[md.active_pieces[j]]
+            rhs = piece.Q @ c + piece.b + md.stacked[2][j] @ mu.blocks[j]
             assert np.allclose(y, rhs, atol=1e-10)
 
 
@@ -183,10 +208,11 @@ class TestTangentNormal:
         for h, c in ((l1sq_plq(), [1.0, 0.0]), (l1sq_plq(), [0.0, 0.0]), (l1_plq(), [1.0, 0.0])):
             md = build_manifold(h, c)
             W = nullspace_basis(md.A.T)
-            scale = 1.0 + max(np.max(np.abs(md.piece(j).Q)) for j in range(md.kbar))
-            for i in range(md.kbar):
-                for j in range(md.kbar):
-                    dQ = md.piece(i).Q - md.piece(j).Q
+            Qs = [h.pieces[k].Q for k in md.active_pieces]
+            scale = 1.0 + max(np.max(np.abs(Q)) for Q in Qs)
+            for Qi in Qs:
+                for Qj in Qs:
+                    dQ = Qi - Qj
                     for p in range(W.shape[1]):
                         assert dist_to_range(dQ @ W[:, p], md.A) <= 1e-9 * scale
 

@@ -110,9 +110,9 @@ def test_random_1d_plq_properties(seed):
             # A P_j mu_j for each of the two active pieces.
             y = np.array([mid])
             mu = mu_of(md, [tk], y)
-            for j in range(md.kbar):
-                grad = md.piece(j).Q @ [tk] + md.piece(j).b
-                assert np.allclose(grad + md.AP(j) @ mu.blocks[j], y, atol=1e-8)
+            for j, k in enumerate(md.active_pieces):
+                grad = h.pieces[k].Q @ [tk] + h.pieces[k].b
+                assert np.allclose(grad + md.stacked[2][j] @ mu.blocks[j], y, atol=1e-8)
             strict = strictness_check(md, [tk], y)
             assert strict.ri_member and strict.k_strict
 

@@ -78,3 +78,34 @@ def test_report_digest_workload_lines(tmp_path):
             newton += 1
             assert body["identification"]["linearized_on_manifold"] is True, tag
     assert newton == 10
+
+
+def test_digest_diff_lists_each_difference(tmp_path, capsys):
+    script = _load("digest_diff")
+    same = 'a/certify 0 {"cqs": {"sc": true, "ybar": [0.5, NaN]}, "x": [1.0]}'
+    lines_a = [same, 'a/solve 1 {"iterations": 3, "r": 0.25}', 'a/validate 0 {"ok": true}',
+               'b/solve StepError "singular"']
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("\n".join(lines_a) + "\n")
+
+    def run(lines_b):
+        b.write_text("\n".join(lines_b) + "\n")
+        code = script.main([str(a), str(b)])
+        return code, capsys.readouterr().out.splitlines()
+
+    assert run(lines_a) == (0, ["0 of 4 ops differ, 0 in float values only"])
+    floats = [same, 'a/solve 1 {"iterations": 3, "r": 0.2500000000000001}', *lines_a[2:]]
+    assert run(floats) == (0, ["a/solve 1 1", "  /r: 0.25 0.2500000000000001",
+                               "1 of 4 ops differ, 1 in float values only"])
+    others = ['a/certify 0 {"cqs": {"sc": false, "ybar": [0.5, NaN]}, "x": [1.0, 2.0]}',
+              'a/solve 0 {"iterations": 2, "r": 0.25}', 'a/validate 0 {"ok": true, "new": 1}',
+              'b/solve RegimeError "singular"', 'c/solve 0 {}']
+    code, out = run(others)
+    assert code == 1
+    assert out == ["a/certify 0 0", "  /cqs/sc: true false", "  /x: [1.0] [1.0, 2.0]",
+                   "a/solve 1 0", "  /iterations: 3 2",
+                   "a/validate 0 0", "  /new: - 1",
+                   "b/solve StepError RegimeError",
+                   "c/solve - 0",
+                   "5 of 5 ops differ, 0 in float values only"]
+    assert script.main([str(a)]) == 2

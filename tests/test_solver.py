@@ -828,7 +828,7 @@ class TestNewtonNonlinearProgram:
         for prev, row in zip(tr.rows, tr.rows[1:]):
             lin = p.c.evaluate(prev.x, prev.y)
             assert row.model_sosc_ok is _model_sosc_ok(md.A.T @ lin.J, lin.J, lin.H,
-                                                       [md.piece(0).Q])
+                                                       [p.h.pieces[md.active_pieces[0]].Q])
         assert [r.model_sosc_ok for r in tr.rows] == [None, True] + [False] * (len(tr.rows) - 2)
 
     def test_step_leaving_the_face_is_refused(self):
