@@ -24,7 +24,7 @@ from .errors import INPUT_ERRORS, REGIME_ERRORS, PreconditionError
 from .exprmap import fd_jacobian, fd_weighted_hessian
 from .manifold import build_manifold_at, certify_partial_smoothness
 from .plq import validate_representation
-from .problems import ProblemFile, load_problem
+from .problems import ProblemFile, json_floats, load_problem
 from .rates import classify_rate
 from .solver import METHODS, SolveOptions, solve
 
@@ -49,16 +49,14 @@ def _resolve_point(pf: ProblemFile, spec: str | None, rng):
     try:
         with open(spec) as fh:
             doc = json.load(fh)
-        x = np.asarray(doc["x"], dtype=float)
-        y = np.asarray(doc["y"], dtype=float) if "y" in doc else None
-    except (ValueError, KeyError, TypeError) as err:
-        raise PreconditionError(f"--point {spec} is not a JSON object with a numeric x "
-                                f"(and optional y): {type(err).__name__}: {err}") from None
+        x = np.asarray(json_floats(doc["x"]))
+        y = np.asarray(json_floats(doc["y"])) if "y" in doc else None
+    except (ValueError, KeyError, TypeError, OverflowError) as err:
+        raise PreconditionError(f"--point {spec} is not a JSON object with a list of "
+                                f"numbers x (and optional y): {type(err).__name__}: {err}") from None
     for name, v, dim in (("x", x, pf.problem.n), ("y", y, pf.problem.m)):
         if v is None:
             continue
-        if v.ndim != 1:
-            raise PreconditionError(f"--point {name} is not a flat list of numbers")
         if v.size != dim:
             raise PreconditionError(f"--point {name} has length {v.size}, expected {dim}")
         if not np.all(np.isfinite(v)):

@@ -16,7 +16,8 @@ The JSON layout:
     }
 
 Q omitted means the zero matrix; beta omitted means 0. Every number must be
-finite: Python's json reads NaN and Infinity, and the schema refuses them.
+a finite JSON number: Python's json reads NaN and Infinity, and the schema
+refuses them, as it refuses a boolean or a string where a number goes.
 Schema problems raise SchemaError with a JSON-pointer-style location; a
 loaded representation is then validated by `plq.validate_representation` and
 failures raise ValidationFailure.
@@ -67,7 +68,11 @@ def _want(obj, key, kind, ptr, optional=False, default=None):
     elif kind == "num":
         if not isinstance(val, (int, float)) or isinstance(val, bool):
             raise SchemaError(f"{ptr}/{key}", "expected a number")
-        if not math.isfinite(val):
+        try:
+            finite = math.isfinite(val)
+        except OverflowError:  # an integer beyond the double range
+            finite = False
+        if not finite:
             raise SchemaError(f"{ptr}/{key}", "expected a finite number")
     elif kind == "list":
         if not isinstance(val, list):
@@ -81,13 +86,25 @@ def _want(obj, key, kind, ptr, optional=False, default=None):
     return val
 
 
+def json_floats(vals) -> list:
+    """The entries of a JSON list as floats. Raises TypeError when one is
+    not a number, a boolean or a string included (float() would read True
+    as 1.0 and "0.5" as 0.5), and OverflowError on an integer beyond the
+    double range."""
+    if not {bool, str}.isdisjoint(map(type, vals)):
+        raise TypeError("a boolean or a string is not a number")
+    return [float(v) for v in vals]
+
+
 def _num_vector(val, length, ptr):
     if not isinstance(val, list) or len(val) != length:
         raise SchemaError(ptr, f"expected a list of {length} numbers")
     try:
-        vals = [float(v) for v in val]
+        vals = json_floats(val)
     except (TypeError, ValueError):
         raise SchemaError(ptr, "expected numeric entries") from None
+    except OverflowError:
+        raise SchemaError(ptr, "expected finite entries") from None
     if not all(map(math.isfinite, vals)):
         raise SchemaError(ptr, "expected finite entries")
     return np.asarray(vals, dtype=float)

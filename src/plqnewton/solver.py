@@ -22,10 +22,14 @@ held at equality differ. Entry points:
       membership test alone decides, since for a continuous h it already
       makes the multipliers of every active piece nonnegative. Singular faces
       are solved piece by piece. A step is batched: h caches its face plan
-      (the visiting order and each pair's face), the systems of a pass are
-      stacked by size and solved with one SVD per stack (`_solve_stack`), a
-      pair whose piece is not active at c + Jac d is rejected before h is
-      evaluated there, and a pair's curvature verdict is computed when read;
+      (the visiting order, each pair's face and the pieces' Q), the systems
+      of a pass are stacked by size and solved with one SVD per stack
+      (`_solve_stack`), and a pair whose piece is not active at c + Jac d is
+      rejected before h is evaluated there. The pairs come back as a lazy
+      sequence (`CriticalPairs`): membership, the duplicate rule, the
+      alternate and each pair are decided when read, so a caller that reads
+      only the best pair pays for the pairs up to it, and a pair's curvature
+      verdict is computed when read;
   quasi_newton_solve: the structure-enumerating iteration with Hessian
       models B_k;
   solve: the dispatch on a method name (newton | enum | quasi | smooth).
@@ -53,7 +57,7 @@ import csv
 import functools
 import itertools
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -65,7 +69,7 @@ from .errors import DivergenceError, PreconditionError, RegimeError, SchemaError
 from .exprmap import Linearization
 from .manifold import ManifoldData, build_manifold, build_manifold_at
 from .numerics import as_vector, nullspace_basis
-from .plq import eval_with_active
+from .plq import ActiveProfile, eval_with_active
 
 GLUE_FAIL = 1e-8
 # The divergence guard: |x_k| > DIVERGENCE_FACTOR (1 + |x_0|) raises DivergenceError.
@@ -355,7 +359,7 @@ def _bootstrap_manifold(p, x, lin) -> ManifoldData:
     sols = solve_subproblem_enum(p, x, lin.H, lin)
     if not sols:
         raise StepError("bootstrap subproblem has no consistent critical pair")
-    return build_manifold(p.h, lin.c + lin.J @ sols[0].d)
+    return build_manifold_at(p.h, sols[0].profile, lin.c + lin.J @ sols[0].d)
 
 
 # -- structure enumeration ------------------------------------------------------
@@ -378,6 +382,7 @@ class SubproblemSolution:
     model_check: bool | Callable[[], bool] = field(repr=False)
     unique: bool
     alternate: tuple | None  # a second (d, y) on the same solution family
+    profile: ActiveProfile = field(repr=False)  # h's active profile at c + Jac d
 
     @property
     def model_sosc_ok(self) -> bool:
@@ -390,14 +395,16 @@ class SubproblemSolution:
 
 
 class _FacePlan(NamedTuple):
-    """The visiting order of `solve_subproblem_enum`, which depends on h
-    alone: pair q = k 2^s + i is piece k with the i-th subset."""
+    """The visiting order of `solve_subproblem_enum` and the pieces' Q,
+    which depend on h alone: pair q = k 2^s + i is piece k with the i-th
+    subset."""
 
     subsets: list        # the subsets S, by size, then lexicographically
     members: np.ndarray  # (2^s, s): row i starts with the members of subset i
     face: np.ndarray     # (K 2^s,): the face id of each pair
     first: np.ndarray    # (K 2^s,): whether the pair is the first to reach its face
     first_groups: list   # `_size_groups` of the first pairs
+    Qs: np.ndarray       # (K, m, m): each piece's Q
 
 
 def _face_plan(h) -> _FacePlan:
@@ -419,7 +426,8 @@ def _face_plan(h) -> _FacePlan:
         first = np.zeros(keys.size, dtype=bool)
         first[firsts] = True
         plan = h._face_plan_cache.setdefault((), _FacePlan(
-            subsets, members, face, first, _size_groups(subsets, members, np.sort(firsts))))
+            subsets, members, face, first, _size_groups(subsets, members, np.sort(firsts)),
+            np.array([pc.Q for pc in h.pieces])))
     return plan
 
 
@@ -438,8 +446,9 @@ def _size_groups(subsets, members, pairs) -> list:
 
 
 def solve_subproblem_enum(p: CompositeProblem, x_hat, H, lin: Linearization | None = None):
-    """All critical pairs of the linearized model over candidate active
-    structures (piece, subset of hyperplanes held at equality).
+    """The critical pairs of the linearized model over candidate active
+    structures (piece, subset of hyperplanes held at equality), as a
+    read-only sequence (`CriticalPairs`) whose pairs are decided when read.
 
     H is the model Hessian. The model linearizes c at x_hat: its value and
     Jacobian come from `lin` when given (a linearization at x_hat), and from
@@ -449,24 +458,118 @@ def solve_subproblem_enum(p: CompositeProblem, x_hat, H, lin: Linearization | No
     Structures are visited piece by piece, subsets inside (h's `_face_plan`).
     A face is a subset S with the signs off S; its pieces differ there by
     elements of span{a_j : j in S}, so their equality KKT systems share
-    (d, y). The first piece on a face solves its system and `_consistent`
-    decides the face: that piece active at c_lin and y in dh(c_lin).
+    (d, y). The first piece on a face solves its system and decides the
+    face, as `_consistent` does: that piece active at c_lin and y in
+    dh(c_lin).
     Membership alone decides, with no test of the multipliers' signs: for a
     continuous h it already makes every active piece's multipliers
     nonnegative, up to its slack. Later pieces skip a solved face. A
     singular face (a solve with a second point on its solution family, or
     none) is solved and tested piece by piece, and its pairs are reported as
-    non-unique with that point. A (d, y) is accepted once. Results are
-    sorted by model value, ties by piece; each pair's curvature verdict is
-    computed when first read.
+    non-unique with that point when it is consistent too. A (d, y) within
+    1e-9 of an earlier-visited accepted pair is dropped. Pairs are sorted by
+    model value, ties by piece, then in visiting order.
 
-    The solves are batched: one pass solves the first piece of every face,
-    a second the later pieces of the faces whose first solve was singular,
-    each as one `_solve_stack` per system size. The visiting order is then
-    replayed as above. A pair whose piece is not active at c_lin (the
-    residual test of `plq.active_structure`, `_pieces_active`) is rejected
-    before h is evaluated there.
+    The solves are batched (`_enum_solves`). A pair whose piece is active
+    at c_lin (`_pieces_active`) is a candidate: h is evaluated there when
+    the call is made, which gives its model value and raises any
+    RepresentationError, and the candidates are sorted. The rest is decided
+    when the sequence is read, in sorted order: the membership test, the
+    duplicate rule (deciding the earlier-visited neighbours it needs), the
+    alternate's consistency and the `SubproblemSolution`. Reading sols[0] or
+    bool(sols) decides up to the first accepted pair; len, iteration and
+    slicing decide them all. Each pair's curvature verdict is computed when
+    first read.
     """
+    H, cx, jac, plan, results = _enum_solves(p, x_hat, H, lin)
+    h, n, m = p.h, p.n, p.m
+    cands, solved = [], set()  # cands: (piece, subset, solution, alternate, c_lin, profile)
+    for q in sorted(results):
+        face = plan.face[q]
+        if face in solved:
+            continue
+        sol, alt, active = results[q]
+        if sol is None:
+            continue
+        if alt is None:
+            solved.add(face)
+        k, i = divmod(q, len(plan.subsets))
+        if active:
+            c_lin = cx + jac @ sol[:n]
+            prof = eval_with_active(h, c_lin)
+            if prof.is_finite and k in prof.active_pieces:
+                cands.append((k, i, sol, alt, c_lin, prof))
+    values = [prof.value.value + 0.5 * float(sol[:n] @ H @ sol[:n])
+              for _, _, sol, _, _, prof in cands]
+    order = sorted(range(len(cands)), key=lambda j: (round(values[j], 12), cands[j][0]))
+    points = np.array([sol[:n + m] for _, _, sol, _, _, _ in cands]).reshape(len(cands), n + m)
+    accepted = {}
+
+    def is_accepted(j):
+        """Membership, and no earlier-visited accepted pair within 1e-9."""
+        if j not in accepted:
+            _, _, sol, _, c_lin, prof = cands[j]
+            d, y = sol[:n], sol[n:n + m]
+            accepted[j] = subdiff_hrep_at(h, prof, c_lin).contains(y, slack=1e-7) and not any(
+                map(is_accepted, np.flatnonzero(
+                    np.linalg.norm(points[:j, :n] - d, axis=1)
+                    + np.linalg.norm(points[:j, n:] - y, axis=1) <= 1e-9).tolist()))
+        return accepted[j]
+
+    def decide(j):
+        if not is_accepted(j):
+            return None
+        k, i, sol, alt, _, prof = cands[j]
+        alternate = None
+        if alt is not None and _consistent(p, k, alt, cx, jac) is not None:
+            alternate = (alt[:n], alt[n:n + m])
+        return SubproblemSolution(
+            d=sol[:n], y=sol[n:n + m], lam=sol[n + m:], piece=k, active_set=plan.subsets[i],
+            model_value=values[j],
+            model_check=functools.partial(
+                _model_sosc_ok, h.hyperplane_matrix()[0][list(prof.active_set)] @ jac, jac, H,
+                plan.Qs[list(prof.active_pieces)]),
+            unique=alternate is None, alternate=alternate, profile=prof)
+
+    return CriticalPairs(filter(None, map(decide, order)))
+
+
+class CriticalPairs(Sequence):
+    """The pairs of one `solve_subproblem_enum` call, taken from an iterator
+    that decides each when it is drawn. sols[i] draws up to the (i + 1)-th
+    pair; len, iteration, slicing and negative indices draw them all, and a
+    slice is a list."""
+
+    def __init__(self, pairs):
+        self._pending, self._pairs = pairs, []
+
+    def _read(self, count=None) -> list:
+        """The pairs drawn so far, after drawing up to `count` (all when None)."""
+        self._pairs.extend(itertools.islice(
+            self._pending, None if count is None else max(0, count - len(self._pairs))))
+        return self._pairs
+
+    def __getitem__(self, i):
+        if isinstance(i, slice) or i < 0:
+            return self._read()[i]
+        return self._read(i + 1)[i]
+
+    def __len__(self):
+        return len(self._read())
+
+    def __bool__(self):
+        return bool(self._read(1))
+
+    def __iter__(self):
+        return iter(self._read())
+
+
+def _enum_solves(p: CompositeProblem, x_hat, H, lin: Linearization | None):
+    """The batched solves of `solve_subproblem_enum`: (H, c, Jac, plan,
+    results), results mapping each solved pair q to (solution or None,
+    alternate or None, piece active at c_lin). One pass solves the first
+    piece of every face, a second the later pieces of the faces whose first
+    solve was singular, each as one `_solve_stack` per system size."""
     x_hat = as_vector(x_hat, p.n, "x")
     H = np.atleast_2d(np.asarray(H, dtype=float))
     cx, jac, _ = p.c.evaluate(x_hat) if lin is None else lin
@@ -474,19 +577,18 @@ def solve_subproblem_enum(p: CompositeProblem, x_hat, H, lin: Linearization | No
     A_all, alpha = h.hyperplane_matrix()
     n, m, s, K = p.n, p.m, h.n_hyperplanes, h.n_pieces
     plan = _face_plan(h)
-    # Per piece Q and the rhs head; per hyperplane its linearized row and its
-    # last rhs entry.
-    Qs = np.array([pc.Q for pc in h.pieces])
+    # Per piece the rhs head; per hyperplane its linearized row and its last
+    # rhs entry.
     head = np.zeros((K, n + m))
     head[:, n:] = [pc.Q @ cx + pc.b for pc in h.pieces]
     AJ = np.array([a @ jac for a in A_all]).reshape(s, n)
     tail = np.array([alpha[j] - A_all[j] @ cx for j in range(s)])
-    results = {}  # pair -> (solution or None, alternate or None, piece active at c_lin)
+    results = {}
 
     def solve(groups):
         for ell, pairs, ks, idx in groups:
             cols = (h._signs[ks[:, None], idx][:, :, None] * A_all[idx]).transpose(0, 2, 1)
-            sols, alts, full, ok = _solve_stack(kkt_matrix(H, jac, Qs[ks], cols, AJ[idx]),
+            sols, alts, full, ok = _solve_stack(kkt_matrix(H, jac, plan.Qs[ks], cols, AJ[idx]),
                                                 np.concatenate([head[ks], tail[idx]], axis=1))
             active = _pieces_active(h, ks, cx + (jac @ sols[:, :n, None])[:, :, 0])
             for q, sol, alt, f, o, a in zip(pairs.tolist(), sols, alts, full, ok, active):
@@ -498,38 +600,7 @@ def solve_subproblem_enum(p: CompositeProblem, x_hat, H, lin: Linearization | No
     if singular:
         solve(_size_groups(plan.subsets, plan.members,
                            np.flatnonzero(~plan.first & np.isin(plan.face, singular))))
-
-    solved, out, found = set(), [], np.empty((0, n + m))
-    for q in sorted(results):
-        face = plan.face[q]
-        if face in solved:
-            continue
-        sol, alt, active = results[q]
-        if sol is None:
-            continue
-        if alt is None:
-            solved.add(face)
-        k, i = divmod(q, len(plan.subsets))
-        prof = _consistent(p, k, sol, cx, jac) if active else None
-        if prof is None:
-            continue
-        d, y = sol[:n], sol[n:n + m]
-        if out and np.any(np.linalg.norm(found[:, :n] - d, axis=1)
-                          + np.linalg.norm(found[:, n:] - y, axis=1) <= 1e-9):
-            continue
-        alternate = None
-        if alt is not None and _consistent(p, k, alt, cx, jac) is not None:
-            alternate = (alt[:n], alt[n:n + m])
-        out.append(SubproblemSolution(
-            d=d, y=y, lam=sol[n + m:], piece=k, active_set=plan.subsets[i],
-            model_value=prof.value.value + 0.5 * float(d @ H @ d),
-            model_check=functools.partial(
-                _model_sosc_ok, A_all[list(prof.active_set)] @ jac, jac, H,
-                [h.pieces[j].Q for j in prof.active_pieces]),
-            unique=alternate is None, alternate=alternate))
-        found = np.vstack([found, sol[:n + m]])
-    out.sort(key=SubproblemSolution.key)
-    return out
+    return H, cx, jac, plan, results
 
 
 def _solve_stack(M, rhs, tol=1e-9):
@@ -622,9 +693,8 @@ def quasi_newton_solve(p: CompositeProblem, start, B_schedule, opts: SolveOption
         dm = None
         if step_norm > 1e-300:
             dm = float(np.linalg.norm((B - lin.H) @ best.d) / step_norm)
-        lin_active = eval_with_active(p.h, lin.c + lin.J @ best.d).active_pieces
         return x + best.d, best.y, dict(dm_ratio=dm, model_check=best.model_check,
-                                        lin_active=lin_active)
+                                        lin_active=best.profile.active_pieces)
 
     return _iterate(p, trace, x, y, step, opts, reference)
 

@@ -8,9 +8,10 @@ pairwise gluing gap, the value of an expression tree, an orthonormal basis
 of a matrix's range, one piece's membership test and interior point; also
 the test-only helpers: one piece's restricted system matrix, the text form
 of an expression tree, the map x -> c(Mx) and the emptiness of an H-form
-polyhedron.
+polyhedron; and the structure enumeration with every pair decided up front.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -19,7 +20,15 @@ from plqnewton.exprmap import BinOp, Const, Func, IntPow, Neg, SmoothMap, Var, _
 from plqnewton.errors import PreconditionError
 from plqnewton.numerics import RANK_RTOL, as_vector, matrix_rank_rel
 from plqnewton.simplex import max_slack_point
-from plqnewton.solver import _solve_stack, kkt_matrix, restricted_systems
+from plqnewton.solver import (
+    SubproblemSolution,
+    _consistent,
+    _enum_solves,
+    _model_sosc_ok,
+    _solve_stack,
+    kkt_matrix,
+    restricted_systems,
+)
 
 
 def solve_possibly_singular(M, rhs, tol=1e-9):
@@ -169,3 +178,45 @@ def rotated_map(c, M) -> SmoothMap:
 def is_empty(P) -> bool:
     """Whether the H-form polyhedron P has no point."""
     return P.feasible_point() is None
+
+
+def eager_enum(p, x_hat, H, lin=None) -> list:
+    """`solver.solve_subproblem_enum` with every pair decided when the call
+    is made: over the same batched solves, the visiting order is replayed,
+    and each pair not on a solved face is tested (`_consistent`), dropped
+    when an accepted pair lies within 1e-9, and built with its alternate in
+    turn; the list is then sorted by model value, ties by piece."""
+    H, cx, jac, plan, results = _enum_solves(p, x_hat, H, lin)
+    h, n, m = p.h, p.n, p.m
+    A_all = h.hyperplane_matrix()[0]
+    solved, out, found = set(), [], np.empty((0, n + m))
+    for q in sorted(results):
+        face = plan.face[q]
+        if face in solved:
+            continue
+        sol, alt, active = results[q]
+        if sol is None:
+            continue
+        if alt is None:
+            solved.add(face)
+        k, i = divmod(q, len(plan.subsets))
+        prof = _consistent(p, k, sol, cx, jac) if active else None
+        if prof is None:
+            continue
+        d, y = sol[:n], sol[n:n + m]
+        if out and np.any(np.linalg.norm(found[:, :n] - d, axis=1)
+                          + np.linalg.norm(found[:, n:] - y, axis=1) <= 1e-9):
+            continue
+        alternate = None
+        if alt is not None and _consistent(p, k, alt, cx, jac) is not None:
+            alternate = (alt[:n], alt[n:n + m])
+        out.append(SubproblemSolution(
+            d=d, y=y, lam=sol[n + m:], piece=k, active_set=plan.subsets[i],
+            model_value=prof.value.value + 0.5 * float(d @ H @ d),
+            model_check=functools.partial(
+                _model_sosc_ok, A_all[list(prof.active_set)] @ jac, jac, H,
+                [h.pieces[j].Q for j in prof.active_pieces]),
+            unique=alternate is None, alternate=alternate, profile=prof))
+        found = np.vstack([found, sol[:n + m]])
+    out.sort(key=SubproblemSolution.key)
+    return out

@@ -393,3 +393,43 @@ class TestNonFiniteNumbers:
             assert main([command, "b1_minimax", "--point", str(file)]) == 2
             err = capsys.readouterr().err
             assert "Traceback" not in err and "non-finite" in err
+
+
+@pytest.mark.filterwarnings("error")
+class TestBooleansAndStrings:
+    """JSON booleans and numeric strings are not numbers, and an integer
+    beyond the double range is not finite: a problem file or a --point file
+    that gives one where a number goes is an input error (exit 2)."""
+
+    @pytest.mark.parametrize("command, path, value, pointer", [
+        ("validate", ("h", "pieces", 0, "b"), [True, "0"], "/h/pieces/0/b"),
+        ("validate", ("h", "pieces", 0, "Q"), [[False, 0.0], [0.0, 0.0]], "/h/pieces/0/Q/0"),
+        ("validate", ("h", "pieces", 1, "beta"), "0", "/h/pieces/1/beta"),
+        ("validate", ("h", "hyperplanes", 0, "a"), ["1", -1.0], "/h/hyperplanes/0/a"),
+        ("certify", ("reference", "x"), [True, False], "/reference/x"),
+        ("solve", ("start", "y"), ["0.5", 0.5], "/start/y"),
+        ("validate", ("h", "hyperplanes", 0, "alpha"), 10 ** 400, "/h/hyperplanes/0/alpha"),
+        ("solve", ("start", "x"), [10 ** 400, 0.0], "/start/x"),
+    ])
+    def test_problem_file(self, tmp_path, capsys, command, path, value, pointer):
+        doc = _doc()
+        _set(doc, path, value)
+        file = tmp_path / "b1.json"
+        file.write_text(json.dumps(doc))
+        assert main([command, str(file)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and pointer in err
+
+    @pytest.mark.parametrize("point, message", [
+        ({"x": [True, False]}, "not a number"),
+        ({"x": ["0.5", 0.0]}, "not a number"),
+        ({"x": [0.0, 0.0], "y": [True, 0.5]}, "not a number"),
+        ({"x": [10 ** 400, 0.0]}, "OverflowError"),
+    ])
+    def test_point_file(self, tmp_path, capsys, point, message):
+        file = tmp_path / "point.json"
+        file.write_text(json.dumps(point))
+        for command in ("certify", "check-derivs"):
+            assert main([command, "b1_minimax", "--point", str(file)]) == 2
+            err = capsys.readouterr().err
+            assert "Traceback" not in err and message in err

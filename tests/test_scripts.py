@@ -109,3 +109,18 @@ def test_digest_diff_lists_each_difference(tmp_path, capsys):
                    "c/solve - 0",
                    "5 of 5 ops differ, 0 in float values only"]
     assert script.main([str(a)]) == 2
+
+
+def test_op_times_smoke(capsys):
+    # One round of many_kinks at seed 7, each op issued once: 4 certify ops
+    # and 10 of each solve method (the s = 4 instance runs in round 0).
+    script = _load("op_times")
+    assert script.main(["many_kinks", "1", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    summary = json.loads(out[-1])
+    assert (summary["workload"], summary["rounds"], summary["repeats"], summary["wrong"]) \
+        == ("many_kinks", 1, 1, 0)
+    assert {kind: v["ops"] for kind, v in summary["kinds"].items()} \
+        == {"certify": 4, "newton": 10, "enum": 10, "quasi": 10, "smooth": 10}
+    assert all(0 < v["median_ms"] and 0 < v["mean_ms"] for v in summary["kinds"].values())
+    assert [line.split()[0] for line in out[1:-1]] == list(summary["kinds"])

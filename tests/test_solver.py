@@ -1,11 +1,12 @@
 import csv
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plqnewton import plq, solver
+from plqnewton import calculus, plq, solver
 from plqnewton.benchmarks import (
     BENCHMARKS,
     b1_cubic,
@@ -40,7 +41,7 @@ from plqnewton.solver import (
     solve,
     solve_subproblem_enum,
 )
-from oracles import pairwise_gluing_gap, restricted_step_of_piece
+from oracles import eager_enum, pairwise_gluing_gap, restricted_step_of_piece
 from oracles import solve_possibly_singular as _solve_possibly_singular
 from test_certify import NLP_XBAR, NLP_YBAR, _count_calls, _nlp, _weighted_l1_crossing
 
@@ -401,7 +402,7 @@ def _per_structure_enum(p, H, lin):
             model_value=prof.value.value + 0.5 * float(d @ H @ d),
             model_check=_model_sosc_ok(A_all[list(prof.active_set)] @ jac, jac, H,
                                        [p.h.pieces[j].Q for j in prof.active_pieces]),
-            unique=alternate is None, alternate=alternate))
+            unique=alternate is None, alternate=alternate, profile=prof))
     out.sort(key=SubproblemSolution.key)
     return out
 
@@ -587,6 +588,91 @@ class TestFaceEnumeration:
             active = _pieces_active(p.h, np.array([k]), c_lin[None])[0]
             assert active == (k in plq.active_structure(p.h, c_lin)[0])
             assert active or _consistent(p, k, sol, cx, jac) is None
+
+
+def _near_duplicate_step():
+    """(problem, x, H) of a step with two faces 2e-10 apart, the earlier
+    rejected: h = |c| with a redundant hyperplane c = 1e-10 beside the kink,
+    c = x, H = 1 and x = 1 + 2.0006e-7. Piece 0 (c <= 0) solves face (0,) to
+    y = x, outside dh(0) = [-1, 1] by just more than the membership slack,
+    and face (1,) to y = x - 1e-10, just inside. The second is accepted: the
+    duplicate rule looks only at accepted pairs."""
+    h = plq.PLQFunction(1, [plq.Hyperplane([1.0], 0.0), plq.Hyperplane([1.0], 1e-10)],
+                        [plq.Piece([1, 1], [[0.0]], [-1.0]), plq.Piece([-1, 1], [[0.0]], [1.0]),
+                         plq.Piece([-1, -1], [[0.0]], [1.0])])
+    return CompositeProblem(h, SmoothMap.from_strings(["x1"], 1)), [1.0 + 2.0006e-7], np.eye(1)
+
+
+# (w, a) of the weighted-l1 crossings at s = 3 and 4.
+_CROSSINGS = (((0.7, 1.3, 1.9), (0.3, -0.5, 0.4)), ((0.7, 1.3, 1.9, 0.9), (0.3, -0.5, 0.4, 0.6)))
+
+
+def _crossing_step(w, a, y):
+    """(problem, x, linearization at (x, y)) of a step off every hyperplane
+    of the weighted-l1 crossing (w, a); y is cut to s entries."""
+    p = _weighted_l1_crossing(w=w, a=a).problem
+    x = np.array([0.05, -0.06, 0.045, -0.055])[:len(w)]
+    return p, x, p.c.evaluate(x, np.array(y[:len(w)]))
+
+
+def _assert_same_pairs(got, ref):
+    """Every field of every pair equal, floats by ==, arrays by value."""
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        for f in dataclasses.fields(SubproblemSolution):
+            a, b = getattr(g, f.name), getattr(r, f.name)
+            if f.name == "model_check":
+                a, b = g.model_sosc_ok, r.model_sosc_ok
+            elif f.name == "alternate" and a is not None and b is not None:
+                a, b = np.concatenate(a), np.concatenate(b)
+            if isinstance(a, np.ndarray):
+                assert np.array_equal(a, b), f.name
+            else:
+                assert a == b, f.name
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestLazyPairs:
+    """`solve_subproblem_enum` decides its pairs when they are read; listed
+    in full they are the eager reference's (`oracles.eager_enum`)."""
+
+    def _steps(self):
+        for seed in range(60):
+            _, p, x, y, H = _enum_step(seed)
+            yield p, x, H, None
+        for (w, a), y in itertools.product(_CROSSINGS, ([0.1, -0.05, 0.12, 0.02],
+                                                        [-0.1, 0.05, -0.12, -0.02])):
+            p, x, lin = _crossing_step(w, a, y)
+            yield p, x, lin.H, lin
+        yield *_near_duplicate_step(), None
+
+    def test_listed_pairs_equal_the_eager_reference(self):
+        for p, x, H, lin in self._steps():
+            ref = eager_enum(p, x, H, lin)
+            sols = solve_subproblem_enum(p, x, H, lin)
+            _assert_same_pairs(list(sols), ref)
+            _assert_same_pairs(sols[1:], ref[1:])
+            if ref:
+                _assert_same_pairs([sols[0], sols[-1]], [ref[0], ref[-1]])
+            assert bool(solve_subproblem_enum(p, x, H, lin)) == bool(ref)
+
+    def test_near_duplicate_of_a_rejected_pair_is_kept(self):
+        sols = solve_subproblem_enum(*_near_duplicate_step())
+        assert [(q.piece, q.active_set) for q in sols] == [(0, (1,)), (2, ())]
+
+    def test_best_pair_decides_at_most_two_memberships(self, monkeypatch):
+        # y makes the model curvature negative on every coordinate: each of
+        # the 27 faces gives a candidate.
+        p, x, lin = _crossing_step(*_CROSSINGS[0], [-0.1, 0.05, -0.12])
+        evals = _count_calls(monkeypatch, plq, "eval_with_active")
+        members = _count_calls(monkeypatch, calculus, "subdiff_hrep_at")
+        sols = solve_subproblem_enum(p, x, lin.H, lin)
+        candidates = len(evals)  # one evaluation per candidate, none later
+        assert members == [] and candidates > 2
+        best = sols[0]
+        assert 1 <= len(members) <= 2
+        assert len(sols) >= 1 and len(members) == candidates == len(evals)
+        assert sols[0] is best
 
 
 class TestQuasiNewton:
