@@ -67,7 +67,8 @@ class ExprSyntaxError(PLQError):
 
 
 class EvalDomainError(PLQError):
-    """Evaluation hit a domain fault (log/sqrt of a negative, division by zero)."""
+    """Evaluation hit a domain fault (log/sqrt of a negative, division by zero)
+    or gave a non-finite value, derivative or weighted Hessian."""
 
     def __init__(self, message, component=None):
         self.component = component

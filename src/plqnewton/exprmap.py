@@ -357,10 +357,13 @@ class SmoothMap:
             yield jet
 
     def value(self, x) -> np.ndarray:
-        """c(x), by a float-only sweep."""
+        """c(x), by a float-only sweep; a non-finite entry raises
+        EvalDomainError naming its component."""
         x = as_vector(x, self.n, "x")
         out = np.empty(self.m)
         for i, jet in enumerate(self._jets(x, 0)):
+            if not math.isfinite(jet[0]):
+                raise EvalDomainError("non-finite value", component=i)
             out[i] = jet[0]
         return out
 
@@ -374,22 +377,43 @@ class SmoothMap:
         """(value, jacobian, weighted hessian sum_i y_i Hess c_i) at x.
 
         Without y the sweep stops at first order and the weighted Hessian
-        entry is None.
+        entry is None. A non-finite entry of c, J or H raises EvalDomainError
+        naming the component that made it.
         """
         x = as_vector(x, self.n, "x")
-        val = np.empty(self.m)
-        jac = np.empty((self.m, self.n))
+        m, n = self.m, self.n
+        # c, J and the weighted Hessian share one buffer, checked at once.
+        buf = np.zeros(m + m * n + (0 if y is None else n * n))
+        val, jac, wh = buf[:m], buf[m:m + m * n].reshape(m, n), None
         if y is not None:
-            y = as_vector(y, self.m, "y")
-        wh = np.zeros((self.n, self.n)) if y is not None else None
-        for i, jet in enumerate(self._jets(x, 1 if y is None else 2)):
-            val[i] = jet[0]
-            jac[i] = jet[1]
-            if wh is not None:
-                wh += y[i] * jet[2]
+            y = as_vector(y, m, "y")
+            wh = buf[m + m * n:].reshape(n, n)
+        with np.errstate(all="ignore"):  # an overflow or NaN is refused below
+            for i, jet in enumerate(self._jets(x, 1 if y is None else 2)):
+                val[i] = jet[0]
+                jac[i] = jet[1]
+                if wh is not None:
+                    wh += y[i] * jet[2]
+        if not np.isfinite(buf).all():
+            self._refuse_nonfinite(x, y, 1 if y is None else 2)
         if wh is not None:
             wh = 0.5 * (wh + wh.T)
         return Linearization(val, jac, wh)
+
+    def _refuse_nonfinite(self, x, y, order):
+        """Raise EvalDomainError for the first component whose value,
+        gradient or Hessian at x is not finite, or whose weighted Hessian
+        term y_i Hess c_i makes the running sum non-finite."""
+        wh = np.zeros((self.n, self.n))
+        with np.errstate(all="ignore"):
+            for i, jet in enumerate(self._jets(x, order)):
+                parts = list(zip(("value", "gradient", "Hessian"), jet))
+                if y is not None:
+                    wh += y[i] * jet[2]
+                    parts.append(("weighted Hessian", wh))
+                for name, part in parts:
+                    if not np.isfinite(part).all():
+                        raise EvalDomainError(f"non-finite {name}", component=i)
 
 
 def fd_jacobian(c: SmoothMap, x, step=1e-5) -> np.ndarray:

@@ -22,10 +22,12 @@ held at equality differ. Entry points:
       membership test alone decides, since for a continuous h it already
       makes the multipliers of every active piece nonnegative. Singular faces
       are solved piece by piece. A step is batched: h caches its face plan
-      (the visiting order, each pair's face and the pieces' Q), the systems
-      of a pass are stacked by size and solved with one SVD per stack
-      (`_solve_stack`), and a pair whose piece is not active at c + Jac d is
-      rejected before h is evaluated there. The pairs come back as a lazy
+      (the visiting order, each pair's face, the KKT matrix each pair
+      assembles and the pieces' Q), the systems of a pass are stacked by
+      size, each stack's distinct matrices are factored by one SVD
+      (`_solve_stack`) and every system does its own right-hand-side work,
+      and a pair whose piece is not active at c + Jac d is rejected before
+      h is evaluated there. The pairs come back as a lazy
       sequence (`CriticalPairs`): membership, the duplicate rule, the
       alternate and each pair are decided when read, so a caller that reads
       only the best pair pays for the pairs up to it, and a pair's curvature
@@ -403,13 +405,18 @@ class _FacePlan(NamedTuple):
     members: np.ndarray  # (2^s, s): row i starts with the members of subset i
     face: np.ndarray     # (K 2^s,): the face id of each pair
     first: np.ndarray    # (K 2^s,): whether the pair is the first to reach its face
+    matrix: np.ndarray   # (K 2^s,): the id of the KKT matrix each pair assembles
     first_groups: list   # `_size_groups` of the first pairs
     Qs: np.ndarray       # (K, m, m): each piece's Q
 
 
 def _face_plan(h) -> _FacePlan:
     """The enumeration's face plan, built once per h. A face is a subset S
-    with the piece's signs off S, keyed as the bit masks (S, plus & ~S)."""
+    with the piece's signs off S, keyed as the bit masks (S, plus & ~S).
+    The KKT matrix of a pair depends on S, the piece's signs on S and its
+    Q alone, so it is keyed as (S, plus & S) and the class of pieces whose
+    Q is bit-equal: pairs with one key assemble one matrix, which a step
+    factors once."""
     plan = h._face_plan_cache.get(())
     if plan is None:
         s = h.n_hyperplanes
@@ -425,15 +432,24 @@ def _face_plan(h) -> _FacePlan:
         _, firsts, face = np.unique(keys.ravel(), return_index=True, return_inverse=True)
         first = np.zeros(keys.size, dtype=bool)
         first[firsts] = True
+        Qs = np.array([pc.Q for pc in h.pieces])
+        classes, qclass = np.unique(Qs.reshape(len(Qs), -1).view(np.uint64), axis=0,
+                                    return_inverse=True)
+        matrix = ((masks[None, :] << s) | (plus[:, None] & masks[None, :])) * len(classes) \
+            + qclass.reshape(-1, 1)
         plan = h._face_plan_cache.setdefault((), _FacePlan(
-            subsets, members, face, first, _size_groups(subsets, members, np.sort(firsts)),
-            np.array([pc.Q for pc in h.pieces])))
+            subsets, members, face, first, matrix.ravel(),
+            _size_groups(subsets, members, np.sort(firsts), matrix.ravel()), Qs))
     return plan
 
 
-def _size_groups(subsets, members, pairs) -> list:
+def _size_groups(subsets, members, pairs, matrix) -> list:
     """The pairs grouped by |S|, in chunks of at most _STACK_CHUNK:
-    (|S|, pairs, their pieces, their subsets' members)."""
+    (|S|, pairs, their pieces, their subsets' members, reps, rep). The
+    chunk's distinct KKT matrices (by the plan's `matrix` ids) are those of
+    its systems reps, and system i assembles the matrix of system
+    reps[rep[i]]; when the matrices are all distinct, reps takes every
+    system and rep is None."""
     pieces, subs = np.divmod(pairs, len(subsets))
     sizes = np.array([len(subsets[i]) for i in subs], dtype=np.intp)
     groups = []
@@ -441,7 +457,11 @@ def _size_groups(subsets, members, pairs) -> list:
         group = np.flatnonzero(sizes == ell)
         for at in range(0, group.size, _STACK_CHUNK):
             chunk = group[at:at + _STACK_CHUNK]
-            groups.append((ell, pairs[chunk], pieces[chunk], members[subs[chunk], :ell]))
+            _, reps, rep = np.unique(matrix[pairs[chunk]], return_index=True,
+                                     return_inverse=True)
+            shared = reps.size < chunk.size
+            groups.append((ell, pairs[chunk], pieces[chunk], members[subs[chunk], :ell],
+                           reps if shared else slice(None), rep.reshape(-1) if shared else None))
     return groups
 
 
@@ -450,7 +470,8 @@ def solve_subproblem_enum(p: CompositeProblem, x_hat, H, lin: Linearization | No
     structures (piece, subset of hyperplanes held at equality), as a
     read-only sequence (`CriticalPairs`) whose pairs are decided when read.
 
-    H is the model Hessian. The model linearizes c at x_hat: its value and
+    H is the model Hessian; one that is not a finite n x n array raises
+    StepError. The model linearizes c at x_hat: its value and
     Jacobian come from `lin` when given (a linearization at x_hat), and from
     one first-order sweep otherwise. A critical pair (d, y) solves
     H d + Jac^T y = 0 with y in dh(c_lin), c_lin = c + Jac d.
@@ -571,7 +592,9 @@ def _enum_solves(p: CompositeProblem, x_hat, H, lin: Linearization | None):
     piece of every face, a second the later pieces of the faces whose first
     solve was singular, each as one `_solve_stack` per system size."""
     x_hat = as_vector(x_hat, p.n, "x")
-    H = np.atleast_2d(np.asarray(H, dtype=float))
+    H = np.atleast_2d(np.asarray(H, dtype=float))  # None reads as NaN
+    if H.shape != (p.n, p.n) or not np.isfinite(H).all():
+        raise StepError(f"model Hessian must be a finite {p.n} x {p.n} array")
     cx, jac, _ = p.c.evaluate(x_hat) if lin is None else lin
     h = p.h
     A_all, alpha = h.hyperplane_matrix()
@@ -586,10 +609,12 @@ def _enum_solves(p: CompositeProblem, x_hat, H, lin: Linearization | None):
     results = {}
 
     def solve(groups):
-        for ell, pairs, ks, idx in groups:
-            cols = (h._signs[ks[:, None], idx][:, :, None] * A_all[idx]).transpose(0, 2, 1)
-            sols, alts, full, ok = _solve_stack(kkt_matrix(H, jac, plan.Qs[ks], cols, AJ[idx]),
-                                                np.concatenate([head[ks], tail[idx]], axis=1))
+        for ell, pairs, ks, idx, reps, rep in groups:
+            kr, ir = ks[reps], idx[reps]  # the systems that assemble each distinct matrix
+            cols = (h._signs[kr[:, None], ir][:, :, None] * A_all[ir]).transpose(0, 2, 1)
+            sols, alts, full, ok = _solve_stack(kkt_matrix(H, jac, plan.Qs[kr], cols, AJ[ir]),
+                                                np.concatenate([head[ks], tail[idx]], axis=1),
+                                                rep)
             active = _pieces_active(h, ks, cx + (jac @ sols[:, :n, None])[:, :, 0])
             for q, sol, alt, f, o, a in zip(pairs.tolist(), sols, alts, full, ok, active):
                 results[q] = (sol, None if f else alt, a) if o else (None, None, a)
@@ -599,27 +624,34 @@ def _enum_solves(p: CompositeProblem, x_hat, H, lin: Linearization | None):
                 if sol is None or alt is not None]
     if singular:
         solve(_size_groups(plan.subsets, plan.members,
-                           np.flatnonzero(~plan.first & np.isin(plan.face, singular))))
+                           np.flatnonzero(~plan.first & np.isin(plan.face, singular)),
+                           plan.matrix))
     return H, cx, jac, plan, results
 
 
-def _solve_stack(M, rhs, tol=1e-9):
-    """Solve each system M[i] x = rhs[i] of a (B, N, N) stack with one SVD.
+def _solve_stack(M, rhs, rep=None, tol=1e-9):
+    """Solve each system M[rep[i]] x = rhs[i] of a stack with one SVD per
+    distinct matrix: M is (R, N, N), rhs (B, N) and rep maps each system to
+    its matrix (the identity when None).
 
-    Returns (sols, alts, full, ok), one row per system. full[i] when M[i]
-    has full numerical rank, every singular value above 1e-11 (1 + ||M[i]||):
-    sols[i] = V (U^T rhs / sv). Otherwise sols[i] is the minimum-norm
-    solution from the kept singular values, alts[i] a second point along the
-    nullspace that witnesses non-uniqueness, and ok[i] is false when sols[i]
-    leaves a residual above tol (1 + ||M[i]||): the system is inconsistent.
-    Only kept singular values are inverted. Each system gets the
-    floating-point operations of solving it alone.
+    Returns (sols, alts, full, ok), one row per system. full[i] when its
+    matrix has full numerical rank, every singular value above
+    1e-11 (1 + ||M||): sols[i] = V (U^T rhs[i] / sv). Otherwise sols[i] is
+    the minimum-norm solution from the kept singular values, alts[i] a
+    second point along the nullspace that witnesses non-uniqueness, and
+    ok[i] is false when sols[i] leaves a residual above tol (1 + ||M||): the
+    system is inconsistent. Only kept singular values are inverted. Systems
+    share a factorization but not their right-hand-side work, so each gets
+    the floating-point operations of solving it alone.
     """
     B, N = rhs.shape
-    flat = M.reshape(B, 1, N * N)
-    scale = 1.0 + np.sqrt((flat @ flat.transpose(0, 2, 1)).reshape(B))
+    R = len(M)
+    flat = M.reshape(R, 1, N * N)
+    scale = 1.0 + np.sqrt((flat @ flat.transpose(0, 2, 1)).reshape(R))
     u, sv, vt = np.linalg.svd(M)
     kept = sv > 1e-11 * scale[:, None]
+    if rep is not None:
+        u, sv, vt, kept, scale = u[rep], sv[rep], vt[rep], kept[rep], scale[rep]
     full = kept.all(axis=1)
     proj = (u.transpose(0, 2, 1) @ rhs[:, :, None])[:, :, 0]
     if full.all():
@@ -630,7 +662,7 @@ def _solve_stack(M, rhs, tol=1e-9):
     coef[sing] = np.divide(1.0, sv[sing], out=np.zeros((sing.size, N)),
                            where=kept[sing]) * proj[sing]
     sols = (vt.transpose(0, 2, 1) @ coef[:, :, None])[:, :, 0]
-    res = (M[sing] @ sols[sing, :, None])[:, :, 0] - rhs[sing]
+    res = (M[sing if rep is None else rep[sing]] @ sols[sing, :, None])[:, :, 0] - rhs[sing]
     ok = np.ones(B, dtype=bool)
     ok[sing] = ~(np.sqrt((res[:, None, :] @ res[:, :, None]).reshape(sing.size))
                  > tol * scale[sing])
@@ -668,7 +700,7 @@ def quasi_newton_solve(p: CompositeProblem, start, B_schedule, opts: SolveOption
                        reference=None) -> IterationTrace:
     """Structure-enumerating iteration with Hessian models B_k.
 
-    B_schedule(k, x, y, trace) must return a symmetric n x n matrix; None
+    B_schedule(k, x, y, trace) must return a finite symmetric n x n matrix; None
     takes the exact Hessian H(x_k, y_k) from the iterate's linearization.
     Records the Dennis-More ratio ||(B_k - H(x_k, y_k)) dx|| / ||(dx, dy)||.
     """
@@ -683,8 +715,9 @@ def quasi_newton_solve(p: CompositeProblem, start, B_schedule, opts: SolveOption
         else:
             B = lin.H if B_schedule is None else B_schedule(k - 1, x, y, trace)
         B = np.atleast_2d(np.asarray(B, dtype=float))
-        if B.shape != (p.n, p.n) or np.max(np.abs(B - B.T)) > 1e-10:
-            raise StepError("B schedule must produce symmetric n x n matrices")
+        if B.shape != (p.n, p.n) or not np.isfinite(B).all() \
+                or np.max(np.abs(B - B.T)) > 1e-10:
+            raise StepError("B schedule must produce finite symmetric n x n matrices")
         sols = solve_subproblem_enum(p, x, B, lin)
         if not sols:
             raise StepError(f"no consistent critical pair at iteration {k}")

@@ -35,7 +35,7 @@ def solve_possibly_singular(M, rhs, tol=1e-9):
     """(solution, alternate solution or None), or (None, None) when the
     system is singular and inconsistent: `_solve_stack` on a stack of one."""
     sols, alts, full, ok = _solve_stack(np.asarray(M, dtype=float)[None],
-                                        np.asarray(rhs, dtype=float).reshape(1, -1), tol)
+                                        np.asarray(rhs, dtype=float).reshape(1, -1), tol=tol)
     if not ok[0]:
         return None, None
     return sols[0], None if full[0] else alts[0]

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -294,6 +295,22 @@ class TestExitCodeContract:
         path = _sumsq_file(tmp_path, ["log(x1)", "x2"], [-1.0, 0.0])
         assert main(["solve", path, "--method", "smooth"]) == 3
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["newton", "enum", "quasi", "smooth"])
+    def test_overflowing_linearization_is_regime_error(self, tmp_path, capsys, method):
+        # c1 = x1^8 + x2 overflows at the start x1 = 1e40: every method stops
+        # at the first linearization and names the component, with no
+        # RuntimeWarning on the way.
+        doc = _doc()
+        doc["c"] = ["x1*x1*x1*x1*x1*x1*x1*x1 + x2", "x2*x2"]
+        doc["start"]["x"] = [1e40, 0.5]
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["solve", str(path), "--method", method]) == 3
+        assert caught == []
+        assert capsys.readouterr().err == "regime error: component 0: non-finite value\n"
 
     def test_wrong_length_point_is_input_error(self, tmp_path, capsys):
         point = tmp_path / "point.json"

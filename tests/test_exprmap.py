@@ -151,6 +151,23 @@ class TestEvaluateMap:
             getattr(c, sweep)(*args)
         assert err.value.component == component
 
+    @pytest.mark.parametrize("exprs,x,y,message", [
+        # x1^8 overflows to inf in float products, which raise no fault.
+        (["x2", "x1*x1*x1*x1*x1*x1*x1*x1"], [1e40, 0.0], None, "component 1: non-finite value"),
+        # d log(x1) = 1 / x1 overflows where log(x1) is finite.
+        (["x2", "log(x1)"], [1e-310, 1.0], None, "component 1: non-finite gradient"),
+        # Each Hessian is finite; y_1 Hess c_1 = 2e308 is not.
+        (["x1*x1", "x2"], [1.0, 1.0], [1e308, 1.0], "component 0: non-finite weighted Hessian"),
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_nonfinite_linearization_names_its_component(self, exprs, x, y, message):
+        c = SmoothMap.from_strings(exprs, 2)
+        with pytest.raises(EvalDomainError, match=message):
+            c.evaluate(x, y)
+        if y is None and "value" in message:
+            with pytest.raises(EvalDomainError, match=message):
+                c.value(x)
+
     def test_fault_only_in_the_hessian_spares_lower_orders(self):
         # d2 log(v) = -1/v^2 divides by an underflowed v*v at v = 1e-200.
         c = SmoothMap.from_strings(["log(x1)"], 1)

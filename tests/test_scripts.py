@@ -124,3 +124,27 @@ def test_op_times_smoke(capsys):
         == {"certify": 4, "newton": 10, "enum": 10, "quasi": 10, "smooth": 10}
     assert all(0 < v["median_ms"] and 0 < v["mean_ms"] for v in summary["kinds"].values())
     assert [line.split()[0] for line in out[1:-1]] == list(summary["kinds"])
+
+
+def test_ab_times_smoke(capsys):
+    # An A/A run: one round of desk at seed 7, each op issued once per side.
+    script = _load("ab_times")
+    root = str(SCRIPTS.parent)
+    assert script.main([root, root, "desk", "1", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    summary = json.loads(out[-1])
+    assert (summary["workload"], summary["rounds"], summary["repeats"], summary["wrong"]) \
+        == ("desk", 1, 1, 0)
+    assert {kind: v["ops"] for kind, v in summary["kinds"].items()} \
+        == {"certify": 12, "newton": 9, "enum": 12, "quasi": 8, "smooth": 4}
+    for v in summary["kinds"].values():
+        lo, hi = v["interval"]
+        assert 0 < lo <= v["median_ratio"] <= hi and 0 <= v["wins"] <= v["ops"]
+    assert [line.split()[0] for line in out[1:-1]] == list(summary["kinds"])
+
+
+def test_ab_times_sign_interval():
+    script = _load("ab_times")
+    # n = 10: P(Binomial(10, 1/2) <= 1) = 11/1024 <= 0.025 < 56/1024.
+    assert script.sign_interval(list(range(10, 0, -1))) == (2, 9)
+    assert script.sign_interval([3.0, 1.0, 2.0]) == (1.0, 3.0)

@@ -338,6 +338,42 @@ class TestSingularSolve:
                 assert np.array_equal(sol, sols[i]) and (alt is None) == full[i]
                 assert alt is None or np.array_equal(alt, alts[i])
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_shared_factorization_solves_each_system_alone(self, seed):
+        # R matrices, each of rank >= 1, shared by B systems: matrix 0 has
+        # full rank, the others are singular. System 1 is consistent with
+        # matrix 1 (an alternate row) and system 2 is not (an inconsistent
+        # row); the rest draw their matrix and consistency at random. Each
+        # system gets, bit for bit, its solve as a stack of one.
+        rng = np.random.default_rng(seed)
+        N, R = int(rng.integers(2, 7)), int(rng.integers(2, 5))
+        M = rng.standard_normal((R, N, N))
+        for r in range(1, R):
+            rank = int(rng.integers(1, N))
+            M[r] = M[r][:, :rank] @ rng.standard_normal((rank, N))
+        B = int(rng.integers(R + 2, 4 * R + 3))
+        rep = np.concatenate([[0, 1, 1], np.arange(2, R), rng.integers(0, R, B - R - 1)])
+        consistent = np.concatenate([[True, True, False], rng.uniform(size=B - 3) < 0.5])
+        rhs = rng.standard_normal((B, N))
+        z = rng.standard_normal((int(consistent.sum()), N, 1))
+        rhs[consistent] = (M[rep[consistent]] @ z)[:, :, 0]
+        sols, alts, full, ok = _solve_stack(M, rhs, rep)
+        kinds = set()
+        for i in range(B):
+            sol, alt = _solve_possibly_singular(M[rep[i]], rhs[i])
+            assert (sol is None) == (not ok[i])
+            if sol is None:
+                kinds.add("inconsistent")
+                continue
+            assert sol.tobytes() == sols[i].tobytes()
+            assert (alt is None) == full[i]
+            if alt is not None:
+                kinds.add("alternate")
+                assert alt.tobytes() == alts[i].tobytes()
+        assert kinds == {"inconsistent", "alternate"}
+        assert full.tolist() == (rep == 0).tolist()
+
 
 def _subsets(s):
     return itertools.chain.from_iterable(itertools.combinations(range(s), r)
@@ -425,24 +461,46 @@ def _huber_pair(t, a):
     return parse_problem_dict(doc).problem
 
 
+def _split_q_pair(w, a):
+    """w |c1| + max(c2, 0)^2 / 2, c = (x1 + a1 x2^2, x2 + a2 x1^2), with
+    hyperplanes c1 = 0 and c2 = 0. Pieces with the same sign on c1 = 0 differ
+    in Q by their side of c2 = 0, so holding c1 = 0 they assemble different
+    KKT matrices."""
+    pieces = [{"signs": [s1, s2], "Q": [[0.0, 0.0], [0.0, float(s2 < 0)]], "b": [-s1 * w, 0.0]}
+              for s1, s2 in itertools.product((-1, 1), repeat=2)]
+    doc = {"name": "split_q", "n": 2, "m": 2,
+           "h": {"m": 2, "pieces": pieces,
+                 "hyperplanes": [{"a": list(np.eye(2)[i]), "alpha": 0.0} for i in range(2)]},
+           "c": [f"x1 + {a[0]}*x2^2", f"x2 + {a[1]}*x1^2"]}
+    return parse_problem_dict(doc).problem
+
+
 def _enum_step(seed):
     """(family, problem, x, y, H) of one enumeration step at a random (x, y),
-    with H the model Hessian or I: a weighted-l1 crossing with s <= 4, a
-    Huber pair, or b1_flat (singular systems). In family "kink" the crossing
-    has c = x, H = I and x = b_k for a random piece k: every subset of piece
-    k then gives d = -b_k, so distinct faces share one (d, y)."""
+    with H the model Hessian or I: a weighted-l1 crossing with s <= 4 and
+    its pieces in random order, a Huber pair, b1_flat (singular systems), or
+    a pair whose pieces split on Q (`_split_q_pair`). In family "kink" the
+    crossing has c = x, H = I and x = b_k for a random piece k: every subset
+    of piece k then gives d = -b_k, so distinct faces share one (d, y)."""
     rng = np.random.default_rng(seed)
-    family = ("crossing", "huber", "flat", "kink")[seed % 4]
+    family = ("crossing", "huber", "flat", "kink", "split")[seed % 5]
     if family in ("crossing", "kink"):
         s = int(rng.integers(1, 5))
         a = rng.uniform(-0.6, 0.6, s) if family == "crossing" else np.zeros(s)
         p = _weighted_l1_crossing(w=tuple(rng.uniform(0.5, 2.0, s)), a=tuple(a)).problem
+        if family == "crossing":  # a subset's faces may start at pieces of other signs on it
+            pieces = [p.h.pieces[k] for k in rng.permutation(p.h.n_pieces)]
+            p = CompositeProblem(plq.PLQFunction(s, p.h.hyperplanes, pieces), p.c)
         x, y = rng.uniform(-0.3, 0.3, s), rng.uniform(-2.0, 2.0, s)
         if family == "kink":
             x = p.h.pieces[int(rng.integers(p.h.n_pieces))].b.copy()
     elif family == "huber":
         p = _huber_pair(rng.uniform(0.5, 1.5, 2), rng.uniform(-0.6, 0.6, 2))
         x, y = rng.uniform(-2.5, 2.5, 2), rng.uniform(-1.2, 1.2, 2)
+    elif family == "split":
+        w = rng.uniform(0.5, 2.0)
+        p = _split_q_pair(w, rng.uniform(-0.6, 0.6, 2))
+        x, y = rng.uniform(-0.5, 0.5, 2), rng.uniform(-w, w, 2)
     else:
         p = b1_flat().problem
         x, y = rng.uniform(-1.0, 1.0, 2), rng.uniform(0.0, 1.0, 2)
@@ -459,8 +517,21 @@ def _face(p, sol):
 
 
 def _systems(stacks):
-    """The number of systems in the stacks recorded from `_solve_stack`."""
-    return sum(len(args[0]) for args in stacks)
+    """The number of systems (right-hand sides) in the stacks recorded from
+    `_solve_stack`."""
+    return sum(len(args[1]) for args in stacks)
+
+
+def _count_svds(monkeypatch):
+    """The number of matrices of each `np.linalg.svd` call."""
+    svd, sizes = np.linalg.svd, []
+
+    def counted(M, *args, **kwargs):
+        sizes.append(len(M))
+        return svd(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return sizes
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -507,6 +578,10 @@ class TestFaceEnumeration:
             g, r = got[0], ref[0]
             assert (g.piece, g.active_set, g.unique, g.model_sosc_ok) \
                 == (r.piece, r.active_set, r.unique, r.model_sosc_ok)
+        # Each pair is the reference's for its structure, multipliers included.
+        by_structure = {(r.piece, r.active_set): r for r in ref}
+        for g in got:
+            r = by_structure[g.piece, g.active_set]
             for u, v in ((g.d, r.d), (g.y, r.y), (g.lam, r.lam)):
                 assert np.linalg.norm(u - v) <= 1e-12 * max(1.0, np.linalg.norm(v))
 
@@ -554,8 +629,35 @@ class TestFaceEnumeration:
             per_piece = p.h.n_pieces * (len(subsets) - len(free))
             if family == "huber" and _systems(solves) == len(faces) + per_piece:
                 kinds.add("shared across Q")
-        assert kinds == {"crossing", "huber", "flat", "kink", "several", "non-unique",
+        assert kinds == {"crossing", "huber", "flat", "kink", "split", "several", "non-unique",
                          "shared across Q"}
+
+    @pytest.mark.parametrize("w,a,systems,matrices", [
+        ((0.7, 1.3, 1.9), (0.3, -0.5, 0.4), 27, 8),
+        ((0.7, 1.3, 1.9, 0.9), (0.3, -0.5, 0.4, 0.6), 81, 16)])
+    def test_one_svd_per_distinct_matrix(self, monkeypatch, w, a, systems, matrices):
+        # Every piece of a weighted-l1 crossing has Q = 0, and the first
+        # piece of each face with subset S has the same signs on S, so the
+        # 3^s systems of a step assemble 2^s distinct matrices.
+        p, x, lin = _crossing_step(w, a, [0.1, -0.05, 0.12, 0.02])
+        stacks = _count_calls(monkeypatch, solver, "_solve_stack")
+        svds = _count_svds(monkeypatch)
+        assert solve_subproblem_enum(p, x, lin.H, lin)
+        assert (_systems(stacks), sum(svds)) == (systems, matrices)
+
+    def test_pieces_split_on_q_do_not_share_a_matrix(self, monkeypatch):
+        # Off both hyperplanes every face of `_split_q_pair` is solved once:
+        # 9 systems. Holding c1 = 0, the faces' first pieces have the same
+        # sign there but different Q, so the systems assemble 6 distinct
+        # matrices, not the 4 of keying them by S and its signs alone.
+        p = _split_q_pair(1.3, (0.3, -0.4))
+        x = np.array([0.2, -0.15])
+        lin = p.c.evaluate(x, [0.5, 0.1])
+        assert all(abs(r) > 1e-3 for r in p.h.residuals(lin.c))
+        stacks = _count_calls(monkeypatch, solver, "_solve_stack")
+        svds = _count_svds(monkeypatch)
+        solve_subproblem_enum(p, x, np.eye(2), lin)
+        assert (_systems(stacks), sum(svds)) == (9, 6)
 
     def test_curvature_checked_only_when_read(self, monkeypatch):
         checks = _count_calls(monkeypatch, solver, "_model_sosc_ok")
@@ -728,6 +830,23 @@ class TestQuasiNewton:
         dms = [r.dm_ratio for r in tr.rows if r.dm_ratio is not None]
         assert len(dms) >= 12
         assert min(dms[-10:]) >= 1e-2
+
+
+    @pytest.mark.parametrize("H", [None, np.full((2, 2), np.nan), [[1.0, np.inf], [np.inf, 1.0]],
+                                   np.eye(3)])
+    def test_bad_model_hessian_is_a_step_error(self, H):
+        b = b1_minimax()
+        with pytest.raises(StepError, match="model Hessian must be a finite 2 x 2 array"):
+            solve_subproblem_enum(b.problem, b.start_x, H)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_nonfinite_schedule_is_a_step_error(self, entry):
+        # A NaN passes a symmetry test written as |B - B^T| > 1e-10.
+        b = b1_minimax()
+        B = np.eye(2)
+        B[0, 0] = entry
+        with pytest.raises(StepError, match="finite symmetric"):
+            quasi_newton_solve(b.problem, (b.start_x, b.start_y), lambda *_: B, SolveOptions())
 
 
 class TestSmoothNewton:
