@@ -8,11 +8,14 @@ and sets WORKLOAD up as perfbench/run.py does (problem files written and
 loaded with validation, one untimed op of each kind). The driver then sends
 every op of rounds 0 .. ROUNDS - 1 to the two workers one at a time, REPEATS
 times, in ABBA order (parent first on even steps, change first on odd ones),
-and reads back each op's CPU time (`time.process_time`) and outcome. An
-op's size on a side is its minimum over the repeats, and its paired ratio
-is the change's size over the parent's. So host drift that spans more than
-one op moves both sides alike, and an A/A run (one checkout as both) reads
-about 1.
+and reads back each op's CPU time (`time.process_time`) and outcome. It
+does this in two blocks, each on two fresh workers: in the first the
+parent's worker is started first, in the second the change's. An op's size
+on a side is its minimum over the repeats of both blocks, and its paired
+ratio is the change's size over the parent's. So host drift that spans more
+than one op moves both sides alike, a steady speed difference between the
+two workers of a block (their placement or memory layout) reaches both
+sides too, and an A/A run (one checkout as both) reads about 1.
 
 Prints, per op kind, the number of ops, the median paired ratio with a 95%
 sign-test interval for it, the share of ops the change wins (ratio below
@@ -97,26 +100,32 @@ def sign_interval(ratios, level=0.95):
 
 def ab_times(parent, change, workload, rounds, repeats, seed):
     """(kinds of the ops, [parent size, change size] per op in s, wrong
-    (side, op index, label) answers)."""
-    sides = [Worker(parent, workload, seed, rounds), Worker(change, workload, seed, rounds)]
-    try:
-        kinds = sides[0].kinds
-        if sides[1].kinds != kinds:
-            raise RuntimeError("the checkouts issue different ops")
-        sizes = [[math.inf, math.inf] for _ in kinds]
-        wrong = []
-        step = 0
-        for _ in range(repeats):
-            for i in range(len(kinds)):
-                for s in ((0, 1) if step % 2 == 0 else (1, 0)):
-                    cpu, correct, label = sides[s].run(i)
-                    sizes[i][s] = min(sizes[i][s], cpu)
-                    if not correct:
-                        wrong.append((("parent", "change")[s], i, label))
-                step += 1
-    finally:
-        for w in sides:
-            w.close()
+    (side, op index, label) answers) over two blocks, each on two fresh
+    workers: in the first the parent's worker is started first, in the
+    second the change's."""
+    kinds, sizes, wrong = None, None, []
+    for started_first in (parent, change):
+        order = (parent, change) if started_first is parent else (change, parent)
+        workers = [Worker(checkout, workload, seed, rounds) for checkout in order]
+        sides = workers if started_first is parent else workers[::-1]
+        try:
+            if kinds is None:
+                kinds = sides[0].kinds
+                sizes = [[math.inf, math.inf] for _ in kinds]
+            if sides[0].kinds != kinds or sides[1].kinds != kinds:
+                raise RuntimeError("the checkouts issue different ops")
+            step = 0
+            for _ in range(repeats):
+                for i in range(len(kinds)):
+                    for s in ((0, 1) if step % 2 == 0 else (1, 0)):
+                        cpu, correct, label = sides[s].run(i)
+                        sizes[i][s] = min(sizes[i][s], cpu)
+                        if not correct:
+                            wrong.append((("parent", "change")[s], i, label))
+                    step += 1
+        finally:
+            for w in workers:
+                w.close()
     return kinds, sizes, wrong
 
 

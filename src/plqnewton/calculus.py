@@ -6,10 +6,11 @@ cone through a double-description pass over its tangent-cone rows. Everything
 is exact polyhedral arithmetic at desk scale (m up to about 10).
 
 The tangent cone of piece k depends only on h and the active hyperplane set,
-so its generators are converted once per (k, active set) and cached on the
-PLQ function as unit rows ready for `subdiff_hrep`. The `_at` twins take an
-active profile the caller already holds, so h is evaluated once per point.
-A facet shared by several active pieces comes once per piece, as the
+so the generators of every active piece are converted once per (active
+pieces, active set) and cached on the PLQ function as one stack of unit
+rows; `subdiff_hrep` takes every piece's gradient and right-hand sides in
+one pass. The `_at` twins take an active profile the caller already holds,
+so h is evaluated once per point. A facet shared by several active pieces comes once per piece, as the
 per-piece construction gives it; the point analysis (composite) keeps one
 copy with `PolyhedronH.distinct`, so its LPs see each facet once.
 
@@ -367,44 +368,42 @@ def dir_deriv_second(h: PLQFunction, c, w) -> ExtReal:
     return PLUS_INF if k is None else ExtReal.finite(w @ (h.pieces[k].Q @ w))
 
 
-class _GeneratorRows(NamedTuple):
-    """Generators of one cone part (rays or lineality), one per row."""
+class _SubdiffRows(NamedTuple):
+    """The rows of dh at every point with one (active pieces, active set):
+    each piece's lineality rows (the equalities), then each piece's rays,
+    as cone_generators returns them, with their norms, their unit forms as
+    PolyhedronH stores rows, and the position of each row's piece among the
+    active pieces. When every row is a signed axis, `axes` holds the entry
+    of the flattened gradient stack each row picks, and its sign."""
 
-    raw: np.ndarray    # as cone_generators returns them
-    norm: np.ndarray   # the norm of each row
-    unit: np.ndarray   # raw / norm, as PolyhedronH stores rows
-    signed_axes: bool  # every row is a signed coordinate vector
+    Qs: np.ndarray     # (kbar, m, m): the active pieces' Q
+    bs: np.ndarray     # (kbar, m): their b
+    raw: np.ndarray    # (R, m)
+    norm: np.ndarray   # (R,)
+    unit: np.ndarray   # (R, m)
+    piece: np.ndarray  # (R,)
+    n_eq: int
+    axes: tuple | None
 
-    @staticmethod
-    def of(gens, m) -> "_GeneratorRows":
-        raw = np.array(gens, dtype=float).reshape(len(gens), m)
+
+def _subdiff_rows(h: PLQFunction, pieces, act) -> _SubdiffRows:
+    """The `_SubdiffRows` of (pieces, act), cached on h. A piece and the
+    active set fix the active pieces, so each piece's tangent cone is
+    converted once per active set."""
+    rows = h._subdiff_cache.get((pieces, act))
+    if rows is None:
+        cones = [cone_generators(h.tangent_rows_at(k, act)) for k in pieces]  # (rays, lineality)
+        parts = [lin for _, lin in cones] + [rays for rays, _ in cones]
+        raw = np.array([g for part in parts for g in part], dtype=float).reshape(-1, h.m)
         norm = np.array([np.linalg.norm(r) for r in raw])
-        axes = bool(np.all(np.count_nonzero(raw, axis=1) <= 1)
-                    and np.all(np.isin(raw[raw != 0.0], (-1.0, 1.0))))
-        return _GeneratorRows(freeze_array(raw), freeze_array(norm),
-                              freeze_array(raw / norm[:, None]), axes)
-
-    def rhs(self, g) -> np.ndarray:
-        """<raw_i, g> / norm_i per row, rounded as `PolyhedronH` rounds the
-        right-hand side of a row it normalizes: one dot per row. A matrix
-        product sums in another order, which gives the same bits only when
-        each row picks out one entry of g, up to sign."""
-        if self.signed_axes:
-            dots = self.raw @ g
-        else:
-            dots = np.array([float(r @ g) for r in self.raw])
-        return dots / self.norm
-
-
-def _tangent_cone(h: PLQFunction, k, act):
-    """(lineality, rays) of the tangent cone of piece k where the hyperplanes
-    `act` are active, converted once per (k, act) and cached on h."""
-    cone = h._cone_cache.get((k, act))
-    if cone is None:
-        rays, lin = cone_generators(h.tangent_rows_at(k, act))
-        cone = h._cone_cache.setdefault(
-            (k, act), (_GeneratorRows.of(lin, h.m), _GeneratorRows.of(rays, h.m)))
-    return cone
+        piece = np.repeat(np.tile(np.arange(len(pieces)), 2), [len(part) for part in parts])
+        axes = None
+        if np.all(np.count_nonzero(raw, axis=1) <= 1) and np.all(np.isin(raw[raw != 0.0], (-1, 1))):
+            axes = (piece * h.m + np.argmax(raw != 0.0, axis=1), raw.sum(axis=1))
+        rows = h._subdiff_cache.setdefault((pieces, act), _SubdiffRows(
+            h._Q[list(pieces)], h._b[list(pieces)], raw, norm, freeze_array(raw / norm[:, None]),
+            piece, sum(len(lin) for _, lin in cones), axes))
+    return rows
 
 
 def subdiff_hrep(h: PLQFunction, c) -> PolyhedronH:
@@ -412,25 +411,30 @@ def subdiff_hrep(h: PLQFunction, c) -> PolyhedronH:
 
     Each active piece contributes {y : y - grad_k(c) in N(c | C_k)}; the
     normal cone is converted to half-spaces through the generators of its
-    polar (the tangent cone), cached per (piece, active set).
+    polar (the tangent cone), cached per (active pieces, active set).
     """
     return subdiff_hrep_at(h, _active_or_raise(h, c), c)
 
 
 def subdiff_hrep_at(h: PLQFunction, prof, c) -> PolyhedronH:
     """`subdiff_hrep` at c, whose finite active profile is `prof`, so that a
-    caller that has evaluated h at c does not evaluate it again."""
+    caller that has evaluated h at c does not evaluate it again.
+
+    The rows are cached (`_subdiff_rows`) and the active pieces' gradients
+    are one array expression. Row i's right-hand side <raw_i, g> / norm_i is
+    rounded as `PolyhedronH` rounds a row it normalizes: one dot per row.
+    Where every row is a signed axis, that dot is the signed entry of g it
+    picks (+0.0 when zero: a dot sums from +0.0), taken for all rows at once.
+    """
     c = as_vector(c, h.m, "c")
-    E, e, F, f = [], [], [], []
-    for k in prof.active_pieces:
-        g = h.piece_gradient(k, c)
-        lin, rays = _tangent_cone(h, k, prof.active_set)
-        E.append(lin.unit)
-        e.append(lin.rhs(g))
-        F.append(rays.unit)
-        f.append(rays.rhs(g))
-    return PolyhedronH.from_unit_rows(np.concatenate(E), np.concatenate(e),
-                                      np.concatenate(F), np.concatenate(f))
+    rows = _subdiff_rows(h, prof.active_pieces, prof.active_set)
+    G = rows.Qs @ c + rows.bs
+    if rows.axes is not None:
+        rhs = G.take(rows.axes[0]) * rows.axes[1] + 0.0  # norm 1
+    else:
+        rhs = np.array([float(r @ g) for r, g in zip(rows.raw, G[rows.piece])]) / rows.norm
+    E, F = rows.unit[:rows.n_eq], rows.unit[rows.n_eq:]
+    return PolyhedronH.from_unit_rows(E, rhs[:rows.n_eq], F, rhs[rows.n_eq:])
 
 
 def second_subderivative(h: PLQFunction, c, y, w) -> ExtReal:

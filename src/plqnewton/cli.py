@@ -4,8 +4,8 @@ Exit codes: 0 pass, 1 certified-failure (the tool ran, the verdict is
 negative), 2 input error (the input is malformed or does not meet the
 command's preconditions), 3 regime error (the evaluation or the iteration
 left the regime where it is defined); errors.INPUT_ERRORS and
-errors.REGIME_ERRORS map every package error to 2 or 3. --seed (default 42)
-drives the only random draws (`--point random`, check-derivs' multipliers),
+errors.REGIME_ERRORS map every package error to 2 or 3. --seed (default 42,
+nonnegative) drives the only random draws (`--point random`, check-derivs' multipliers),
 so reports are byte-stable for identical inputs; validation draws none.
 """
 
@@ -64,6 +64,13 @@ def _resolve_point(pf: ProblemFile, spec: str | None, rng):
     return x, y
 
 
+def _rng(opts):
+    """The generator of the random draws, seeded by --seed, which must be nonnegative."""
+    if opts["seed"] < 0:
+        raise PreconditionError(f"--seed must be nonnegative, got {opts['seed']}")
+    return np.random.default_rng(opts["seed"])
+
+
 def report_validate(pf: ProblemFile, opts) -> tuple[dict, int]:
     rep = validate_representation(pf.problem.h)
     code = EXIT_PASS if rep.all_pass else EXIT_INPUT_ERROR
@@ -73,7 +80,7 @@ def report_validate(pf: ProblemFile, opts) -> tuple[dict, int]:
 
 def report_certify(pf: ProblemFile, opts) -> tuple[dict, int]:
     spec = opts.get("point")
-    rng = np.random.default_rng(opts["seed"]) if spec == "random" else None
+    rng = _rng(opts) if spec == "random" else None
     x, y = _resolve_point(pf, spec, rng)
     p = pf.problem
     out: dict = {"command": "certify", "problem": pf.name,
@@ -159,7 +166,7 @@ def report_rate(pf: ProblemFile, opts) -> tuple[dict, int]:
 
 
 def report_check_derivs(pf: ProblemFile, opts) -> tuple[dict, int]:
-    rng = np.random.default_rng(opts["seed"])
+    rng = _rng(opts)
     p = pf.problem
     spec = opts.get("point", "random")
     worst_jac = 0.0

@@ -134,9 +134,7 @@ def build_manifold_at(h: PLQFunction, prof: ActiveProfile, cbar) -> ManifoldData
         ref_signs = h.pieces[pieces[-1]].signs[idx]
         A = np.ascontiguousarray((ref_signs[:, None] * A_all[idx]).T)
         P = tuple(h.pieces[k].signs[idx] * ref_signs for k in pieces)
-        pcs = [h.pieces[k] for k in pieces]
-        stacked = (np.array([pc.Q for pc in pcs]), np.array([pc.b for pc in pcs]),
-                   A * np.array(P)[:, None])
+        stacked = (h._Q[list(pieces)], h._b[list(pieces)], A * np.array(P)[:, None])
         cached = h._manifold_cache.setdefault(
             (pieces, act), (A, P, matrix_rank_rel(A) == len(act), stacked))
     return ManifoldData(h, cbar, pieces, act, *cached)

@@ -10,10 +10,11 @@ their interiors are disjoint.
 
 `eval_with_active` computes the hyperplane residuals r = A c - alpha once and
 tests every piece at once against the K x s sign matrix; its profile keeps
-the one active set. Each function caches what depends on h alone, filled on
-first use: the unit tangent-cone rows of piece k for each active hyperplane
-set (and, through `calculus`, the cone's generators) and, through `solver`,
-the structure enumeration's face plan.
+the one active set. Each function stacks its pieces' Q and b and caches
+what depends on h alone, filled on first use: the unit tangent-cone rows of
+piece k for each active hyperplane set (and, through `calculus`, the
+subdifferential's rows per set of active pieces) and, through `solver`, the
+structure enumeration's face plan.
 
 `validate_representation` decides every invariant exactly, convexity
 included, on the faces of the arrangement; it draws no random number.
@@ -120,13 +121,15 @@ class PLQFunction:
         object.__setattr__(self, "_act_tol", freeze_array(ACT_TOL * (1.0 + np.abs(alph))))
         signs = np.array([p.signs for p in pcs], dtype=float).reshape(len(pcs), s)
         object.__setattr__(self, "_signs", freeze_array(signs))
+        object.__setattr__(self, "_Q", freeze_array([p.Q for p in pcs]))  # (K, m, m)
+        object.__setattr__(self, "_b", freeze_array([p.b for p in pcs]))  # (K, m)
         # h-only data, filled on first use: (k, active set) -> unit tangent
-        # rows; (k, active set) -> tangent-cone generators (see calculus);
-        # (active pieces, active set) -> the manifold's A, P, nondegeneracy
-        # and stacked piece data (see manifold); () -> the structure
-        # enumeration's face plan (see solver).
+        # rows; (active pieces, active set) -> the subdifferential's rows
+        # (see calculus) and the manifold's A, P, nondegeneracy and stacked
+        # piece data (see manifold); () -> the structure enumeration's face
+        # plan (see solver).
         object.__setattr__(self, "_tangent_cache", {})
-        object.__setattr__(self, "_cone_cache", {})
+        object.__setattr__(self, "_subdiff_cache", {})
         object.__setattr__(self, "_manifold_cache", {})
         object.__setattr__(self, "_face_plan_cache", {})
 

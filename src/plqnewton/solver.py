@@ -22,16 +22,16 @@ held at equality differ. Entry points:
       membership test alone decides, since for a continuous h it already
       makes the multipliers of every active piece nonnegative. Singular faces
       are solved piece by piece. A step is batched: h caches its face plan
-      (the visiting order, each pair's face, the KKT matrix each pair
-      assembles and the pieces' Q), the systems of a pass are stacked by
-      size, each stack's distinct matrices are factored by one SVD
-      (`_solve_stack`) and every system does its own right-hand-side work,
-      and a pair whose piece is not active at c + Jac d is rejected before
-      h is evaluated there. The pairs come back as a lazy
-      sequence (`CriticalPairs`): membership, the duplicate rule, the
-      alternate and each pair are decided when read, so a caller that reads
-      only the best pair pays for the pairs up to it, and a pair's curvature
-      verdict is computed when read;
+      (the visiting order, each pair's face and the KKT matrix each pair
+      assembles), the systems of a pass are stacked by size, each stack's
+      distinct matrices are factored by one SVD (`_solve_stack`) and every
+      system does its own right-hand-side work, and a pair whose piece is
+      not active at c + Jac d is rejected. The other pairs are ranked by
+      model value without evaluating h and come back as a lazy sequence
+      (`CriticalPairs`): h's evaluation at c + Jac d, membership, the
+      duplicate rule, the alternate and each pair are decided when read, so
+      a caller that reads only the best pair pays for the pairs up to it,
+      and a pair's curvature verdict is computed when read;
   quasi_newton_solve: the structure-enumerating iteration with Hessian
       models B_k;
   solve: the dispatch on a method name (newton | enum | quasi | smooth).
@@ -71,7 +71,7 @@ from .errors import DivergenceError, PreconditionError, RegimeError, SchemaError
 from .exprmap import Linearization
 from .manifold import ManifoldData, build_manifold, build_manifold_at
 from .numerics import as_vector, nullspace_basis
-from .plq import ActiveProfile, eval_with_active
+from .plq import ActiveProfile, active_structure, eval_with_active
 
 GLUE_FAIL = 1e-8
 # The divergence guard: |x_k| > DIVERGENCE_FACTOR (1 + |x_0|) raises DivergenceError.
@@ -392,14 +392,10 @@ class SubproblemSolution:
             self.model_check = self.model_check()
         return self.model_check
 
-    def key(self):
-        return (round(self.model_value, 12), self.piece)
-
 
 class _FacePlan(NamedTuple):
-    """The visiting order of `solve_subproblem_enum` and the pieces' Q,
-    which depend on h alone: pair q = k 2^s + i is piece k with the i-th
-    subset."""
+    """The visiting order of `solve_subproblem_enum`, which depends on h
+    alone: pair q = k 2^s + i is piece k with the i-th subset."""
 
     subsets: list        # the subsets S, by size, then lexicographically
     members: np.ndarray  # (2^s, s): row i starts with the members of subset i
@@ -407,7 +403,6 @@ class _FacePlan(NamedTuple):
     first: np.ndarray    # (K 2^s,): whether the pair is the first to reach its face
     matrix: np.ndarray   # (K 2^s,): the id of the KKT matrix each pair assembles
     first_groups: list   # `_size_groups` of the first pairs
-    Qs: np.ndarray       # (K, m, m): each piece's Q
 
 
 def _face_plan(h) -> _FacePlan:
@@ -432,14 +427,13 @@ def _face_plan(h) -> _FacePlan:
         _, firsts, face = np.unique(keys.ravel(), return_index=True, return_inverse=True)
         first = np.zeros(keys.size, dtype=bool)
         first[firsts] = True
-        Qs = np.array([pc.Q for pc in h.pieces])
-        classes, qclass = np.unique(Qs.reshape(len(Qs), -1).view(np.uint64), axis=0,
+        classes, qclass = np.unique(h._Q.reshape(h.n_pieces, -1).view(np.uint64), axis=0,
                                     return_inverse=True)
         matrix = ((masks[None, :] << s) | (plus[:, None] & masks[None, :])) * len(classes) \
             + qclass.reshape(-1, 1)
         plan = h._face_plan_cache.setdefault((), _FacePlan(
             subsets, members, face, first, matrix.ravel(),
-            _size_groups(subsets, members, np.sort(firsts), matrix.ravel()), Qs))
+            _size_groups(subsets, members, np.sort(firsts), matrix.ravel())))
     return plan
 
 
@@ -492,19 +486,22 @@ def solve_subproblem_enum(p: CompositeProblem, x_hat, H, lin: Linearization | No
     model value, ties by piece, then in visiting order.
 
     The solves are batched (`_enum_solves`). A pair whose piece is active
-    at c_lin (`_pieces_active`) is a candidate: h is evaluated there when
-    the call is made, which gives its model value and raises any
-    RepresentationError, and the candidates are sorted. The rest is decided
-    when the sequence is read, in sorted order: the membership test, the
-    duplicate rule (deciding the earlier-visited neighbours it needs), the
-    alternate's consistency and the `SubproblemSolution`. Reading sols[0] or
-    bool(sols) decides up to the first accepted pair; len, iteration and
-    slicing decide them all. Each pair's curvature verdict is computed when
-    first read.
+    at c_lin (`_pieces_active`) is a candidate. When a call has two or more,
+    they are ranked without evaluating h, by the model value at the first
+    piece active at c_lin (`active_structure`; on a validated h every
+    active piece gives it to VALUE_TOL), rounded to 12 decimals. The rest
+    is decided when the sequence is read, in that order: h's evaluation at
+    c_lin, which gives the profile and the model value and raises a
+    RepresentationError when the active pieces disagree in value, the
+    candidate's piece active there, the membership test, the duplicate rule
+    (deciding the earlier-visited neighbours it needs), the alternate's
+    consistency and the `SubproblemSolution`. Reading sols[0] or bool(sols)
+    decides up to the first accepted pair; len, iteration and slicing decide
+    them all. Each pair's curvature verdict is computed when first read.
     """
     H, cx, jac, plan, results = _enum_solves(p, x_hat, H, lin)
     h, n, m = p.h, p.n, p.m
-    cands, solved = [], set()  # cands: (piece, subset, solution, alternate, c_lin, profile)
+    cands, solved = [], set()  # cands: (piece, subset, solution, alternate, c_lin)
     for q in sorted(results):
         face = plan.face[q]
         if face in solved:
@@ -514,42 +511,48 @@ def solve_subproblem_enum(p: CompositeProblem, x_hat, H, lin: Linearization | No
             continue
         if alt is None:
             solved.add(face)
-        k, i = divmod(q, len(plan.subsets))
         if active:
-            c_lin = cx + jac @ sol[:n]
-            prof = eval_with_active(h, c_lin)
-            if prof.is_finite and k in prof.active_pieces:
-                cands.append((k, i, sol, alt, c_lin, prof))
-    values = [prof.value.value + 0.5 * float(sol[:n] @ H @ sol[:n])
-              for _, _, sol, _, _, prof in cands]
-    order = sorted(range(len(cands)), key=lambda j: (round(values[j], 12), cands[j][0]))
-    points = np.array([sol[:n + m] for _, _, sol, _, _, _ in cands]).reshape(len(cands), n + m)
-    accepted = {}
+            cands.append((*divmod(q, len(plan.subsets)), sol, alt, cx + jac @ sol[:n]))
+
+    def key(j):
+        """The model value at the first piece active at c_lin, rounded, then the piece."""
+        k, _, sol, _, c_lin = cands[j]
+        first = active_structure(h, c_lin)[0]
+        value = h.piece_value(first[0] if first else k, c_lin) + 0.5 * float(sol[:n] @ H @ sol[:n])
+        return round(value, 12), k
+
+    order = sorted(range(len(cands)), key=key) if len(cands) > 1 else range(len(cands))
+    points = np.array([c[2][:n + m] for c in cands]).reshape(len(cands), n + m)
+    accepted, profiles = {}, {}
 
     def is_accepted(j):
-        """Membership, and no earlier-visited accepted pair within 1e-9."""
+        """Piece k active at c_lin, membership, and no earlier-visited
+        accepted pair within 1e-9."""
         if j not in accepted:
-            _, _, sol, _, c_lin, prof = cands[j]
+            k, _, sol, _, c_lin = cands[j]
             d, y = sol[:n], sol[n:n + m]
-            accepted[j] = subdiff_hrep_at(h, prof, c_lin).contains(y, slack=1e-7) and not any(
-                map(is_accepted, np.flatnonzero(
-                    np.linalg.norm(points[:j, :n] - d, axis=1)
-                    + np.linalg.norm(points[:j, n:] - y, axis=1) <= 1e-9).tolist()))
+            prof = profiles[j] = eval_with_active(h, c_lin)
+            accepted[j] = k in prof.active_pieces \
+                and subdiff_hrep_at(h, prof, c_lin).contains(y, slack=1e-7) and not any(
+                    map(is_accepted, np.flatnonzero(
+                        np.linalg.norm(points[:j, :n] - d, axis=1)
+                        + np.linalg.norm(points[:j, n:] - y, axis=1) <= 1e-9).tolist()))
         return accepted[j]
 
     def decide(j):
         if not is_accepted(j):
             return None
-        k, i, sol, alt, _, prof = cands[j]
+        k, i, sol, alt, _ = cands[j]
+        d, prof = sol[:n], profiles[j]
         alternate = None
         if alt is not None and _consistent(p, k, alt, cx, jac) is not None:
             alternate = (alt[:n], alt[n:n + m])
         return SubproblemSolution(
-            d=sol[:n], y=sol[n:n + m], lam=sol[n + m:], piece=k, active_set=plan.subsets[i],
-            model_value=values[j],
+            d=d, y=sol[n:n + m], lam=sol[n + m:], piece=k, active_set=plan.subsets[i],
+            model_value=prof.value.value + 0.5 * float(d @ H @ d),
             model_check=functools.partial(
                 _model_sosc_ok, h.hyperplane_matrix()[0][list(prof.active_set)] @ jac, jac, H,
-                plan.Qs[list(prof.active_pieces)]),
+                h._Q[list(prof.active_pieces)]),
             unique=alternate is None, alternate=alternate, profile=prof)
 
     return CriticalPairs(filter(None, map(decide, order)))
@@ -603,7 +606,7 @@ def _enum_solves(p: CompositeProblem, x_hat, H, lin: Linearization | None):
     # Per piece the rhs head; per hyperplane its linearized row and its last
     # rhs entry.
     head = np.zeros((K, n + m))
-    head[:, n:] = [pc.Q @ cx + pc.b for pc in h.pieces]
+    head[:, n:] = h._Q @ cx + h._b
     AJ = np.array([a @ jac for a in A_all]).reshape(s, n)
     tail = np.array([alpha[j] - A_all[j] @ cx for j in range(s)])
     results = {}
@@ -612,7 +615,7 @@ def _enum_solves(p: CompositeProblem, x_hat, H, lin: Linearization | None):
         for ell, pairs, ks, idx, reps, rep in groups:
             kr, ir = ks[reps], idx[reps]  # the systems that assemble each distinct matrix
             cols = (h._signs[kr[:, None], ir][:, :, None] * A_all[ir]).transpose(0, 2, 1)
-            sols, alts, full, ok = _solve_stack(kkt_matrix(H, jac, plan.Qs[kr], cols, AJ[ir]),
+            sols, alts, full, ok = _solve_stack(kkt_matrix(H, jac, h._Q[kr], cols, AJ[ir]),
                                                 np.concatenate([head[ks], tail[idx]], axis=1),
                                                 rep)
             active = _pieces_active(h, ks, cx + (jac @ sols[:, :n, None])[:, :, 0])

@@ -5,7 +5,8 @@ compare the library's faster paths against it: a linear solve that tolerates
 singular systems (a stack of one through `solver._solve_stack`), one active
 piece's restricted Newton step, the block multipliers piece by piece and the
 pairwise gluing gap, the value of an expression tree, an orthonormal basis
-of a matrix's range, one piece's membership test and interior point; also
+of a matrix's range, one piece's membership test and interior point, the
+subdifferential assembled piece by piece; also
 the test-only helpers: one piece's restricted system matrix, the text form
 of an expression tree, the map x -> c(Mx) and the emptiness of an H-form
 polyhedron; and the structure enumeration with every pair decided up front.
@@ -16,6 +17,7 @@ import itertools
 
 import numpy as np
 
+from plqnewton.calculus import PolyhedronH, cone_generators
 from plqnewton.exprmap import BinOp, Const, Func, IntPow, Neg, SmoothMap, Var, _sweep
 from plqnewton.errors import PreconditionError
 from plqnewton.numerics import RANK_RTOL, as_vector, matrix_rank_rel
@@ -111,6 +113,26 @@ def piece_interior_point(h, k):
     most 4.0), or (None, None) when the piece is empty (t < -1e-9)."""
     x, t = max_slack_point(*h.piece_rows(k), cap=4.0)
     return (None, None) if x is None or t < -1e-9 else (x, t)
+
+
+def subdiff_hrep_of_pieces(h, prof, c):
+    """`calculus.subdiff_hrep_at` piece by piece: each active piece's tangent
+    cone converted alone, its lineality and ray rows normalized, and their
+    right-hand sides <raw_i, grad_k(c)> / norm_i taken by one matrix product
+    for a part whose rows are signed axes and one dot per row otherwise."""
+    E, e, F, f = [], [], [], []
+    for k in prof.active_pieces:
+        g = h.piece_gradient(k, c)
+        rays, lin = cone_generators(h.tangent_rows_at(k, prof.active_set))
+        for gens, rows, rhs in ((lin, E, e), (rays, F, f)):
+            raw = np.array(gens, dtype=float).reshape(len(gens), h.m)
+            norm = np.array([np.linalg.norm(r) for r in raw])
+            axes = np.all(np.count_nonzero(raw, axis=1) <= 1) \
+                and np.all(np.isin(raw[raw != 0.0], (-1.0, 1.0)))
+            rows.append(raw / norm[:, None])
+            rhs.append((raw @ g if axes else np.array([float(r @ g) for r in raw])) / norm)
+    return PolyhedronH.from_unit_rows(np.concatenate(E), np.concatenate(e),
+                                      np.concatenate(F), np.concatenate(f))
 
 
 def format_expr(node) -> str:
@@ -218,5 +240,5 @@ def eager_enum(p, x_hat, H, lin=None) -> list:
                 [h.pieces[j].Q for j in prof.active_pieces]),
             unique=alternate is None, alternate=alternate, profile=prof))
         found = np.vstack([found, sol[:n + m]])
-    out.sort(key=SubproblemSolution.key)
+    out.sort(key=lambda q: (round(q.model_value, 12), q.piece))
     return out

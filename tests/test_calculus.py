@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plqnewton import calculus
+from plqnewton import calculus, plq
 from plqnewton.benchmarks import halfquad_plq, l1_plq, l1sq_plq, max2_plq, nlp_plq, sumsq_plq
 from plqnewton.calculus import (
     MEMB_TOL,
@@ -13,14 +15,17 @@ from plqnewton.calculus import (
     dir_deriv_second,
     second_subderivative,
     subdiff_hrep,
+    subdiff_hrep_at,
 )
 from plqnewton.composite import qualification_chain
 from plqnewton.errors import DomainError, MembershipError
 from plqnewton.plq import eval_with_active, finite_value
 from plqnewton.simplex import feasible_point
 
-from oracles import is_empty
+from oracles import is_empty, subdiff_hrep_of_pieces
 from plq_sampling import sample_domain_point
+from test_certify import _weighted_l1_crossing
+from test_solver import _huber_pair
 
 
 class TestDoubleDescription:
@@ -166,7 +171,62 @@ def _subdiff_reference(h, c):
                        np.array(F).reshape(len(F), h.m), np.array(f))
 
 
+def _oblique_pair(w, Q):
+    """w1 |c1 + c2| + w2 |c1 - 2 c2| + c^T Q c / 2: two hyperplanes through
+    0 whose normals (1, 1) and (1, -2) are no signed axes."""
+    A = np.array([[1.0, 1.0], [1.0, -2.0]])
+    return plq.PLQFunction(2, [plq.Hyperplane(a, 0.0) for a in A],
+                           [plq.Piece(sg, Q, -(np.array(sg) * w) @ A)
+                            for sg in itertools.product((-1, 1), repeat=2)])
+
+
+def _stacked_subdiff_case(seed):
+    """(h, c) for a weighted-l1 crossing with s <= 4, a Huber pair or an
+    oblique pair, c on a random subset of h's hyperplanes."""
+    rng = np.random.default_rng(seed)
+    family = seed % 3
+    if family == 0:
+        s = int(rng.integers(1, 5))
+        h = _weighted_l1_crossing(w=tuple(rng.uniform(0.5, 2.0, s)), a=(0.0,) * s).problem.h
+    elif family == 1:
+        h = _huber_pair(rng.uniform(0.5, 1.5, 2), (0.0, 0.0)).h
+    else:
+        B = rng.standard_normal((2, 2))
+        h = _oblique_pair(rng.uniform(0.5, 2.0, 2), B @ B.T)
+    A, alpha = h.hyperplane_matrix()
+    c = rng.standard_normal(h.m) * rng.choice([1e-3, 1.0, 10.0])
+    on = np.flatnonzero(rng.random(h.n_hyperplanes) < 0.6)
+    if on.size:
+        c = c - np.linalg.lstsq(A[on], A[on] @ c - alpha[on], rcond=None)[0]
+    return h, c
+
+
 class TestSubdiff:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 100_000))
+    def test_stacked_rows_equal_the_piece_by_piece_loop(self, seed):
+        h, c = _stacked_subdiff_case(seed)
+        prof = eval_with_active(h, c)
+        for _ in range(2):  # stacking, then reading the cache
+            got, want = subdiff_hrep_at(h, prof, c), subdiff_hrep_of_pieces(h, prof, c)
+            for name in "EeFf":
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.shape == b.shape and np.array_equal(a, b), name
+                assert np.array_equal(np.signbit(a), np.signbit(b)), name
+
+    def test_stacked_cases_cover_both_rules_and_crossings(self):
+        # Each family reaches one, two and four or more active pieces; only
+        # the oblique pair's kinks take the one-dot-per-row rule.
+        kbars, per_row = {0: set(), 1: set(), 2: set()}, set()
+        for seed in range(60):
+            h, c = _stacked_subdiff_case(seed)
+            prof = eval_with_active(h, c)
+            kbars[seed % 3].add(min(prof.kbar, 4))
+            if calculus._subdiff_rows(h, prof.active_pieces, prof.active_set).axes is None:
+                per_row.add((seed % 3, min(prof.kbar, 4)))
+        assert all(k == {1, 2, 4} for k in kbars.values())
+        assert per_row == {(2, 2), (2, 4)}
+
     def test_cached_cones_give_the_direct_construction_bit_for_bit(self):
         rng = np.random.default_rng(5)
         for build in (l1_plq, l1sq_plq, max2_plq, nlp_plq, halfquad_plq, sumsq_plq):

@@ -345,6 +345,12 @@ class TestExitCodeContract:
         err = capsys.readouterr().err
         assert "Traceback" not in err and "max_iter >= 0" in err
 
+    @pytest.mark.parametrize("command", [["certify", "--point", "random"], ["check-derivs"]])
+    def test_negative_seed_is_input_error(self, capsys, command):
+        assert main([command[0], "b1_cubic", *command[1:], "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "--seed must be nonnegative, got -1" in err
+
     def test_solver_block_of_a_file_is_checked(self, tmp_path, capsys):
         doc = _doc()
         doc["solver"] = {"tol": -1e-12}

@@ -23,7 +23,13 @@ from plqnewton.benchmarks import (
 from plqnewton.calculus import subdiff_hrep_at
 from plqnewton.cli import run_report
 from plqnewton.composite import CompositeProblem
-from plqnewton.errors import DivergenceError, PreconditionError, RegimeError, StepError
+from plqnewton.errors import (
+    DivergenceError,
+    PreconditionError,
+    RegimeError,
+    RepresentationError,
+    StepError,
+)
 from plqnewton.exprmap import SmoothMap
 from plqnewton.manifold import build_manifold, mu_of
 from plqnewton.problems import parse_problem_dict
@@ -439,7 +445,7 @@ def _per_structure_enum(p, H, lin):
             model_check=_model_sosc_ok(A_all[list(prof.active_set)] @ jac, jac, H,
                                        [p.h.pieces[j].Q for j in prof.active_pieces]),
             unique=alternate is None, alternate=alternate, profile=prof))
-    out.sort(key=SubproblemSolution.key)
+    out.sort(key=lambda q: (round(q.model_value, 12), q.piece))
     return out
 
 
@@ -762,18 +768,48 @@ class TestLazyPairs:
         sols = solve_subproblem_enum(*_near_duplicate_step())
         assert [(q.piece, q.active_set) for q in sols] == [(0, (1,)), (2, ())]
 
+    def test_disagreement_at_an_unread_pair_raises_when_read(self):
+        # An unvalidated h: -c below 0, 0 on [0, 1] and 5 + c above 1, so its
+        # pieces disagree at c = 1. From x = 0.5 (c = x, H = 1) the best pair
+        # is piece 1's interior, and piece 1 holding c = 1 is a candidate
+        # ranked later, so only reading every pair evaluates h there.
+        h = plq.PLQFunction(1, [plq.Hyperplane([1.0], 0.0), plq.Hyperplane([1.0], 1.0)],
+                            [plq.Piece([1, 1], [[0.0]], [-1.0]),
+                             plq.Piece([-1, 1], [[0.0]], [0.0]),
+                             plq.Piece([-1, -1], [[0.0]], [1.0], 5.0)])
+        p = CompositeProblem(h, SmoothMap.from_strings(["x1"], 1))
+        sols = solve_subproblem_enum(p, [0.5], np.eye(1))
+        assert (sols[0].piece, sols[0].active_set, sols[0].model_value) == (1, (), 0.0)
+        with pytest.raises(RepresentationError, match="disagree in value"):
+            len(sols)
+
+    def test_candidate_outside_dom_h_is_rejected_when_read(self, monkeypatch):
+        # h = -c below 0 and 0 on [0, 1], so dom h = (-inf, 1]. With every
+        # solved pair made a candidate, piece 0's interior solve from x = 0.5
+        # lands at c = 1.5, where no piece is active: it is ranked and then
+        # rejected when read, and the pairs are those of the unpatched call.
+        h = plq.PLQFunction(1, [plq.Hyperplane([1.0], 0.0), plq.Hyperplane([1.0], 1.0)],
+                            [plq.Piece([1, 1], [[0.0]], [-1.0]), plq.Piece([-1, 1], [[0.0]], [0.0])])
+        p = CompositeProblem(h, SmoothMap.from_strings(["x1"], 1))
+        want = [(q.piece, q.active_set) for q in solve_subproblem_enum(p, [0.5], np.eye(1))]
+        monkeypatch.setattr(solver, "_pieces_active",
+                            lambda h, pieces, c_lin: np.ones(len(pieces), dtype=bool))
+        assert [(q.piece, q.active_set)
+                for q in solve_subproblem_enum(p, [0.5], np.eye(1))] == want == [(1, ())]
+
     def test_best_pair_decides_at_most_two_memberships(self, monkeypatch):
         # y makes the model curvature negative on every coordinate: each of
-        # the 27 faces gives a candidate.
+        # the 27 faces gives a candidate. The call ranks them without
+        # evaluating h; each read pair is evaluated once, with its membership.
         p, x, lin = _crossing_step(*_CROSSINGS[0], [-0.1, 0.05, -0.12])
+        ranked = _count_calls(monkeypatch, plq, "active_structure")
         evals = _count_calls(monkeypatch, plq, "eval_with_active")
         members = _count_calls(monkeypatch, calculus, "subdiff_hrep_at")
         sols = solve_subproblem_enum(p, x, lin.H, lin)
-        candidates = len(evals)  # one evaluation per candidate, none later
-        assert members == [] and candidates > 2
+        assert evals == [] and members == [] and len(ranked) > 2
         best = sols[0]
-        assert 1 <= len(members) <= 2
-        assert len(sols) >= 1 and len(members) == candidates == len(evals)
+        assert 1 <= len(evals) <= 2 and len(members) == len(evals)
+        assert len(sols) >= 1 and len(members) == len(evals)
         assert sols[0] is best
 
 
