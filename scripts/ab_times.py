@@ -104,10 +104,10 @@ def ab_times(parent, change, workload, rounds, repeats, seed):
     workers: in the first the parent's worker is started first, in the
     second the change's."""
     kinds, sizes, wrong = None, None, []
-    for started_first in (parent, change):
-        order = (parent, change) if started_first is parent else (change, parent)
-        workers = [Worker(checkout, workload, seed, rounds) for checkout in order]
-        sides = workers if started_first is parent else workers[::-1]
+    for swap in (False, True):  # the second block starts the change's worker first
+        workers = [Worker(checkout, workload, seed, rounds)
+                   for checkout in ((change, parent) if swap else (parent, change))]
+        sides = workers[::-1] if swap else workers
         try:
             if kinds is None:
                 kinds = sides[0].kinds

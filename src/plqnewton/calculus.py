@@ -10,9 +10,10 @@ so the generators of every active piece are converted once per (active
 pieces, active set) and cached on the PLQ function as one stack of unit
 rows; `subdiff_hrep` takes every piece's gradient and right-hand sides in
 one pass. The `_at` twins take an active profile the caller already holds,
-so h is evaluated once per point. A facet shared by several active pieces comes once per piece, as the
-per-piece construction gives it; the point analysis (composite) keeps one
-copy with `PolyhedronH.distinct`, so its LPs see each facet once.
+so h is evaluated once per point. A facet shared by several active pieces
+comes once per piece, as the per-piece construction gives it; the point
+analysis (composite) keeps one copy with `PolyhedronH.distinct`, so its LPs
+see each facet once.
 
 Extended-real results use the tagged ExtReal type; no float('inf') arithmetic.
 All operations are functions over immutable inputs. The only state is the
@@ -394,8 +395,8 @@ def _subdiff_rows(h: PLQFunction, pieces, act) -> _SubdiffRows:
     if rows is None:
         cones = [cone_generators(h.tangent_rows_at(k, act)) for k in pieces]  # (rays, lineality)
         parts = [lin for _, lin in cones] + [rays for rays, _ in cones]
-        raw = np.array([g for part in parts for g in part], dtype=float).reshape(-1, h.m)
-        norm = np.array([np.linalg.norm(r) for r in raw])
+        raw = freeze_array(np.reshape([g for part in parts for g in part], (-1, h.m)))
+        norm = freeze_array([np.linalg.norm(r) for r in raw])
         piece = np.repeat(np.tile(np.arange(len(pieces)), 2), [len(part) for part in parts])
         axes = None
         if np.all(np.count_nonzero(raw, axis=1) <= 1) and np.all(np.isin(raw[raw != 0.0], (-1, 1))):
@@ -426,6 +427,8 @@ def subdiff_hrep_at(h: PLQFunction, prof, c) -> PolyhedronH:
     Where every row is a signed axis, that dot is the signed entry of g it
     picks (+0.0 when zero: a dot sums from +0.0), taken for all rows at once.
     """
+    if not prof.active_pieces:
+        raise DomainError("point is outside dom h")
     c = as_vector(c, h.m, "c")
     rows = _subdiff_rows(h, prof.active_pieces, prof.active_set)
     G = rows.Qs @ c + rows.bs

@@ -214,6 +214,12 @@ class TestSubdiff:
                 assert a.shape == b.shape and np.array_equal(a, b), name
                 assert np.array_equal(np.signbit(a), np.signbit(b)), name
 
+    def test_profile_outside_dom_h_is_refused(self):
+        # halfquad is +inf below -1: dh is empty there, and no piece is active.
+        h, c = halfquad_plq(), np.array([-2.0])
+        with pytest.raises(DomainError):
+            subdiff_hrep_at(h, eval_with_active(h, c), c)
+
     def test_stacked_cases_cover_both_rules_and_crossings(self):
         # Each family reaches one, two and four or more active pieces; only
         # the oblique pair's kinks take the one-dot-per-row rule.
