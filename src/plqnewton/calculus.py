@@ -11,9 +11,9 @@ pieces, active set) and cached on the PLQ function as one stack of unit
 rows; `subdiff_hrep` takes every piece's gradient and right-hand sides in
 one pass. The `_at` twins take an active profile the caller already holds,
 so h is evaluated once per point. A facet shared by several active pieces
-comes once per piece, as the per-piece construction gives it; the point
-analysis (composite) keeps one copy with `PolyhedronH.distinct`, so its LPs
-see each facet once.
+is stacked once, with the right-hand side of the first piece that has it:
+at a crossing of s hyperplanes the 2^s active pieces give 2s facet rows,
+not s 2^s, so every membership test, residual and LP sees each facet once.
 
 Extended-real results use the tagged ExtReal type; no float('inf') arithmetic.
 All operations are functions over immutable inputs. The only state is the
@@ -133,15 +133,6 @@ def cone_contains(B, v, tol=MEMB_TOL) -> bool:
 # -- polyhedra in H-form -----------------------------------------------------
 
 
-def _first_copies(M, rhs):
-    """Indices of the first copy of each distinct (row, rhs), in order.
-    Adding 0.0 turns -0.0 into 0.0, so equal values give equal bytes."""
-    first = {}
-    for i, key in enumerate(np.hstack([M, rhs[:, None]]) + 0.0):
-        first.setdefault(key.tobytes(), i)
-    return np.fromiter(first.values(), int, len(first))
-
-
 @dataclass(frozen=True)
 class PolyhedronH:
     """{y : E y = e, F y <= f} with rows normalized to unit length."""
@@ -188,17 +179,6 @@ class PolyhedronH:
             arr.setflags(write=False)
             object.__setattr__(P, name, arr)
         return P
-
-    def distinct(self) -> "PolyhedronH":
-        """The same set with each exact (row, rhs) repeat dropped and first
-        copies kept in order; self when nothing repeats. Rows compare by
-        value, so -0.0 equals 0.0. A subdifferential at a crossing of s
-        hyperplanes stacks each of its 2s facets 2^(s-1) times, once for
-        each active piece that has it."""
-        iE, iF = _first_copies(self.E, self.e), _first_copies(self.F, self.f)
-        if len(iE) == len(self.e) and len(iF) == len(self.f):
-            return self
-        return PolyhedronH.from_unit_rows(self.E[iE], self.e[iE], self.F[iF], self.f[iF])
 
     @property
     def dim(self) -> int:
@@ -329,10 +309,6 @@ class PolyhedronH:
             return None, None
         return x, t
 
-    def to_dict(self):
-        return {"E": self.E.tolist(), "e": self.e.tolist(),
-                "F": self.F.tolist(), "f": self.f.tolist()}
-
 
 # -- calculus operations ------------------------------------------------------
 
@@ -371,11 +347,12 @@ def dir_deriv_second(h: PLQFunction, c, w) -> ExtReal:
 
 class _SubdiffRows(NamedTuple):
     """The rows of dh at every point with one (active pieces, active set):
-    each piece's lineality rows (the equalities), then each piece's rays,
-    as cone_generators returns them, with their norms, their unit forms as
-    PolyhedronH stores rows, and the position of each row's piece among the
-    active pieces. When every row is a signed axis, `axes` holds the entry
-    of the flattened gradient stack each row picks, and its sign."""
+    the lineality rows (the equalities), then the rays, of every piece, as
+    cone_generators returns them, each unit row once (`_first_copies`),
+    with their norms, their unit forms as PolyhedronH stores rows, and the
+    position of each row's piece among the active pieces. When every row is
+    a signed axis, `axes` holds the entry of the flattened gradient stack
+    each row picks, and its sign."""
 
     Qs: np.ndarray     # (kbar, m, m): the active pieces' Q
     bs: np.ndarray     # (kbar, m): their b
@@ -387,23 +364,43 @@ class _SubdiffRows(NamedTuple):
     axes: tuple | None
 
 
+def _first_copies(M):
+    """Indices of the first copy of each distinct row of M, in order. Adding
+    0.0 turns -0.0 into 0.0, so equal values give equal bytes."""
+    first = {}
+    for i, key in enumerate(M + 0.0):
+        first.setdefault(key.tobytes(), i)
+    return np.fromiter(first.values(), int, len(first))
+
+
 def _subdiff_rows(h: PLQFunction, pieces, act) -> _SubdiffRows:
     """The `_SubdiffRows` of (pieces, act), cached on h. A piece and the
     active set fix the active pieces, so each piece's tangent cone is
-    converted once per active set."""
+    converted once per active set.
+
+    A unit row that several pieces share keeps its first copy, so its
+    right-hand side is the first such piece's. On a continuous h that is
+    every such piece's: a shared row is a ray or a lineality direction of
+    both tangent cones, so both pieces hold h along it near c and their
+    derivatives along it agree."""
     rows = h._subdiff_cache.get((pieces, act))
     if rows is None:
         cones = [cone_generators(h.tangent_rows_at(k, act)) for k in pieces]  # (rays, lineality)
         parts = [lin for _, lin in cones] + [rays for rays, _ in cones]
-        raw = freeze_array(np.reshape([g for part in parts for g in part], (-1, h.m)))
-        norm = freeze_array([np.linalg.norm(r) for r in raw])
+        raw = np.reshape([g for part in parts for g in part], (-1, h.m))
+        norm = np.array([np.linalg.norm(r) for r in raw])
+        unit = raw / norm[:, None]
         piece = np.repeat(np.tile(np.arange(len(pieces)), 2), [len(part) for part in parts])
+        n_eq = sum(len(lin) for _, lin in cones)
+        eq, ineq = _first_copies(unit[:n_eq]), n_eq + _first_copies(unit[n_eq:])
+        keep = np.concatenate([eq, ineq])
+        raw, norm, unit, piece = raw[keep], norm[keep], unit[keep], piece[keep]
         axes = None
         if np.all(np.count_nonzero(raw, axis=1) <= 1) and np.all(np.isin(raw[raw != 0.0], (-1, 1))):
             axes = (piece * h.m + np.argmax(raw != 0.0, axis=1), raw.sum(axis=1))
         rows = h._subdiff_cache.setdefault((pieces, act), _SubdiffRows(
-            h._Q[list(pieces)], h._b[list(pieces)], raw, norm, freeze_array(raw / norm[:, None]),
-            piece, sum(len(lin) for _, lin in cones), axes))
+            h._Q[list(pieces)], h._b[list(pieces)], freeze_array(raw), freeze_array(norm),
+            freeze_array(unit), piece, len(eq), axes))
     return rows
 
 

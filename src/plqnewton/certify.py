@@ -112,7 +112,7 @@ def _sosc(pa: PointAnalysis, ybar, md: ManifoldData | None) -> SOSCReport:
                           tuple(zip(md.active_pieces, eigs)), bool(passed))
 
     # Otherwise decide copositivity on each active piece's critical cone, read
-    # from the one profile of h at c(xbar) and its cached tangent rows.
+    # from the one profile of h at c(xbar) and its tangent rows.
     margins = []
     for k in prof.active_pieces:
         rows = np.vstack([p.h.tangent_rows_at(k, prof.active_set),

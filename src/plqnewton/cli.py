@@ -4,9 +4,11 @@ Exit codes: 0 pass, 1 certified-failure (the tool ran, the verdict is
 negative), 2 input error (the input is malformed or does not meet the
 command's preconditions), 3 regime error (the evaluation or the iteration
 left the regime where it is defined); errors.INPUT_ERRORS and
-errors.REGIME_ERRORS map every package error to 2 or 3. --seed (default 42,
-nonnegative) drives the only random draws (`--point random`, check-derivs' multipliers),
-so reports are byte-stable for identical inputs; validation draws none.
+errors.REGIME_ERRORS map every package error to 2 or 3, and a file that
+cannot be opened, read as UTF-8 or written is an input error. --seed (default
+42, nonnegative) drives the only random draws (`--point random`, which
+check-derivs takes without --point, and check-derivs' multipliers), so
+reports are byte-stable for identical inputs; validation draws none.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ def _resolve_point(pf: ProblemFile, spec: str | None, rng):
             (pf.start_x if pf.start_x is not None else np.zeros(pf.problem.n))
         return base + rng.uniform(-0.5, 0.5, size=pf.problem.n), None
     try:
-        with open(spec) as fh:
+        with open(spec, encoding="utf-8") as fh:
             doc = json.load(fh)
         x = np.asarray(json_floats(doc["x"]))
         y = np.asarray(json_floats(doc["y"])) if "y" in doc else None
@@ -168,10 +170,10 @@ def report_rate(pf: ProblemFile, opts) -> tuple[dict, int]:
 def report_check_derivs(pf: ProblemFile, opts) -> tuple[dict, int]:
     rng = _rng(opts)
     p = pf.problem
-    spec = opts.get("point", "random")
+    spec = opts.get("point") or "random"
     worst_jac = 0.0
     worst_hess = 0.0
-    trials = 1 if spec not in (None, "random") else DERIV_POINTS
+    trials = DERIV_POINTS if spec == "random" else 1
     for _ in range(trials):
         x, _ = _resolve_point(pf, spec, rng)
         jac = p.c.jacobian(x)
@@ -265,6 +267,9 @@ def main(argv=None) -> int:
         else:
             pf = load_problem(args.file, validate=args.command != "validate")
         report, code = run_report(pf, args.command, opts)
+        if args.json_out:
+            with open(args.json_out, "w") as fh:
+                json.dump(report, fh, sort_keys=True, indent=2)
     except INPUT_ERRORS as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -272,9 +277,6 @@ def main(argv=None) -> int:
         print(f"regime error: {err}", file=sys.stderr)
         return EXIT_REGIME_ERROR
     print(_render(report))
-    if args.json_out:
-        with open(args.json_out, "w") as fh:
-            json.dump(report, fh, sort_keys=True, indent=2)
     return code
 
 

@@ -12,12 +12,12 @@ of h at c(x). The three nested qualifications are checked as follows:
        single point, decided by an interior-slack LP plus the tc rank test.
 
 The chain is computed once per point: `analyze_point` makes one first-order
-sweep of c and one subdifferential, held with each facet once (at a crossing
-of s hyperplanes the 2^s active pieces stack each of the 2s box facets 2^(s-1)
-times, and every LP would carry the copies), and `qualification_chain`
-derives bcq, tc, sc and the multiplier set from that nullspace and that
-polyhedron; `bcq_holds`, `multiplier_set`, `check_cqs` and
-`nonascent_contains` are thin entry points over it. The only state is the
+sweep of c and one subdifferential, which `calculus.subdiff_hrep_at` stacks
+with each facet once (2s rows at a crossing of s hyperplanes, though each of
+the 2s facets belongs to 2^(s-1) of the 2^s active pieces), and
+`qualification_chain` derives bcq, tc, sc and the multiplier set from that
+nullspace and that polyhedron; `bcq_holds`, `multiplier_set`, `check_cqs`
+and `nonascent_contains` are thin entry points over it. The only state is the
 implicit-equality data a polyhedron caches on first use; computing it is
 idempotent, so concurrent checks on one problem are safe.
 """
@@ -55,9 +55,6 @@ class CompositeProblem:
     @property
     def m(self) -> int:
         return self.c.m
-
-    def objective(self, x):
-        return eval_with_active(self.h, self.c.value(x)).value
 
 
 @dataclass(frozen=True)
@@ -127,7 +124,7 @@ def analyze_point(p: CompositeProblem, x) -> PointAnalysis:
     prof = eval_with_active(p.h, cx)
     if not prof.is_finite:
         raise DomainError("c(x) is outside dom h")
-    sub = subdiff_hrep_at(p.h, prof, cx).distinct()
+    sub = subdiff_hrep_at(p.h, prof, cx)
     mult, cqs = qualification_chain(sub, jac.T)
     return PointAnalysis(p, x, cx, prof, jac, sub, mult, cqs)
 

@@ -2,8 +2,8 @@
 
 Exit-code mapping for the CLI, covering every PLQError: errors that
 describe the input exit with 2 (INPUT_ERRORS: SchemaError, ValidationFailure,
-a missing file, PreconditionError, RepresentationError, MembershipError,
-ExprSyntaxError); errors that describe where the evaluation or the iteration
+OSError for a file that cannot be opened, read or written, PreconditionError,
+RepresentationError, MembershipError, ExprSyntaxError); errors that describe where the evaluation or the iteration
 went exit with 3 (REGIME_ERRORS: RegimeError, StepError, DivergenceError,
 DomainError, EvalDomainError).
 """
@@ -75,6 +75,6 @@ class EvalDomainError(PLQError):
         super().__init__(message if component is None else f"component {component}: {message}")
 
 
-INPUT_ERRORS = (SchemaError, ValidationFailure, FileNotFoundError, PreconditionError,
+INPUT_ERRORS = (SchemaError, ValidationFailure, OSError, PreconditionError,
                 RepresentationError, MembershipError, ExprSyntaxError)
 REGIME_ERRORS = (RegimeError, StepError, DivergenceError, DomainError, EvalDomainError)

@@ -10,11 +10,11 @@ their interiors are disjoint.
 
 `eval_with_active` computes the hyperplane residuals r = A c - alpha once and
 tests every piece at once against the K x s sign matrix; its profile keeps
-the one active set. Each function stacks its pieces' Q and b and caches
-what depends on h alone, filled on first use: the unit tangent-cone rows of
-piece k for each active hyperplane set (and, through `calculus`, the
-subdifferential's rows per set of active pieces) and, through `solver`, the
-structure enumeration's face plan.
+the one active set. Each function stacks its pieces' Q and b and its unit
+hyperplane normals, and caches what depends on h alone, filled on first
+use: through `calculus`, the subdifferential's rows per set of active
+pieces; through `manifold`, the manifold data per set of active pieces; and
+through `solver`, the structure enumeration's face plan.
 
 `validate_representation` decides every invariant exactly, convexity
 included, on the faces of the arrangement; it draws no random number.
@@ -117,18 +117,17 @@ class PLQFunction:
         A = np.array([h.a for h in hps], dtype=float).reshape(s, self.m)
         alph = np.array([h.alpha for h in hps], dtype=float)
         object.__setattr__(self, "_A", freeze_array(A))
+        object.__setattr__(self, "_unit_A", freeze_array(A / np.linalg.norm(A, axis=1)[:, None]))
         object.__setattr__(self, "_alpha", freeze_array(alph))
         object.__setattr__(self, "_act_tol", freeze_array(ACT_TOL * (1.0 + np.abs(alph))))
         signs = np.array([p.signs for p in pcs], dtype=float).reshape(len(pcs), s)
         object.__setattr__(self, "_signs", freeze_array(signs))
         object.__setattr__(self, "_Q", freeze_array([p.Q for p in pcs]))  # (K, m, m)
         object.__setattr__(self, "_b", freeze_array([p.b for p in pcs]))  # (K, m)
-        # h-only data, filled on first use: (k, active set) -> unit tangent
-        # rows; (active pieces, active set) -> the subdifferential's rows
-        # (see calculus) and the manifold's A, P, nondegeneracy and stacked
-        # piece data (see manifold); () -> the structure enumeration's face
-        # plan (see solver).
-        object.__setattr__(self, "_tangent_cache", {})
+        # h-only data, filled on first use: (active pieces, active set) ->
+        # the subdifferential's rows (see calculus) and the manifold's A, P,
+        # nondegeneracy and stacked piece data (see manifold); () -> the
+        # structure enumeration's face plan (see solver).
         object.__setattr__(self, "_subdiff_cache", {})
         object.__setattr__(self, "_manifold_cache", {})
         object.__setattr__(self, "_face_plan_cache", {})
@@ -171,23 +170,13 @@ class PLQFunction:
         p = self.pieces[k]
         return p.Q @ c + p.b
 
-    def active_hyperplane_set(self, c) -> tuple:
-        r = self.residuals(c)
-        return tuple(int(j) for j in np.flatnonzero(np.abs(r) <= self._act_tol))
-
     def tangent_rows_at(self, k, act) -> np.ndarray:
         """Rows B with T(c | C_k) = {v : B v <= 0}, the unit-normalized active
-        gradients, at any point c whose active hyperplane set is `act`;
-        cached per (k, act) and read-only."""
-        rows = self._tangent_cache.get((k, act))
-        if rows is None:
-            if act:
-                rows = np.array([self._signs[k, j] * self._A[j] for j in act])
-                rows = rows / np.linalg.norm(rows, axis=1)[:, None]
-            else:
-                rows = np.zeros((0, self.m))
-            rows = self._tangent_cache.setdefault((k, act), freeze_array(rows))
-        return rows
+        gradients signs_kj a_j / |a_j|, at any point c whose active hyperplane
+        set is `act`. A sign commutes with the division, so each row is
+        bit-equal to the signed row divided by its own norm."""
+        act = list(act)
+        return self._signs[k, act, None] * self._unit_A[act]
 
 
 def eval_with_active(h: PLQFunction, c) -> ActiveProfile:
@@ -219,8 +208,12 @@ def active_structure(h: PLQFunction, c) -> tuple[tuple, tuple]:
             tuple((np.abs(r) <= h._act_tol).nonzero()[0].tolist()))
 
 
-def value(h: PLQFunction, c) -> ExtReal:
-    return eval_with_active(h, c).value
+def pieces_active(h: PLQFunction, pieces, c):
+    """Whether piece pieces[i] is active at c[i], for a stack c of points:
+    the test and tolerance of `active_structure`, signs_k (A c - alpha) <=
+    ACT_TOL (1 + |alpha|)."""
+    r = (h._A @ c[:, :, None])[:, :, 0] - h._alpha
+    return np.all(h._signs[pieces] * r <= h._act_tol, axis=1)
 
 
 def finite_value(h: PLQFunction, c) -> float:
@@ -299,7 +292,7 @@ def _face(h: PLQFunction, memo, eq, signs):
 def _face_basis(h: PLQFunction, x):
     """Orthonormal basis (columns) of the directions along every hyperplane
     active at x; the identity when none is."""
-    act = h.active_hyperplane_set(x)
+    act = active_structure(h, x)[1]
     return nullspace_basis(h._A[list(act)]) if act else np.eye(h.m)
 
 
@@ -334,7 +327,7 @@ def _domain_failure(h: PLQFunction, memo, points, top, d):
                         or np.linalg.norm(T - T0 @ (T0.T @ T)) > 1e-9):
             return f"piece {k} leaves the flat of the {d}-dimensional pieces"
     for k in top:
-        act = h.active_hyperplane_set(points[k][0])
+        act = active_structure(h, points[k][0])[1]
         for j in [j for j in range(h.n_hyperplanes) if j not in act]:
             face = _face(h, memo, (j,), h._signs[k])
             w, tol = h._signs[k, j] * h._A[j], h._signs[k, j] * h._alpha[j] + h._act_tol[j]

@@ -211,11 +211,13 @@ def load_problem(path, probes=200, validate=True, rng=None) -> ProblemFile:
     `probes` and `rng` are accepted and ignored, for callers written when
     convexity was sampled (perfbench/run.py still passes them).
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as err:
             raise SchemaError("", f"invalid JSON: {err}") from None
+        except UnicodeDecodeError as err:
+            raise SchemaError("", f"{path} is not UTF-8 text: {err}") from None
     pf = parse_problem_dict(doc, path=str(path))
     if validate:
         rep = validate_representation(pf.problem.h)

@@ -28,6 +28,20 @@ class LPResult:
         return self.status == "optimal"
 
 
+def _pivot(A, b, row, col):
+    """Pivot the system A z = b in place on (row, col): scale the row to a
+    unit entry in col, then clear col from every other row with a nonzero
+    entry there."""
+    piv = A[row, col]
+    A[row] /= piv
+    b[row] /= piv
+    for i in range(A.shape[0]):
+        if i != row and abs(A[i, col]) > 0:
+            f = A[i, col]
+            A[i] -= f * A[row]
+            b[i] -= f * b[row]
+
+
 def _bland_simplex(A, b, c, basis):
     """Minimize c'z over Az = b, z >= 0 from the given feasible basis.
 
@@ -65,15 +79,7 @@ def _bland_simplex(A, b, c, basis):
                     leave = i
         if leave < 0:
             return "unbounded", -np.inf, None
-        # Pivot.
-        piv = A[leave, enter]
-        A[leave] /= piv
-        b[leave] /= piv
-        for i in range(m):
-            if i != leave and abs(A[i, enter]) > 0:
-                f = A[i, enter]
-                A[i] -= f * A[leave]
-                b[i] -= f * b[leave]
+        _pivot(A, b, leave, enter)
         f = red[enter]
         obj += f * b[leave]
         red -= f * A[leave]
@@ -138,14 +144,7 @@ def solve_lp(c, F=None, f=None, E=None, e=None) -> LPResult:
                 break
         if pivot_col < 0:
             continue  # redundant row
-        piv = A1[i, pivot_col]
-        A1[i] /= piv
-        b[i] /= piv
-        for k in range(A1.shape[0]):
-            if k != i and abs(A1[k, pivot_col]) > 0:
-                fk = A1[k, pivot_col]
-                A1[k] -= fk * A1[i]
-                b[k] -= fk * b[i]
+        _pivot(A1, b, i, pivot_col)
         basis[i] = pivot_col
         keep.append(i)
 

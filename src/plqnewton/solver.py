@@ -71,7 +71,7 @@ from .errors import DivergenceError, PreconditionError, RegimeError, SchemaError
 from .exprmap import Linearization
 from .manifold import ManifoldData, build_manifold, build_manifold_at
 from .numerics import as_vector, nullspace_basis
-from .plq import ActiveProfile, active_structure, eval_with_active
+from .plq import ActiveProfile, active_structure, eval_with_active, pieces_active
 
 GLUE_FAIL = 1e-8
 # The divergence guard: |x_k| > DIVERGENCE_FACTOR (1 + |x_0|) raises DivergenceError.
@@ -486,7 +486,7 @@ def solve_subproblem_enum(p: CompositeProblem, x_hat, H, lin: Linearization | No
     model value, ties by piece, then in visiting order.
 
     The solves are batched (`_enum_solves`). A pair whose piece is active
-    at c_lin (`_pieces_active`) is a candidate. When a call has two or more,
+    at c_lin (`plq.pieces_active`) is a candidate. When a call has two or more,
     they are ranked without evaluating h, by the model value at the first
     piece active at c_lin (`active_structure`; on a validated h every
     active piece gives it to VALUE_TOL), rounded to 12 decimals. The rest
@@ -618,7 +618,7 @@ def _enum_solves(p: CompositeProblem, x_hat, H, lin: Linearization | None):
             sols, alts, full, ok = _solve_stack(kkt_matrix(H, jac, h._Q[kr], cols, AJ[ir]),
                                                 np.concatenate([head[ks], tail[idx]], axis=1),
                                                 rep)
-            active = _pieces_active(h, ks, cx + (jac @ sols[:, :n, None])[:, :, 0])
+            active = pieces_active(h, ks, cx + (jac @ sols[:, :n, None])[:, :, 0])
             for q, sol, alt, f, o, a in zip(pairs.tolist(), sols, alts, full, ok, active):
                 results[q] = (sol, None if f else alt, a) if o else (None, None, a)
 
@@ -672,13 +672,6 @@ def _solve_stack(M, rhs, rep=None, tol=1e-9):
     alts = sols.copy()
     alts[sing] += 0.05 * vt[sing, kept[sing].sum(axis=1)]
     return sols, alts, full, ok
-
-
-def _pieces_active(h, pieces, c_lin):
-    """Whether piece pieces[i] is active at c_lin[i]: signs_k (A c - alpha) <=
-    ACT_TOL (1 + |alpha|), the test and tolerance of `plq.active_structure`."""
-    r = (h._A @ c_lin[:, :, None])[:, :, 0] - h._alpha
-    return np.all(h._signs[pieces] * r <= h._act_tol, axis=1)
 
 
 def _consistent(p, k, sol, cx, jac):

@@ -115,11 +115,24 @@ def piece_interior_point(h, k):
     return (None, None) if x is None or t < -1e-9 else (x, t)
 
 
-def subdiff_hrep_of_pieces(h, prof, c):
+def first_copies(M, rhs):
+    """(M, rhs) without the later copies of a row of M; rows compare by
+    value, so -0.0 equals 0.0, and each kept row keeps its own bits and
+    right-hand side."""
+    kept = []
+    for i, row in enumerate(M):
+        if not any(np.array_equal(row, M[k]) for k in kept):
+            kept.append(i)
+    return M[kept], rhs[kept]
+
+
+def subdiff_hrep_of_pieces(h, prof, c, repeats=False):
     """`calculus.subdiff_hrep_at` piece by piece: each active piece's tangent
     cone converted alone, its lineality and ray rows normalized, and their
     right-hand sides <raw_i, grad_k(c)> / norm_i taken by one matrix product
-    for a part whose rows are signed axes and one dot per row otherwise."""
+    for a part whose rows are signed axes and one dot per row otherwise.
+    Each unit row is kept once (`first_copies`), or, with `repeats`, once
+    per piece that has it."""
     E, e, F, f = [], [], [], []
     for k in prof.active_pieces:
         g = h.piece_gradient(k, c)
@@ -131,8 +144,10 @@ def subdiff_hrep_of_pieces(h, prof, c):
                 and np.all(np.isin(raw[raw != 0.0], (-1.0, 1.0)))
             rows.append(raw / norm[:, None])
             rhs.append((raw @ g if axes else np.array([float(r @ g) for r in raw])) / norm)
-    return PolyhedronH.from_unit_rows(np.concatenate(E), np.concatenate(e),
-                                      np.concatenate(F), np.concatenate(f))
+    E, e, F, f = map(np.concatenate, (E, e, F, f))
+    if not repeats:
+        (E, e), (F, f) = first_copies(E, e), first_copies(F, f)
+    return PolyhedronH.from_unit_rows(E, e, F, f)
 
 
 def format_expr(node) -> str:

@@ -22,7 +22,7 @@ from plqnewton.errors import DomainError, MembershipError
 from plqnewton.plq import eval_with_active, finite_value
 from plqnewton.simplex import feasible_point
 
-from oracles import is_empty, subdiff_hrep_of_pieces
+from oracles import first_copies, is_empty, subdiff_hrep_of_pieces
 from plq_sampling import sample_domain_point
 from test_certify import _weighted_l1_crossing
 from test_solver import _huber_pair
@@ -157,18 +157,20 @@ def _poly_equal(P: PolyhedronH, Q: PolyhedronH, tol=1e-7) -> bool:
 
 def _subdiff_reference(h, c):
     """The subdifferential built the direct way: every active piece's tangent
-    cone converted at c, one dot per row, rows normalized by PolyhedronH."""
+    cone converted at c, one dot per row, rows normalized by PolyhedronH,
+    then each unit row kept once, with the first piece's right-hand side."""
     prof = eval_with_active(h, c)
     E, e, F, f = [], [], [], []
     for k in prof.active_pieces:
         g = h.piece_gradient(k, c)
-        rays, lin = cone_generators(h.tangent_rows_at(k, h.active_hyperplane_set(c)))
+        rays, lin = cone_generators(h.tangent_rows_at(k, plq.active_structure(h, c)[1]))
         E += lin
         e += [float(l @ g) for l in lin]
         F += rays
         f += [float(r @ g) for r in rays]
-    return PolyhedronH(np.array(E).reshape(len(E), h.m), np.array(e),
-                       np.array(F).reshape(len(F), h.m), np.array(f))
+    P = PolyhedronH(np.array(E).reshape(len(E), h.m), np.array(e),
+                    np.array(F).reshape(len(F), h.m), np.array(f))
+    return PolyhedronH.from_unit_rows(*first_copies(P.E, P.e), *first_copies(P.F, P.f))
 
 
 def _oblique_pair(w, Q):
@@ -546,73 +548,69 @@ class TestImplicitEqualityMask:
         assert P.implicit_equality_mask().tolist() == [True, True, True]
 
 
-def _with_repeats(P: PolyhedronH, rng):
-    """P's unit rows (as given, so no bit moves) with exact repeats and
-    signed-zero twins (every 0.0 of a row and its rhs flipped to -0.0 and
-    back) appended, in a random order."""
-
-    def grow(M, rhs):
-        M, rhs = list(M), list(rhs)
-        for i in rng.integers(0, len(M), int(rng.integers(0, 4))) if M else ():
-            M.append(M[i].copy())
-            rhs.append(rhs[i])
-        for i in rng.integers(0, len(M), int(rng.integers(0, 4))) if M else ():
-            M.append(np.where(M[i] == 0.0, -M[i], M[i]))
-            rhs.append(-rhs[i] if rhs[i] == 0.0 else rhs[i])
-        order = rng.permutation(len(M))
-        return (np.array(M).reshape(len(M), P.dim)[order], np.array(rhs).reshape(-1)[order])
-
-    return PolyhedronH.from_unit_rows(*grow(P.E, P.e), *grow(P.F, P.f))
-
-
-def _first_copies_by_value(M, rhs):
-    """The rows of the first copy of each (row, rhs), compared with ==."""
-    rows, kept = np.hstack([M, rhs[:, None]]), []
-    for i, row in enumerate(rows):
-        if not any(np.array_equal(row, rows[k]) for k in kept):
-            kept.append(i)
-    return kept
-
-
 class TestDistinctRows:
-    """`PolyhedronH.distinct` drops exact repeats of a (row, rhs), -0.0 equal
-    to 0.0, and keeps the first copies in order; the set, and every verdict
-    the analysis reads from it, stays the same."""
+    """`subdiff_hrep_at` stacks each unit row once, -0.0 equal to 0.0, with
+    the first active piece's right-hand side; the set, and every verdict the
+    analysis reads from it, is the one of the piece-by-piece stack that
+    keeps a copy per piece."""
 
     def test_box_facets_of_the_l1_origin_once(self):
         P = subdiff_hrep(l1_plq(), [0, 0])
-        D = P.distinct()
-        assert P.F.shape == (8, 2) and D.F.shape == (4, 2)
-        assert _poly_equal(D, _box(2, -1.0, 1.0))
-        assert D.distinct() is D
+        assert P.E.shape == (0, 2) and P.F.shape == (4, 2)
+        assert _poly_equal(P, _box(2, -1.0, 1.0))
+
+    @pytest.mark.parametrize("s", range(1, 5))
+    def test_crossing_holds_2s_facets(self, s):
+        # Each of the 2^s active pieces has s of the 2s box facets, so the
+        # per-piece stack holds s 2^s rows.
+        rng = np.random.default_rng(s)
+        w = rng.uniform(0.5, 2.0, s)
+        h, c = _weighted_l1_crossing(w=tuple(w), a=(0.0,) * s).problem.h, np.zeros(s)
+        prof = eval_with_active(h, c)
+        P = subdiff_hrep_at(h, prof, c)
+        assert P.E.shape == (0, s) and P.F.shape == (2 * s, s)
+        assert subdiff_hrep_of_pieces(h, prof, c, repeats=True).F.shape == (s * 2 ** s, s)
+        assert _poly_equal(P, PolyhedronH(np.zeros((0, s)), np.zeros(0),
+                                          np.vstack([np.eye(s), -np.eye(s)]), np.r_[w, w]))
+
+    def test_one_equality_at_the_max2_kink(self):
+        h, c = max2_plq(), np.array([1.0, 1.0])
+        prof = eval_with_active(h, c)
+        P = subdiff_hrep_at(h, prof, c)
+        assert P.E.shape == (1, 2) and P.F.shape == (2, 2)
+        assert subdiff_hrep_of_pieces(h, prof, c, repeats=True).E.shape == (2, 2)
 
     def test_signed_zero_twins_are_repeats(self):
         F = np.array([[1.0, 0.0], [1.0, -0.0], [-0.0, 1.0], [0.0, 1.0]])
-        f = np.array([0.0, -0.0, 1.0, 1.0])
-        D = PolyhedronH.from_unit_rows(np.zeros((0, 2)), np.zeros(0), F, f).distinct()
-        assert D.F.tolist() == [[1.0, 0.0], [-0.0, 1.0]]
-        assert not np.signbit(D.f[0]) and np.signbit(D.F[1, 0])
+        first = calculus._first_copies(F)
+        assert first.tolist() == [0, 2]
+        assert not np.signbit(F[first][0, 1]) and np.signbit(F[first][1, 0])
+        assert calculus._first_copies(np.zeros((0, 2))).tolist() == []
+        # The pieces' rays at a crossing have such twins: at s = 3 the 24
+        # stacked rows hold 8 byte patterns for the 6 facets.
+        h, c = _weighted_l1_crossing(w=(1.0,) * 3, a=(0.0,) * 3).problem.h, np.zeros(3)
+        prof = eval_with_active(h, c)
+        rows = subdiff_hrep_of_pieces(h, prof, c, repeats=True).F
+        assert len(rows) == 24 and len({r.tobytes() for r in rows}) == 8
+        assert subdiff_hrep_at(h, prof, c).F.shape == (6, 3)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 100_000))
     def test_same_set_and_verdicts_without_repeats(self, seed):
+        h, c = _stacked_subdiff_case(seed)
+        prof = eval_with_active(h, c)
+        D, P = subdiff_hrep_at(h, prof, c), subdiff_hrep_of_pieces(h, prof, c, repeats=True)
         rng = np.random.default_rng(seed)
-        P = _with_repeats(_random_polyhedron(rng), rng)
-        D = P.distinct()
-        for M, rhs, kept in ((P.E, P.e, D.E), (P.F, P.f, D.F)):
-            first = _first_copies_by_value(M, rhs)
-            assert kept.tobytes() == M[first].tobytes()
-        assert D.distinct() is D
         for _ in range(20):
-            # A matrix product may sum a row in an order that depends on the
-            # row count, so the violation may move by a rounding error.
-            y = rng.integers(-3, 4, P.dim) + rng.choice([0.0, 0.5, 1e-10], P.dim)
+            # A repeat's right-hand side may differ from the kept one by a
+            # rounding error (another piece's gradient), and a matrix product
+            # may sum a row in an order that depends on the row count.
+            y = rng.integers(-3, 4, h.m) + rng.choice([0.0, 0.5, 1e-10], h.m)
             assert D.contains(y) == P.contains(y)
-            rounding = 8 * np.finfo(float).eps * (1.0 + np.abs(y).sum())
+            rhs = np.abs(np.r_[P.e, P.f]).max(initial=0.0)
+            rounding = 8 * np.finfo(float).eps * (1.0 + np.abs(y).sum() + rhs)
             assert abs(D.violation(y) - P.violation(y)) <= rounding
-        if is_empty(P):
-            return
-        rows = rng.integers(-2, 3, (int(rng.integers(0, P.dim)), P.dim)).astype(float)
+        rows = rng.integers(-2, 3, (int(rng.integers(0, h.m)), h.m)).astype(float)
         mult_p, cqs_p = qualification_chain(P, rows)
         mult_d, cqs_d = qualification_chain(D, rows)
         assert mult_d.status == mult_p.status

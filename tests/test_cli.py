@@ -351,6 +351,43 @@ class TestExitCodeContract:
         err = capsys.readouterr().err
         assert "Traceback" not in err and "--seed must be nonnegative, got -1" in err
 
+    @pytest.mark.parametrize("argv", [["validate", "{dir}"], ["validate", "{latin1}"],
+                                      ["certify", "b1_cubic", "--point", "{dir}"],
+                                      ["solve", "b1_cubic", "--trace", "{dir}"],
+                                      ["solve", "b1_cubic", "--json", "{missing}"]])
+    def test_unusable_path_is_input_error(self, tmp_path, capsys, argv):
+        # A directory where a file is read or written, bytes that are not
+        # UTF-8, and a file in a missing directory: exit 2, no report, and
+        # the message names the path.
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes(b'{"name": "caf\xe9"}')
+        paths = {"dir": str(tmp_path), "latin1": str(latin1),
+                 "missing": str(tmp_path / "no_such_dir" / "report.json")}
+        argv = [arg.format(**paths) for arg in argv]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("input error: ")
+        assert "Traceback" not in err and argv[-1] in err
+
+    @pytest.mark.parametrize("name", ["b1_cubic", "no_reference"])
+    def test_check_derivs_without_point_draws_random_points(self, tmp_path, monkeypatch,
+                                                            capsys, name):
+        # No --point means 'random': DERIV_POINTS seeded points, also for a
+        # file with no reference solution (around its start).
+        if name == "no_reference":
+            name = _sumsq_file(tmp_path, ["x1*x2", "sin(x1) + x2^2"], [0.5, -1.0])
+        seen, resolve = [], cli._resolve_point
+
+        def spy(pf, spec, rng):
+            x, y = resolve(pf, spec, rng)
+            seen.append(tuple(x))
+            return x, y
+
+        monkeypatch.setattr(cli, "_resolve_point", spy)
+        assert main(["check-derivs", name]) == 0
+        assert len(set(seen)) == len(seen) == cli.DERIV_POINTS
+        assert f"points: {cli.DERIV_POINTS}" in capsys.readouterr().out
+
     def test_solver_block_of_a_file_is_checked(self, tmp_path, capsys):
         doc = _doc()
         doc["solver"] = {"tol": -1e-12}

@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from plqnewton.benchmarks import halfquad_plq, l1_plq, l1sq_plq, max2_plq, nlp_plq, sumsq_plq
 from plqnewton.errors import RepresentationError
 from plqnewton.plq import (
+    ACT_TOL,
     VALUE_TOL,
     Hyperplane,
     Piece,
@@ -127,7 +128,9 @@ class TestVectorizedActivity:
                     eval_with_active(h, c)
                 continue
             prof = eval_with_active(h, c)
-            act = h.active_hyperplane_set(c)
+            r, alpha = h.residuals(c), h.hyperplane_matrix()[1]
+            act = tuple(j for j in range(h.n_hyperplanes)
+                        if abs(r[j]) <= ACT_TOL * (1.0 + abs(alpha[j])))
             assert active_structure(h, c) == (active, act)
             assert prof.value.value == vals[0]
             assert prof.active_pieces == active and prof.kbar == len(active)

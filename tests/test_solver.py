@@ -38,7 +38,6 @@ from plqnewton.solver import (
     SubproblemSolution,
     _consistent,
     _model_sosc_ok,
-    _pieces_active,
     _solve_stack,
     kkt_matrix,
     newton_solve,
@@ -693,7 +692,7 @@ class TestFaceEnumeration:
         cx, jac, _ = p.c.evaluate(x, y)
         for k, _, sol, _ in _structure_solves(p, H, cx, jac):
             c_lin = cx + jac @ sol[:p.n]
-            active = _pieces_active(p.h, np.array([k]), c_lin[None])[0]
+            active = plq.pieces_active(p.h, np.array([k]), c_lin[None])[0]
             assert active == (k in plq.active_structure(p.h, c_lin)[0])
             assert active or _consistent(p, k, sol, cx, jac) is None
 
@@ -792,7 +791,7 @@ class TestLazyPairs:
                             [plq.Piece([1, 1], [[0.0]], [-1.0]), plq.Piece([-1, 1], [[0.0]], [0.0])])
         p = CompositeProblem(h, SmoothMap.from_strings(["x1"], 1))
         want = [(q.piece, q.active_set) for q in solve_subproblem_enum(p, [0.5], np.eye(1))]
-        monkeypatch.setattr(solver, "_pieces_active",
+        monkeypatch.setattr(solver, "pieces_active",
                             lambda h, pieces, c_lin: np.ones(len(pieces), dtype=bool))
         assert [(q.piece, q.active_set)
                 for q in solve_subproblem_enum(p, [0.5], np.eye(1))] == want == [(1, ())]
