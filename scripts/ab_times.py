@@ -17,6 +17,16 @@ than one op moves both sides alike, a steady speed difference between the
 two workers of a block (their placement or memory layout) reaches both
 sides too, and an A/A run (one checkout as both) reads about 1.
 
+How many rounds: A/A runs at seed 7 with REPEATS 3 (2 shared vCPUs, see
+BENCH_array_step.json) put every kind's interval within [0.97, 1.03] at
+16 rounds on many_kinks (2 of 2 runs; 8 rounds: 1 of 2; 2 and 4 rounds: 0
+of 3), at 32 rounds on wide_map (2 of 2; 16 rounds: 1 of 2; 2 to 8 rounds:
+0 of 6) and at 64 rounds on desk (1 of 2; 2 to 32 rounds: 0 of 7). On
+desk the ~1 ms certify and smooth ops vary most between repeats. On
+wide_map a whole run can still read about 2% off 1 in A/A (32 rounds:
+newton 0.979 and 0.981, with 95 and 102 wins of 128), so a wide_map ratio
+within 2% of 1 is no move.
+
 Prints, per op kind, the number of ops, the median paired ratio with a 95%
 sign-test interval for it, the share of ops the change wins (ratio below
 1) and each side's median size; the last line is the same as one JSON

@@ -59,8 +59,8 @@ def matrix_rank_rel(M: np.ndarray, rtol: float = RANK_RTOL) -> int:
     return int(np.sum(s > rtol * s[0])) if s.size else 0
 
 
-def freeze_array(a: np.ndarray) -> np.ndarray:
-    """Copy and mark read-only; used by immutable containers."""
-    out = np.array(a, dtype=float, copy=True)
+def freeze_array(a: np.ndarray, dtype=float) -> np.ndarray:
+    """Copy as `dtype` and mark read-only; used by immutable containers."""
+    out = np.array(a, dtype=dtype, copy=True)
     out.setflags(write=False)
     return out

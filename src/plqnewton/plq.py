@@ -10,7 +10,7 @@ their interiors are disjoint.
 
 `eval_with_active` computes the hyperplane residuals r = A c - alpha once and
 tests every piece at once against the K x s sign matrix; its profile keeps
-the one active set. Each function stacks its pieces' Q and b and its unit
+the one active set. Each function stacks its pieces' Q, b and beta and its unit
 hyperplane normals, and caches what depends on h alone, filled on first
 use: through `calculus`, the subdifferential's rows per set of active
 pieces; through `manifold`, the manifold data per set of active pieces; and
@@ -124,6 +124,7 @@ class PLQFunction:
         object.__setattr__(self, "_signs", freeze_array(signs))
         object.__setattr__(self, "_Q", freeze_array([p.Q for p in pcs]))  # (K, m, m)
         object.__setattr__(self, "_b", freeze_array([p.b for p in pcs]))  # (K, m)
+        object.__setattr__(self, "_beta", freeze_array([p.beta for p in pcs]))  # (K,)
         # h-only data, filled on first use: (active pieces, active set) ->
         # the subdifferential's rows (see calculus) and the manifold's A, P,
         # nondegeneracy and stacked piece data (see manifold); () -> the

@@ -21,13 +21,15 @@ held at equality differ. Entry points:
       and tested once, by its first piece, and later pieces skip it. The
       membership test alone decides, since for a continuous h it already
       makes the multipliers of every active piece nonnegative. Singular faces
-      are solved piece by piece. A step is batched: h caches its face plan
-      (the visiting order, each pair's face and the KKT matrix each pair
-      assembles), the systems of a pass are stacked by size, each stack's
-      distinct matrices are factored by one SVD (`_solve_stack`) and every
-      system does its own right-hand-side work, and a pair whose piece is
-      not active at c + Jac d is rejected. The other pairs are ranked by
-      model value without evaluating h and come back as a lazy sequence
+      are solved piece by piece. A step is one array pass: h caches its
+      face plan (the visiting order, each pair's face, the KKT matrix each
+      pair assembles and each first-pass stack's h-only blocks), the
+      systems of a pass are stacked by size, each stack's distinct matrices
+      are factored by one SVD (`_solve_stack`) and every system does its
+      own right-hand-side work, and masks over the pass's arrays reject a
+      pair whose piece is not active at c + Jac d. The other pairs are
+      ranked by model value in one vectorized pass without evaluating h
+      (`_ranking`) and come back as a lazy sequence
       (`CriticalPairs`): h's evaluation at c + Jac d, membership, the
       duplicate rule, the alternate and each pair are decided when read, so
       a caller that reads only the best pair pays for the pairs up to it,
@@ -70,8 +72,8 @@ from .composite import CompositeProblem, kkt_residual
 from .errors import DivergenceError, PreconditionError, RegimeError, SchemaError, StepError
 from .exprmap import Linearization
 from .manifold import ManifoldData, build_manifold, build_manifold_at
-from .numerics import as_vector, nullspace_basis
-from .plq import ActiveProfile, active_structure, eval_with_active, pieces_active
+from .numerics import as_vector, freeze_array, nullspace_basis
+from .plq import ActiveProfile, eval_with_active, pieces_active
 
 GLUE_FAIL = 1e-8
 # The divergence guard: |x_k| > DIVERGENCE_FACTOR (1 + |x_0|) raises DivergenceError.
@@ -366,8 +368,9 @@ def _bootstrap_manifold(p, x, lin) -> ManifoldData:
 
 # -- structure enumeration ------------------------------------------------------
 
-# Systems per stack handed to `_solve_stack`: bounds the memory of a step that
-# visits many faces (K 2^s pairs) without changing any solve.
+# Systems per stack handed to `_solve_stack`, and candidates per activity test
+# of `_ranking`: bounds the memory of a step that visits many faces (K 2^s
+# pairs) without changing any solve or verdict.
 _STACK_CHUNK = 1024
 
 
@@ -393,25 +396,42 @@ class SubproblemSolution:
         return self.model_check
 
 
+class _Stack(NamedTuple):
+    """One stack of systems of an enumeration pass: the pairs whose systems
+    it solves, and the blocks of their KKT matrices that depend on h alone.
+    System i assembles distinct matrix rep[i] (the i-th when rep is None)."""
+
+    ell: int                  # |S| of every system
+    pairs: np.ndarray         # (B,): the pair ids q
+    pieces: np.ndarray        # (B,): each system's piece
+    members: np.ndarray       # (B, ell): the hyperplanes each system holds at equality
+    rep: np.ndarray | None    # (B,): each system's distinct matrix
+    rep_members: np.ndarray   # (R, ell): the hyperplanes of each distinct matrix
+    cols: np.ndarray          # (R, m, ell): their gradients, signed for the piece
+    Qs: np.ndarray            # (R, m, m): the piece's Q of each distinct matrix
+
+
 class _FacePlan(NamedTuple):
     """The visiting order of `solve_subproblem_enum`, which depends on h
     alone: pair q = k 2^s + i is piece k with the i-th subset."""
 
     subsets: list        # the subsets S, by size, then lexicographically
     members: np.ndarray  # (2^s, s): row i starts with the members of subset i
+    size: np.ndarray     # (2^s,): |S| of each subset
     face: np.ndarray     # (K 2^s,): the face id of each pair
+    faces: int           # the number of faces
     first: np.ndarray    # (K 2^s,): whether the pair is the first to reach its face
     matrix: np.ndarray   # (K 2^s,): the id of the KKT matrix each pair assembles
-    first_groups: list   # `_size_groups` of the first pairs
+    first_groups: list   # the `_Stack`s of the first pairs (`_size_groups`)
 
 
 def _face_plan(h) -> _FacePlan:
-    """The enumeration's face plan, built once per h. A face is a subset S
-    with the piece's signs off S, keyed as the bit masks (S, plus & ~S).
-    The KKT matrix of a pair depends on S, the piece's signs on S and its
-    Q alone, so it is keyed as (S, plus & S) and the class of pieces whose
-    Q is bit-equal: pairs with one key assemble one matrix, which a step
-    factors once."""
+    """The enumeration's face plan, built once per h and read-only. A face
+    is a subset S with the piece's signs off S, keyed as the bit masks (S,
+    plus & ~S). The KKT matrix of a pair depends on S, the piece's signs on
+    S and its Q alone, so it is keyed as (S, plus & S) and the class of
+    pieces whose Q is bit-equal: pairs with one key assemble one matrix,
+    which a step factors once."""
     plan = h._face_plan_cache.get(())
     if plan is None:
         s = h.n_hyperplanes
@@ -422,6 +442,7 @@ def _face_plan(h) -> _FacePlan:
         for i, S in enumerate(subsets):
             members[i, :len(S)] = S
             masks[i] = sum(1 << j for j in S)
+        size = freeze_array([len(S) for S in subsets], np.intp)
         plus = (h._signs > 0) @ (np.int64(1) << np.arange(s, dtype=np.int64))
         keys = (masks[None, :] << s) | (plus[:, None] & ~masks[None, :])
         _, firsts, face = np.unique(keys.ravel(), return_index=True, return_inverse=True)
@@ -431,21 +452,21 @@ def _face_plan(h) -> _FacePlan:
                                     return_inverse=True)
         matrix = ((masks[None, :] << s) | (plus[:, None] & masks[None, :])) * len(classes) \
             + qclass.reshape(-1, 1)
+        members, matrix = freeze_array(members, np.intp), freeze_array(matrix.ravel(), np.int64)
         plan = h._face_plan_cache.setdefault((), _FacePlan(
-            subsets, members, face, first, matrix.ravel(),
-            _size_groups(subsets, members, np.sort(firsts), matrix.ravel())))
+            subsets, members, size, freeze_array(face.reshape(-1), np.intp), firsts.size,
+            freeze_array(first, bool), matrix,
+            _size_groups(h, members, size, np.sort(firsts), matrix)))
     return plan
 
 
-def _size_groups(subsets, members, pairs, matrix) -> list:
-    """The pairs grouped by |S|, in chunks of at most _STACK_CHUNK:
-    (|S|, pairs, their pieces, their subsets' members, reps, rep). The
-    chunk's distinct KKT matrices (by the plan's `matrix` ids) are those of
-    its systems reps, and system i assembles the matrix of system
-    reps[rep[i]]; when the matrices are all distinct, reps takes every
-    system and rep is None."""
-    pieces, subs = np.divmod(pairs, len(subsets))
-    sizes = np.array([len(subsets[i]) for i in subs], dtype=np.intp)
+def _size_groups(h, members, size, pairs, matrix) -> list:
+    """The `_Stack`s of the pairs, by |S|, in chunks of at most _STACK_CHUNK,
+    with read-only blocks. A chunk's distinct KKT matrices (by the plan's
+    `matrix` ids) are assembled from its first system of each; when the
+    matrices are all distinct, rep is None."""
+    pieces, subs = np.divmod(pairs, len(members))
+    sizes = size[subs]
     groups = []
     for ell in range(members.shape[1] + 1):
         group = np.flatnonzero(sizes == ell)
@@ -453,9 +474,15 @@ def _size_groups(subsets, members, pairs, matrix) -> list:
             chunk = group[at:at + _STACK_CHUNK]
             _, reps, rep = np.unique(matrix[pairs[chunk]], return_index=True,
                                      return_inverse=True)
-            shared = reps.size < chunk.size
-            groups.append((ell, pairs[chunk], pieces[chunk], members[subs[chunk], :ell],
-                           reps if shared else slice(None), rep.reshape(-1) if shared else None))
+            if reps.size == chunk.size:
+                reps, rep = slice(None), None
+            ks, idx = pieces[chunk], members[subs[chunk], :ell]
+            kr, ir = ks[reps], idx[reps]
+            cols = (h._signs[kr[:, None], ir][:, :, None] * h._A[ir]).transpose(0, 2, 1)
+            groups.append(_Stack(
+                ell, freeze_array(pairs[chunk], np.intp), freeze_array(ks, np.intp),
+                freeze_array(idx, np.intp), None if rep is None else freeze_array(rep, np.intp),
+                freeze_array(ir, np.intp), freeze_array(cols), freeze_array(h._Q[kr])))
     return groups
 
 
@@ -485,70 +512,58 @@ def solve_subproblem_enum(p: CompositeProblem, x_hat, H, lin: Linearization | No
     1e-9 of an earlier-visited accepted pair is dropped. Pairs are sorted by
     model value, ties by piece, then in visiting order.
 
-    The solves are batched (`_enum_solves`). A pair whose piece is active
-    at c_lin (`plq.pieces_active`) is a candidate. When a call has two or more,
-    they are ranked without evaluating h, by the model value at the first
-    piece active at c_lin (`active_structure`; on a validated h every
-    active piece gives it to VALUE_TOL), rounded to 12 decimals. The rest
-    is decided when the sequence is read, in that order: h's evaluation at
-    c_lin, which gives the profile and the model value and raises a
-    RepresentationError when the active pieces disagree in value, the
-    candidate's piece active there, the membership test, the duplicate rule
-    (deciding the earlier-visited neighbours it needs), the alternate's
+    The solves are batched (`_enum_solves`), and the step works on their
+    arrays: a consistent pair is a candidate when its piece is active at
+    c_lin (`plq.pieces_active`) and no earlier pair solved its face with
+    full rank, both decided by masks. When a call has two or more
+    candidates, they are ranked in one pass without evaluating h
+    (`_ranking`), by the model value at the first piece active at c_lin (on
+    a validated h every active piece gives it to VALUE_TOL), rounded to 12
+    decimals. The rest is decided when the sequence is read, in that order:
+    h's evaluation at c_lin, which gives the profile and the model value and
+    raises a RepresentationError when the active pieces disagree in value,
+    the candidate's piece active there, the membership test, the duplicate
+    rule (deciding the earlier-visited neighbours it needs), the alternate's
     consistency and the `SubproblemSolution`. Reading sols[0] or bool(sols)
     decides up to the first accepted pair; len, iteration and slicing decide
     them all. Each pair's curvature verdict is computed when first read.
     """
-    H, cx, jac, plan, results = _enum_solves(p, x_hat, H, lin)
+    H, cx, jac, plan, res = _enum_solves(p, x_hat, H, lin)
     h, n, m = p.h, p.n, p.m
-    cands, solved = [], set()  # cands: (piece, subset, solution, alternate, c_lin)
-    for q in sorted(results):
-        face = plan.face[q]
-        if face in solved:
-            continue
-        sol, alt, active = results[q]
-        if sol is None:
-            continue
-        if alt is None:
-            solved.add(face)
-        if active:
-            cands.append((*divmod(q, len(plan.subsets)), sol, alt, cx + jac @ sol[:n]))
-
-    def key(j):
-        """The model value at the first piece active at c_lin, rounded, then the piece."""
-        k, _, sol, _, c_lin = cands[j]
-        first = active_structure(h, c_lin)[0]
-        value = h.piece_value(first[0] if first else k, c_lin) + 0.5 * float(sol[:n] @ H @ sol[:n])
-        return round(value, 12), k
-
-    order = sorted(range(len(cands)), key=key) if len(cands) > 1 else range(len(cands))
-    points = np.array([c[2][:n + m] for c in cands]).reshape(len(cands), n + m)
+    # A face is solved at its first pair with a full-rank solve; later pairs skip it.
+    face = plan.face[res.pairs]
+    stop = np.full(plan.faces, plan.face.size)
+    np.minimum.at(stop, face[res.full], res.pairs[res.full])
+    cand = np.flatnonzero(res.active & (res.pairs <= stop[face]))
+    cand = cand[np.argsort(res.pairs[cand])]  # in visiting order
+    ks, subs = np.divmod(res.pairs[cand], len(plan.subsets))
+    sols, alts, full, c_lin = res.sols[cand], res.alts[cand], res.full[cand], res.c_lin[cand]
+    order = _ranking(h, ks, c_lin, sols[:, :n], H) if cand.size > 1 else range(cand.size)
+    ks, subs = ks.tolist(), subs.tolist()
     accepted, profiles = {}, {}
 
     def is_accepted(j):
         """Piece k active at c_lin, membership, and no earlier-visited
         accepted pair within 1e-9."""
         if j not in accepted:
-            k, _, sol, _, c_lin = cands[j]
-            d, y = sol[:n], sol[n:n + m]
-            prof = profiles[j] = eval_with_active(h, c_lin)
-            accepted[j] = k in prof.active_pieces \
-                and subdiff_hrep_at(h, prof, c_lin).contains(y, slack=1e-7) and not any(
+            d, y = sols[j, :n], sols[j, n:n + m]
+            prof = profiles[j] = eval_with_active(h, c_lin[j])
+            accepted[j] = ks[j] in prof.active_pieces \
+                and subdiff_hrep_at(h, prof, c_lin[j]).contains(y, slack=1e-7) and not any(
                     map(is_accepted, np.flatnonzero(
-                        np.linalg.norm(points[:j, :n] - d, axis=1)
-                        + np.linalg.norm(points[:j, n:] - y, axis=1) <= 1e-9).tolist()))
+                        np.linalg.norm(sols[:j, :n] - d, axis=1)
+                        + np.linalg.norm(sols[:j, n:n + m] - y, axis=1) <= 1e-9).tolist()))
         return accepted[j]
 
     def decide(j):
         if not is_accepted(j):
             return None
-        k, i, sol, alt, _ = cands[j]
-        d, prof = sol[:n], profiles[j]
-        alternate = None
-        if alt is not None and _consistent(p, k, alt, cx, jac) is not None:
-            alternate = (alt[:n], alt[n:n + m])
+        k, S, sol, prof = ks[j], plan.subsets[subs[j]], sols[j], profiles[j]
+        d, alternate = sol[:n], None
+        if not full[j] and _consistent(p, k, alts[j], cx, jac) is not None:
+            alternate = (alts[j, :n], alts[j, n:n + m])
         return SubproblemSolution(
-            d=d, y=sol[n:n + m], lam=sol[n + m:], piece=k, active_set=plan.subsets[i],
+            d=d, y=sol[n:n + m], lam=sol[n + m:n + m + len(S)], piece=k, active_set=S,
             model_value=prof.value.value + 0.5 * float(d @ H @ d),
             model_check=functools.partial(
                 _model_sosc_ok, h.hyperplane_matrix()[0][list(prof.active_set)] @ jac, jac, H,
@@ -556,6 +571,30 @@ def solve_subproblem_enum(p: CompositeProblem, x_hat, H, lin: Linearization | No
             unique=alternate is None, alternate=alternate, profile=prof)
 
     return CriticalPairs(filter(None, map(decide, order)))
+
+
+def _ranking(h, pieces, c_lin, d, H) -> list:
+    """The order in which `solve_subproblem_enum` reads its candidates,
+    candidate j being piece pieces[j]'s pair with step d[j] and linearized
+    point c_lin[j]: by the model value h_k(c_lin) + 0.5 d^T H d at the first
+    piece k active at c_lin (the test of `active_structure`; the candidate's
+    own piece where none is), rounded to 12 decimals by `round`, then by
+    piece, then by j. Each value takes the floating-point operations of
+    `piece_value` and of 0.5 float(d @ H @ d), so the order is bit for bit
+    that of ranking the candidates one at a time. The piece activity is
+    tested _STACK_CHUNK rows at a time."""
+    first = pieces.copy()
+    for at in range(0, len(pieces), _STACK_CHUNK):
+        c = c_lin[at:at + _STACK_CHUNK, :, None]
+        r = (h._A @ c)[:, None, :, 0] - h._alpha
+        active = (h._signs * r <= h._act_tol).all(axis=2)
+        hit = active.any(axis=1)
+        first[at:at + _STACK_CHUNK][hit] = active[hit].argmax(axis=1)
+    c = c_lin[:, :, None]
+    value = ((0.5 * c_lin)[:, None, :] @ (h._Q[first] @ c) + h._b[first][:, None, :] @ c)[:, 0, 0] \
+        + h._beta[first] + 0.5 * ((d[:, None, :] @ H) @ d[:, :, None])[:, 0, 0]
+    keys = zip([round(v, 12) for v in value.tolist()], pieces.tolist(), range(len(pieces)))
+    return [j for *_, j in sorted(keys)]
 
 
 class CriticalPairs(Sequence):
@@ -588,12 +627,28 @@ class CriticalPairs(Sequence):
         return iter(self._read())
 
 
+class _Solves(NamedTuple):
+    """The consistent systems of one enumeration step, one row each, in the
+    order of the passes and stacks that solved them (`_enum_solves`)."""
+
+    pairs: np.ndarray   # (B,): the pair ids q
+    sols: np.ndarray    # (B, n + m + s): (d, y, lam), lam zero-padded past |S|
+    alts: np.ndarray    # (B, n + m + s): a second point on the solution family where not full
+    full: np.ndarray    # (B,): the system's matrix has full numerical rank
+    active: np.ndarray  # (B,): the pair's piece is active at c_lin
+    c_lin: np.ndarray   # (B, m): c + Jac d
+
+
 def _enum_solves(p: CompositeProblem, x_hat, H, lin: Linearization | None):
     """The batched solves of `solve_subproblem_enum`: (H, c, Jac, plan,
-    results), results mapping each solved pair q to (solution or None,
-    alternate or None, piece active at c_lin). One pass solves the first
-    piece of every face, a second the later pieces of the faces whose first
-    solve was singular, each as one `_solve_stack` per system size."""
+    `_Solves`). One pass solves the first piece of every face, a second the
+    later pieces of the faces whose first solve was singular (inconsistent
+    or not of full rank), each as one `_solve_stack` per stack of the pass;
+    an inconsistent system decides nothing, so only the consistent ones are
+    kept. A stack's h-only blocks come from the plan (`_Stack`); a step adds
+    the blocks that read c and Jac: per hyperplane its linearized row a_j Jac
+    and its last rhs entry alpha_j - a_j c, per piece the rhs head Q_k c +
+    b_k, each taking the floating-point operations of its one-row product."""
     x_hat = as_vector(x_hat, p.n, "x")
     H = np.atleast_2d(np.asarray(H, dtype=float))  # None reads as NaN
     if H.shape != (p.n, p.n) or not np.isfinite(H).all():
@@ -601,35 +656,42 @@ def _enum_solves(p: CompositeProblem, x_hat, H, lin: Linearization | None):
     cx, jac, _ = p.c.evaluate(x_hat) if lin is None else lin
     h = p.h
     A_all, alpha = h.hyperplane_matrix()
-    n, m, s, K = p.n, p.m, h.n_hyperplanes, h.n_pieces
+    n, m, K = p.n, p.m, h.n_pieces
     plan = _face_plan(h)
-    # Per piece the rhs head; per hyperplane its linearized row and its last
-    # rhs entry.
     head = np.zeros((K, n + m))
     head[:, n:] = h._Q @ cx + h._b
-    AJ = np.array([a @ jac for a in A_all]).reshape(s, n)
-    tail = np.array([alpha[j] - A_all[j] @ cx for j in range(s)])
-    results = {}
+    AJ = (A_all[:, None, :] @ jac)[:, 0]
+    tail = alpha - (A_all[:, None, :] @ cx)[:, 0]
 
-    def solve(groups):
-        for ell, pairs, ks, idx, reps, rep in groups:
-            kr, ir = ks[reps], idx[reps]  # the systems that assemble each distinct matrix
-            cols = (h._signs[kr[:, None], ir][:, :, None] * A_all[ir]).transpose(0, 2, 1)
-            sols, alts, full, ok = _solve_stack(kkt_matrix(H, jac, h._Q[kr], cols, AJ[ir]),
-                                                np.concatenate([head[ks], tail[idx]], axis=1),
-                                                rep)
-            active = pieces_active(h, ks, cx + (jac @ sols[:, :n, None])[:, :, 0])
-            for q, sol, alt, f, o, a in zip(pairs.tolist(), sols, alts, full, ok, active):
-                results[q] = (sol, None if f else alt, a) if o else (None, None, a)
+    def solve(stacks):
+        """The `_Solves` of a pass, and the pairs whose solve was singular."""
+        pairs = np.concatenate([st.pairs for st in stacks])
+        sols, alts = np.zeros((2, pairs.size, n + m + h.n_hyperplanes))
+        full, ok, at = np.empty(pairs.size, dtype=bool), np.empty(pairs.size, dtype=bool), 0
+        for st in stacks:
+            rows, cut = slice(at, at + st.pairs.size), n + m + st.ell
+            sols[rows, :cut], alt, full[rows], ok[rows] = _solve_stack(
+                kkt_matrix(H, jac, st.Qs, st.cols, AJ[st.rep_members]),
+                np.concatenate([head[st.pieces], tail[st.members]], axis=1), st.rep)
+            if not full[rows].all():  # alternates are read only where a matrix is singular
+                alts[rows, :cut] = alt
+            at = rows.stop
+        singular = pairs[~(ok & full)]
+        if not ok.all():
+            pairs, sols, alts, full = pairs[ok], sols[ok], alts[ok], full[ok]
+        c_lin = cx + (jac @ sols[:, :n, None])[:, :, 0]
+        active = pieces_active(h, pairs // len(plan.subsets), c_lin)
+        return _Solves(pairs, sols, alts, full, active, c_lin), singular
 
-    solve(plan.first_groups)
-    singular = [plan.face[q] for q, (sol, alt, _) in results.items()
-                if sol is None or alt is not None]
-    if singular:
-        solve(_size_groups(plan.subsets, plan.members,
-                           np.flatnonzero(~plan.first & np.isin(plan.face, singular)),
-                           plan.matrix))
-    return H, cx, jac, plan, results
+    res, singular = solve(plan.first_groups)
+    if singular.size:
+        reached = np.zeros(plan.faces, dtype=bool)
+        reached[plan.face[singular]] = True
+        later = np.flatnonzero(~plan.first & reached[plan.face])
+        if later.size:  # a face of one piece has no later pair
+            more, _ = solve(_size_groups(h, plan.members, plan.size, later, plan.matrix))
+            res = _Solves(*map(np.concatenate, zip(res, more)))
+    return H, cx, jac, plan, res
 
 
 def _solve_stack(M, rhs, rep=None, tol=1e-9):

@@ -223,21 +223,20 @@ def eager_enum(p, x_hat, H, lin=None) -> list:
     and each pair not on a solved face is tested (`_consistent`), dropped
     when an accepted pair lies within 1e-9, and built with its alternate in
     turn; the list is then sorted by model value, ties by piece."""
-    H, cx, jac, plan, results = _enum_solves(p, x_hat, H, lin)
+    H, cx, jac, plan, res = _enum_solves(p, x_hat, H, lin)
     h, n, m = p.h, p.n, p.m
     A_all = h.hyperplane_matrix()[0]
     solved, out, found = set(), [], np.empty((0, n + m))
-    for q in sorted(results):
+    for row in np.argsort(res.pairs).tolist():
+        q = int(res.pairs[row])
         face = plan.face[q]
         if face in solved:
             continue
-        sol, alt, active = results[q]
-        if sol is None:
-            continue
+        sol, alt = res.sols[row], None if res.full[row] else res.alts[row]
         if alt is None:
             solved.add(face)
         k, i = divmod(q, len(plan.subsets))
-        prof = _consistent(p, k, sol, cx, jac) if active else None
+        prof = _consistent(p, k, sol, cx, jac) if res.active[row] else None
         if prof is None:
             continue
         d, y = sol[:n], sol[n:n + m]
@@ -248,7 +247,8 @@ def eager_enum(p, x_hat, H, lin=None) -> list:
         if alt is not None and _consistent(p, k, alt, cx, jac) is not None:
             alternate = (alt[:n], alt[n:n + m])
         out.append(SubproblemSolution(
-            d=d, y=y, lam=sol[n + m:], piece=k, active_set=plan.subsets[i],
+            d=d, y=y, lam=sol[n + m:n + m + len(plan.subsets[i])], piece=k,
+            active_set=plan.subsets[i],
             model_value=prof.value.value + 0.5 * float(d @ H @ d),
             model_check=functools.partial(
                 _model_sosc_ok, A_all[list(prof.active_set)] @ jac, jac, H,

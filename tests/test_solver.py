@@ -37,7 +37,10 @@ from plqnewton.solver import (
     SolveOptions,
     SubproblemSolution,
     _consistent,
+    _enum_solves,
+    _face_plan,
     _model_sosc_ok,
+    _ranking,
     _solve_stack,
     kkt_matrix,
     newton_solve,
@@ -787,9 +790,7 @@ class TestLazyPairs:
         # solved pair made a candidate, piece 0's interior solve from x = 0.5
         # lands at c = 1.5, where no piece is active: it is ranked and then
         # rejected when read, and the pairs are those of the unpatched call.
-        h = plq.PLQFunction(1, [plq.Hyperplane([1.0], 0.0), plq.Hyperplane([1.0], 1.0)],
-                            [plq.Piece([1, 1], [[0.0]], [-1.0]), plq.Piece([-1, 1], [[0.0]], [0.0])])
-        p = CompositeProblem(h, SmoothMap.from_strings(["x1"], 1))
+        p = _half_line_pair()
         want = [(q.piece, q.active_set) for q in solve_subproblem_enum(p, [0.5], np.eye(1))]
         monkeypatch.setattr(solver, "pieces_active",
                             lambda h, pieces, c_lin: np.ones(len(pieces), dtype=bool))
@@ -801,15 +802,151 @@ class TestLazyPairs:
         # the 27 faces gives a candidate. The call ranks them without
         # evaluating h; each read pair is evaluated once, with its membership.
         p, x, lin = _crossing_step(*_CROSSINGS[0], [-0.1, 0.05, -0.12])
-        ranked = _count_calls(monkeypatch, plq, "active_structure")
+        rankings = _count_calls(monkeypatch, solver, "_ranking")
         evals = _count_calls(monkeypatch, plq, "eval_with_active")
         members = _count_calls(monkeypatch, calculus, "subdiff_hrep_at")
         sols = solve_subproblem_enum(p, x, lin.H, lin)
-        assert evals == [] and members == [] and len(ranked) > 2
+        ranked = [len(args[1]) for args in rankings]  # (h, pieces, c_lin, d, H)
+        assert evals == [] and members == [] and len(ranked) == 1 and ranked[0] > 2
         best = sols[0]
         assert 1 <= len(evals) <= 2 and len(members) == len(evals)
         assert len(sols) >= 1 and len(members) == len(evals)
         assert sols[0] is best
+
+
+def _half_line_pair():
+    """h = -c below 0 and 0 on [0, 1], c = x: dom h = (-inf, 1], so a
+    linearized point beyond 1 has no active piece."""
+    h = plq.PLQFunction(1, [plq.Hyperplane([1.0], 0.0), plq.Hyperplane([1.0], 1.0)],
+                        [plq.Piece([1, 1], [[0.0]], [-1.0]), plq.Piece([-1, 1], [[0.0]], [0.0])])
+    return CompositeProblem(h, SmoothMap.from_strings(["x1"], 1))
+
+
+def _ranking_case(seed):
+    """(family, h, pieces, c_lin, d, H) of one ranking: every consistent
+    solve of an enumeration step (`_enum_step`, or a step on
+    `_half_line_pair` from x in [-1, 2]), active at c_lin or not, in a
+    random order, and a repeat of some rows under another piece."""
+    rng = np.random.default_rng(seed)
+    if seed % 6 == 5:
+        family, p = "half-line", _half_line_pair()
+        x, y, H = rng.uniform(-1.0, 2.0, 1), rng.uniform(-1.0, 1.0, 1), np.eye(1)
+    else:
+        family, p, x, y, H = _enum_step(seed)
+    res = _enum_solves(p, x, H, p.c.evaluate(x, y))[4]
+    rows = rng.permutation(res.pairs.size)
+    rows = np.concatenate([rows, rng.choice(rows, rng.integers(0, rows.size + 1))])
+    pieces = res.pairs[rows] // 2 ** p.h.n_hyperplanes
+    pieces[res.pairs.size:] = rng.integers(0, p.h.n_pieces, rows.size - res.pairs.size)
+    return family, p.h, pieces, res.c_lin[rows], res.sols[rows, :p.n], H
+
+
+def _per_candidate_order(h, pieces, c_lin, d, H):
+    """The reading order of the candidates ranked one at a time, by the
+    model value at the first piece `active_structure` finds active (the
+    candidate's own piece where none is), rounded, then by piece, stable."""
+    def key(j):
+        first = plq.active_structure(h, c_lin[j])[0]
+        k = int(pieces[j])
+        value = h.piece_value(first[0] if first else k, c_lin[j]) + 0.5 * float(d[j] @ H @ d[j])
+        return round(value, 12), k
+
+    return sorted(range(len(pieces)), key=key)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestArrayStep:
+    """The step's array pass: one vectorized ranking of the candidates, and
+    h-only blocks that the face plan builds once."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 20))
+    def test_ranking_equals_the_per_candidate_key(self, seed):
+        _, h, pieces, c_lin, d, H = _ranking_case(seed)
+        assert _ranking(h, pieces, c_lin, d, H) == _per_candidate_order(h, pieces, c_lin, d, H)
+
+    def test_ranking_cases_cover_every_kind(self):
+        kinds = set()
+        for seed in range(60):
+            family, h, pieces, c_lin, d, H = _ranking_case(seed)
+            kinds.add(family)
+            firsts = [plq.active_structure(h, c)[0] for c in c_lin]
+            kinds.update(["no active piece"] if not all(firsts) else [])
+            kinds.update(["first piece not own"] if any(
+                f and f[0] != k for f, k in zip(firsts, pieces.tolist())) else [])
+            kinds.update(["nonzero Q"] if np.any(h._Q[pieces]) else [])
+            order = _ranking(h, pieces, c_lin, d, H)
+            values = [round(h.piece_value(f[0] if f else k, c) + 0.5 * float(e @ H @ e), 12)
+                      for f, k, c, e in zip(firsts, pieces.tolist(), c_lin, d)]
+            for i, j in zip(order, order[1:]):
+                if values[i] == values[j]:
+                    kinds.add("tie broken by piece" if pieces[i] != pieces[j] else "tie in order")
+        assert kinds == {"crossing", "huber", "flat", "kink", "split", "half-line",
+                         "no active piece", "first piece not own", "nonzero Q",
+                         "tie broken by piece", "tie in order"}
+
+    def test_ranking_rounds_as_round_does(self):
+        # Python's round(2.75595e-08, 12) is 2.7559e-08, numpy's gives
+        # 2.756e-08. The value 2.75595e-08 at c = -1 (piece 0) and 2.7559e-08
+        # at c = 1 (piece 1) then tie, and the tie goes to piece 0.
+        h = plq.PLQFunction(1, [plq.Hyperplane([1.0], 0.0)],
+                            [plq.Piece([1], [[0.0]], [0.0], 2.75595e-08),
+                             plq.Piece([-1], [[0.0]], [0.0], 2.7559e-08)])
+        assert _ranking(h, np.array([1, 0]), np.array([[1.0], [-1.0]]), np.zeros((2, 1)),
+                        np.eye(1)) == [1, 0]
+
+    def test_singular_face_of_one_piece_needs_no_second_pass(self):
+        # One piece, c <= 0, bounded by c = 0 written twice: holding both
+        # gives a singular system on a face no other piece reaches.
+        h = plq.PLQFunction(1, [plq.Hyperplane([1.0], 0.0), plq.Hyperplane([2.0], 0.0)],
+                            [plq.Piece([1, 1], [[1.0]], [0.0])])
+        p = CompositeProblem(h, SmoothMap.from_strings(["x1"], 1))
+        sols = solve_subproblem_enum(p, [-1.0], np.eye(1))
+        _assert_same_pairs(list(sols), eager_enum(p, [-1.0], np.eye(1)))
+        assert [(q.piece, q.active_set, q.unique) for q in sols] == [(0, (), True)]
+
+    @pytest.mark.parametrize("case", ["crossing3", "crossing4", "huber", "flat", "split"])
+    def test_cached_blocks_equal_a_fresh_construction_and_are_read_only(self, case):
+        p = {"crossing3": lambda: _weighted_l1_crossing(*_CROSSINGS[0]).problem,
+             "crossing4": lambda: _weighted_l1_crossing(*_CROSSINGS[1]).problem,
+             "huber": lambda: _huber_pair((0.7, 1.2), (0.3, -0.4)),
+             "flat": lambda: b1_flat().problem,
+             "split": lambda: _split_q_pair(1.3, (0.3, -0.4))}[case]()
+        h, plan = p.h, _face_plan(p.h)
+        assert _face_plan(h) is plan
+        A_all = h.hyperplane_matrix()[0]
+        systems = 0
+        for st in plan.first_groups:
+            # The blocks a step would build from the pairs: the first system
+            # of each distinct matrix (every system when all are distinct),
+            # its signed columns and its Q.
+            _, reps, rep = np.unique(plan.matrix[st.pairs], return_index=True,
+                                     return_inverse=True)
+            if reps.size == st.pairs.size:
+                reps, rep = np.arange(reps.size), None
+            ks, subs = np.divmod(st.pairs, len(plan.subsets))
+            idx = plan.members[subs, :st.ell]
+            kr, ir = ks[reps], idx[reps]
+            cols = (h._signs[kr[:, None], ir][:, :, None] * A_all[ir]).transpose(0, 2, 1)
+            fresh = {"pieces": ks, "members": idx, "rep_members": ir, "cols": cols,
+                     "Qs": h._Q[kr], "rep": rep}
+            for name, want in fresh.items():
+                got = getattr(st, name)
+                if want is None:
+                    assert got is None, name
+                    continue
+                assert got.shape == want.shape and got.dtype == want.dtype, name
+                assert got.tobytes() == np.ascontiguousarray(want).tobytes(), name
+            for name in ("pairs", "pieces", "members", "rep", "rep_members", "cols", "Qs"):
+                block = getattr(st, name)
+                if block is not None:
+                    with pytest.raises(ValueError, match="read-only"):
+                        block[...] = 0
+            systems += st.pairs.size
+        assert systems == plan.faces
+        for name in ("members", "size", "face", "first", "matrix"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(plan, name)[...] = 0
 
 
 class TestQuasiNewton:
