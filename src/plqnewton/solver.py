@@ -18,22 +18,26 @@ held at equality differ. Entry points:
       structures (piece, active hyperplane subset) of the linearized model.
       It returns its critical pairs: H d + Jac^T y = 0 with y in
       dh(c + Jac d). Each face (the subset with the signs off it) is solved
-      and tested once, by its first piece, and later pieces skip it. The
-      membership test alone decides, since for a continuous h it already
-      makes the multipliers of every active piece nonnegative. Singular faces
-      are solved piece by piece. A step is one array pass: h caches its
-      face plan (the visiting order, each pair's face, the KKT matrix each
-      pair assembles and each first-pass stack's h-only blocks), the
-      systems of a pass are stacked by size, each stack's distinct matrices
-      are factored by one SVD (`_solve_stack`) and every system does its
-      own right-hand-side work, and masks over the pass's arrays reject a
-      pair whose piece is not active at c + Jac d. The other pairs are
-      ranked by model value in one vectorized pass without evaluating h
-      (`_ranking`) and come back as a lazy sequence
-      (`CriticalPairs`): h's evaluation at c + Jac d, membership, the
-      duplicate rule, the alternate and each pair are decided when read, so
-      a caller that reads only the best pair pays for the pairs up to it,
-      and a pair's curvature verdict is computed when read;
+      and tested once, by its first piece, and no piece is solved on its
+      own: on a validated h the pieces of a face agree there, so their
+      systems differ only in how the multipliers of the subset are written,
+      and one system per face decides it. Two edges are left to the first
+      piece without that argument: a face smaller than its affine hull (a
+      hyperplane off the subset implicitly at equality) and any face of an
+      h loaded with validate=False. The membership test alone decides, since
+      for a continuous h it already makes the multipliers of every active
+      piece nonnegative. A step is one array pass: h caches its face plan (the
+      visiting order and, per stack of one system size, the first pair of
+      each face and its h-only blocks), each stack's distinct matrices are
+      factored by one SVD (`_solve_stack`) and every system does its own
+      right-hand-side work, and a mask rejects a pair whose piece is not
+      active at c + Jac d. The other pairs are ranked by model value in one
+      vectorized pass without evaluating h (`_ranking`) and come back as a
+      lazy sequence (`CriticalPairs`): h's evaluation at c + Jac d,
+      membership, the duplicate rule, the alternate and each pair are
+      decided when read, so a caller that reads only the best pair pays for
+      the pairs up to it, and a pair's curvature verdict is computed when
+      read;
   quasi_newton_solve: the structure-enumerating iteration with Hessian
       models B_k;
   solve: the dispatch on a method name (newton | enum | quasi | smooth).
@@ -415,75 +419,59 @@ class _FacePlan(NamedTuple):
     """The visiting order of `solve_subproblem_enum`, which depends on h
     alone: pair q = k 2^s + i is piece k with the i-th subset."""
 
-    subsets: list        # the subsets S, by size, then lexicographically
-    members: np.ndarray  # (2^s, s): row i starts with the members of subset i
-    size: np.ndarray     # (2^s,): |S| of each subset
-    face: np.ndarray     # (K 2^s,): the face id of each pair
-    faces: int           # the number of faces
-    first: np.ndarray    # (K 2^s,): whether the pair is the first to reach its face
-    matrix: np.ndarray   # (K 2^s,): the id of the KKT matrix each pair assembles
-    first_groups: list   # the `_Stack`s of the first pairs (`_size_groups`)
+    subsets: tuple  # the subsets S, by size, then lexicographically
+    stacks: tuple   # the `_Stack`s of the first pair of every face
 
 
 def _face_plan(h) -> _FacePlan:
     """The enumeration's face plan, built once per h and read-only. A face
     is a subset S with the piece's signs off S, keyed as the bit masks (S,
-    plus & ~S). The KKT matrix of a pair depends on S, the piece's signs on
-    S and its Q alone, so it is keyed as (S, plus & S) and the class of
-    pieces whose Q is bit-equal: pairs with one key assemble one matrix,
-    which a step factors once."""
+    plus & ~S), and the first pair to reach it in visiting order solves it.
+    Those pairs are stacked by |S|, in chunks of at most _STACK_CHUNK. The
+    KKT matrix of a pair depends on S, the piece's signs on S and its Q
+    alone, so it is keyed as (S, plus & S) and the class of pieces whose Q
+    is bit-equal: a chunk's pairs with one key assemble one matrix, built
+    from the first of them, which a step factors once (rep is None when a
+    chunk's matrices are all distinct)."""
     plan = h._face_plan_cache.get(())
     if plan is None:
         s = h.n_hyperplanes
-        subsets = list(itertools.chain.from_iterable(
+        subsets = tuple(itertools.chain.from_iterable(
             itertools.combinations(range(s), r) for r in range(s + 1)))
         members = np.zeros((len(subsets), s), dtype=np.intp)
         masks = np.zeros(len(subsets), dtype=np.int64)
         for i, S in enumerate(subsets):
             members[i, :len(S)] = S
             masks[i] = sum(1 << j for j in S)
-        size = freeze_array([len(S) for S in subsets], np.intp)
         plus = (h._signs > 0) @ (np.int64(1) << np.arange(s, dtype=np.int64))
-        keys = (masks[None, :] << s) | (plus[:, None] & ~masks[None, :])
-        _, firsts, face = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-        first = np.zeros(keys.size, dtype=bool)
-        first[firsts] = True
+        _, firsts = np.unique(((masks[None, :] << s) | (plus[:, None] & ~masks[None, :])).ravel(),
+                              return_index=True)
         classes, qclass = np.unique(h._Q.reshape(h.n_pieces, -1).view(np.uint64), axis=0,
                                     return_inverse=True)
-        matrix = ((masks[None, :] << s) | (plus[:, None] & masks[None, :])) * len(classes) \
-            + qclass.reshape(-1, 1)
-        members, matrix = freeze_array(members, np.intp), freeze_array(matrix.ravel(), np.int64)
-        plan = h._face_plan_cache.setdefault((), _FacePlan(
-            subsets, members, size, freeze_array(face.reshape(-1), np.intp), firsts.size,
-            freeze_array(first, bool), matrix,
-            _size_groups(h, members, size, np.sort(firsts), matrix)))
+        matrix = (((masks[None, :] << s) | (plus[:, None] & masks[None, :])) * len(classes)
+                  + qclass.reshape(-1, 1)).ravel()
+        pairs = np.sort(firsts)
+        pieces, subs = np.divmod(pairs, len(subsets))
+        sizes = np.array([len(S) for S in subsets])[subs]
+        stacks = []
+        for ell in range(s + 1):
+            group = np.flatnonzero(sizes == ell)
+            for at in range(0, group.size, _STACK_CHUNK):
+                chunk = group[at:at + _STACK_CHUNK]
+                _, reps, rep = np.unique(matrix[pairs[chunk]], return_index=True,
+                                         return_inverse=True)
+                if reps.size == chunk.size:
+                    reps, rep = slice(None), None
+                ks, idx = pieces[chunk], members[subs[chunk], :ell]
+                kr, ir = ks[reps], idx[reps]
+                cols = (h._signs[kr[:, None], ir][:, :, None] * h._A[ir]).transpose(0, 2, 1)
+                stacks.append(_Stack(
+                    ell, freeze_array(pairs[chunk], np.intp), freeze_array(ks, np.intp),
+                    freeze_array(idx, np.intp),
+                    None if rep is None else freeze_array(rep, np.intp),
+                    freeze_array(ir, np.intp), freeze_array(cols), freeze_array(h._Q[kr])))
+        plan = h._face_plan_cache.setdefault((), _FacePlan(subsets, tuple(stacks)))
     return plan
-
-
-def _size_groups(h, members, size, pairs, matrix) -> list:
-    """The `_Stack`s of the pairs, by |S|, in chunks of at most _STACK_CHUNK,
-    with read-only blocks. A chunk's distinct KKT matrices (by the plan's
-    `matrix` ids) are assembled from its first system of each; when the
-    matrices are all distinct, rep is None."""
-    pieces, subs = np.divmod(pairs, len(members))
-    sizes = size[subs]
-    groups = []
-    for ell in range(members.shape[1] + 1):
-        group = np.flatnonzero(sizes == ell)
-        for at in range(0, group.size, _STACK_CHUNK):
-            chunk = group[at:at + _STACK_CHUNK]
-            _, reps, rep = np.unique(matrix[pairs[chunk]], return_index=True,
-                                     return_inverse=True)
-            if reps.size == chunk.size:
-                reps, rep = slice(None), None
-            ks, idx = pieces[chunk], members[subs[chunk], :ell]
-            kr, ir = ks[reps], idx[reps]
-            cols = (h._signs[kr[:, None], ir][:, :, None] * h._A[ir]).transpose(0, 2, 1)
-            groups.append(_Stack(
-                ell, freeze_array(pairs[chunk], np.intp), freeze_array(ks, np.intp),
-                freeze_array(idx, np.intp), None if rep is None else freeze_array(rep, np.intp),
-                freeze_array(ir, np.intp), freeze_array(cols), freeze_array(h._Q[kr])))
-    return groups
 
 
 def solve_subproblem_enum(p: CompositeProblem, x_hat, H, lin: Linearization | None = None):
@@ -498,25 +486,27 @@ def solve_subproblem_enum(p: CompositeProblem, x_hat, H, lin: Linearization | No
     H d + Jac^T y = 0 with y in dh(c_lin), c_lin = c + Jac d.
 
     Structures are visited piece by piece, subsets inside (h's `_face_plan`).
-    A face is a subset S with the signs off S; its pieces differ there by
-    elements of span{a_j : j in S}, so their equality KKT systems share
-    (d, y). The first piece on a face solves its system and decides the
-    face, as `_consistent` does: that piece active at c_lin and y in
-    dh(c_lin).
+    A face is a subset S with the signs off S. On a validated h, continuity
+    and the range condition make the pieces of a face agree on it, so their
+    equality KKT systems differ only in how the multipliers of S are
+    written: one solve decides the face. Its first piece solves it, one
+    system per face and none piece by piece, and decides it as
+    `_consistent` does: that piece active at c_lin and y in dh(c_lin).
     Membership alone decides, with no test of the multipliers' signs: for a
     continuous h it already makes every active piece's multipliers
-    nonnegative, up to its slack. Later pieces skip a solved face. A
-    singular face (a solve with a second point on its solution family, or
-    none) is solved and tested piece by piece, and its pairs are reported as
-    non-unique with that point when it is consistent too. A (d, y) within
-    1e-9 of an earlier-visited accepted pair is dropped. Pairs are sorted by
-    model value, ties by piece, then in visiting order.
+    nonnegative, up to its slack. A singular face that is consistent gives
+    one pair, its first piece's, reported non-unique when a second point on
+    its solution family is consistent too. Two edges are decided by the
+    first piece without that argument: a face smaller than its affine hull,
+    where a hyperplane off S is implicitly at equality, and any face of an
+    h loaded with `validate=False`. A (d, y) within 1e-9 of an
+    earlier-visited accepted pair is dropped. Pairs are sorted by model
+    value, ties by piece, then in visiting order.
 
     The solves are batched (`_enum_solves`), and the step works on their
     arrays: a consistent pair is a candidate when its piece is active at
-    c_lin (`plq.pieces_active`) and no earlier pair solved its face with
-    full rank, both decided by masks. When a call has two or more
-    candidates, they are ranked in one pass without evaluating h
+    c_lin (`plq.pieces_active`), decided by a mask. When a call has two or
+    more candidates, they are ranked in one pass without evaluating h
     (`_ranking`), by the model value at the first piece active at c_lin (on
     a validated h every active piece gives it to VALUE_TOL), rounded to 12
     decimals. The rest is decided when the sequence is read, in that order:
@@ -530,11 +520,7 @@ def solve_subproblem_enum(p: CompositeProblem, x_hat, H, lin: Linearization | No
     """
     H, cx, jac, plan, res = _enum_solves(p, x_hat, H, lin)
     h, n, m = p.h, p.n, p.m
-    # A face is solved at its first pair with a full-rank solve; later pairs skip it.
-    face = plan.face[res.pairs]
-    stop = np.full(plan.faces, plan.face.size)
-    np.minimum.at(stop, face[res.full], res.pairs[res.full])
-    cand = np.flatnonzero(res.active & (res.pairs <= stop[face]))
+    cand = np.flatnonzero(res.active)
     cand = cand[np.argsort(res.pairs[cand])]  # in visiting order
     ks, subs = np.divmod(res.pairs[cand], len(plan.subsets))
     sols, alts, full, c_lin = res.sols[cand], res.alts[cand], res.full[cand], res.c_lin[cand]
@@ -629,7 +615,7 @@ class CriticalPairs(Sequence):
 
 class _Solves(NamedTuple):
     """The consistent systems of one enumeration step, one row each, in the
-    order of the passes and stacks that solved them (`_enum_solves`)."""
+    order of the stacks that solved them (`_enum_solves`)."""
 
     pairs: np.ndarray   # (B,): the pair ids q
     sols: np.ndarray    # (B, n + m + s): (d, y, lam), lam zero-padded past |S|
@@ -641,14 +627,16 @@ class _Solves(NamedTuple):
 
 def _enum_solves(p: CompositeProblem, x_hat, H, lin: Linearization | None):
     """The batched solves of `solve_subproblem_enum`: (H, c, Jac, plan,
-    `_Solves`). One pass solves the first piece of every face, a second the
-    later pieces of the faces whose first solve was singular (inconsistent
-    or not of full rank), each as one `_solve_stack` per stack of the pass;
-    an inconsistent system decides nothing, so only the consistent ones are
-    kept. A stack's h-only blocks come from the plan (`_Stack`); a step adds
-    the blocks that read c and Jac: per hyperplane its linearized row a_j Jac
-    and its last rhs entry alpha_j - a_j c, per piece the rhs head Q_k c +
-    b_k, each taking the floating-point operations of its one-row product."""
+    `_Solves`). One pass solves one system per face, its first piece's, as
+    one `_solve_stack` per stack of the plan, singular faces included: no
+    later piece is solved on its own, also at the two edges where only the
+    first piece decides (a face smaller than its affine hull, an h loaded
+    with validate=False). An inconsistent system decides nothing, so only
+    the consistent ones are kept. A stack's h-only blocks
+    come from the plan (`_Stack`); a step adds the blocks that read c and
+    Jac: per hyperplane its linearized row a_j Jac and its last rhs entry
+    alpha_j - a_j c, per piece the rhs head Q_k c + b_k, each taking the
+    floating-point operations of its one-row product."""
     x_hat = as_vector(x_hat, p.n, "x")
     H = np.atleast_2d(np.asarray(H, dtype=float))  # None reads as NaN
     if H.shape != (p.n, p.n) or not np.isfinite(H).all():
@@ -663,35 +651,22 @@ def _enum_solves(p: CompositeProblem, x_hat, H, lin: Linearization | None):
     AJ = (A_all[:, None, :] @ jac)[:, 0]
     tail = alpha - (A_all[:, None, :] @ cx)[:, 0]
 
-    def solve(stacks):
-        """The `_Solves` of a pass, and the pairs whose solve was singular."""
-        pairs = np.concatenate([st.pairs for st in stacks])
-        sols, alts = np.zeros((2, pairs.size, n + m + h.n_hyperplanes))
-        full, ok, at = np.empty(pairs.size, dtype=bool), np.empty(pairs.size, dtype=bool), 0
-        for st in stacks:
-            rows, cut = slice(at, at + st.pairs.size), n + m + st.ell
-            sols[rows, :cut], alt, full[rows], ok[rows] = _solve_stack(
-                kkt_matrix(H, jac, st.Qs, st.cols, AJ[st.rep_members]),
-                np.concatenate([head[st.pieces], tail[st.members]], axis=1), st.rep)
-            if not full[rows].all():  # alternates are read only where a matrix is singular
-                alts[rows, :cut] = alt
-            at = rows.stop
-        singular = pairs[~(ok & full)]
-        if not ok.all():
-            pairs, sols, alts, full = pairs[ok], sols[ok], alts[ok], full[ok]
-        c_lin = cx + (jac @ sols[:, :n, None])[:, :, 0]
-        active = pieces_active(h, pairs // len(plan.subsets), c_lin)
-        return _Solves(pairs, sols, alts, full, active, c_lin), singular
-
-    res, singular = solve(plan.first_groups)
-    if singular.size:
-        reached = np.zeros(plan.faces, dtype=bool)
-        reached[plan.face[singular]] = True
-        later = np.flatnonzero(~plan.first & reached[plan.face])
-        if later.size:  # a face of one piece has no later pair
-            more, _ = solve(_size_groups(h, plan.members, plan.size, later, plan.matrix))
-            res = _Solves(*map(np.concatenate, zip(res, more)))
-    return H, cx, jac, plan, res
+    pairs = np.concatenate([st.pairs for st in plan.stacks])
+    sols, alts = np.zeros((2, pairs.size, n + m + h.n_hyperplanes))
+    full, ok, at = np.empty(pairs.size, dtype=bool), np.empty(pairs.size, dtype=bool), 0
+    for st in plan.stacks:
+        rows, cut = slice(at, at + st.pairs.size), n + m + st.ell
+        sols[rows, :cut], alt, full[rows], ok[rows] = _solve_stack(
+            kkt_matrix(H, jac, st.Qs, st.cols, AJ[st.rep_members]),
+            np.concatenate([head[st.pieces], tail[st.members]], axis=1), st.rep)
+        if not full[rows].all():  # alternates are read only where a matrix is singular
+            alts[rows, :cut] = alt
+        at = rows.stop
+    if not ok.all():
+        pairs, sols, alts, full = pairs[ok], sols[ok], alts[ok], full[ok]
+    c_lin = cx + (jac @ sols[:, :n, None])[:, :, 0]
+    active = pieces_active(h, pairs // len(plan.subsets), c_lin)
+    return H, cx, jac, plan, _Solves(pairs, sols, alts, full, active, c_lin)
 
 
 def _solve_stack(M, rhs, rep=None, tol=1e-9):

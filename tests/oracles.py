@@ -219,23 +219,17 @@ def is_empty(P) -> bool:
 
 def eager_enum(p, x_hat, H, lin=None) -> list:
     """`solver.solve_subproblem_enum` with every pair decided when the call
-    is made: over the same batched solves, the visiting order is replayed,
-    and each pair not on a solved face is tested (`_consistent`), dropped
-    when an accepted pair lies within 1e-9, and built with its alternate in
-    turn; the list is then sorted by model value, ties by piece."""
+    is made: over the same batched solves (one per face), the visiting order
+    is replayed, and each pair is tested (`_consistent`), dropped when an
+    accepted pair lies within 1e-9, and built with its alternate in turn;
+    the list is then sorted by model value, ties by piece."""
     H, cx, jac, plan, res = _enum_solves(p, x_hat, H, lin)
     h, n, m = p.h, p.n, p.m
     A_all = h.hyperplane_matrix()[0]
-    solved, out, found = set(), [], np.empty((0, n + m))
+    out, found = [], np.empty((0, n + m))
     for row in np.argsort(res.pairs).tolist():
-        q = int(res.pairs[row])
-        face = plan.face[q]
-        if face in solved:
-            continue
         sol, alt = res.sols[row], None if res.full[row] else res.alts[row]
-        if alt is None:
-            solved.add(face)
-        k, i = divmod(q, len(plan.subsets))
+        k, i = divmod(int(res.pairs[row]), len(plan.subsets))
         prof = _consistent(p, k, sol, cx, jac) if res.active[row] else None
         if prof is None:
             continue

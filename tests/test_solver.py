@@ -403,24 +403,47 @@ def _on_piece_ref(p, k, sol, cx, jac):
     return prof
 
 
+def _structure_system(p, H, cx, jac, k, subset):
+    """(M, rhs): the KKT system of piece k holding `subset` at equality,
+    assembled on its own."""
+    A_all, alpha = p.h.hyperplane_matrix()
+    n, m, na = p.n, p.m, len(subset)
+    signs, Q, b = p.h.pieces[k].signs, p.h.pieces[k].Q, p.h.pieces[k].b
+    cols, rows, rhs = np.empty((m, na)), np.empty((na, n)), np.zeros(n + m + na)
+    rhs[n:n + m] = Q @ cx + b
+    for t, j in enumerate(subset):
+        cols[:, t] = signs[j] * A_all[j]
+        rows[t] = A_all[j] @ jac
+        rhs[n + m + t] = alpha[j] - A_all[j] @ cx
+    return kkt_matrix(H, jac, Q, cols, rows), rhs
+
+
 def _structure_solves(p, H, cx, jac):
     """(piece, subset, solution, alternate) of every (piece, subset) structure
     whose KKT system is solved on its own, in the enumeration's order."""
-    A_all, alpha = p.h.hyperplane_matrix()
-    n, m = p.n, p.m
     for k in range(p.h.n_pieces):
-        signs, Q, b = p.h.pieces[k].signs, p.h.pieces[k].Q, p.h.pieces[k].b
         for subset in _subsets(p.h.n_hyperplanes):
-            na = len(subset)
-            cols, rows, rhs = np.empty((m, na)), np.empty((na, n)), np.zeros(n + m + na)
-            rhs[n:n + m] = Q @ cx + b
-            for t, j in enumerate(subset):
-                cols[:, t] = signs[j] * A_all[j]
-                rows[t] = A_all[j] @ jac
-                rhs[n + m + t] = alpha[j] - A_all[j] @ cx
-            sol, alt = _solve_possibly_singular(kkt_matrix(H, jac, Q, cols, rows), rhs)
+            sol, alt = _solve_possibly_singular(*_structure_system(p, H, cx, jac, k, subset))
             if sol is not None:
                 yield k, subset, sol, alt
+
+
+def _face_pieces(h) -> dict:
+    """The pieces of each face key (S, signs off S), over all 2^s subsets,
+    in visiting order: the first solves the face."""
+    faces = {}
+    for k, piece in enumerate(h.pieces):
+        for S in _subsets(h.n_hyperplanes):
+            faces.setdefault((S, np.delete(piece.signs, list(S)).tobytes()), []).append(k)
+    return faces
+
+
+def _inconsistent_singular_faces(p, H, cx, jac):
+    """(subset, later pieces) of each face whose first piece's system is
+    singular and inconsistent."""
+    for (S, _), (first, *later) in _face_pieces(p.h).items():
+        if _solve_possibly_singular(*_structure_system(p, H, cx, jac, first, S))[0] is None:
+            yield S, later
 
 
 def _per_structure_enum(p, H, lin):
@@ -626,19 +649,60 @@ class TestFaceEnumeration:
             kinds.update([family] if sols else [])
             kinds.update(["several"] if len(sols) > 1 else [])
             kinds.update(["non-unique"] if any(not q.unique for q in sols) else [])
-            # A subset with dependent normals (c_i = -t_i and c_i = t_i) gives
-            # singular systems, solved per piece; every other face is solved
-            # once, also where its pieces' Q differ.
+            # One system per face key over all 2^s subsets, also where the
+            # subset's normals are dependent (c_i = -t_i and c_i = t_i give
+            # singular systems) and where the face's pieces differ in Q.
+            faces = _face_pieces(p.h)
+            assert _systems(solves) == len(faces), seed
             A, _ = p.h.hyperplane_matrix()
-            subsets = list(_subsets(p.h.n_hyperplanes))
-            free = [S for S in subsets if np.linalg.matrix_rank(A[list(S)]) == len(S)]
-            faces = {(S, np.delete(piece.signs, list(S)).tobytes())
-                     for piece in p.h.pieces for S in free}
-            per_piece = p.h.n_pieces * (len(subsets) - len(free))
-            if family == "huber" and _systems(solves) == len(faces) + per_piece:
+            if any(np.linalg.matrix_rank(A[list(S)]) < len(S) for S, _ in faces):
+                kinds.add("dependent normals")
+            if family == "huber" and any(len({p.h.pieces[k].Q.tobytes() for k in ks}) > 1
+                                         for ks in faces.values()):
                 kinds.add("shared across Q")
+            cx, jac, _ = p.c.evaluate(x)
+            if any(later for _, later in _inconsistent_singular_faces(p, H, cx, jac)):
+                kinds.add("inconsistent singular face of several pieces")
         assert kinds == {"crossing", "huber", "flat", "kink", "split", "several", "non-unique",
-                         "shared across Q"}
+                         "dependent normals", "shared across Q",
+                         "inconsistent singular face of several pieces"}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 20))
+    def test_inconsistent_singular_face_has_no_consistent_later_piece(self, seed):
+        # The safety argument for one solve per face: on a validated h, a
+        # face whose first solve is singular and inconsistent gives no
+        # critical pair at any later piece solved on its own.
+        _, p, x, y, H = _enum_step(seed)
+        assert plq.validate_representation(p.h).all_pass
+        cx, jac, _ = p.c.evaluate(x, y)
+        for S, later in _inconsistent_singular_faces(p, H, cx, jac):
+            for k in later:
+                sol, _ = _solve_possibly_singular(*_structure_system(p, H, cx, jac, k, S))
+                assert sol is None or _consistent(p, k, sol, cx, jac) is None, (k, S)
+
+    def test_s12_chain_solves_one_system_per_face(self, monkeypatch):
+        # The chain of BENCH_array_step.json: h convex piecewise linear in
+        # one variable with 12 breakpoints, so most of the 13 * 2^12 pairs
+        # hold an empty face; a step solves the 28,672 face keys once each
+        # and returns one pair.
+        t = [-1.0 + 4.0 * j / 11 for j in range(12)]
+        slopes = [-1.0 + k / 6 for k in range(13)]
+        beta = [0.0]
+        for k in range(1, 13):  # continuous at t[k - 1]
+            beta.append(beta[-1] + (slopes[k - 1] - slopes[k]) * t[k - 1])
+        h = plq.PLQFunction(1, [plq.Hyperplane([1.0], tj) for tj in t],
+                            [plq.Piece([-1] * k + [1] * (12 - k), [[0.0]], [slopes[k]], beta[k])
+                             for k in range(13)])
+        p = CompositeProblem(h, SmoothMap.from_strings(["x1^2 + 0.3*x1"], 1))
+        x, y = np.array([0.4]), np.array([0.2])
+        lin = p.c.evaluate(x, y)
+        stacks = _count_calls(monkeypatch, solver, "_solve_stack")
+        sols = list(solve_subproblem_enum(p, x, lin.H, lin))
+        assert _systems(stacks) == len(_face_pieces(h)) == 28672
+        assert [(q.piece, q.active_set) for q in sols] == [(5, ())]
+        assert abs(sols[0].d[0] - 0.458333333333) <= 1e-9
+        assert abs(sols[0].y[0] + 0.166666666667) <= 1e-9
 
     @pytest.mark.parametrize("w,a,systems,matrices", [
         ((0.7, 1.3, 1.9), (0.3, -0.5, 0.4), 27, 8),
@@ -895,13 +959,16 @@ class TestArrayStep:
         assert _ranking(h, np.array([1, 0]), np.array([[1.0], [-1.0]]), np.zeros((2, 1)),
                         np.eye(1)) == [1, 0]
 
-    def test_singular_face_of_one_piece_needs_no_second_pass(self):
+    def test_singular_face_of_one_piece_leaves_the_interior_pair(self, monkeypatch):
         # One piece, c <= 0, bounded by c = 0 written twice: holding both
-        # gives a singular system on a face no other piece reaches.
+        # gives a singular system. Each of the 4 faces is solved once, and
+        # only the interior pair is accepted.
         h = plq.PLQFunction(1, [plq.Hyperplane([1.0], 0.0), plq.Hyperplane([2.0], 0.0)],
                             [plq.Piece([1, 1], [[1.0]], [0.0])])
         p = CompositeProblem(h, SmoothMap.from_strings(["x1"], 1))
+        stacks = _count_calls(monkeypatch, solver, "_solve_stack")
         sols = solve_subproblem_enum(p, [-1.0], np.eye(1))
+        assert _systems(stacks) == 4
         _assert_same_pairs(list(sols), eager_enum(p, [-1.0], np.eye(1)))
         assert [(q.piece, q.active_set, q.unique) for q in sols] == [(0, (), True)]
 
@@ -915,38 +982,38 @@ class TestArrayStep:
         h, plan = p.h, _face_plan(p.h)
         assert _face_plan(h) is plan
         A_all = h.hyperplane_matrix()[0]
-        systems = 0
-        for st in plan.first_groups:
-            # The blocks a step would build from the pairs: the first system
-            # of each distinct matrix (every system when all are distinct),
-            # its signed columns and its Q.
-            _, reps, rep = np.unique(plan.matrix[st.pairs], return_index=True,
-                                     return_inverse=True)
-            if reps.size == st.pairs.size:
-                reps, rep = np.arange(reps.size), None
+        firsts = sorted(ks[0] * len(plan.subsets) + plan.subsets.index(S)
+                        for (S, _), ks in _face_pieces(h).items())
+        pairs = []
+        for st in plan.stacks:
+            # The blocks a step would build from the pairs: each system's
+            # piece, members, signed columns and Q, read from the distinct
+            # matrix it maps to, and one distinct matrix per (S, signs on S, Q).
             ks, subs = np.divmod(st.pairs, len(plan.subsets))
-            idx = plan.members[subs, :st.ell]
-            kr, ir = ks[reps], idx[reps]
-            cols = (h._signs[kr[:, None], ir][:, :, None] * A_all[ir]).transpose(0, 2, 1)
-            fresh = {"pieces": ks, "members": idx, "rep_members": ir, "cols": cols,
-                     "Qs": h._Q[kr], "rep": rep}
-            for name, want in fresh.items():
-                got = getattr(st, name)
-                if want is None:
-                    assert got is None, name
-                    continue
+            idx = np.array([plan.subsets[i] for i in subs.tolist()], dtype=np.intp).reshape(
+                len(subs), st.ell)
+            rep = np.arange(len(st.Qs)) if st.rep is None else st.rep
+            cols = (h._signs[ks[:, None], idx][:, :, None] * A_all[idx]).transpose(0, 2, 1)
+            fresh = {"pieces": (st.pieces, ks), "members": (st.members, idx),
+                     "rep_members": (st.rep_members[rep], idx), "cols": (st.cols[rep], cols),
+                     "Qs": (st.Qs[rep], h._Q[ks])}
+            for name, (got, want) in fresh.items():
                 assert got.shape == want.shape and got.dtype == want.dtype, name
                 assert got.tobytes() == np.ascontiguousarray(want).tobytes(), name
+            keys = {(S.tobytes(), c.tobytes(), Q.tobytes())
+                    for S, c, Q in zip(st.rep_members, st.cols, st.Qs)}
+            assert len(keys) == len(st.Qs) and (st.rep is None) == (len(st.Qs) == len(ks))
+            assert len(ks) <= solver._STACK_CHUNK
             for name in ("pairs", "pieces", "members", "rep", "rep_members", "cols", "Qs"):
                 block = getattr(st, name)
                 if block is not None:
                     with pytest.raises(ValueError, match="read-only"):
                         block[...] = 0
-            systems += st.pairs.size
-        assert systems == plan.faces
-        for name in ("members", "size", "face", "first", "matrix"):
-            with pytest.raises(ValueError, match="read-only"):
-                getattr(plan, name)[...] = 0
+            pairs += st.pairs.tolist()
+        # One system per face, its first pair's, stacked by |S|.
+        assert sorted(pairs) == firsts
+        assert [st.ell for st in plan.stacks] == sorted(st.ell for st in plan.stacks)
+        assert isinstance(plan.subsets, tuple) and isinstance(plan.stacks, tuple)
 
 
 class TestQuasiNewton:
