@@ -14,7 +14,8 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from plqnewton.benchmarks import BENCHMARKS  # noqa: E402
-from plqnewton.certify import certify_subregularity  # noqa: E402
+from plqnewton.certify import certify_point  # noqa: E402
+from plqnewton.composite import analyze_point  # noqa: E402
 from plqnewton.plq import eval_with_active  # noqa: E402
 from plqnewton.rates import classify_rate  # noqa: E402
 from plqnewton.solver import SolveOptions, solve  # noqa: E402
@@ -25,7 +26,7 @@ EXPECT_CERTIFIED = {"b1_minimax", "b1_cubic", "b1_scaled", "l1_kink", "cross_l1"
 
 def run_one(name, bench):
     p = bench.problem
-    cert = certify_subregularity(p, bench.xbar) if bench.xbar is not None else None
+    cert = certify_point(analyze_point(p, bench.xbar)) if bench.xbar is not None else None
     prof = eval_with_active(p.h, p.c.value(bench.xbar))
     try:
         tr = solve(p, "newton", bench.start_x, bench.start_y, SolveOptions(tol=1e-12),

@@ -29,7 +29,6 @@ from .certify import (
     SubregularityCertificate,
     certify_point,
     certify_sosc,
-    certify_subregularity,
 )
 from .composite import (
     CompositeProblem,
@@ -38,11 +37,7 @@ from .composite import (
     MultiplierSet,
     PointAnalysis,
     analyze_point,
-    bcq_holds,
-    check_cqs,
     kkt_residual,
-    multiplier_set,
-    nonascent_contains,
     qualification_chain,
 )
 from .exprmap import Linearization, SmoothMap, parse_expr

@@ -2,9 +2,11 @@
 
 The reduced curvature check runs in one of two modes, both exact:
 
-  certified-subspace: nondegeneracy and strict criticality pin the non-ascent
-      cone down to the subspace Null(A^T Jac), so positive definiteness of
-      each active piece's reduced matrix Z^T (Jac^T Q_j Jac + H) Z certifies
+  certified-subspace: nondegeneracy, strict criticality and block
+      multipliers above SC_TOL at ybar (read in closed form from
+      `ManifoldData.mu_projection`) pin the non-ascent cone down to the
+      subspace Null(A^T Jac), so positive definiteness of each active
+      piece's reduced matrix Z^T (Jac^T Q_j Jac + H) Z certifies
       sufficiency. This holds for any number of active pieces: with one, it
       is the second-order condition of a nonlinear program on the critical
       subspace of its active constraints. Inside a piece (no active
@@ -28,7 +30,7 @@ The reduced curvature check runs in one of two modes, both exact:
 
 All checks at xbar read one `PointAnalysis` (see composite): `certify_point`
 hands it, with the manifold data at c(xbar), from the multiplier test to the
-sufficiency check, and the CLI's certify report reads the same two.
+sufficiency check `certify_sosc`, and the CLI's certify report reads the same.
 No check draws a random number. The module needs numpy only.
 """
 
@@ -40,9 +42,9 @@ from itertools import combinations
 import numpy as np
 
 from .calculus import cone_generators
-from .composite import CompositeProblem, PointAnalysis, analyze_point
+from .composite import PointAnalysis
 from .errors import PreconditionError, RegimeError
-from .manifold import ManifoldData, build_manifold_at
+from .manifold import SC_TOL, ManifoldData, build_manifold_at
 from .numerics import as_vector, nullspace_basis
 from .solver import reduced_min_eigs
 
@@ -83,13 +85,9 @@ class SubregularityCertificate:
                 "reasons": list(self.reasons)}
 
 
-def certify_sosc(p: CompositeProblem, xbar, ybar, md: ManifoldData | None = None) -> SOSCReport:
-    """Reduced second-order sufficiency at a stationary pair (xbar, ybar)."""
-    return _sosc(analyze_point(p, xbar), ybar, md)
-
-
-def _sosc(pa: PointAnalysis, ybar, md: ManifoldData | None) -> SOSCReport:
-    """`certify_sosc` at an analyzed point; md, when None, is built here."""
+def certify_sosc(pa: PointAnalysis, ybar, md: ManifoldData | None = None) -> SOSCReport:
+    """Reduced second-order sufficiency at the stationary pair (pa.x, ybar);
+    md, the manifold data at c(pa.x), is built here when None."""
     p, prof, jac = pa.p, pa.prof, pa.jac
     ybar = as_vector(ybar, p.m, "ybar")
     res = pa.kkt_residual(ybar)
@@ -103,7 +101,11 @@ def _sosc(pa: PointAnalysis, ybar, md: ManifoldData | None) -> SOSCReport:
         md = build_manifold_at(p.h, prof, pa.cx)
     # Inside one piece (no active hyperplane) the non-ascent set is all of
     # R^n, which is Null(A^T Jac) for the m x 0 matrix A, whatever sc says.
-    if md.nondegenerate and (md.ell == 0 or pa.cqs.sc):
+    # On an active hyperplane the subspace also needs every block multiplier
+    # positive: where pieces join with equal gradients dh(cbar) is one point,
+    # so sc holds, yet a zero multiplier leaves each piece a critical cone.
+    if md.nondegenerate and (md.ell == 0 or (
+            pa.cqs.sc and np.all(md.mu_projection(pa.cx, ybar)[0] > SC_TOL))):
         Z = nullspace_basis(md.A.T @ jac)
         eigs = reduced_min_eigs(Z, jac, H, md.stacked[0])
         eigs = [None] * md.kbar if eigs is None else eigs
@@ -157,14 +159,10 @@ def _cone_margin(M, rays, lin):
     return best
 
 
-def certify_subregularity(p: CompositeProblem, xbar) -> SubregularityCertificate:
-    """Combine multiplier uniqueness with reduced sufficiency."""
-    return certify_point(analyze_point(p, xbar), None)
-
-
-def certify_point(pa: PointAnalysis, md: ManifoldData | None) -> SubregularityCertificate:
-    """`certify_subregularity` at an analyzed point, with the manifold data
-    at c(xbar) when the caller has built it (None: built when needed)."""
+def certify_point(pa: PointAnalysis, md: ManifoldData | None = None) -> SubregularityCertificate:
+    """Multiplier uniqueness combined with reduced sufficiency at an analyzed
+    point, with the manifold data at c(xbar) when the caller has built it
+    (None: built when needed)."""
     mult = pa.multipliers
     if not pa.cqs.bcq:
         return SubregularityCertificate(False, None, "not-certified",
@@ -177,7 +175,7 @@ def certify_point(pa: PointAnalysis, md: ManifoldData | None) -> SubregularityCe
     y = mult.y if single else mult.polyhedron.ri_point()[0]
     sosc = None
     try:
-        sosc = _sosc(pa, y, md)
+        sosc = certify_sosc(pa, y, md)
         if not sosc.passed:
             reasons.append("reduced second-order sufficiency fails")
     except PreconditionError as err:

@@ -5,10 +5,11 @@ negative), 2 input error (the input is malformed or does not meet the
 command's preconditions), 3 regime error (the evaluation or the iteration
 left the regime where it is defined); errors.INPUT_ERRORS and
 errors.REGIME_ERRORS map every package error to 2 or 3, and a file that
-cannot be opened, read as UTF-8 or written is an input error. --seed (default
+cannot be opened, read as UTF-8 or written is an input error. A command takes
+--json and the options its report reads (COMMANDS), no other. --seed (default
 42, nonnegative) drives the only random draws (`--point random`, which
 check-derivs takes without --point, and check-derivs' multipliers), so
-reports are byte-stable for identical inputs; validation draws none.
+reports are byte-stable for identical inputs.
 """
 
 from __future__ import annotations
@@ -191,12 +192,19 @@ def report_check_derivs(pf: ProblemFile, opts) -> tuple[dict, int]:
     return out, EXIT_PASS if ok else EXIT_CERTIFIED_FAILURE
 
 
+# Each command's report and the options it reads; every command also takes
+# --json, and argparse refuses any other option (exit 2).
+SOLVE_OPTIONS = {"--method": {"choices": METHODS}, "--tol": {"type": float},
+                 "--max-iter": {"type": int},
+                 "--trace": {"help": "write the iteration trace CSV here"}}
+POINT_OPTIONS = {"--point": {"help": "JSON file with the evaluation point, or 'random'"},
+                 "--seed": {"type": int, "default": 42}}
 COMMANDS = {
-    "validate": report_validate,
-    "certify": report_certify,
-    "solve": report_solve,
-    "rate": report_rate,
-    "check-derivs": report_check_derivs,
+    "validate": (report_validate, {}),
+    "certify": (report_certify, POINT_OPTIONS),
+    "solve": (report_solve, SOLVE_OPTIONS),
+    "rate": (report_rate, SOLVE_OPTIONS),
+    "check-derivs": (report_check_derivs, POINT_OPTIONS),
 }
 
 
@@ -204,7 +212,7 @@ def run_report(pf: ProblemFile, command: str, opts: dict) -> tuple[dict, int]:
     """Dispatch a command on a loaded problem; returns (report, exit code)."""
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
-    return COMMANDS[command](pf, opts)
+    return COMMANDS[command][0](pf, opts)
 
 
 def _render(report: dict) -> str:
@@ -241,24 +249,18 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Newton-type solvers and certificates "
                                              "for PLQ convex-composite problems")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, options) in COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("file", help="problem JSON file or built-in benchmark name")
-        sp.add_argument("--method", choices=METHODS)
-        sp.add_argument("--tol", type=float)
-        sp.add_argument("--max-iter", type=int, dest="max_iter")
-        sp.add_argument("--seed", type=int, default=42)
-        sp.add_argument("--trace", help="write the iteration trace CSV here")
+        for flag, spec in options.items():
+            sp.add_argument(flag, **spec)
         sp.add_argument("--json", dest="json_out", help="write the JSON report here")
-        sp.add_argument("--point", help="JSON file with the evaluation point, or 'random'")
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    opts = {"seed": args.seed, "method": args.method,
-            "tol": args.tol, "max_iter": args.max_iter, "trace": args.trace,
-            "point": args.point}
+    opts = vars(args)
     try:
         if args.file in BENCHMARKS:
             from .problems import parse_problem_dict

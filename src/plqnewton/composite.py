@@ -16,10 +16,10 @@ sweep of c and one subdifferential, which `calculus.subdiff_hrep_at` stacks
 with each facet once (2s rows at a crossing of s hyperplanes, though each of
 the 2s facets belongs to 2^(s-1) of the 2^s active pieces), and
 `qualification_chain` derives bcq, tc, sc and the multiplier set from that
-nullspace and that polyhedron; `bcq_holds`, `multiplier_set`, `check_cqs`
-and `nonascent_contains` are thin entry points over it. The only state is the
-implicit-equality data a polyhedron caches on first use; computing it is
-idempotent, so concurrent checks on one problem are safe.
+nullspace and that polyhedron; callers read them as the analysis's `cqs`
+and `multipliers`. The only state is the implicit-equality data a polyhedron
+caches on first use; computing it is idempotent, so concurrent checks on one
+problem are safe.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import PolyhedronH, cone_generators, dir_deriv_first, subdiff_hrep_at
-from .errors import DomainError, PreconditionError
+from .calculus import PolyhedronH, cone_generators, subdiff_hrep_at
+from .errors import DomainError
 from .exprmap import Linearization, SmoothMap
 from .numerics import as_vector, matrix_rank_rel, nullspace_basis
 from .plq import ActiveProfile, PLQFunction, eval_with_active
@@ -62,7 +62,6 @@ class MultiplierSet:
     polyhedron: PolyhedronH
     status: str  # "empty" | "singleton" | "nonsingleton"
     y: np.ndarray | None
-    bcq_holds: bool
     note: str = ""
 
 
@@ -155,7 +154,7 @@ def qualification_chain(C: PolyhedronH, rows) -> tuple[MultiplierSet, CQReport]:
     poly = PolyhedronH(np.vstack([C.E, rows]), np.concatenate([C.e, zeros]), C.F, C.f)
     single, y = poly.is_singleton()
     status = "singleton" if single else "empty" if y is None else "nonsingleton"
-    mult = MultiplierSet(poly, status, y if single else None, bcq,
+    mult = MultiplierSet(poly, status, y if single else None,
                          "" if bcq else "unsupported-by-theory: bcq fails at x")
 
     ybar, depth = C.ri_slack(rows, zeros)
@@ -164,35 +163,6 @@ def qualification_chain(C: PolyhedronH, rows) -> tuple[MultiplierSet, CQReport]:
     cqs = CQReport(bcq=bcq, tc=tc, sc=sc, ybar=(mult.y if single else ybar) if sc else None,
                    m_singleton=single)
     return mult, cqs
-
-
-def multiplier_set(p: CompositeProblem, x) -> MultiplierSet:
-    """Multipliers {y : Jac(x)^T y = 0} intersected with the subdifferential
-    at c(x): the stationarity multiplier set."""
-    return analyze_point(p, x).multipliers
-
-
-def bcq_holds(p: CompositeProblem, x) -> bool:
-    """Null(Jac^T) meets N(c(x) | dom h) only at zero."""
-    return analyze_point(p, x).cqs.bcq
-
-
-def check_cqs(p: CompositeProblem, x) -> CQReport:
-    """Basic, transversality and strict-criticality qualifications at x."""
-    return analyze_point(p, x).cqs
-
-
-def nonascent_contains(p: CompositeProblem, x, d) -> bool:
-    """Whether d is a direction of non-ascent for h(c(.)) at x.
-
-    Requires bcq at x; equivalent to h'(c(x); Jac(x) d) <= 0.
-    """
-    d = as_vector(d, p.n, "d")
-    pa = analyze_point(p, x)
-    if not pa.cqs.bcq:
-        raise PreconditionError("bcq fails at x; the non-ascent representation needs it")
-    val = dir_deriv_first(p.h, pa.cx, pa.jac @ d)
-    return bool(val.is_finite and val.value <= 1e-10)
 
 
 def _tc_from_bases(N: np.ndarray, V: np.ndarray) -> bool:

@@ -26,8 +26,8 @@ from plqnewton.benchmarks import (
     sample_basin_start,
 )
 from plqnewton.calculus import PolyhedronH, dir_deriv_first, dir_deriv_second, subdiff_hrep
-from plqnewton.certify import certify_subregularity
-from plqnewton.composite import CompositeProblem, check_cqs, qualification_chain
+from plqnewton.certify import certify_point
+from plqnewton.composite import CompositeProblem, analyze_point, qualification_chain
 from plqnewton.exprmap import SmoothMap, fd_jacobian, fd_weighted_hessian
 from plqnewton.manifold import build_manifold, certify_partial_smoothness
 from plqnewton.plq import eval_with_active, finite_value
@@ -62,9 +62,9 @@ def test_criterion_1_quadratic_convergence_on_kink_benchmarks():
         kbars.append(md.kbar)
         # The hypotheses behind the quadratic-rate theorem hold and certify.
         assert md.nondegenerate
-        assert check_cqs(bench.problem, bench.xbar).sc
+        assert analyze_point(bench.problem, bench.xbar).cqs.sc
         assert certify_partial_smoothness(md, cbar, bench.ybar).certified
-        assert certify_subregularity(bench.problem, bench.xbar).conclusion \
+        assert certify_point(analyze_point(bench.problem, bench.xbar)).conclusion \
             == "strongly-metrically-subregular"
         rng = np.random.default_rng(42)
         for trial in range(5):
@@ -256,7 +256,7 @@ def test_criterion_6_linearized_equation_uniqueness_spot_check():
     assert s.unique
     assert np.linalg.norm(s.d) <= 1e-10
     assert np.linalg.norm(s.y - b.ybar) <= 1e-10
-    cert = certify_subregularity(b.problem, b.xbar)
+    cert = certify_point(analyze_point(b.problem, b.xbar))
     assert cert.conclusion == "strongly-metrically-subregular"
 
     flat = b1_flat()
@@ -268,7 +268,7 @@ def test_criterion_6_linearized_equation_uniqueness_spot_check():
     d2, y2 = sf.alternate
     sep = np.linalg.norm(d2 - sf.d) + np.linalg.norm(y2 - sf.y)
     assert 1e-3 <= sep <= 0.1, sep
-    cert_f = certify_subregularity(flat.problem, flat.xbar)
+    cert_f = certify_point(analyze_point(flat.problem, flat.xbar))
     assert cert_f.conclusion == "not-certified"
     _report(6, "unique linearized solution for the minimax benchmark; "
                "solution segment found and certificate refused for the flat variant")
@@ -345,7 +345,7 @@ def test_criterion_8_qualification_implication_chain():
             terms = [f"({M[i, j]:.6f})*x{j + 1}" for j in range(n)]
             exprs.append(" + ".join(terms) + f" + ({q[i]:.6f})")
         p = CompositeProblem(h, SmoothMap.from_strings(exprs, n))
-        rep = check_cqs(p, np.zeros(n))
+        rep = analyze_point(p, np.zeros(n)).cqs
         assert not (rep.sc and not rep.tc)
         assert not (rep.tc and not rep.bcq)
         assert not (rep.m_singleton and not rep.bcq)

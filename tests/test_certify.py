@@ -18,9 +18,9 @@ from plqnewton.benchmarks import (
     rosenbrock_ls,
 )
 from plqnewton import calculus, certify, composite, manifold, plq, simplex
-from plqnewton.certify import certify_sosc, certify_subregularity
+from plqnewton.certify import certify_point, certify_sosc
 from plqnewton.cli import main, run_report
-from plqnewton.composite import CompositeProblem
+from plqnewton.composite import CompositeProblem, analyze_point, kkt_residual
 from plqnewton.errors import PreconditionError
 from plqnewton.exprmap import SmoothMap
 from plqnewton.manifold import build_manifold
@@ -39,7 +39,7 @@ class TestSOSC:
         jac = b.problem.c.jacobian([0.0, 0.0])
         md = build_manifold(b.problem.h, b.problem.c.value([0.0, 0.0]))
         assert np.allclose(md.A.T @ jac, [[0.0, -4.0]])
-        rep = certify_sosc(b.problem, b.xbar, b.ybar, md)
+        rep = certify_sosc(analyze_point(b.problem, b.xbar), b.ybar, md)
         assert rep.mode == "certified-subspace"
         assert rep.subspace_dim == 1
         assert rep.passed
@@ -48,7 +48,7 @@ class TestSOSC:
 
     def test_negated_b1_fails(self):
         b = b1_negated()
-        rep = certify_sosc(b.problem, b.xbar, b.ybar)
+        rep = certify_sosc(analyze_point(b.problem, b.xbar), b.ybar)
         assert not rep.passed
         for _, eig in rep.piece_min_eigs:
             assert eig == pytest.approx(-2.0)
@@ -56,7 +56,7 @@ class TestSOSC:
     def test_smooth_least_squares_identity(self):
         p = CompositeProblem(
             rosenbrock_ls().problem.h, SmoothMap.from_strings(["x1", "x2"], 2))
-        rep = certify_sosc(p, [0.0, 0.0], [0.0, 0.0])
+        rep = certify_sosc(analyze_point(p, [0.0, 0.0]), [0.0, 0.0])
         assert rep.mode == "certified-subspace"
         assert rep.passed
         assert rep.piece_min_eigs[0][1] == pytest.approx(1.0)
@@ -67,9 +67,10 @@ class TestSOSC:
         # multiplier set is empty, so sc fails; the check stays on Z = I_n.
         b = expsin_ls()
         x = b.xbar + 1e-9
-        assert not composite.analyze_point(b.problem, x).cqs.sc
-        rep = certify_sosc(b.problem, x, b.ybar)
-        exact = certify_sosc(b.problem, b.xbar, b.ybar)
+        pa = analyze_point(b.problem, x)
+        assert not pa.cqs.sc
+        rep = certify_sosc(pa, b.ybar)
+        exact = certify_sosc(analyze_point(b.problem, b.xbar), b.ybar)
         assert rep.mode == exact.mode == "certified-subspace"
         assert rep.subspace_dim == b.problem.n and rep.passed
         assert rep.piece_min_eigs[0][1] == pytest.approx(exact.piece_min_eigs[0][1], rel=1e-6)
@@ -77,13 +78,13 @@ class TestSOSC:
     def test_requires_stationarity(self):
         b = b1_minimax()
         with pytest.raises(PreconditionError):
-            certify_sosc(b.problem, [0.5, 0.5], [1.0, 0.0])
+            certify_sosc(analyze_point(b.problem, [0.5, 0.5]), [1.0, 0.0])
 
     def test_cone_mode_on_flat_problem(self):
         # Jac = 0 at xbar, so each piece's critical cone is all of R^2, a
         # lineality space on which H = diag(2, 0) has the flat direction e2.
         b = b1_flat()
-        rep = certify_sosc(b.problem, b.xbar, b.ybar)
+        rep = certify_sosc(analyze_point(b.problem, b.xbar), b.ybar)
         assert rep.mode == "certified-cone"
         assert not rep.passed
         assert rep.piece_min_eigs == ((0, pytest.approx(0.0, abs=1e-12)),
@@ -92,11 +93,11 @@ class TestSOSC:
     def test_invariant_under_orthogonal_reparameterization(self):
         rng = np.random.default_rng(31)
         b = b1_minimax()
-        base = certify_sosc(b.problem, b.xbar, b.ybar)
+        base = certify_sosc(analyze_point(b.problem, b.xbar), b.ybar)
         for _ in range(5):
             U = np.linalg.qr(rng.standard_normal((2, 2)))[0]
             rotated = CompositeProblem(b.problem.h, rotated_map(b.problem.c, U))
-            rep = certify_sosc(rotated, U.T @ b.xbar, b.ybar)
+            rep = certify_sosc(analyze_point(rotated, U.T @ b.xbar), b.ybar)
             assert rep.passed == base.passed
             eigs0 = sorted(v for _, v in base.piece_min_eigs)
             eigs1 = sorted(v for _, v in rep.piece_min_eigs)
@@ -106,7 +107,7 @@ class TestSOSC:
         rng = np.random.default_rng(41)
         b = b1_minimax()
         md = build_manifold(b.problem.h, b.problem.c.value(b.xbar))
-        rep = certify_sosc(b.problem, b.xbar, b.ybar, md)
+        rep = certify_sosc(analyze_point(b.problem, b.xbar), b.ybar, md)
         jac = b.problem.c.jacobian(b.xbar)
         H = b.problem.c.weighted_hessian(b.xbar, b.ybar)
         from plqnewton.numerics import nullspace_basis
@@ -128,24 +129,24 @@ class TestSOSC:
 class TestSubregularity:
     def test_b1_certified(self):
         b = b1_minimax()
-        cert = certify_subregularity(b.problem, b.xbar)
+        cert = certify_point(analyze_point(b.problem, b.xbar))
         assert cert.m_singleton
         assert cert.conclusion == "strongly-metrically-subregular"
 
     def test_duplicated_component_not_certified(self):
         p = CompositeProblem(l1_plq(), SmoothMap.from_strings(["x1", "x1"], 1))
-        cert = certify_subregularity(p, [0.0])
+        cert = certify_point(analyze_point(p, [0.0]))
         assert not cert.m_singleton
         assert cert.conclusion == "not-certified"
 
     def test_flat_direction_not_certified(self):
-        cert = certify_subregularity(b1_flat().problem, [0.0, 0.0])
+        cert = certify_point(analyze_point(b1_flat().problem, [0.0, 0.0]))
         assert cert.conclusion == "not-certified"
         assert not cert.m_singleton
 
     def test_l1_kink_and_cross_certified(self):
         for bench in (l1_kink(), cross_l1()):
-            cert = certify_subregularity(bench.problem, bench.xbar)
+            cert = certify_point(analyze_point(bench.problem, bench.xbar))
             assert cert.conclusion == "strongly-metrically-subregular", (bench.name, cert.reasons)
 
     def test_certified_implies_isolated_linearized_solution(self):
@@ -154,7 +155,7 @@ class TestSubregularity:
         from plqnewton.solver import solve_subproblem_enum
 
         for bench in (b1_minimax(), l1_kink(), cross_l1()):
-            cert = certify_subregularity(bench.problem, bench.xbar)
+            cert = certify_point(analyze_point(bench.problem, bench.xbar))
             assert cert.conclusion == "strongly-metrically-subregular"
             H = bench.problem.c.weighted_hessian(bench.xbar, bench.ybar)
             sols = solve_subproblem_enum(bench.problem, bench.xbar, H)
@@ -174,8 +175,8 @@ class TestSubregularity:
         h = b.problem.h
         swapped = PLQFunction(2, h.hyperplanes, (h.pieces[1], h.pieces[0]))
         p2 = CompositeProblem(swapped, b.problem.c)
-        rep1 = certify_sosc(b.problem, b.xbar, b.ybar)
-        rep2 = certify_sosc(p2, b.xbar, b.ybar)
+        rep1 = certify_sosc(analyze_point(b.problem, b.xbar), b.ybar)
+        rep2 = certify_sosc(analyze_point(p2, b.xbar), b.ybar)
         assert rep1.passed == rep2.passed
         eigs1 = sorted(v for _, v in rep1.piece_min_eigs)
         eigs2 = sorted(v for _, v in rep2.piece_min_eigs)
@@ -191,12 +192,13 @@ class TestSinglePieceBoundary:
         p = CompositeProblem(nlp_plq(), SmoothMap.from_strings(["x1^2", "x1"], 1))
         xbar = np.array([0.0])
         ybar = np.array([1.0, 0.0])
-        assert not composite.analyze_point(p, xbar).cqs.sc
-        rep = certify_sosc(p, xbar, ybar)
+        pa = analyze_point(p, xbar)
+        assert not pa.cqs.sc
+        rep = certify_sosc(pa, ybar)
         assert rep.mode == "certified-cone"
         assert rep.passed
         assert rep.piece_min_eigs == ((0, pytest.approx(2.0, abs=1e-12)),)
-        cert = certify_subregularity(p, xbar)
+        cert = certify_point(pa)
         assert cert.m_singleton
         assert cert.conclusion == "strongly-metrically-subregular"
         assert cert.reasons == ()
@@ -223,7 +225,8 @@ class TestNonlinearProgram:
     active constraint, as in nonlinear programming."""
 
     def test_reference_certified_on_the_subspace(self):
-        cert = certify_subregularity(_nlp(), NLP_XBAR)
+        pa = analyze_point(_nlp(), NLP_XBAR)
+        cert = certify_point(pa)
         assert cert.conclusion == "strongly-metrically-subregular", cert.reasons
         assert cert.m_singleton and cert.reasons == ()
         # Null(A^T Jac) = span{e2}, where the Lagrangian Hessian y1 * 2 I has
@@ -231,13 +234,12 @@ class TestNonlinearProgram:
         assert cert.sosc.mode == "certified-subspace"
         assert cert.sosc.subspace_dim == 1
         assert cert.sosc.piece_min_eigs == ((0, pytest.approx(2.0, abs=1e-12)),)
-        pa = composite.analyze_point(_nlp(), NLP_XBAR)
         assert pa.cqs.sc and np.allclose(pa.multipliers.y, NLP_YBAR, atol=1e-12)
 
     def test_curved_constraint_certified(self):
         # c2 = 1 - x1 - x2^2 / 4 curves the boundary toward the objective's
         # level sets without crossing them: curvature 2 - 2 * 2 / 4 = 1.
-        cert = certify_subregularity(_nlp(c2="1 - x1 - 0.25*x2^2"), NLP_XBAR)
+        cert = certify_point(analyze_point(_nlp(c2="1 - x1 - 0.25*x2^2"), NLP_XBAR))
         assert cert.conclusion == "strongly-metrically-subregular", cert.reasons
         assert cert.sosc.mode == "certified-subspace"
         assert cert.sosc.piece_min_eigs == ((0, pytest.approx(1.0, abs=1e-12)),)
@@ -245,7 +247,7 @@ class TestNonlinearProgram:
     def test_negative_curvature_twin_refused(self):
         # c1 = x1^2 - x2^2: the same stationary pair, curvature -2 along the
         # boundary, so (1, 0) is a saddle and the certificate is refused.
-        cert = certify_subregularity(_nlp(c1="x1^2 - x2^2"), NLP_XBAR)
+        cert = certify_point(analyze_point(_nlp(c1="x1^2 - x2^2"), NLP_XBAR))
         assert cert.conclusion == "not-certified"
         assert cert.sosc.mode == "certified-subspace" and not cert.sosc.passed
         assert cert.sosc.piece_min_eigs == ((0, pytest.approx(-2.0, abs=1e-12)),)
@@ -344,13 +346,13 @@ class TestCriticalCone:
     def test_weakly_active_instance_certified(self):
         # min x1^2 + x2^2 s.t. x1 <= 0: the cone is the half-plane d1 <= 0
         # with lineality e2, where H = 2 I.
-        cert = certify_subregularity(_nlp(c2="x1"), [0.0, 0.0])
+        cert = certify_point(analyze_point(_nlp(c2="x1"), [0.0, 0.0]))
         assert cert.conclusion == "strongly-metrically-subregular", cert.reasons
         assert cert.m_singleton and cert.sosc.mode == "certified-cone"
         assert cert.sosc.piece_min_eigs == ((0, pytest.approx(2.0, abs=1e-12)),)
 
     def test_weakly_active_negative_curvature_twin_refused(self):
-        cert = certify_subregularity(_nlp(c1="x1^2 - x2^2", c2="x1"), [0.0, 0.0])
+        cert = certify_point(analyze_point(_nlp(c1="x1^2 - x2^2", c2="x1"), [0.0, 0.0]))
         assert cert.conclusion == "not-certified"
         assert cert.m_singleton and cert.sosc.mode == "certified-cone"
         assert cert.sosc.piece_min_eigs == ((0, pytest.approx(-2.0, abs=1e-12)),)
@@ -359,14 +361,14 @@ class TestCriticalCone:
     def test_orthant_instance_certified(self):
         # [[1, 3], [3, 1]] is indefinite but strictly copositive: its least
         # eigenvalue with a positive eigenvector is the diagonal's 1.
-        cert = certify_subregularity(_orthant(3.0), [0.0, 0.0])
+        cert = certify_point(analyze_point(_orthant(3.0), [0.0, 0.0]))
         assert cert.conclusion == "strongly-metrically-subregular", cert.reasons
         assert cert.sosc.mode == "certified-cone"
         assert cert.sosc.piece_min_eigs == ((0, pytest.approx(1.0, abs=1e-12)),)
 
     def test_orthant_twin_refused(self):
         # With -3 the eigenvector (1, 1) is positive, with eigenvalue -2.
-        cert = certify_subregularity(_orthant(-3.0), [0.0, 0.0])
+        cert = certify_point(analyze_point(_orthant(-3.0), [0.0, 0.0]))
         assert cert.conclusion == "not-certified" and cert.m_singleton
         assert cert.sosc.piece_min_eigs == ((0, pytest.approx(-2.0, abs=1e-12)),)
 
@@ -381,7 +383,7 @@ class TestCriticalCone:
             plq.Piece([1], np.zeros((2, 2)), [0.0, 1.0])])
         p = CompositeProblem(h, SmoothMap.from_strings(["x1^2 - x2^2", "x2"], 2))
         assert plq.validate_representation(h).all_pass
-        cert = certify_subregularity(p, [0.0, 0.0])
+        cert = certify_point(analyze_point(p, [0.0, 0.0]))
         assert cert.conclusion == "strongly-metrically-subregular", cert.reasons
         assert cert.sosc.mode == "certified-cone"
         assert cert.sosc.piece_min_eigs == ((0, pytest.approx(1.0, abs=1e-12)),
@@ -402,7 +404,8 @@ class TestCriticalCone:
         M = np.asarray(M) + np.asarray(M).T
         A = np.hstack([-np.ones((len(R), 1)), np.asarray(R).reshape(len(R), -1)])
         w = np.asarray(w[:len(R)])
-        rep = certify_sosc(_cone_problem(M, A, w), np.zeros(A.shape[1]), np.eye(len(R) + 1)[0])
+        pa = analyze_point(_cone_problem(M, A, w), np.zeros(A.shape[1]))
+        rep = certify_sosc(pa, np.eye(len(R) + 1)[0])
         assert rep.mode == "certified-cone"
         curv = M + A.T @ np.diag(w) @ A
         sampled = _sampled_curvature(curv, A, np.random.default_rng(seed))
@@ -434,7 +437,64 @@ class TestCriticalCone:
             pf = parse_problem_dict(build().as_problem_dict())
             run_report(pf, "certify", {"seed": 42})
         for p in (_orthant(3.0), _orthant(-3.0), _nlp(c2="x1")):
-            assert certify_subregularity(p, [0.0, 0.0]).sosc.mode == "certified-cone"
+            assert certify_point(analyze_point(p, [0.0, 0.0])).sosc.mode == "certified-cone"
+
+
+def _huber_join(a):
+    """huber_1(c1) + c2 as three pieces on the hyperplanes c1 = 1 and c1 = -1,
+    composed with c = (1 + x1 + x2^2, -x1 + a x1^2 + x2^2). At xbar = 0 the
+    point cbar = (1, 0) is where the quadratic piece 0.5 c1^2 + c2 meets the
+    linear piece c1 - 1/2 + c2 with the same gradient ybar = (1, 1): dh(cbar)
+    is that one point, so sc holds, and the block multiplier of c1 = 1 is 0."""
+    doc = {"name": f"huber-join{a}", "n": 2, "m": 2,
+           "h": {"m": 2, "hyperplanes": [{"a": [1.0, 0.0], "alpha": 1.0},
+                                         {"a": [1.0, 0.0], "alpha": -1.0}],
+                 "pieces": [{"signs": [1, -1], "Q": [[1.0, 0.0], [0.0, 0.0]], "b": [0.0, 1.0]},
+                            {"signs": [-1, -1], "b": [1.0, 1.0], "beta": -0.5},
+                            {"signs": [1, 1], "b": [-1.0, 1.0], "beta": -0.5}]},
+           "c": ["1 + x1 + x2^2", f"-x1 + {a}*x1^2 + x2^2"],
+           "reference": {"x": [0.0, 0.0], "y": [1.0, 1.0]}}
+    return parse_problem_dict(doc)
+
+
+class TestC1Join:
+    """Where pieces join with equal gradients, sc holds but a block multiplier
+    is 0, so each active piece keeps its critical cone: sufficiency is
+    decided there, not on the subspace Null(A^T Jac)."""
+
+    def test_strict_minimizer_certified_on_the_cones(self):
+        # a = 1: f = 1/2 + x1^2 + 2 x2^2 for x1 > 0 and 1/2 + 1.5 x1^2 + 2 x2^2
+        # for x1 < 0, so xbar is a strict minimizer.
+        pf = _huber_join(1.0)
+        assert plq.validate_representation(pf.problem.h).all_pass
+        pa = analyze_point(pf.problem, pf.reference[0])
+        assert pa.cqs.sc and np.allclose(pa.multipliers.y, [1.0, 1.0], atol=1e-12)
+        cert = certify_point(pa)
+        assert cert.conclusion == "strongly-metrically-subregular", cert.reasons
+        assert cert.sosc.mode == "certified-cone"
+        assert cert.sosc.piece_min_eigs == ((0, pytest.approx(3.0, abs=1e-12)),
+                                            (1, pytest.approx(2.0, abs=1e-12)))
+        report, code = run_report(pf, "certify", {"seed": 42})
+        assert code == 0 and report["strictness"]["mu_min"] == 0.0
+
+    @pytest.mark.parametrize("a", [0.0, -0.25, -0.5, -0.75])
+    def test_refused_without_a_strict_minimizer(self, a):
+        # f decreases along x1 on a side of xbar, or is flat on a segment.
+        report, code = run_report(_huber_join(a), "certify", {"seed": 42})
+        assert code == 1 and report["cqs"]["sc"]
+        sosc = report["subregularity"]["sosc"]
+        assert sosc["mode"] == "certified-cone" and not sosc["passed"]
+
+    @pytest.mark.parametrize("a, pairs", [
+        (0.0, [((t, 0.0), (1.0, 1.0)) for t in (0.0, 0.01, 0.1, 0.5)]),
+        (-0.5, [((t, 0.0), (1.0 + t, 1.0)) for t in (0.0, -0.01, -0.1, -0.3)])])
+    def test_kkt_pairs_are_not_isolated(self, a, pairs):
+        # Every pair on these segments from (xbar, ybar) is a KKT pair, so no
+        # certificate may be issued there.
+        p = _huber_join(a).problem
+        for x, y in pairs:
+            res = kkt_residual(p, x, y)
+            assert (res.stationarity, res.subdiff_violation) == (0.0, 0.0), (x, y)
 
 
 class TestRestrictedKKTMatrix:

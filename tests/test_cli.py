@@ -100,17 +100,20 @@ class TestLoadProblem:
         assert "pieces 1,2: boundary value mismatch 0.5" in str(err.value)
 
     def test_validate_report_does_not_depend_on_the_seed(self, tmp_path):
-        # -|u| is concave: the verdict and its margins are the same at every seed.
+        # -|u| is concave: the verdict and its margins are the same at every
+        # seed a caller of run_report passes; the command line takes none.
         doc = {"n": 1, "m": 1, "c": ["x1"],
                "h": {"m": 1, "hyperplanes": [{"a": [1.0], "alpha": 0.0}],
                      "pieces": [{"signs": [-1], "b": [-1.0]}, {"signs": [1], "b": [1.0]}]}}
         path = tmp_path / "negabs.json"
         path.write_text(json.dumps(doc))
-        outs = [tmp_path / "seed1.json", tmp_path / "seed2.json"]
-        for seed, out in zip(("1", "2"), outs):
-            assert main(["validate", str(path), "--seed", seed, "--json", str(out)]) == 2
-        assert outs[0].read_bytes() == outs[1].read_bytes()
-        assert json.loads(outs[0].read_text())["report"]["facet_jumps"] == [[0, 1, -2.0]]
+        pf = load_problem(path, validate=False)
+        reports = [run_report(pf, "validate", {"seed": seed}) for seed in (1, 2)]
+        assert reports[0] == reports[1] and reports[0][1] == 2
+        out = tmp_path / "report.json"
+        assert main(["validate", str(path), "--json", str(out)]) == 2
+        assert json.loads(out.read_text()) == json.loads(json.dumps(reports[0][0]))
+        assert json.loads(out.read_text())["report"]["facet_jumps"] == [[0, 1, -2.0]]
 
     def test_q_and_beta_defaults(self):
         pf = parse_problem_dict(_doc())
@@ -338,6 +341,38 @@ class TestExitCodeContract:
         assert exit_.value.code == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err and "--probes" in err
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in (
+            ("validate", ("--method", "--tol", "--max-iter", "--seed", "--trace", "--point")),
+            ("certify", ("--method", "--tol", "--max-iter", "--trace")),
+            ("check-derivs", ("--method", "--tol", "--max-iter", "--trace")),
+            ("solve", ("--seed", "--point")),
+            ("rate", ("--seed", "--point")))
+        for flag in flags])
+    def test_option_the_command_does_not_read_is_refused(self, capsys, command, flag):
+        # Each command takes --json and the options its report reads, so
+        # argparse refuses the other 18 (command, option) settings.
+        value = {"--method": "newton", "--point": "random"}.get(flag, "1")
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "b1_minimax", flag, value])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and f"unrecognized arguments: {flag} {value}" in err
+
+    def test_each_command_takes_the_options_it_reads(self):
+        # The 17 settings that remain: --json everywhere, --point and --seed
+        # for certify and check-derivs, the solver options for solve and rate.
+        point = {"--point": "random", "--seed": "1"}
+        solve = {"--method": "newton", "--tol": "0.5", "--max-iter": "5", "--trace": "t.csv"}
+        reads = {"validate": {}, "certify": point, "check-derivs": point,
+                 "solve": solve, "rate": solve}
+        settings = [(command, flag, value) for command, options in reads.items()
+                    for flag, value in {**options, "--json": "out.json"}.items()]
+        assert len(settings) == 17
+        for command, flag, value in settings:
+            args = cli.build_parser().parse_args([command, "b1_minimax", flag, value])
+            assert value in {str(v) for v in vars(args).values()}, (command, flag)
 
     @pytest.mark.parametrize("flags", [["--max-iter", "-5"], ["--tol", "-1"], ["--tol", "nan"]])
     def test_negative_or_nonfinite_solver_option_is_input_error(self, capsys, flags):

@@ -10,13 +10,11 @@ from plqnewton.calculus import PolyhedronH, subdiff_hrep, dir_deriv_first
 from plqnewton.composite import (
     CompositeProblem,
     CQReport,
-    check_cqs,
+    analyze_point,
     kkt_residual,
-    multiplier_set,
-    nonascent_contains,
     qualification_chain,
 )
-from plqnewton.errors import DomainError, PreconditionError
+from plqnewton.errors import DomainError
 from plqnewton.exprmap import SmoothMap
 from plqnewton.plq import Hyperplane, Piece, PLQFunction
 
@@ -34,21 +32,21 @@ class TestMultiplierSet:
         # Oracle: y1 + y2 = 1 on the subdifferential segment and
         # Jac(0,0)^T y = (0, -2y1 + 2y2) = 0 force y = (1/2, 1/2).
         b = b1_minimax()
-        ms = multiplier_set(b.problem, [0.0, 0.0])
-        assert ms.status == "singleton"
-        assert np.allclose(ms.y, [0.5, 0.5], atol=1e-9)
-        assert ms.bcq_holds
+        pa = analyze_point(b.problem, [0.0, 0.0])
+        assert pa.multipliers.status == "singleton"
+        assert np.allclose(pa.multipliers.y, [0.5, 0.5], atol=1e-9)
+        assert pa.cqs.bcq
 
     def test_l1sq_identity_singleton_zero(self):
         p = _identity_problem(l1sq_plq())
-        ms = multiplier_set(p, [0.0, 0.0])
+        ms = analyze_point(p, [0.0, 0.0]).multipliers
         assert ms.status == "singleton"
         assert np.allclose(ms.y, [0.0, 0.0], atol=1e-9)
 
     def test_duplicated_component_nonsingleton(self):
         # c(x) = (x1, x1): multipliers are the segment {y1 + y2 = 0} n box.
         p = CompositeProblem(l1_plq(), SmoothMap.from_strings(["x1", "x1"], 1))
-        ms = multiplier_set(p, [0.0])
+        ms = analyze_point(p, [0.0]).multipliers
         assert ms.status == "nonsingleton"
         # Hand oracle: (1, -1) and (-1, 1) are the extreme multipliers.
         assert ms.polyhedron.contains([1.0, -1.0])
@@ -60,7 +58,7 @@ class TestMultiplierSet:
 
         p = _identity_problem(nlp_plq())
         with pytest.raises(DomainError):
-            multiplier_set(p, [3.0, 1.0])
+            analyze_point(p, [3.0, 1.0])
 
     def test_status_invariant_under_orthogonal_reparameterization(self):
         rng = np.random.default_rng(12)
@@ -69,32 +67,32 @@ class TestMultiplierSet:
             A = rng.standard_normal((2, 2))
             U, _ = np.linalg.qr(A)
             rotated = CompositeProblem(b.problem.h, rotated_map(b.problem.c, U))
-            ms0 = multiplier_set(b.problem, [0.0, 0.0])
-            ms1 = multiplier_set(rotated, U.T @ np.zeros(2))
+            ms0 = analyze_point(b.problem, [0.0, 0.0]).multipliers
+            ms1 = analyze_point(rotated, U.T @ np.zeros(2)).multipliers
             assert ms0.status == ms1.status
 
 
 class TestCheckCQs:
     def test_b1_all_pass(self):
         b = b1_minimax()
-        rep = check_cqs(b.problem, [0.0, 0.0])
+        rep = analyze_point(b.problem, [0.0, 0.0]).cqs
         assert rep.bcq and rep.tc and rep.sc
         assert np.allclose(rep.ybar, [0.5, 0.5], atol=1e-7)
         assert rep.m_singleton
 
     def test_tc_fails_for_duplicated_component(self):
         p = CompositeProblem(l1_plq(), SmoothMap.from_strings(["x1", "x1"], 1))
-        rep = check_cqs(p, [0.0])
+        rep = analyze_point(p, [0.0]).cqs
         assert rep.bcq and not rep.tc and not rep.sc and not rep.m_singleton
 
     def test_interior_point_bcq_trivial(self):
         p = _identity_problem(l1_plq())
-        rep = check_cqs(p, [1.0, 2.0])
+        rep = analyze_point(p, [1.0, 2.0]).cqs
         assert rep.bcq
 
     def test_flat_problem_loses_tc(self):
         b = b1_flat()
-        rep = check_cqs(b.problem, [0.0, 0.0])
+        rep = analyze_point(b.problem, [0.0, 0.0]).cqs
         assert rep.bcq and not rep.tc and not rep.m_singleton
 
     def test_report_consistency_enforced(self):
@@ -103,33 +101,42 @@ class TestCheckCQs:
 
     def test_l1_kink_sc(self):
         b = l1_kink()
-        rep = check_cqs(b.problem, [0.0, 0.0])
+        rep = analyze_point(b.problem, [0.0, 0.0]).cqs
         assert rep.sc
         assert np.allclose(rep.ybar, [0.0, 1.0], atol=1e-7)
 
 
 class TestNonascent:
+    """Under bcq, d is a direction of non-ascent for h(c(.)) at x exactly when
+    h'(c(x); Jac(x) d) <= 0, read from the analysis of x."""
+
+    @staticmethod
+    def _derivative(p, x, d):
+        pa = analyze_point(p, x)
+        assert pa.cqs.bcq
+        return dir_deriv_first(p.h, pa.cx, pa.jac @ np.asarray(d, dtype=float))
+
     def test_b1_tangent_direction(self):
         b = b1_minimax()
-        assert nonascent_contains(b.problem, [0.0, 0.0], [1.0, 0.0])
+        assert self._derivative(b.problem, [0.0, 0.0], [1.0, 0.0]).value == 0.0
 
     def test_b1_ascent_direction(self):
         # Oracle: h'(cbar; Jac d) with d = (0, 1): Jac d = (-2, 2), and
-        # max-piece derivative is positive on either active piece.
+        # the max of the two active pieces' derivatives is 2.
         b = b1_minimax()
-        assert not nonascent_contains(b.problem, [0.0, 0.0], [0.0, 1.0])
+        assert self._derivative(b.problem, [0.0, 0.0], [0.0, 1.0]).value == 2.0
 
     def test_zero_direction(self):
         b = b1_minimax()
-        assert nonascent_contains(b.problem, [0.3, -0.2], [0.0, 0.0])
+        assert self._derivative(b.problem, [0.3, -0.2], [0.0, 0.0]).value == 0.0
 
     def test_precondition(self):
-        # Constant map into the domain boundary of the nlp function: bcq fails.
+        # Constant map into the domain boundary of the nlp function: bcq, the
+        # representation's precondition, fails.
         from plqnewton.benchmarks import nlp_plq
 
         p = CompositeProblem(nlp_plq(), SmoothMap.from_strings(["0*x1", "0*x1"], 1))
-        with pytest.raises(PreconditionError):
-            nonascent_contains(p, [0.0], [1.0])
+        assert not analyze_point(p, [0.0]).cqs.bcq
 
 
 class TestKKTResidual:
@@ -274,7 +281,7 @@ class TestBcqAgainstLP:
     @given(st.integers(0, 2 ** 16))
     def test_composite_kinks(self, seed):
         p, J, bcq_fails = _kink_with_boundary(np.random.default_rng(seed))
-        rep = check_cqs(p, np.zeros(p.n))
+        rep = analyze_point(p, np.zeros(p.n)).cqs
         assert rep.bcq == _bcq_by_lp(subdiff_hrep(p.h, np.zeros(p.m)), J.T)
         assert not (bcq_fails and rep.bcq)
 
@@ -288,7 +295,7 @@ class TestBcqAgainstLP:
 
     def test_generators_give_both_verdicts(self):
         kinks = [_kink_with_boundary(np.random.default_rng(seed)) for seed in range(40)]
-        assert {check_cqs(p, np.zeros(p.n)).bcq for p, _, _ in kinks} == {True, False}
+        assert {analyze_point(p, np.zeros(p.n)).cqs.bcq for p, _, _ in kinks} == {True, False}
         pure = [_pure_instance(np.random.default_rng(seed)) for seed in range(40)]
         assert {qualification_chain(*d)[1].bcq for d in pure if d is not None} == {True, False}
 
@@ -311,7 +318,7 @@ class TestCQChainOnComposites:
                 exprs.append(" + ".join(terms) + f" + ({q[i]:.6f})")
             p = CompositeProblem(h, SmoothMap.from_strings(exprs, n))
             x = np.zeros(n)  # c(0) = q, a domain point
-            rep = check_cqs(p, x)
+            rep = analyze_point(p, x).cqs
             assert not (rep.sc and not rep.tc)
             assert not (rep.tc and not rep.bcq)
             assert not (rep.m_singleton and not rep.bcq)
